@@ -33,10 +33,10 @@ from .polyflow import (
     nu,
     sparsity,
 )
-from .retraction import retract_to_outerplanar, sample_retraction
+from .retraction import retract_to_outerplanar, retraction_sampler, sample_retraction
 from .thinround import multiscale_round, round_thin, thin_map
 from .tree import MetricTree, TreeMap, glue
-from .treeembed import embed_outerplanar, is_star_shaped, is_thin
+from .treeembed import embed_outerplanar, embed_sampler, is_star_shaped, is_thin
 
 __all__ = [
     "AdaptedLengths",
@@ -59,6 +59,7 @@ __all__ = [
     "dual_objective",
     "ear_decomposition",
     "embed_outerplanar",
+    "embed_sampler",
     "estimate_padding",
     "flatten",
     "glue",
@@ -76,6 +77,7 @@ __all__ = [
     "nu",
     "reduce_lengths",
     "retract_to_outerplanar",
+    "retraction_sampler",
     "round_thin",
     "sample_padded_partition",
     "sample_retraction",

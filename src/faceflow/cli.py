@@ -31,7 +31,7 @@ from .polyflow import (
 )
 from .retraction import retract_to_outerplanar
 from .thinround import multiscale_round, thin_map
-from .treeembed import embed_outerplanar, is_star_shaped, is_thin
+from .treeembed import embed_outerplanar, embed_sampler, is_star_shaped, is_thin
 
 
 def _fmt(x, as_float: bool) -> str:
@@ -153,7 +153,7 @@ def cmd_round(args) -> int:
         AdaptedLengths.split_evenly(g),
         inst.caps(),
         inst.demand_matrix(),
-        lambda s: embed_outerplanar(g, s),
+        embed_sampler(g),
         args.samples,
         args.seed,
     )

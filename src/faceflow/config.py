@@ -4,7 +4,7 @@ Everything tunable lives here so experiments and regression tests agree on
 one set of numbers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 

@@ -57,16 +57,16 @@ class TooLarge(FaceflowError):
     pass
 
 
-class NoSeparableDemand(FaceflowError):
-    pass
-
-
 class Infeasible(FaceflowError):
     pass
 
 
 class Unbounded(FaceflowError):
     pass
+
+
+class IterationLimit(FaceflowError):
+    """The simplex hit its iteration limit; says nothing about the LP."""
 
 
 class ZeroDenominator(FaceflowError):

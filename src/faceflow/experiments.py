@@ -38,14 +38,13 @@ from .instances import (
 from .polyflow import (
     AdaptedLengths,
     DemandMatrix,
-    PolymatroidCaps,
     brute_sparsest_edge_cut,
     brute_sparsest_vertex_cut,
     mcf_dual_vertex,
     mcf_polymatroid_lp,
     mcf_vertex_lp,
 )
-from .retraction import retract_to_outerplanar
+from .retraction import retraction_sampler
 from .thinround import (
     CutCertificate,
     dyadic_preprocess,
@@ -54,7 +53,7 @@ from .thinround import (
     tilde_lengths,
 )
 from .tree import TreeMap
-from .treeembed import embed_outerplanar, embed_sampler, is_star_shaped, is_thin
+from .treeembed import embed_sampler, is_star_shaped, is_thin
 
 
 @dataclass
@@ -156,17 +155,18 @@ def gap_experiment(
     ell2 = dyadic_preprocess(g2, ell2)
     gr = reduce_lengths(g2)
 
-    if inst.face is None:
-        # No face: only the brute cut is available.
-        pass
-    else:
-        pinst = PlanarInstance(gr, inst.face, inst.rotation)
-        rng = random.Random(f"gap:{seed}")
+    # Without a face only the brute cut is available.
+    if inst.face is not None:
+        retract = retraction_sampler(PlanarInstance(gr, inst.face, inst.rotation), config)
+        # Retracted graphs repeat across samples; prepare each one once.
+        embedders: dict[MetricGraph, Callable[[int], TreeMap]] = {}
         for i in range(samples):
             s_i = seed * 65_537 + i
-            fr = retract_to_outerplanar(pinst, s_i, config)
+            fr = retract(s_i)
             tally("retraction")
-            emb = embed_outerplanar(fr.h, s_i, config)
+            if fr.h not in embedders:
+                embedders[fr.h] = embed_sampler(fr.h, config)
+            emb = embedders[fr.h](s_i)
             if not emb.is_lipschitz():
                 raise InvariantViolation("embedding is not 1-Lipschitz")
             tally("embed_lipschitz")

@@ -11,7 +11,7 @@ All lengths are ``fractions.Fraction``; infinity is represented by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -23,8 +23,6 @@ from .errors import (
     NotBiconnected,
     NotOuterplanar,
 )
-
-Frac = Fraction
 
 INF = math.inf
 
@@ -47,6 +45,7 @@ class MetricGraph:
     """Undirected graph with nonnegative rational edge lengths.
 
     No loops, no parallel edges.  Zero-length edges are permitted.
+    The adjacency lists are built once, with the graph.
     """
 
     n: int
@@ -55,6 +54,7 @@ class MetricGraph:
     def __post_init__(self):
         seen = set()
         norm = []
+        adj: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in range(self.n)}
         for (u, v, w) in self.edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
@@ -68,7 +68,10 @@ class MetricGraph:
             if w < 0:
                 raise ValueError(f"negative length on edge {e}")
             norm.append((e[0], e[1], w))
+            adj[e[0]].append((e[1], w))
+            adj[e[1]].append((e[0], w))
         object.__setattr__(self, "edges", tuple(norm))
+        object.__setattr__(self, "_adj", adj)
 
     @staticmethod
     def from_lists(n: int, edges: Iterable[Sequence]) -> "MetricGraph":
@@ -77,20 +80,15 @@ class MetricGraph:
     # -- basic views ----------------------------------------------------
 
     def adjacency(self) -> dict[int, list[tuple[int, Fraction]]]:
-        adj: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in range(self.n)}
-        for (u, v, w) in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
+        """Shared adjacency lists (vertex -> [(neighbor, length)]); do not
+        mutate."""
+        return self._adj
 
     def edge_lengths(self) -> dict[tuple[int, int], Fraction]:
         return {norm_edge(u, v): w for (u, v, w) in self.edges}
 
     def neighbors(self, v: int) -> list[int]:
-        return [x for (x, _) in self.adjacency()[v]]
-
-    def incident_edges(self, v: int) -> list[tuple[int, int]]:
-        return [norm_edge(u, x) for (u, x, _) in self.edges if v in (u, x)]
+        return [x for (x, _) in self._adj[v]]
 
     def to_nx(self) -> nx.Graph:
         g = nx.Graph()
@@ -438,6 +436,20 @@ class OuterplanarBuild:
             add_path(step.path_vertices, step.path_lengths)
         return MetricGraph(n, tuple((u, v, w) for (u, v), w in edges.items()))
 
+    def blocks(self) -> list["OuterplanarBuild"]:
+        """Split a build from ``general_build`` into its per-block builds,
+        in build order, at the joins (the steps without an attach edge)."""
+        out = []
+        init_vs, init_ws, steps = self.initial_vertices, self.initial_lengths, []
+        for step in self.steps:
+            if step.attach_edge is None:
+                out.append(OuterplanarBuild(init_vs, init_ws, tuple(steps)))
+                init_vs, init_ws, steps = step.path_vertices, step.path_lengths, []
+            else:
+                steps.append(step)
+        out.append(OuterplanarBuild(init_vs, init_ws, tuple(steps)))
+        return out
+
 
 def _chord_children(chords: list[tuple[int, int]], lo: int, hi: int):
     """Top-level chords strictly inside the interval (lo, hi), given
@@ -481,7 +493,7 @@ def _block_ears(
                     (order[i], order[j]))
 
 
-def _closing_edge_index(order: list[int], lengths, prefer_short=True) -> int:
+def _closing_edge_index(order: list[int], lengths) -> int:
     """Index i of the cycle edge (order[i], order[i+1 mod n]) chosen to
     close the cycle; shortest edge, lowest index on ties."""
     n = len(order)

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .graph import (
     MetricGraph,
     PlanarInstance,
-    frac,
-    is_outerplanar,
     is_planar,
     norm_edge,
     reduce_lengths,

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, PipelineConfig
 from .errors import NonPositiveScale
-from .graph import MetricGraph, all_pairs_distances, connected_components, dijkstra, frac
+from .graph import MetricGraph, all_pairs_distances, connected_components, frac
 
 _GRID = 1 << 30
 
@@ -28,12 +28,6 @@ def _uniform_frac(rng: random.Random, hi: Fraction) -> Fraction:
 class Partition:
     blocks: tuple[frozenset[int], ...]
     tau: Fraction
-
-    def block_of(self, v: int) -> frozenset[int]:
-        for b in self.blocks:
-            if v in b:
-                return b
-        raise KeyError(v)
 
     def index_of(self) -> dict[int, int]:
         out = {}
@@ -71,7 +65,7 @@ def sample_padded_partition(
         raise NonPositiveScale(f"tau must be positive, got {tau}")
     rng = random.Random(f"padded:{seed}")
     width = tau / config.chop_width_divisor
-    adj = g.adjacency()
+    dmat = _dmat if _dmat is not None else all_pairs_distances(g)
     clusters: list[set[int]] = [set(c) for c in connected_components(g)]
     for _ in range(config.chop_rounds):
         new_clusters = []
@@ -79,8 +73,7 @@ def sample_padded_partition(
             if len(cl) == 1:
                 new_clusters.append(cl)
                 continue
-            root = min(cl)
-            dist = dijkstra(adj, root)
+            dist = dmat[min(cl)]
             r0 = _uniform_frac(rng, width)
             bands: dict[int, set[int]] = {}
             for v in sorted(cl):
@@ -89,7 +82,6 @@ def sample_padded_partition(
             new_clusters.extend(bands[b] for b in sorted(bands))
         clusters = new_clusters
     # Enforce the diameter bound deterministically.
-    dmat = _dmat if _dmat is not None else all_pairs_distances(g)
     final: list[set[int]] = []
     for cl in clusters:
         if weak_diameter(dmat, cl) <= tau:

@@ -8,7 +8,7 @@ dual as length functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -20,8 +20,8 @@ from .errors import (
     TooLargeForExact,
     ZeroDenominator,
 )
-from .graph import MetricGraph, all_pairs_distances, dijkstra, frac, norm_edge
-from .simplex import LPResult, check_solution, solve_lp
+from .graph import MetricGraph, dijkstra, frac, norm_edge
+from .simplex import check_solution, solve_lp
 
 Edge = tuple[int, int]
 
@@ -367,7 +367,10 @@ class FlowSolution:
                 raise ValueError(f"capacity violated at vertex {w}")
 
 
-def _mcf_lp_rows(g: MetricGraph, cap, dem: DemandMatrix, endpoint_factor: int):
+def _mcf_lp_rows(g: MetricGraph, dem: DemandMatrix, cap_rows):
+    """Concurrent-flow LP: per-commodity conservation rows, then one '<='
+    row per (edge set, rhs) in ``cap_rows`` bounding the total flow, over
+    all commodities and both directions, on the arcs of those edges."""
     commodities = [(u, v, w) for (u, v, w) in dem.items()]
     arcs = []
     for (u, v, _) in g.edges:
@@ -400,35 +403,26 @@ def _mcf_lp_rows(g: MetricGraph, cap, dem: DemandMatrix, endpoint_factor: int):
                 touched = True
             if touched:
                 rows.append((coeffs, "=", Fraction(0)))
-    for w in range(g.n):
+    arc_edges = [norm_edge(a, b) for (a, b) in arcs]
+    for edge_set, rhs in cap_rows:
         coeffs = [Fraction(0)] * nvar
-        touched = False
         for ci in range(k):
-            for ai, (a, b) in enumerate(arcs):
-                if w in (a, b):
+            for ai, e in enumerate(arc_edges):
+                if e in edge_set:
                     coeffs[fvar(ci, ai)] += 1
-                    touched = True
-        if touched:
-            rows.append((coeffs, "<=", endpoint_factor * frac(cap.get(w, 0))))
+        rows.append((coeffs, "<=", rhs))
     objective = [Fraction(0)] * nvar
     objective[eps_i] = Fraction(1)
-    return objective, rows, commodities, arcs, nvar
+    return objective, rows, commodities, arcs
 
 
-def mcf_vertex_lp(
-    g: MetricGraph, cap, dem: DemandMatrix, endpoint_factor: int = 2
+def _solve_mcf(
+    g: MetricGraph, dem: DemandMatrix, cap_rows, endpoint_factor: int
 ) -> FlowSolution:
-    """Maximum concurrent flow under vertex capacities.
-
-    endpoint_factor=2 is the half-credit-at-endpoints convention (the
-    constraint reads sum of incidences <= 2 cap); endpoint_factor=1 is
-    the vertex-capacity polymatroid form."""
-    cap = {v: frac(c) for v, c in dict(cap).items()}
-    objective, rows, commodities, arcs, nvar = _mcf_lp_rows(
-        g, cap, dem, endpoint_factor
-    )
-    if not commodities:
+    """Solve the concurrent-flow LP and check the optimum exactly."""
+    if not dem.items():
         return FlowSolution(Fraction(0), {}, [], endpoint_factor)
+    objective, rows, commodities, arcs = _mcf_lp_rows(g, dem, cap_rows)
     res = solve_lp(objective, rows, maximize=True)
     if res.status != "optimal":
         # Disconnected demand pairs force epsilon = 0; the LP is always
@@ -442,8 +436,26 @@ def mcf_vertex_lp(
             f = res.x[ci * n_arc + ai]
             if f:
                 flows[(ci, a, b)] = f
-    sol = FlowSolution(res.objective, flows, commodities, endpoint_factor)
-    sol.verify(g, cap)
+    return FlowSolution(res.objective, flows, commodities, endpoint_factor)
+
+
+def mcf_vertex_lp(
+    g: MetricGraph, cap, dem: DemandMatrix, endpoint_factor: int = 2
+) -> FlowSolution:
+    """Maximum concurrent flow under vertex capacities.
+
+    endpoint_factor=2 is the half-credit-at-endpoints convention (the
+    constraint reads sum of incidences <= 2 cap); endpoint_factor=1 is
+    the vertex-capacity polymatroid form."""
+    cap = {v: frac(c) for v, c in dict(cap).items()}
+    cap_rows = []
+    for w in range(g.n):
+        incident = {norm_edge(a, b) for (a, b, _) in g.edges if w in (a, b)}
+        if incident:
+            cap_rows.append((incident, endpoint_factor * cap.get(w, Fraction(0))))
+    sol = _solve_mcf(g, dem, cap_rows, endpoint_factor)
+    if sol.commodities:
+        sol.verify(g, cap)
     return sol
 
 
@@ -547,56 +559,12 @@ def mcf_polymatroid_lp(
     crossing A is at most rho_v(A)."""
     if caps.is_vertex_form():
         return mcf_vertex_lp(g, caps.vertex_caps, dem, endpoint_factor=1)
-    commodities = [(u, v, w) for (u, v, w) in dem.items()]
-    if not commodities:
-        return FlowSolution(Fraction(0), {}, [], 1)
-    arcs = []
-    for (u, v, _) in g.edges:
-        arcs.append((u, v))
-        arcs.append((v, u))
-    n_arc = len(arcs)
-    k = len(commodities)
-    nvar = k * n_arc + 1
-    eps_i = nvar - 1
 
-    def fvar(ci, ai):
-        return ci * n_arc + ai
+    def cap_rows():
+        for w in range(g.n):
+            inc = caps.incident(w, g)
+            for r in range(1, len(inc) + 1):
+                for sub in itertools.combinations(inc, r):
+                    yield set(sub), caps.rho(w, sub)
 
-    rows = []
-    for ci, (s, t, d) in enumerate(commodities):
-        for v in range(g.n):
-            if v == s:
-                continue
-            coeffs = [Fraction(0)] * nvar
-            for ai, (a, b) in enumerate(arcs):
-                if b == v:
-                    coeffs[fvar(ci, ai)] += 1
-                if a == v:
-                    coeffs[fvar(ci, ai)] -= 1
-            if v == t:
-                coeffs[eps_i] = -d
-            rows.append((coeffs, "=", Fraction(0)))
-    for w in range(g.n):
-        inc = caps.incident(w, g)
-        for r in range(1, len(inc) + 1):
-            for sub in itertools.combinations(inc, r):
-                coeffs = [Fraction(0)] * nvar
-                subset = set(sub)
-                for ci in range(k):
-                    for ai, (a, b) in enumerate(arcs):
-                        if w in (a, b) and norm_edge(a, b) in subset:
-                            coeffs[fvar(ci, ai)] += 1
-                rows.append((coeffs, "<=", caps.rho(w, sub)))
-    objective = [Fraction(0)] * nvar
-    objective[eps_i] = Fraction(1)
-    res = solve_lp(objective, rows, maximize=True)
-    if res.status != "optimal":
-        raise RuntimeError(f"polymatroid flow LP unexpectedly {res.status}")
-    check_solution(objective, rows, res.x)
-    flows = {}
-    for ci in range(k):
-        for ai, (a, b) in enumerate(arcs):
-            f = res.x[fvar(ci, ai)]
-            if f:
-                flows[(ci, a, b)] = f
-    return FlowSolution(res.objective, flows, commodities, 1)
+    return _solve_mcf(g, dem, cap_rows(), 1)

@@ -84,82 +84,91 @@ def sample_retraction(
     V_0 = S.  At scale 2^k a fresh padded partition is drawn; a vertex
     joins when the connected part of its block reaches the already
     absorbed set, and each newly absorbed connected chunk inherits the
-    image of one neighboring absorbed vertex (lowest id).
-    """
+    image of one neighboring absorbed vertex (lowest id)."""
+    return _absorption_sampler(g, s, all_pairs_distances(g), config)(seed)
+
+
+def _absorption_sampler(g: MetricGraph, s, dmat, config: PipelineConfig):
+    """Check the target, fix the prescale, the scale count and the scaled
+    distance matrix once, and return the seed -> Retraction sampler of
+    ``sample_retraction``; ``dmat`` is the distance matrix of g."""
     s = frozenset(s)
     if not s:
         raise EmptyTarget("retraction target is empty")
-    for comp in connected_components(g):
+    comps = connected_components(g)
+    for comp in comps:
         if not comp & s:
             raise EmptyTarget(f"component {sorted(comp)[:5]}... contains no target vertex")
 
     # Prescale so d(S, V \ S) > 1 (zero-distance complements keep scale 1).
-    dmat = all_pairs_distances(g)
     gaps = [
         min(dmat[x][t] for t in s) for x in range(g.n) if x not in s
     ]
     gaps = [d for d in gaps if d > 0]
     scale = Fraction(2) / min(gaps) if gaps else Fraction(1)
     gs = g.scaled(scale)
+    dmat_s = all_pairs_distances(gs)
 
     diam = diameter(gs)
     k0 = 1
     while Fraction(2) ** k0 < diam:
         k0 += 1
-
     adj = g.adjacency()
-    mapping = {x: x for x in s}
-    levels = {x: 0 for x in s}
-    absorbed = set(s)
-    for k in range(1, k0 + 1):
-        if k == k0:
-            blocks = [set(c) for c in connected_components(g)]
-        else:
-            part = sample_padded_partition(
-                gs, Fraction(2) ** k, seed * 7_919 + k, config
-            )
-            blocks = [set(b) for b in part.blocks]
-        newly: list[set[int]] = []
-        for t_block in blocks:
-            # Connected components of G[T]; those touching the absorbed
-            # set absorb their unabsorbed vertices chunk by chunk.
-            comps = _components_within(adj, t_block)
-            for comp in comps:
-                if not comp & absorbed:
-                    continue
-                fresh = comp - absorbed
-                for chunk in _components_within(adj, fresh):
-                    nbrs = set()
-                    for v in chunk:
-                        for (u, _) in adj[v]:
-                            if u in comp and u in absorbed:
-                                nbrs.add(u)
-                    if not nbrs:
-                        continue  # reached only through other fresh chunks
+
+    def sample(seed: int) -> Retraction:
+        mapping = {x: x for x in s}
+        levels = {x: 0 for x in s}
+        absorbed = set(s)
+        for k in range(1, k0 + 1):
+            if k == k0:
+                blocks = comps
+            else:
+                part = sample_padded_partition(
+                    gs, Fraction(2) ** k, seed * 7_919 + k, config, _dmat=dmat_s
+                )
+                blocks = part.blocks
+            newly: list[set[int]] = []
+            for t_block in blocks:
+                # Connected components of G[T]; those touching the absorbed
+                # set absorb their unabsorbed vertices chunk by chunk.
+                for comp in _components_within(adj, t_block):
+                    if not comp & absorbed:
+                        continue
+                    fresh = comp - absorbed
+                    for chunk in _components_within(adj, fresh):
+                        nbrs = set()
+                        for v in chunk:
+                            for (u, _) in adj[v]:
+                                if u in comp and u in absorbed:
+                                    nbrs.add(u)
+                        if not nbrs:
+                            continue  # reached only through other fresh chunks
+                        v_c = min(nbrs)
+                        newly.append(chunk)
+                        for v in chunk:
+                            mapping[v] = mapping[v_c]
+                            levels[v] = k
+            for chunk in newly:
+                absorbed |= chunk
+            if len(absorbed) == g.n:
+                break
+        # Chunks reachable only through sibling chunks may need extra passes
+        # at the same top scale.
+        guard = 0
+        while len(absorbed) < g.n:
+            guard += 1
+            if guard > g.n:
+                raise InvariantViolation("retraction failed to absorb all vertices")
+            for v in sorted(set(range(g.n)) - absorbed):
+                nbrs = [u for (u, _) in adj[v] if u in absorbed]
+                if nbrs:
                     v_c = min(nbrs)
-                    newly.append(chunk)
-                    for v in chunk:
-                        mapping[v] = mapping[v_c]
-                        levels[v] = k
-        for chunk in newly:
-            absorbed |= chunk
-        if len(absorbed) == g.n:
-            break
-    # Chunks reachable only through sibling chunks may need extra passes
-    # at the same top scale.
-    guard = 0
-    while len(absorbed) < g.n:
-        guard += 1
-        if guard > g.n:
-            raise InvariantViolation("retraction failed to absorb all vertices")
-        for v in sorted(set(range(g.n)) - absorbed):
-            nbrs = [u for (u, _) in adj[v] if u in absorbed]
-            if nbrs:
-                v_c = min(nbrs)
-                mapping[v] = mapping[v_c]
-                levels[v] = k0
-                absorbed.add(v)
-    return Retraction(s, mapping, levels, scale)
+                    mapping[v] = mapping[v_c]
+                    levels[v] = k0
+                    absorbed.add(v)
+        return Retraction(s, mapping, levels, scale)
+
+    return sample
 
 
 def _components_within(adj, verts: set[int]) -> list[set[int]]:
@@ -183,7 +192,7 @@ def _components_within(adj, verts: set[int]) -> list[set[int]]:
 
 def gradient_stat(
     g: MetricGraph,
-    retraction_sampler,
+    sampler,
     x: int,
     tau,
     samples: int,
@@ -204,7 +213,7 @@ def gradient_stat(
         return 0.0
     total = 0.0
     for i in range(samples):
-        retr = retraction_sampler(seed * 104_729 + i)
+        retr = sampler(seed * 104_729 + i)
         fx = retr.mapping[x]
         total += max(float(dmat[fx][retr.mapping[v]] / w) for (v, w) in relevant)
     return total / samples
@@ -221,31 +230,35 @@ class FaceRetraction:
     retraction: Retraction
 
 
-def retract_to_outerplanar(
+def retraction_sampler(
     inst: PlanarInstance,
-    seed: int,
     config: PipelineConfig = DEFAULT_CONFIG,
-    check: bool = True,
-) -> FaceRetraction:
-    """Retract onto the distinguished face and contract fibers; each
-    surviving edge gets length d_g between its fiber representatives."""
+):
+    """Validate the instance and precompute the deterministic part of the
+    face retraction (distance matrices, target scale, scale count), and
+    return a seed -> FaceRetraction sampler; use this when drawing many
+    retractions of the same instance.  Every sample is checked: fixed
+    target, connected fibers, level bounds, an outerplanar quotient, and
+    no face pair brought closer."""
     problems = inst.validate()
     if problems:
         raise FaceInvalid("; ".join(problems))
     g = inst.graph
     face = tuple(inst.face)
-    retr = sample_retraction(g, set(face), seed, config)
     dmat = all_pairs_distances(g)
+    retract = _absorption_sampler(g, set(face), dmat, config)
     idx = {v: i for i, v in enumerate(face)}
-    edges: dict[tuple[int, int], Fraction] = {}
-    for (u, v, _) in g.edges:
-        a, b = retr.mapping[u], retr.mapping[v]
-        if a == b:
-            continue
-        edges[norm_edge(idx[a], idx[b])] = dmat[a][b]
-    h = MetricGraph(len(face), tuple((u, v, w) for (u, v), w in edges.items()))
-    mapping = {v: idx[retr.mapping[v]] for v in range(g.n)}
-    if check:
+
+    def sample(seed: int) -> FaceRetraction:
+        retr = retract(seed)
+        edges: dict[tuple[int, int], Fraction] = {}
+        for (u, v, _) in g.edges:
+            a, b = retr.mapping[u], retr.mapping[v]
+            if a == b:
+                continue
+            edges[norm_edge(idx[a], idx[b])] = dmat[a][b]
+        h = MetricGraph(len(face), tuple((u, v, w) for (u, v), w in edges.items()))
+        mapping = {v: idx[retr.mapping[v]] for v in range(g.n)}
         retr.check(g, dmat)
         if not is_outerplanar(h):
             raise InvariantViolation("retracted graph is not outerplanar")
@@ -256,4 +269,16 @@ def retract_to_outerplanar(
                     raise InvariantViolation(
                         f"face pair ({u},{v}) got closer after retraction"
                     )
-    return FaceRetraction(h, face, mapping, retr)
+        return FaceRetraction(h, face, mapping, retr)
+
+    return sample
+
+
+def retract_to_outerplanar(
+    inst: PlanarInstance,
+    seed: int,
+    config: PipelineConfig = DEFAULT_CONFIG,
+) -> FaceRetraction:
+    """Retract onto the distinguished face and contract fibers; each
+    surviving edge gets length d_g between its fiber representatives."""
+    return retraction_sampler(inst, config)(seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Infeasible, Unbounded
+from .errors import Infeasible, IterationLimit, Unbounded
 
 _ZERO = Fraction(0)
 _BLAND_AFTER = 2000
@@ -29,7 +29,8 @@ def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
 
     ``objective``: list of Fractions (length n).
     ``rows``: list of (coeffs, relation, rhs) with relation in
-    '<=', '>=', '='.
+    '<=', '>=', '='.  Raises IterationLimit when either phase runs past
+    ``_MAX_ITERS`` pivots.
     """
     n = len(objective)
     c = [Fraction(v) for v in objective]
@@ -100,7 +101,7 @@ def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
         while True:
             iters += 1
             if iters > _MAX_ITERS:
-                raise Unbounded("simplex iteration limit hit")
+                raise IterationLimit(f"simplex iteration limit {_MAX_ITERS} hit")
             cb = [cost[b] for b in basis]
             bland = iters > _BLAND_AFTER
             enter = -1
@@ -175,7 +176,7 @@ def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
     return LPResult("optimal", obj, sol)
 
 
-def check_solution(objective, rows, x, maximize=True) -> Fraction:
+def check_solution(objective, rows, x) -> Fraction:
     """Substitute x into all rows exactly; raises Infeasible on any
     violation and returns the exact objective value."""
     for coeffs, rel, rhs in rows:

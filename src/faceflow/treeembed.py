@@ -10,7 +10,7 @@ probability 1/2 each.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, PipelineConfig
@@ -23,13 +23,10 @@ from .errors import (
 from .graph import (
     Cycle,
     MetricGraph,
-    all_pairs_distances,
-    biconnected_components,
+    OuterplanarBuild,
     connected_components,
-    ear_decomposition,
     flatten,
     frac,
-    induced_subgraph,
     is_outerplanar,
     make_cycle,
     norm_edge,
@@ -244,18 +241,14 @@ def random_extension(
 
 def _embed_block(
     g: MetricGraph,
-    h_block: MetricGraph,
-    block_verts: frozenset[int],
-    back: dict[int, int],
+    build: OuterplanarBuild,
     rng: random.Random,
     config: PipelineConfig,
-    build=None,
 ) -> tuple[MetricTree, dict[int, int]]:
-    """Embed one biconnected block (or bridge) of the slack graph; tree
-    ids are local and relabelled by the caller."""
-    if build is None:
-        build = ear_decomposition(h_block)
-    init_vs = [back[i] for i in build.initial_vertices]
+    """Embed one biconnected block (or bridge) of the slack graph from its
+    ear build; tree ids are local and relabelled by the caller."""
+    init_vs = build.initial_vertices
+    block = frozenset(init_vs).union(*(st.path_vertices for st in build.steps))
     tree = MetricTree()
     mapping: dict[int, int] = {}
     for i, x in enumerate(init_vs):
@@ -268,13 +261,13 @@ def _embed_block(
         mapping=mapping,
         embedded=set(init_vs),
         graph=g,
-        block=block_verts,
+        block=block,
         next_id=len(init_vs),
     )
     for step in build.steps:
-        vs = [back[i] for i in step.path_vertices]
-        ae = (back[step.attach_edge[0]], back[step.attach_edge[1]])
-        random_extension(state, vs, step.path_lengths, ae, rng, config)
+        random_extension(
+            state, step.path_vertices, step.path_lengths, step.attach_edge, rng, config
+        )
     return state.tree, state.mapping
 
 
@@ -283,51 +276,27 @@ def embed_sampler(
     config: PipelineConfig = DEFAULT_CONFIG,
 ):
     """Precompute the deterministic part of the embedding (reduction,
-    slack transform, block order, ear builds) and return a seed -> TreeMap
-    sampler; use this when drawing many embeddings of the same graph."""
+    slack transform and its block-ordered ear build) and return a
+    seed -> TreeMap sampler; use this when drawing many embeddings of the
+    same graph."""
     if not is_outerplanar(g):
         raise NotOuterplanar("embedding needs an outerplanar graph")
     comps = connected_components(g)
     if len(comps) != 1:
         raise ValueError("embedding expects a connected graph")
     g_red = reduce_lengths(g)
-    h, _build = slack_transform(g_red, config.slack_alpha)
-
-    blocks, _ = biconnected_components(h)
-    blocks = sorted((frozenset(b) for b in blocks if len(b) >= 2), key=min)
-    if not blocks:
-        def sample_trivial(seed: int) -> TreeMap:
-            final = MetricTree()
-            final.add_vertex(0)
-            return TreeMap(final, {0: 0}, g_red, root=0)
-
-        return sample_trivial
-    ordered = [blocks[0]]
-    rest = list(blocks[1:])
-    covered = set(blocks[0])
-    while rest:
-        for i, b in enumerate(rest):
-            if b & covered:
-                ordered.append(b)
-                covered |= b
-                del rest[i]
-                break
-        else:
-            raise ValueError("slack graph unexpectedly disconnected")
-    prepared = []
-    for b in ordered:
-        sub, idx = induced_subgraph(h, set(b))
-        back = {i: x for x, i in idx.items()}
-        prepared.append((b, sub, back, ear_decomposition(sub)))
+    h, build = slack_transform(g_red, config.slack_alpha)
+    blocks = build.blocks()
 
     def sample(seed: int) -> TreeMap:
         rng = random.Random(f"embed:{seed}")
         final = MetricTree()
         mapping: dict[int, int] = {}
         next_global = 0
-        for (b, sub, back, build) in prepared:
-            bt, bmap = _embed_block(h, sub, b, back, rng, config, build=build)
-            shared = [x for x in b if x in mapping]
+        for block_build in blocks:
+            bt, bmap = _embed_block(h, block_build, rng, config)
+            # Blocks meet the earlier ones in exactly one cut vertex.
+            shared = [x for x in bmap if x in mapping]
             relabel: dict[int, int] = {}
             if shared:
                 c = shared[0]

@@ -1,7 +1,11 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
+from faceflow import experiments, graph
 from faceflow.errors import BudgetExhausted
 from faceflow.experiments import (
     _positive_dual_lengths,
@@ -90,6 +94,60 @@ class TestGapExperiment:
         rep = gap_experiment(inst, samples=0, seed=0)
         text = "\n".join(rep.lines())
         assert "mcf" in text and "ratio" in text
+
+
+class TestPerSampleWork:
+    """Per-instance work happens once, not once per sample."""
+
+    def test_grid_samples_after_the_first(self, monkeypatch):
+        g, face = grid_graph(3, 4)
+        inst = Instance(
+            g,
+            face=face,
+            vcaps=tuple(F(1) for _ in range(12)),
+            demands=DemandMatrix.from_pairs([(0, 11, F(1)), (3, 8, F(1))]),
+        )
+        # Calls are charged to the thin_map calls seen so far: segment i
+        # (i >= 1) holds the rounding of sample i and the retraction and
+        # embedding of sample i + 1.
+        segment = [0]
+        counts: Counter = Counter()
+
+        def counting(name, fn, charged=lambda *a: True):
+            def wrapper(*args, **kwargs):
+                if charged(*args):
+                    counts[segment[0], name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        modules = [m for n, m in sys.modules.items() if n.startswith("faceflow.")]
+        for name in ("all_pairs_distances", "ear_decomposition", "find_outer_cycle"):
+            original = getattr(graph, name)
+            for mod in modules:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counting(name, original))
+        # Planarity tests on g itself (or g plus an apex), not on the
+        # smaller retracted graphs.
+        monkeypatch.setattr(
+            nx, "check_planarity",
+            counting("planar_g", nx.check_planarity,
+                     lambda gx, *a: gx.number_of_nodes() >= g.n),
+        )
+        thin_map = experiments.thin_map
+
+        def marking_thin_map(*args, **kwargs):
+            segment[0] += 1
+            return thin_map(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "thin_map", marking_thin_map)
+        rep = gap_experiment(inst, samples=3, seed=1)
+        assert rep.assertion_tallies["thin"] == 3
+        for i in (1, 2):
+            assert counts[i, "all_pairs_distances"] <= 1
+            assert counts[i, "ear_decomposition"] == 0
+            assert counts[i, "find_outer_cycle"] == 0
+            assert counts[i, "planar_g"] == 0
 
 
 class TestPositiveDualLengths:

@@ -8,12 +8,11 @@ and the LP pivots keeps these files unchanged.
 
 To re-record after an intended change of output:
 
-    PYTHONPATH=src python tests/test_golden_cli.py
+    FACEFLOW_RECORD_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_cli.py
 """
 
 import itertools
 import os
-import sys
 from fractions import Fraction
 
 import pytest
@@ -94,63 +93,21 @@ def _case_id(name, cmd, extra) -> str:
     return "-".join((name, cmd) + tuple(a.lstrip("-") for a in extra))
 
 
-def _run(tmp_dir, name, cmd, extra, capsys) -> str:
-    path = os.path.join(tmp_dir, f"{name}.json")
-    save_instance(INSTANCES[name](), path)
-    rc = main([cmd, path, "--seed", "3", "--samples", SAMPLES, *extra])
-    cap = capsys.readouterr()
-    lines = [f"exit: {rc}"]
-    lines += [l for l in cap.out.splitlines() if not l.startswith("runtime_s:")]
-    lines += [f"stderr: {l}" for l in cap.err.splitlines()]
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize(
     "name,cmd,extra", CASES, ids=[_case_id(*c) for c in CASES]
 )
 def test_cli_output_matches_golden(name, cmd, extra, tmp_path, capsys):
-    got = _run(tmp_path, name, cmd, extra, capsys)
-    with open(os.path.join(GOLDEN_DIR, _case_id(name, cmd, extra) + ".txt")) as f:
+    inst_path = os.path.join(tmp_path, f"{name}.json")
+    save_instance(INSTANCES[name](), inst_path)
+    rc = main([cmd, inst_path, "--seed", "3", "--samples", SAMPLES, *extra])
+    cap = capsys.readouterr()
+    lines = [f"exit: {rc}"]
+    lines += [l for l in cap.out.splitlines() if not l.startswith("runtime_s:")]
+    lines += [f"stderr: {l}" for l in cap.err.splitlines()]
+    got = "\n".join(lines) + "\n"
+    path = os.path.join(GOLDEN_DIR, _case_id(name, cmd, extra) + ".txt")
+    if os.environ.get("FACEFLOW_RECORD_GOLDEN"):
+        with open(path, "w") as f:
+            f.write(got)
+    with open(path) as f:
         assert got == f.read()
-
-
-class _Capture:
-    """Minimal stand-in for pytest's capsys when recording."""
-
-    def __init__(self):
-        import io
-
-        self._io = io
-        self._swap()
-
-    def _swap(self):
-        self.out, self.err = self._io.StringIO(), self._io.StringIO()
-        sys.stdout, sys.stderr = self.out, self.err
-
-    def readouterr(self):
-        from types import SimpleNamespace
-
-        res = SimpleNamespace(out=self.out.getvalue(), err=self.err.getvalue())
-        self._swap()
-        return res
-
-
-def record() -> None:
-    import tempfile
-
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
-    stdout, stderr = sys.stdout, sys.stderr
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            cap = _Capture()
-            texts = {c: _run(tmp, *c, cap) for c in CASES}
-    finally:
-        sys.stdout, sys.stderr = stdout, stderr
-    for c, text in texts.items():
-        with open(os.path.join(GOLDEN_DIR, _case_id(*c) + ".txt"), "w") as f:
-            f.write(text)
-    print(f"recorded {len(texts)} golden files in {GOLDEN_DIR}")
-
-
-if __name__ == "__main__":
-    record()

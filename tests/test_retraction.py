@@ -14,6 +14,7 @@ from faceflow.instances import cycle_instance, grid_graph
 from faceflow.retraction import (
     gradient_stat,
     retract_to_outerplanar,
+    retraction_sampler,
     sample_retraction,
 )
 
@@ -88,6 +89,21 @@ class TestGradientStat:
 
 
 class TestRetractToOuterplanar:
+    def test_sampler_draws_match_one_shot_calls(self):
+        # Samples share the prepared instance; drawing them in any order
+        # from one sampler gives the one-shot results.
+        g, face = grid_graph(3, 4)
+        inst = PlanarInstance(g, face)
+        draw = retraction_sampler(inst)
+        drawn = {seed: draw(seed) for seed in (5, 0, 3, 0, 1)}
+        for seed in sorted(drawn):
+            assert retract_to_outerplanar(inst, seed) == drawn[seed]
+
+    def test_sampler_validates_up_front(self):
+        inst = PlanarInstance(cycle_instance(6), (0, 2, 1, 3, 4, 5))
+        with pytest.raises(FaceInvalid):
+            retraction_sampler(inst)
+
     def test_rejects_invalid_face(self, c6=None):
         g = cycle_instance(6)
         inst = PlanarInstance(g, (0, 2, 1, 3, 4, 5))

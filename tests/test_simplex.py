@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from faceflow.errors import Infeasible
+from faceflow import simplex
+from faceflow.errors import Infeasible, IterationLimit
 from faceflow.simplex import check_solution, solve_lp
 
 
@@ -89,6 +90,22 @@ class TestSolve:
         res = solve_lp(obj, rows)
         assert res.status == "optimal"
         assert res.objective == F(5) ** n
+
+
+class TestIterationLimit:
+    """Running out of pivots is its own failure, not unboundedness."""
+
+    def test_phase_one_limit(self, monkeypatch):
+        # x = 1 starts on an artificial basis: phase 1 needs one pivot.
+        monkeypatch.setattr(simplex, "_MAX_ITERS", 1)
+        with pytest.raises(IterationLimit):
+            solve_lp([F(1)], [([F(1)], "=", F(1))])
+
+    def test_phase_two_limit(self, monkeypatch):
+        # x <= 1 has no artificials: only phase 2 runs, and needs a pivot.
+        monkeypatch.setattr(simplex, "_MAX_ITERS", 1)
+        with pytest.raises(IterationLimit):
+            solve_lp([F(1)], [([F(1)], "<=", F(1))])
 
 
 class TestCheckSolution:

@@ -185,6 +185,21 @@ class TestEmbedOuterplanar:
         assert tm.is_lipschitz()
         assert is_star_shaped(tm)
 
+    def test_sampler_draws_match_one_shot_calls(self):
+        # Two blocks joined at a cut vertex: a slack cycle on 0..5 and a
+        # triangle on 5, 6, 7.
+        edges = list(slack_cycle(6).edges) + [
+            (5, 6, F(1)), (6, 7, F(1)), (5, 7, F(1, 128)),
+        ]
+        g = MetricGraph(8, tuple(edges))
+        samp = embed_sampler(g)
+        drawn = {seed: samp(seed) for seed in (4, 0, 2, 0)}
+        for seed in sorted(drawn):
+            one = embed_outerplanar(g, seed)
+            tm = drawn[seed]
+            assert (tm.root, tm.mapping) == (one.root, one.mapping)
+            assert list(tm.tree.adj.items()) == list(one.tree.adj.items())
+
     def test_c6_contraction_quick(self):
         g = cycle_instance(6)
         samp = embed_sampler(g)
