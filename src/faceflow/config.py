@@ -1,7 +1,8 @@
 """Global constants for the pipeline, with the empirically recorded bounds.
 
-Everything tunable lives here so experiments and regression tests agree on
-one set of numbers.
+The numbers are part of the construction, so they live in one frozen
+record, DEFAULT_CONFIG, which the pipeline reads directly (no function takes
+them per call); experiments and regression tests agree on one set of numbers.
 """
 
 from dataclasses import dataclass
@@ -61,9 +62,6 @@ class PipelineConfig:
 
     # Default Monte Carlo sizes.
     default_samples: int = 1000
-
-    # Confidence level used for contraction reports.
-    confidence: float = 0.99
 
 
 DEFAULT_CONFIG = PipelineConfig()

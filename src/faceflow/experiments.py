@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .config import DEFAULT_CONFIG, PipelineConfig
+from .config import DEFAULT_CONFIG
 from .errors import (
     BudgetExhausted,
     InvariantViolation,
@@ -119,7 +119,6 @@ def gap_experiment(
     inst: Instance,
     samples: int,
     seed: int,
-    config: PipelineConfig = DEFAULT_CONFIG,
 ) -> ExperimentReport:
     """Pipeline vs LP on one capacitated instance with face demands."""
     t0 = time.monotonic()
@@ -145,9 +144,9 @@ def gap_experiment(
     best: Optional[CutCertificate] = None
 
     phi_brute = None
-    if len(g.edges) <= config.edge_cut_max_edges:
+    if len(g.edges) <= DEFAULT_CONFIG.edge_cut_max_edges:
         try:
-            _, phi_brute = brute_sparsest_edge_cut(g, caps, dem, config)
+            _, phi_brute = brute_sparsest_edge_cut(g, caps, dem)
         except (TooLarge, NoSeparatedDemand):
             phi_brute = None
 
@@ -157,7 +156,7 @@ def gap_experiment(
 
     # Without a face only the brute cut is available.
     if inst.face is not None:
-        retract = retraction_sampler(PlanarInstance(gr, inst.face, inst.rotation), config)
+        retract = retraction_sampler(PlanarInstance(gr, inst.face, inst.rotation))
         # Retracted graphs repeat across samples; prepare each one once.
         embedders: dict[MetricGraph, Callable[[int], TreeMap]] = {}
         for i in range(samples):
@@ -165,7 +164,7 @@ def gap_experiment(
             fr = retract(s_i)
             tally("retraction")
             if fr.h not in embedders:
-                embedders[fr.h] = embed_sampler(fr.h, config)
+                embedders[fr.h] = embed_sampler(fr.h)
             emb = embedders[fr.h](s_i)
             if not emb.is_lipschitz():
                 raise InvariantViolation("embedding is not 1-Lipschitz")
@@ -179,15 +178,13 @@ def gap_experiment(
             if not is_star_shaped(composed):
                 raise InvariantViolation("composed map is not star-shaped")
             tally("composition_star_shaped")
-            thin = thin_map(composed, s_i, config)
-            if not is_thin(thin, config.thinness):
+            thin = thin_map(composed, s_i)
+            if not is_thin(thin, DEFAULT_CONFIG.thinness):
                 raise InvariantViolation("thinned map exceeds thinness bound")
             tally("thin")
             tl = tilde_lengths(g2, thin, ell2)
             try:
-                cert = round_thin(
-                    g2, thin, tl, caps, dem, config.thinness, config
-                )
+                cert = round_thin(g2, thin, tl, caps, dem)
             except NoSeparatedDemand:
                 continue
             tally("rounded")
@@ -241,7 +238,6 @@ def search_gap_instance(
     budget_s: float,
     seed: int = 0,
     target: Fraction = Fraction(7, 5),
-    config: PipelineConfig = DEFAULT_CONFIG,
 ) -> tuple[Instance, Fraction, Fraction]:
     """Search small planar outer-face-demand instances for a vertex
     flow/cut gap Phi^v / mcf^v >= target; returns (instance, phi, mcf).
@@ -261,7 +257,7 @@ def search_gap_instance(
         cap = inst.cap_dict()
         try:
             mcf = mcf_vertex_lp(g, cap, dem, endpoint_factor=2).epsilon
-            _, phi = brute_sparsest_vertex_cut(g, cap, dem, config)
+            _, phi = brute_sparsest_vertex_cut(g, cap, dem)
         except (NoSeparatedDemand, TooLarge):
             return None
         if mcf <= 0:
@@ -330,7 +326,6 @@ def distortion_experiment(
     g: MetricGraph,
     samples: int,
     seed: int,
-    config: PipelineConfig = DEFAULT_CONFIG,
     embed_fn: Optional[Callable[[int], TreeMap]] = None,
 ) -> DistortionReport:
     """Per-pair empirical contraction d_T(F(u),F(v)) / d_G(u,v) of the
@@ -338,7 +333,7 @@ def distortion_experiment(
     confidence bounds on the means."""
     dmat = all_pairs_distances(g)
     if embed_fn is None:
-        embed_fn = embed_sampler(g, config)
+        embed_fn = embed_sampler(g)
     pairs = [
         (u, v)
         for u in range(g.n)
@@ -347,10 +342,12 @@ def distortion_experiment(
     ]
     sums = {p: 0.0 for p in pairs}
     sqs = {p: 0.0 for p in pairs}
+    sources = sorted({u for (u, _) in pairs})
     for i in range(samples):
         tm = embed_fn(seed * 65_537 + i)
+        d_tree = {u: tm.tree.dist_from(tm.mapping[u]) for u in sources}
         for (u, v) in pairs:
-            r = float(tm.tree.dist(tm.mapping[u], tm.mapping[v]) / dmat[u][v])
+            r = float(d_tree[u][tm.mapping[v]] / dmat[u][v])
             sums[(u, v)] += r
             sqs[(u, v)] += r * r
     table = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import networkx as nx
 
@@ -72,10 +72,6 @@ class MetricGraph:
             adj[e[1]].append((e[0], w))
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "_adj", adj)
-
-    @staticmethod
-    def from_lists(n: int, edges: Iterable[Sequence]) -> "MetricGraph":
-        return MetricGraph(n, tuple((u, v, frac(w)) for (u, v, w) in edges))
 
     # -- basic views ----------------------------------------------------
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT_CONFIG, PipelineConfig
+from .config import DEFAULT_CONFIG
 from .errors import NonPositiveScale
 from .graph import MetricGraph, all_pairs_distances, connected_components, frac
 
@@ -51,7 +51,6 @@ def sample_padded_partition(
     g: MetricGraph,
     tau,
     seed: int,
-    config: PipelineConfig = DEFAULT_CONFIG,
     _dmat=None,
 ) -> Partition:
     """Random tau-bounded partition (weak diameter in d_G).
@@ -64,10 +63,10 @@ def sample_padded_partition(
     if tau <= 0:
         raise NonPositiveScale(f"tau must be positive, got {tau}")
     rng = random.Random(f"padded:{seed}")
-    width = tau / config.chop_width_divisor
+    width = tau / DEFAULT_CONFIG.chop_width_divisor
     dmat = _dmat if _dmat is not None else all_pairs_distances(g)
     clusters: list[set[int]] = [set(c) for c in connected_components(g)]
-    for _ in range(config.chop_rounds):
+    for _ in range(DEFAULT_CONFIG.chop_rounds):
         new_clusters = []
         for cl in sorted(clusters, key=min):
             if len(cl) == 1:
@@ -111,7 +110,6 @@ def estimate_padding(
     radii,
     samples: int,
     seed: int,
-    config: PipelineConfig = DEFAULT_CONFIG,
 ) -> PaddingReport:
     """Empirical padding constant: max over tested (x, R) of
     escape-frequency * tau / R."""
@@ -120,7 +118,7 @@ def estimate_padding(
     dmat = all_pairs_distances(g)
     escapes = {(x, r): 0 for x in range(g.n) for r in radii}
     for s in range(samples):
-        part = sample_padded_partition(g, tau, seed * 1_000_003 + s, config, _dmat=dmat)
+        part = sample_padded_partition(g, tau, seed * 1_000_003 + s, _dmat=dmat)
         idx = part.index_of()
         for x in range(g.n):
             bx = idx[x]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .config import DEFAULT_CONFIG, PipelineConfig
+from .config import DEFAULT_CONFIG
 from .errors import (
     NegativeEntry,
     NoSeparatedDemand,
@@ -276,9 +276,8 @@ def brute_sparsest_vertex_cut(
     g: MetricGraph,
     cap: dict[int, Fraction],
     dem: DemandMatrix,
-    config: PipelineConfig = DEFAULT_CONFIG,
 ) -> tuple[frozenset, Fraction]:
-    if g.n > config.vertex_cut_max_n:
+    if g.n > DEFAULT_CONFIG.vertex_cut_max_n:
         raise TooLarge(f"n = {g.n} too large for 2^n enumeration")
     best = None
     best_s = None
@@ -305,10 +304,9 @@ def brute_sparsest_edge_cut(
     g: MetricGraph,
     caps: PolymatroidCaps,
     dem: DemandMatrix,
-    config: PipelineConfig = DEFAULT_CONFIG,
 ) -> tuple[frozenset, Fraction]:
     edges = [norm_edge(u, v) for (u, v, _) in g.edges]
-    if len(edges) > config.edge_cut_max_edges:
+    if len(edges) > DEFAULT_CONFIG.edge_cut_max_edges:
         raise TooLarge(f"|E| = {len(edges)} too large for enumeration")
     best = None
     best_s = None

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT_CONFIG, PipelineConfig
 from .errors import EmptyTarget, FaceInvalid, InvariantViolation
 from .graph import (
     MetricGraph,
@@ -77,7 +76,6 @@ def sample_retraction(
     g: MetricGraph,
     s,
     seed: int,
-    config: PipelineConfig = DEFAULT_CONFIG,
 ) -> Retraction:
     """Level-by-level absorption into S.
 
@@ -85,10 +83,10 @@ def sample_retraction(
     joins when the connected part of its block reaches the already
     absorbed set, and each newly absorbed connected chunk inherits the
     image of one neighboring absorbed vertex (lowest id)."""
-    return _absorption_sampler(g, s, all_pairs_distances(g), config)(seed)
+    return _absorption_sampler(g, s, all_pairs_distances(g))(seed)
 
 
-def _absorption_sampler(g: MetricGraph, s, dmat, config: PipelineConfig):
+def _absorption_sampler(g: MetricGraph, s, dmat):
     """Check the target, fix the prescale, the scale count and the scaled
     distance matrix once, and return the seed -> Retraction sampler of
     ``sample_retraction``; ``dmat`` is the distance matrix of g."""
@@ -124,7 +122,7 @@ def _absorption_sampler(g: MetricGraph, s, dmat, config: PipelineConfig):
                 blocks = comps
             else:
                 part = sample_padded_partition(
-                    gs, Fraction(2) ** k, seed * 7_919 + k, config, _dmat=dmat_s
+                    gs, Fraction(2) ** k, seed * 7_919 + k, _dmat=dmat_s
                 )
                 blocks = part.blocks
             newly: list[set[int]] = []
@@ -230,10 +228,7 @@ class FaceRetraction:
     retraction: Retraction
 
 
-def retraction_sampler(
-    inst: PlanarInstance,
-    config: PipelineConfig = DEFAULT_CONFIG,
-):
+def retraction_sampler(inst: PlanarInstance):
     """Validate the instance and precompute the deterministic part of the
     face retraction (distance matrices, target scale, scale count), and
     return a seed -> FaceRetraction sampler; use this when drawing many
@@ -246,7 +241,7 @@ def retraction_sampler(
     g = inst.graph
     face = tuple(inst.face)
     dmat = all_pairs_distances(g)
-    retract = _absorption_sampler(g, set(face), dmat, config)
+    retract = _absorption_sampler(g, set(face), dmat)
     idx = {v: i for i, v in enumerate(face)}
 
     def sample(seed: int) -> FaceRetraction:
@@ -274,11 +269,7 @@ def retraction_sampler(
     return sample
 
 
-def retract_to_outerplanar(
-    inst: PlanarInstance,
-    seed: int,
-    config: PipelineConfig = DEFAULT_CONFIG,
-) -> FaceRetraction:
+def retract_to_outerplanar(inst: PlanarInstance, seed: int) -> FaceRetraction:
     """Retract onto the distinguished face and contract fibers; each
     surviving edge gets length d_g between its fiber representatives."""
-    return retraction_sampler(inst, config)(seed)
+    return retraction_sampler(inst)(seed)

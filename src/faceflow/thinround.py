@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .config import DEFAULT_CONFIG, PipelineConfig
+from .config import DEFAULT_CONFIG
 from .errors import (
     HypothesisViolated,
     NoSeparatedDemand,
@@ -38,7 +38,6 @@ Edge = tuple[int, int]
 def thin_map(
     tm: TreeMap,
     seed: int,
-    config: PipelineConfig = DEFAULT_CONFIG,
     _choice_fn=None,
 ) -> TreeMap:
     """Random 4-thin, 1-Lipschitz image of a star-shaped tree map.
@@ -117,20 +116,7 @@ def thin_map(
             return t_new, phi
 
         # H: union of the paths from the root to the targets.
-        h_edges: set[Edge] = set()
-        h_deg: dict[int, int] = {}
-        dist_root: dict[int, Fraction] = {r_tilde: Fraction(0)}
-        for a in sorted(targets):
-            p = t_new.path(r_tilde, a)
-            d = Fraction(0)
-            for i in range(len(p) - 1):
-                d += t_new.adj[p[i]][p[i + 1]]
-                dist_root[p[i + 1]] = d
-                e = (min(p[i], p[i + 1]), max(p[i], p[i + 1]))
-                if e not in h_edges:
-                    h_edges.add(e)
-                    h_deg[p[i]] = h_deg.get(p[i], 0) + 1
-                    h_deg[p[i + 1]] = h_deg.get(p[i + 1], 0) + 1
+        h_deg, h_edges = t_new.path_union(r_tilde, sorted(targets))
         for v, dv in h_deg.items():
             if v != r_tilde and dv > 2:
                 raise NotStarShaped(
@@ -138,7 +124,7 @@ def thin_map(
                 )
         h_vertices = set(h_deg)
         leaves = sorted(v for v, dv in h_deg.items() if dv == 1 and v != r_tilde)
-        arms = [t_new.path(r_tilde, leaf) for leaf in leaves]
+        arms = [t_new.path_positions(r_tilde, leaf) for leaf in leaves]
         bits = _choice_fn(x, len(arms))
 
         # New tree: a root with two vertical branches; each arm lands on
@@ -150,8 +136,7 @@ def thin_map(
         new_of: dict[int, int] = {r_tilde: r_new}
         branch_positions: dict[int, set[Fraction]] = {0: set(), 1: set()}
         for arm, b in zip(arms, bits):
-            for v in arm[1:]:
-                d = dist_root[v]
+            for v, d in arm[1:]:
                 key = (b, d)
                 if d == 0:
                     new_of[v] = r_new
@@ -251,14 +236,12 @@ def round_thin(
     ell: AdaptedLengths,
     caps: PolymatroidCaps,
     dem: DemandMatrix,
-    delta: int,
-    config: PipelineConfig = DEFAULT_CONFIG,
 ) -> CutCertificate:
     """Best cut among the tree-edge cuts S(a) of a thin map.
 
-    Requires tree-adaptedness d_T(F(u),F(v)) <= ell_u(e) + ell_v(e); the
-    returned sparsity satisfies the delta * sum rho_hat / sum dem d_T
-    bound whenever every nu was computed exactly."""
+    Requires tree-adaptedness d_T(F(u),F(v)) <= ell_u(e) + ell_v(e); for
+    a delta-thin map the returned sparsity satisfies the delta * sum
+    rho_hat / sum dem d_T bound whenever every nu was computed exactly."""
     tree = tm.tree
     for (u, v, _) in g.edges:
         e = norm_edge(u, v)
@@ -277,8 +260,8 @@ def round_thin(
         sep = separated_demand(g, cut, dem)
         if sep == 0:
             continue
-        if len(cut) <= config.nu_brute_limit:
-            val, assign = nu(cut, caps, limit=config.nu_brute_limit)
+        if len(cut) <= DEFAULT_CONFIG.nu_brute_limit:
+            val, assign = nu(cut, caps, limit=DEFAULT_CONFIG.nu_brute_limit)
             exact = True
         else:
             # lambda-sweep heuristic: the rule changes only where
@@ -403,7 +386,6 @@ def multiscale_round(
     embed_sampler,
     samples: int,
     seed: int,
-    config: PipelineConfig = DEFAULT_CONFIG,
 ) -> RoundingReport:
     """Dyadic preprocessing, then per sample: embed, thin, build the
     tree-adapted tilde lengths, and round; keeps the sparsest
@@ -414,14 +396,14 @@ def multiscale_round(
     ratios: list[float] = []
     for i in range(samples):
         tm = embed_sampler(seed * 65_537 + i)
-        thin = thin_map(tm, seed * 65_537 + i, config)
+        thin = thin_map(tm, seed * 65_537 + i)
         tl = tilde_lengths(g, thin, ell2)
         try:
-            cert = round_thin(g, thin, tl, caps, dem, config.thinness, config)
+            cert = round_thin(g, thin, tl, caps, dem)
         except NoSeparatedDemand:
             continue
         try:
-            bound = rounding_bound(thin, tl, caps, dem, config.thinness)
+            bound = rounding_bound(thin, tl, caps, dem, DEFAULT_CONFIG.thinness)
             ratios.append(float(cert.sparsity / bound) if bound else 0.0)
         except NoSeparatedDemand:
             pass

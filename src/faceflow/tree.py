@@ -129,6 +129,23 @@ class MetricTree:
     def dist(self, u: int, v: int) -> Fraction:
         return self.path_positions(u, v)[-1][1]
 
+    def path_union(
+        self, center: int, targets
+    ) -> tuple[dict[int, int], set[tuple[int, int]]]:
+        """Vertex degrees and edge set of the union of the paths from
+        ``center`` to each target; a vertex off the union has no entry."""
+        deg: dict[int, int] = {}
+        edges: set[tuple[int, int]] = set()
+        for a in targets:
+            p = self.path(center, a)
+            for i in range(len(p) - 1):
+                e = (min(p[i], p[i + 1]), max(p[i], p[i + 1]))
+                if e not in edges:
+                    edges.add(e)
+                    deg[p[i]] = deg.get(p[i], 0) + 1
+                    deg[p[i + 1]] = deg.get(p[i + 1], 0) + 1
+        return deg, edges
+
     def dist_from(self, u: int) -> dict[int, Fraction]:
         """Distances from u to every vertex in its component."""
         dist = {u: Fraction(0)}

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import DEFAULT_CONFIG, PipelineConfig
+from .config import DEFAULT_CONFIG
 from .errors import (
     ChordTooLong,
     InvariantViolation,
@@ -45,7 +45,6 @@ def anchor_points(
     forbidden,
     good_end: int,
     rng: random.Random,
-    config: PipelineConfig = DEFAULT_CONFIG,
     path_pos=None,
     extra_check=None,
 ) -> tuple[Fraction, Fraction]:
@@ -61,9 +60,10 @@ def anchor_points(
     if path_len <= 0:
         raise ChordTooLong("degenerate cycle: chord covers the whole circumference")
     delta = chord / path_len
-    if delta > config.anchor_delta_max:
-        raise ChordTooLong(f"chord ratio {delta} exceeds {config.anchor_delta_max}")
-    alpha, beta = config.anchor_alpha, config.anchor_beta
+    delta_max = DEFAULT_CONFIG.anchor_delta_max
+    if delta > delta_max:
+        raise ChordTooLong(f"chord ratio {delta} exceeds {delta_max}")
+    alpha, beta = DEFAULT_CONFIG.anchor_alpha, DEFAULT_CONFIG.anchor_beta
     base = u if good_end == v else v
     if path_pos is None:
         path_pos = c.points
@@ -80,7 +80,7 @@ def anchor_points(
             seen.setdefault(d, s)
         return True
 
-    n_grid = config.anchor_grid
+    n_grid = DEFAULT_CONFIG.anchor_grid
     for _ in range(_ETA_TRIES):
         eta = delta + (alpha - delta) * Fraction(rng.randrange(n_grid) + 1, n_grid + 1)
         p_off = (Fraction(1, 4) + 3 * alpha / 2 - eta) * circ
@@ -91,16 +91,14 @@ def anchor_points(
             continue
         if extra_check is not None and not extra_check(p_pos, q_pos):
             continue
-        _assert_anchor_conditions(
-            c, u, v, base, p_pos, q_pos, path_pos, path_len, config
-        )
+        _assert_anchor_conditions(c, u, v, base, p_pos, q_pos, path_pos, path_len)
         return p_pos, q_pos
     raise InvariantViolation("anchor sampling failed to avoid the forbidden set")
 
 
-def _assert_anchor_conditions(c, u, v, base, p_pos, q_pos, path_pos, path_len, config):
+def _assert_anchor_conditions(c, u, v, base, p_pos, q_pos, path_pos, path_len):
     circ = c.circumference
-    beta = config.anchor_beta
+    beta = DEFAULT_CONFIG.anchor_beta
     if c.dist_pos(p_pos, q_pos) != circ / 6:
         raise InvariantViolation("anchors are not len(C)/6 apart")
     for a in (c.points[u], c.points[v]):
@@ -112,7 +110,7 @@ def _assert_anchor_conditions(c, u, v, base, p_pos, q_pos, path_pos, path_len, c
     for b in (p_pos, q_pos):
         if c.dist_pos(b, c.points[base]) > c.dist_pos(b, c.points[other]):
             raise InvariantViolation("anchor condition (a) violated")
-        bound = (Fraction(1, 2) + config.anchor_delta_max) * path_len
+        bound = (Fraction(1, 2) + DEFAULT_CONFIG.anchor_delta_max) * path_len
         for x, pos in path_pos.items():
             if abs(pos - path_pos[base]) <= bound:
                 if c.dist_pos(b, pos % circ) > c.dist_pos(b, c.points[base]):
@@ -156,7 +154,6 @@ def random_extension(
     path_lengths,
     attach: tuple[int, int],
     rng: random.Random,
-    config: PipelineConfig = DEFAULT_CONFIG,
 ) -> None:
     """Attach one ear: close it into a cycle against the current tree
     distance of the attach edge, pick anchors, flatten, and glue one of
@@ -175,7 +172,7 @@ def random_extension(
     len_p = sum(path_lengths, Fraction(0))
     edge_len = state.graph.edge_lengths().get(norm_edge(u, v))
     hyp = edge_len if edge_len is not None else d
-    if len_p < config.slack_alpha * hyp:
+    if len_p < DEFAULT_CONFIG.slack_alpha * hyp:
         raise SlackViolation(
             f"ear of length {len_p} too short for attach edge of length {hyp}"
         )
@@ -214,7 +211,7 @@ def random_extension(
         return True
 
     p_pos, q_pos = anchor_points(
-        cyc, u, v, forbidden, good, rng, config,
+        cyc, u, v, forbidden, good, rng,
         path_pos=path_pos, extra_check=no_existing_collision,
     )
     branch = p_pos if rng.random() < 0.5 else q_pos
@@ -243,7 +240,6 @@ def _embed_block(
     g: MetricGraph,
     build: OuterplanarBuild,
     rng: random.Random,
-    config: PipelineConfig,
 ) -> tuple[MetricTree, dict[int, int]]:
     """Embed one biconnected block (or bridge) of the slack graph from its
     ear build; tree ids are local and relabelled by the caller."""
@@ -266,15 +262,12 @@ def _embed_block(
     )
     for step in build.steps:
         random_extension(
-            state, step.path_vertices, step.path_lengths, step.attach_edge, rng, config
+            state, step.path_vertices, step.path_lengths, step.attach_edge, rng
         )
     return state.tree, state.mapping
 
 
-def embed_sampler(
-    g: MetricGraph,
-    config: PipelineConfig = DEFAULT_CONFIG,
-):
+def embed_sampler(g: MetricGraph):
     """Precompute the deterministic part of the embedding (reduction,
     slack transform and its block-ordered ear build) and return a
     seed -> TreeMap sampler; use this when drawing many embeddings of the
@@ -285,7 +278,7 @@ def embed_sampler(
     if len(comps) != 1:
         raise ValueError("embedding expects a connected graph")
     g_red = reduce_lengths(g)
-    h, build = slack_transform(g_red, config.slack_alpha)
+    h, build = slack_transform(g_red, DEFAULT_CONFIG.slack_alpha)
     blocks = build.blocks()
 
     def sample(seed: int) -> TreeMap:
@@ -294,7 +287,7 @@ def embed_sampler(
         mapping: dict[int, int] = {}
         next_global = 0
         for block_build in blocks:
-            bt, bmap = _embed_block(h, block_build, rng, config)
+            bt, bmap = _embed_block(h, block_build, rng)
             # Blocks meet the earlier ones in exactly one cut vertex.
             shared = [x for x in bmap if x in mapping]
             relabel: dict[int, int] = {}
@@ -318,17 +311,13 @@ def embed_sampler(
     return sample
 
 
-def embed_outerplanar(
-    g: MetricGraph,
-    seed: int,
-    config: PipelineConfig = DEFAULT_CONFIG,
-) -> TreeMap:
+def embed_outerplanar(g: MetricGraph, seed: int) -> TreeMap:
     """Random 1-Lipschitz star-shaped embedding of a connected
     outerplanar metric graph into a random tree.
 
     Pipeline: reduce, slack transform at alpha=160, then per-block ear
     embedding; block trees are joined at the images of cut vertices."""
-    return embed_sampler(g, config)(seed)
+    return embed_sampler(g)(seed)
 
 
 # -- predicates ---------------------------------------------------------
@@ -348,17 +337,7 @@ def is_star_shaped(tm: TreeMap) -> bool:
     paths is a subdivided star centered there."""
     fibers = tm.fibers()
     for t, fib in fibers.items():
-        targets = star_center_arms(tm, t, fib)
-        deg: dict[int, int] = {}
-        edges = set()
-        for a in targets:
-            p = tm.tree.path(t, a)
-            for i in range(len(p) - 1):
-                e = (min(p[i], p[i + 1]), max(p[i], p[i + 1]))
-                if e not in edges:
-                    edges.add(e)
-                    deg[p[i]] = deg.get(p[i], 0) + 1
-                    deg[p[i + 1]] = deg.get(p[i + 1], 0) + 1
+        deg, _ = tm.tree.path_union(t, star_center_arms(tm, t, fib))
         for v, dv in deg.items():
             if v != t and dv > 2:
                 return False
@@ -370,18 +349,7 @@ def thin_number(tm: TreeMap, u: int) -> int:
     paths to the images of u's neighbors (= leaves of that union other
     than F(u))."""
     fu = tm.mapping[u]
-    deg: dict[int, int] = {}
-    edges = set()
-    for w in tm.source.neighbors(u):
-        p = tm.tree.path(fu, tm.mapping[w])
-        for i in range(len(p) - 1):
-            e = (min(p[i], p[i + 1]), max(p[i], p[i + 1]))
-            if e not in edges:
-                edges.add(e)
-                deg[p[i]] = deg.get(p[i], 0) + 1
-                deg[p[i + 1]] = deg.get(p[i + 1], 0) + 1
-    if not edges:
-        return 0
+    deg, _ = tm.tree.path_union(fu, (tm.mapping[w] for w in tm.source.neighbors(u)))
     return sum(1 for v, dv in deg.items() if dv == 1 and v != fu)
 
 

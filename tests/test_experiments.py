@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from faceflow import experiments, graph
+from faceflow.config import DEFAULT_CONFIG
 from faceflow.errors import BudgetExhausted
 from faceflow.experiments import (
     _positive_dual_lengths,
@@ -68,7 +69,7 @@ class TestGapExperiment:
         rep = gap_experiment(inst, samples=40, seed=1)
         assert rep.best_sparsity is not None
         assert rep.gap_ratio >= 1.0 - 1e-9
-        assert rep.gap_ratio <= 24.0
+        assert rep.gap_ratio <= DEFAULT_CONFIG.pipeline_ratio_bound
         assert rep.assertion_tallies.get("retraction") == 40
         assert rep.assertion_tallies.get("thin") == 40
 
@@ -82,7 +83,7 @@ class TestGapExperiment:
         )
         rep = gap_experiment(inst, samples=30, seed=2)
         assert rep.gap_ratio is not None
-        assert 1.0 - 1e-9 <= rep.gap_ratio <= 24.0
+        assert 1.0 - 1e-9 <= rep.gap_ratio <= DEFAULT_CONFIG.pipeline_ratio_bound
 
     def test_report_lines_render(self):
         g = random_tree(4, 0)

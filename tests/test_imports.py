@@ -1,8 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and no
+package function takes a ``config`` parameter.
 
 No linter is a dependency, so this walks the syntax trees with the
 standard ``ast`` module.  ``__init__.py`` re-exports by design and is
-skipped; names mentioned only in string annotations count as used.
+skipped by the import check; names mentioned only in string annotations
+count as used.  The pipeline constants are part of the construction and
+are read from ``faceflow.config.DEFAULT_CONFIG``, never passed per call.
 """
 
 import ast
@@ -11,7 +14,8 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "faceflow"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,3 +55,33 @@ def test_checker_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def config_parameters(source: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+            if "config" in names:
+                out.append(f"{getattr(node, 'name', 'lambda')} (line {node.lineno})")
+    return out
+
+
+def test_checker_flags_config_parameters():
+    src = (
+        "def f(g, config=None):\n"
+        "    def inner(*, config):\n"
+        "        return config\n"
+        "    return DEFAULT_CONFIG.slack_alpha\n"
+        "def h(g, cfg):\n"
+        "    return g\n"
+    )
+    assert config_parameters(src) == ["f (line 1)", "inner (line 2)"]
+
+
+def test_no_config_parameters():
+    found = [
+        f"{p.name}: {f}" for p in SOURCES for f in config_parameters(p.read_text())
+    ]
+    assert found == []

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from faceflow.config import DEFAULT_CONFIG
 from faceflow.errors import NonPositiveScale
 from faceflow.graph import MetricGraph, all_pairs_distances, diameter
 from faceflow.instances import grid_graph
@@ -83,4 +84,4 @@ class TestEstimatePadding:
         r2 = estimate_padding(g, F(4), [F(1), F(2)], samples=150, seed=6)
         assert r1.alpha_hat > 0.0
         assert abs(r1.alpha_hat - r2.alpha_hat) < 2.0
-        assert r1.alpha_hat <= 24.0
+        assert r1.alpha_hat <= DEFAULT_CONFIG.padding_alpha_bound

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from faceflow.config import DEFAULT_CONFIG
 from faceflow.errors import EmptyTarget, FaceInvalid
 from faceflow.graph import (
     MetricGraph,
@@ -85,7 +86,7 @@ class TestGradientStat:
         val = gradient_stat(
             g, lambda s: sample_retraction(g, set(face), s), 4, F(1), 40, 3
         )
-        assert 0.0 <= val <= 12.0
+        assert 0.0 <= val <= DEFAULT_CONFIG.gradient_bound
 
 
 class TestRetractToOuterplanar:

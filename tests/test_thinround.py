@@ -120,7 +120,7 @@ class TestRoundThin:
 
     def test_single_edge_sparsity_one(self):
         g, tm, ell, caps, dem = self.single_edge_setup()
-        cert = round_thin(g, tm, ell, caps, dem, 4)
+        cert = round_thin(g, tm, ell, caps, dem)
         assert cert.nu_value == 1
         assert cert.separated == 1
         assert cert.sparsity == 1
@@ -132,7 +132,7 @@ class TestRoundThin:
         g, tm, _, caps, dem = self.single_edge_setup()
         bad = AdaptedLengths({0: {}, 1: {}}, {(0, 1): F(1)})
         with pytest.raises(HypothesisViolated):
-            round_thin(g, tm, bad, caps, dem, 4)
+            round_thin(g, tm, bad, caps, dem)
 
     def test_no_separated_demand(self):
         g = MetricGraph(2, ((0, 1, F(0)),))
@@ -143,7 +143,7 @@ class TestRoundThin:
         caps = PolymatroidCaps.from_vertex_caps({0: F(1), 1: F(1)})
         dem = DemandMatrix.from_pairs([(0, 1, F(1))])
         with pytest.raises(NoSeparatedDemand):
-            round_thin(g, tm, ell, caps, dem, 4)
+            round_thin(g, tm, ell, caps, dem)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_tree_bound_exact_nu(self, seed):
@@ -163,7 +163,7 @@ class TestRoundThin:
         if not pairs:
             pairs = [(0, 1, F(1))]
         dem = DemandMatrix.from_pairs(pairs)
-        cert = round_thin(g, tm, ell, caps, dem, 4)
+        cert = round_thin(g, tm, ell, caps, dem)
         assert cert.exact
         assert cert.sparsity <= rounding_bound(tm, ell, caps, dem, 4)
 

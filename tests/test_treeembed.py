@@ -15,6 +15,7 @@ from faceflow.graph import (
     reduce_lengths,
 )
 from faceflow.instances import cycle_instance, random_outerplanar
+from faceflow import treeembed
 from faceflow.tree import MetricTree, TreeMap
 from faceflow.treeembed import (
     EmbedState,
@@ -46,15 +47,18 @@ class FakeRng:
 
 
 class TestAnchorPoints:
-    def test_worked_example_unit_cycle(self):
+    def test_worked_example_unit_cycle(self, monkeypatch):
         # Circumference 1 with chord ratio delta = 1/160; the grid is
         # sized so the scripted draw lands exactly on eta = 1/100.
         path_len = F(160, 161)
         chord = F(1, 161)
         c = make_cycle([0, 1], [path_len], chord)
-        cfg = dataclasses.replace(DEFAULT_CONFIG, anchor_grid=54)
+        monkeypatch.setattr(
+            treeembed, "DEFAULT_CONFIG",
+            dataclasses.replace(DEFAULT_CONFIG, anchor_grid=54),
+        )
         rng = FakeRng([26])
-        p, q = anchor_points(c, 0, 1, {F(0), path_len}, 1, rng, cfg)
+        p, q = anchor_points(c, 0, 1, {F(0), path_len}, 1, rng)
         # Offsets from the formulas with alpha = 1/72, beta = 1/16.
         assert c.dist_pos(p, c.points[0]) == F(1, 4) + F(1, 48) - F(1, 100)
         assert c.dist_pos(p, c.points[0]) == F(313, 1200)
