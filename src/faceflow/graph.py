@@ -226,47 +226,41 @@ def is_planar(g: MetricGraph) -> bool:
     return ok
 
 
+def _apex_planarity(g: MetricGraph, verts) -> tuple[bool, nx.PlanarEmbedding]:
+    """Planarity test of g plus an apex (vertex g.n) joined to ``verts``.
+
+    The apex fits iff ``verts`` all lie on one face of some embedding of
+    g, and then the apex's rotation lists them in that face's order."""
+    gx = g.to_nx()
+    gx.add_edges_from((g.n, v) for v in verts)
+    return nx.check_planarity(gx)
+
+
 def is_outerplanar(g: MetricGraph) -> bool:
     """A graph is outerplanar iff adding an apex adjacent to every vertex
     keeps it planar."""
-    gx = g.to_nx()
-    apex = g.n
-    gx.add_node(apex)
-    for v in range(g.n):
-        gx.add_edge(apex, v)
-    ok, _ = nx.check_planarity(gx)
+    ok, _ = _apex_planarity(g, range(g.n))
     return ok
 
 
 def find_outer_cycle(g: MetricGraph) -> list[int]:
     """Hamiltonian cycle of a biconnected outerplanar graph (its unique
-    outer face).  Backtracking search; desk-scale inputs only."""
+    outer face), starting at vertex 0 and continuing to the smaller of
+    its two cycle neighbours.  Read off the rotation of an apex joined
+    to every vertex."""
     if not is_biconnected(g):
         raise NotBiconnected("outer cycle defined for biconnected graphs")
-    n = g.n
-    if n == 2:
+    if g.n == 2:
         raise NotOuterplanar("no outer cycle on a single edge")
-    adj = {v: sorted(u for (u, _) in nbrs) for v, nbrs in g.adjacency().items()}
-    path = [0]
-    used = {0}
-
-    def bt() -> bool:
-        if len(path) == n:
-            return 0 in adj[path[-1]]
-        v = path[-1]
-        for u in adj[v]:
-            if u not in used:
-                used.add(u)
-                path.append(u)
-                if bt():
-                    return True
-                path.pop()
-                used.remove(u)
-        return False
-
-    if not bt():
+    ok, emb = _apex_planarity(g, range(g.n))
+    if not ok:
         raise NotOuterplanar("no Hamiltonian cycle: graph is not biconnected outerplanar")
-    return list(path)
+    ring = list(emb.neighbors_cw_order(g.n))
+    i = ring.index(0)
+    ring = ring[i:] + ring[:i]
+    if ring[-1] < ring[1]:
+        ring = [0] + ring[:0:-1]
+    return ring
 
 
 # -- instances ----------------------------------------------------------
@@ -308,12 +302,7 @@ class PlanarInstance:
         else:
             # The face cycle bounds a face of some embedding iff an apex
             # joined to all face vertices keeps the graph planar.
-            gx = g.to_nx()
-            apex = g.n
-            gx.add_node(apex)
-            for v in self.face:
-                gx.add_edge(apex, v)
-            ok, _ = nx.check_planarity(gx)
+            ok, _ = _apex_planarity(g, self.face)
             if not ok:
                 problems.append("face cycle does not bound a face of any embedding")
         if not is_reduced(g):

@@ -334,35 +334,6 @@ class FlowSolution:
     # (commodity index, tail, head) -> flow
     flows: dict[tuple[int, int, int], Fraction]
     commodities: list[tuple[int, int, Fraction]]
-    endpoint_factor: int
-
-    def verify(self, g: MetricGraph, caps_at: dict[int, Fraction]) -> None:
-        """Exact conservation and capacity recheck; raises on failure."""
-        arcs = []
-        for (u, v, _) in g.edges:
-            arcs.append((u, v))
-            arcs.append((v, u))
-        for ci, (s, t, d) in enumerate(self.commodities):
-            for v in range(g.n):
-                if v == s:
-                    continue
-                bal = Fraction(0)
-                for (a, b) in arcs:
-                    f = self.flows.get((ci, a, b), Fraction(0))
-                    if b == v:
-                        bal += f
-                    if a == v:
-                        bal -= f
-                want = self.epsilon * d if v == t else Fraction(0)
-                if bal != want:
-                    raise ValueError(f"conservation fails at ({ci}, {v})")
-        for w in range(g.n):
-            tot = Fraction(0)
-            for (ci, a, b), f in self.flows.items():
-                if w in (a, b):
-                    tot += f
-            if tot > self.endpoint_factor * caps_at.get(w, Fraction(0)):
-                raise ValueError(f"capacity violated at vertex {w}")
 
 
 def _mcf_lp_rows(g: MetricGraph, dem: DemandMatrix, cap_rows):
@@ -414,18 +385,12 @@ def _mcf_lp_rows(g: MetricGraph, dem: DemandMatrix, cap_rows):
     return objective, rows, commodities, arcs
 
 
-def _solve_mcf(
-    g: MetricGraph, dem: DemandMatrix, cap_rows, endpoint_factor: int
-) -> FlowSolution:
+def _solve_mcf(g: MetricGraph, dem: DemandMatrix, cap_rows) -> FlowSolution:
     """Solve the concurrent-flow LP and check the optimum exactly."""
     if not dem.items():
-        return FlowSolution(Fraction(0), {}, [], endpoint_factor)
+        return FlowSolution(Fraction(0), {}, [])
     objective, rows, commodities, arcs = _mcf_lp_rows(g, dem, cap_rows)
     res = solve_lp(objective, rows, maximize=True)
-    if res.status != "optimal":
-        # Disconnected demand pairs force epsilon = 0; the LP is always
-        # feasible (zero flow), so anything else is a bug.
-        raise RuntimeError(f"flow LP unexpectedly {res.status}")
     check_solution(objective, rows, res.x)
     flows = {}
     n_arc = len(arcs)
@@ -434,7 +399,7 @@ def _solve_mcf(
             f = res.x[ci * n_arc + ai]
             if f:
                 flows[(ci, a, b)] = f
-    return FlowSolution(res.objective, flows, commodities, endpoint_factor)
+    return FlowSolution(res.objective, flows, commodities)
 
 
 def mcf_vertex_lp(
@@ -451,10 +416,7 @@ def mcf_vertex_lp(
         incident = {norm_edge(a, b) for (a, b, _) in g.edges if w in (a, b)}
         if incident:
             cap_rows.append((incident, endpoint_factor * cap.get(w, Fraction(0))))
-    sol = _solve_mcf(g, dem, cap_rows, endpoint_factor)
-    if sol.commodities:
-        sol.verify(g, cap)
-    return sol
+    return _solve_mcf(g, dem, cap_rows)
 
 
 def mcf_dual_vertex(
@@ -508,8 +470,6 @@ def mcf_dual_vertex(
     for v in range(g.n):
         objective[t_i(v)] = endpoint_factor * cap.get(v, Fraction(0))
     res = solve_lp(objective, rows, maximize=False)
-    if res.status != "optimal":
-        raise RuntimeError(f"dual LP unexpectedly {res.status}")
     check_solution(objective, rows, res.x)
     t_vals = [res.x[t_i(v)] for v in range(g.n)]
     length = {}
@@ -565,4 +525,4 @@ def mcf_polymatroid_lp(
                 for sub in itertools.combinations(inc, r):
                     yield set(sub), caps.rho(w, sub)
 
-    return _solve_mcf(g, dem, cap_rows(), 1)
+    return _solve_mcf(g, dem, cap_rows())

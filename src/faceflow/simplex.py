@@ -1,8 +1,11 @@
-"""Dense two-phase simplex over exact rationals.
+"""Dense two-phase tableau simplex over exact rationals.
 
 Small desk-scale LPs only.  Variables are nonnegative; rows may be
-'<=', '>=', or '='.  Dantzig pricing with an automatic switch to Bland's
-rule guards against cycling.
+'<=', '>=', or '='.  The reduced costs are kept as one more tableau row,
+which every pivot updates like the others; its right-hand side is minus
+the objective.  Dantzig pricing with an automatic switch to Bland's rule
+guards against cycling.  An LP with no optimum raises ``Infeasible`` or
+``Unbounded``, and running out of pivots raises ``IterationLimit``.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ _MAX_ITERS = 200_000
 
 @dataclass
 class LPResult:
-    status: str               # 'optimal', 'infeasible', 'unbounded'
-    objective: Fraction | None
-    x: list[Fraction] | None
+    objective: Fraction
+    x: list[Fraction]
 
 
 def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
@@ -29,8 +31,8 @@ def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
 
     ``objective``: list of Fractions (length n).
     ``rows``: list of (coeffs, relation, rhs) with relation in
-    '<=', '>=', '='.  Raises IterationLimit when either phase runs past
-    ``_MAX_ITERS`` pivots.
+    '<=', '>=', '='.  Returns an optimum; raises Infeasible, Unbounded,
+    or IterationLimit when either phase runs past ``_MAX_ITERS`` pivots.
     """
     n = len(objective)
     c = [Fraction(v) for v in objective]
@@ -53,7 +55,8 @@ def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
     n_art = sum(1 for (_, rel, _) in norm if rel in (">=", "="))
     total = n + n_slack + n_art
 
-    # Build tableau: m rows of length total+1 (last column rhs).
+    # Build tableau: m constraint rows of length total+1 (last column
+    # rhs), then the reduced-cost row at index m.
     tab = []
     basis = []
     si = n
@@ -78,52 +81,43 @@ def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
             art_cols.append(ai)
             ai += 1
         tab.append(row)
+    tab.append([])
 
     def pivot(r: int, col: int):
         prow = tab[r]
-        pv = prow[col]
-        inv = Fraction(1) / pv
-        tab[r] = [v * inv for v in prow]
-        prow = tab[r]
-        for i in range(m):
+        inv = Fraction(1) / prow[col]
+        tab[r] = prow = [v * inv for v in prow]
+        for i in range(m + 1):
             if i == r:
                 continue
             f = tab[i][col]
             if f:
-                row_i = tab[i]
-                tab[i] = [a - f * b for a, b in zip(row_i, prow)]
+                tab[i] = [a - f * b for a, b in zip(tab[i], prow)]
         basis[r] = col
 
     def run_phase(cost: list[Fraction]) -> Fraction:
-        # cost has length total; maximize cost . x
-        # reduced costs: z_j = cost_j - cB . column_j
+        # Maximize cost . x: price out the starting basis once, then let
+        # the pivots keep the reduced-cost row current.
+        d = cost + [_ZERO]
+        for i in range(m):
+            cb = cost[basis[i]]
+            if cb:
+                d = [a - cb * b for a, b in zip(d, tab[i])]
+        tab[m] = d
         iters = 0
         while True:
             iters += 1
             if iters > _MAX_ITERS:
                 raise IterationLimit(f"simplex iteration limit {_MAX_ITERS} hit")
-            cb = [cost[b] for b in basis]
-            bland = iters > _BLAND_AFTER
-            enter = -1
-            best = _ZERO
-            for j in range(total):
-                zj = cost[j]
-                for i in range(m):
-                    if cb[i]:
-                        zj -= cb[i] * tab[i][j]
-                if zj > 0:
-                    if bland:
-                        enter = j
-                        break
-                    if zj > best:
-                        best = zj
-                        enter = j
+            d = tab[m]
+            if iters > _BLAND_AFTER:
+                enter = next((j for j in range(total) if d[j] > 0), -1)
+            else:
+                # Largest reduced cost; index() picks the lowest on a tie.
+                best = max(d[:total], default=_ZERO)
+                enter = d.index(best) if best > 0 else -1
             if enter < 0:
-                obj = _ZERO
-                for i in range(m):
-                    if cost[basis[i]]:
-                        obj += cost[basis[i]] * tab[i][-1]
-                return obj
+                return -d[-1]
             leave = -1
             best_ratio = None
             for i in range(m):
@@ -138,16 +132,15 @@ def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
                         best_ratio = ratio
                         leave = i
             if leave < 0:
-                raise Unbounded("objective unbounded above")
+                raise Unbounded("objective unbounded")
             pivot(leave, enter)
 
     if art_cols:
         phase1 = [_ZERO] * total
         for j in art_cols:
             phase1[j] = Fraction(-1)
-        obj1 = run_phase(phase1)
-        if obj1 != 0:
-            return LPResult("infeasible", None, None)
+        if run_phase(phase1) != 0:
+            raise Infeasible("no point satisfies every row")
         # Drive remaining artificials out of the basis.
         art_set = set(art_cols)
         for i in range(m):
@@ -161,19 +154,11 @@ def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
             for j in art_cols:
                 tab[i][j] = _ZERO
 
-    phase2 = c + [_ZERO] * (n_slack + n_art)
-    try:
-        obj = run_phase(phase2)
-    except Unbounded:
-        return LPResult("unbounded", None, None)
-
+    obj = run_phase(c + [_ZERO] * (n_slack + n_art))
     x = [_ZERO] * total
     for i, b in enumerate(basis):
         x[b] = tab[i][-1]
-    sol = x[:n]
-    if not maximize:
-        obj = -obj
-    return LPResult("optimal", obj, sol)
+    return LPResult(obj if maximize else -obj, x[:n])
 
 
 def check_solution(objective, rows, x) -> Fraction:

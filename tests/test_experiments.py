@@ -7,7 +7,7 @@ import pytest
 
 from faceflow import experiments, graph
 from faceflow.config import DEFAULT_CONFIG
-from faceflow.errors import BudgetExhausted
+from faceflow.errors import BudgetExhausted, InvariantViolation
 from faceflow.experiments import (
     _positive_dual_lengths,
     distortion_experiment,
@@ -19,6 +19,9 @@ from faceflow.instances import (
     Instance,
     cycle_instance,
     grid_graph,
+    random_caps,
+    random_demands,
+    random_outerplanar,
     random_tree,
 )
 from faceflow.polyflow import (
@@ -84,6 +87,20 @@ class TestGapExperiment:
         rep = gap_experiment(inst, samples=30, seed=2)
         assert rep.gap_ratio is not None
         assert 1.0 - 1e-9 <= rep.gap_ratio <= DEFAULT_CONFIG.pipeline_ratio_bound
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InvariantViolation,
+        reason="known defect: embed_sampler returns maps that are not "
+        "star-shaped on outerplanar graphs with chords",
+    )
+    def test_outerplanar_with_chords(self):
+        g, face = random_outerplanar(7, 0)
+        inst = Instance(
+            g, face=face, vcaps=random_caps(7, 0), demands=random_demands(face, 0)
+        )
+        rep = gap_experiment(inst, 1, 0)
+        assert rep.assertion_tallies.get("retraction") == 1
 
     def test_report_lines_render(self):
         g = random_tree(4, 0)

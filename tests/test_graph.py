@@ -27,6 +27,29 @@ from faceflow.graph import (
 from faceflow.instances import cycle_instance, random_outerplanar
 
 
+def backtrack_outer_cycle(g):
+    """Reference: the Hamiltonian cycle from vertex 0 found by depth-first
+    backtracking over sorted neighbours.  Exponential in the worst case."""
+    adj = {v: sorted(u for (u, _) in nbrs) for v, nbrs in g.adjacency().items()}
+    path = [0]
+    used = {0}
+
+    def bt() -> bool:
+        if len(path) == g.n:
+            return 0 in adj[path[-1]]
+        for u in adj[path[-1]]:
+            if u not in used:
+                used.add(u)
+                path.append(u)
+                if bt():
+                    return True
+                path.pop()
+                used.remove(u)
+        return False
+
+    return path if bt() else None
+
+
 class TestMetricGraph:
     def test_rejects_loops(self):
         with pytest.raises(ValueError):
@@ -144,6 +167,29 @@ class TestPlanarity:
     def test_outer_cycle_needs_biconnected(self, path3):
         with pytest.raises(NotBiconnected):
             find_outer_cycle(path3)
+
+    def test_outer_cycle_rejects_k4(self):
+        # K4 has Hamiltonian cycles but is not outerplanar.
+        k4 = MetricGraph(
+            4, tuple((u, v, Fraction(1)) for u in range(4) for v in range(u + 1, 4))
+        )
+        with pytest.raises(NotOuterplanar):
+            find_outer_cycle(k4)
+
+    @given(st.integers(3, 10), st.integers(0, 10**6), st.randoms(use_true_random=False))
+    @settings(max_examples=120, deadline=None)
+    def test_outer_cycle_matches_backtracking(self, n, seed, rnd):
+        g, _ = random_outerplanar(n, seed)
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        g = g.with_edges((perm[u], perm[v], w) for (u, v, w) in g.edges)
+        cyc = find_outer_cycle(g)
+        assert cyc == backtrack_outer_cycle(g)
+        assert sorted(cyc) == list(range(n))
+        edges = {(u, v) for (u, v, _) in g.edges}
+        assert all(
+            tuple(sorted((cyc[i], cyc[i - 1]))) in edges for i in range(n)
+        )
 
 
 class TestEarDecomposition:

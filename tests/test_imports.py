@@ -1,11 +1,14 @@
-"""Every name a package module imports is used in that module, and no
-package function takes a ``config`` parameter.
+"""Every name a package module imports is used in that module, no
+package function takes a ``config`` parameter, and no package code
+raises a bare ``RuntimeError``.
 
 No linter is a dependency, so this walks the syntax trees with the
 standard ``ast`` module.  ``__init__.py`` re-exports by design and is
 skipped by the import check; names mentioned only in string annotations
 count as used.  The pipeline constants are part of the construction and
 are read from ``faceflow.config.DEFAULT_CONFIG``, never passed per call.
+Failures are typed: each is raised as a ``faceflow.errors`` class that
+says what went wrong.
 """
 
 import ast
@@ -83,5 +86,34 @@ def test_checker_flags_config_parameters():
 def test_no_config_parameters():
     found = [
         f"{p.name}: {f}" for p in SOURCES for f in config_parameters(p.read_text())
+    ]
+    assert found == []
+
+
+def runtime_error_raises(source: str) -> list[int]:
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                out.append(node.lineno)
+    return sorted(out)
+
+
+def test_checker_flags_runtime_error():
+    src = (
+        "def f(ok):\n"
+        "    if not ok:\n"
+        "        raise RuntimeError('bad')\n"
+        "    raise RuntimeError\n"
+        "def g():\n"
+        "    raise Infeasible('typed')\n"
+    )
+    assert runtime_error_raises(src) == [3, 4]
+
+
+def test_no_runtime_error():
+    found = [
+        f"{p.name}: line {n}" for p in SOURCES for n in runtime_error_raises(p.read_text())
     ]
     assert found == []

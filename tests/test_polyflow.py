@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,27 @@ def unit_caps(n):
 
 def single_edge():
     return MetricGraph(2, ((0, 1, F(1)),))
+
+
+def assert_feasible_flow(g, cap, sol, endpoint_factor):
+    """Reference recheck of a concurrent flow, independent of the LP
+    rows: every commodity's flow is conserved away from its source and
+    delivers epsilon * demand at its sink, and the flow on the edges
+    at each vertex is within endpoint_factor * cap."""
+    arcs = [(u, v) for (u, v, _) in g.edges] + [(v, u) for (u, v, _) in g.edges]
+    for ci, (s, t, d) in enumerate(sol.commodities):
+        for v in range(g.n):
+            if v == s:
+                continue
+            bal = sum(
+                (sol.flows.get((ci, a, b), F(0)) * ((b == v) - (a == v))
+                 for (a, b) in arcs),
+                F(0),
+            )
+            assert bal == (sol.epsilon * d if v == t else 0), (ci, v)
+    for w in range(g.n):
+        load = sum((f for (_, a, b), f in sol.flows.items() if w in (a, b)), F(0))
+        assert load <= endpoint_factor * cap.get(w, F(0)), w
 
 
 class TestCaps:
@@ -230,6 +252,7 @@ class TestFlowLP:
         dem = DemandMatrix.from_pairs([(0, 1, F(1))])
         sol = mcf_vertex_lp(g, {0: F(1), 1: F(1)}, dem, endpoint_factor=2)
         assert sol.epsilon == 2
+        assert_feasible_flow(g, {0: F(1), 1: F(1)}, sol, 2)
         _, phi = brute_sparsest_vertex_cut(g, {0: F(1), 1: F(1)}, dem)
         assert phi == sol.epsilon
 
@@ -238,12 +261,14 @@ class TestFlowLP:
         dem = DemandMatrix.from_pairs([(0, 1, F(1))])
         sol = mcf_vertex_lp(g, {0: F(1), 1: F(1)}, dem, endpoint_factor=1)
         assert sol.epsilon == 1
+        assert_feasible_flow(g, {0: F(1), 1: F(1)}, sol, 1)
 
     def test_path_flow(self):
         g = MetricGraph(3, ((0, 1, F(1)), (1, 2, F(1))))
         dem = DemandMatrix.from_pairs([(0, 2, F(1))])
         sol = mcf_vertex_lp(g, {v: F(1) for v in range(3)}, dem)
         assert sol.epsilon == 1
+        assert_feasible_flow(g, {v: F(1) for v in range(3)}, sol, 2)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_tree_equality(self, seed):
@@ -251,14 +276,33 @@ class TestFlowLP:
         cap = dict(enumerate(random_caps(6, seed)))
         dem = random_demands(range(6), seed, pairs=2)
         sol = mcf_vertex_lp(g, cap, dem, endpoint_factor=2)
+        assert_feasible_flow(g, cap, sol, 2)
         _, phi = brute_sparsest_vertex_cut(g, cap, dem)
         assert sol.epsilon == phi
+
+    def test_recheck_rejects_tampered_flow(self):
+        g = MetricGraph(3, ((0, 1, F(1)), (1, 2, F(1))))
+        cap = {v: F(1) for v in range(3)}
+        sol = mcf_vertex_lp(g, cap, DemandMatrix.from_pairs([(0, 2, F(1))]))
+        assert_feasible_flow(g, cap, sol, 2)
+        leaky = dict(sol.flows)
+        leaky[(0, 1, 2)] -= F(1, 2)
+        with pytest.raises(AssertionError):
+            assert_feasible_flow(g, cap, replace(sol, flows=leaky), 2)
+        # Raising epsilon and every flow with it keeps conservation but
+        # overloads the middle vertex.
+        doubled = {k: 2 * f for k, f in sol.flows.items()}
+        with pytest.raises(AssertionError):
+            assert_feasible_flow(
+                g, cap, replace(sol, epsilon=2 * sol.epsilon, flows=doubled), 2
+            )
 
     def test_disconnected_demand_zero(self):
         g = MetricGraph(3, ((0, 1, F(1)),))
         dem = DemandMatrix.from_pairs([(0, 2, F(1))])
         sol = mcf_vertex_lp(g, {v: F(1) for v in range(3)}, dem)
         assert sol.epsilon == 0
+        assert_feasible_flow(g, {v: F(1) for v in range(3)}, sol, 2)
 
 
 class TestDual:
@@ -281,6 +325,7 @@ class TestDual:
         cap = dict(enumerate(random_caps(5, seed)))
         dem = random_demands(range(5), seed, pairs=2)
         sol = mcf_vertex_lp(g, cap, dem)
+        assert_feasible_flow(g, cap, sol, 2)
         _, _, obj = mcf_dual_vertex(g, cap, dem)
         assert sol.epsilon == obj
 
@@ -297,6 +342,7 @@ class TestDual:
         caps = PolymatroidCaps.from_vertex_caps(cap)
         dem = random_demands(range(5), seed, pairs=2)
         sol = mcf_vertex_lp(g, cap, dem, endpoint_factor=1)
+        assert_feasible_flow(g, cap, sol, 1)
         val = dual_objective(g, AdaptedLengths.split_evenly(g), caps, dem)
         assert val >= sol.epsilon
 
@@ -324,4 +370,6 @@ class TestPolymatroidLP:
         g = single_edge()
         dem = DemandMatrix.from_pairs([(0, 1, F(1))])
         caps = PolymatroidCaps.from_vertex_caps({0: F(1), 1: F(1)})
-        assert mcf_polymatroid_lp(g, caps, dem).epsilon == 1
+        sol = mcf_polymatroid_lp(g, caps, dem)
+        assert sol.epsilon == 1
+        assert_feasible_flow(g, caps.vertex_caps, sol, 1)

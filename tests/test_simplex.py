@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faceflow import simplex
-from faceflow.errors import Infeasible, IterationLimit
+from faceflow.errors import Infeasible, IterationLimit, Unbounded
 from faceflow.simplex import check_solution, solve_lp
 
 
@@ -21,7 +23,6 @@ class TestSolve:
                 ([F(1), F(1)], "<=", F(4)),
             ],
         )
-        assert res.status == "optimal"
         assert res.objective == 4
 
     def test_min_with_geq(self):
@@ -34,7 +35,6 @@ class TestSolve:
             ],
             maximize=False,
         )
-        assert res.status == "optimal"
         assert res.objective == 8
         assert res.x[0] == 4 and res.x[1] == 0
 
@@ -50,18 +50,18 @@ class TestSolve:
         assert res.objective == 2
 
     def test_infeasible(self):
-        res = solve_lp(
-            [F(1)],
-            [
-                ([F(1)], "<=", F(1)),
-                ([F(1)], ">=", F(2)),
-            ],
-        )
-        assert res.status == "infeasible"
+        with pytest.raises(Infeasible):
+            solve_lp(
+                [F(1)],
+                [
+                    ([F(1)], "<=", F(1)),
+                    ([F(1)], ">=", F(2)),
+                ],
+            )
 
     def test_unbounded(self):
-        res = solve_lp([F(1)], [([F(-1)], "<=", F(1))])
-        assert res.status == "unbounded"
+        with pytest.raises(Unbounded):
+            solve_lp([F(1)], [([F(-1)], "<=", F(1))])
 
     def test_negative_rhs_normalized(self):
         # x >= 2 written as -x <= -2.
@@ -73,7 +73,6 @@ class TestSolve:
             [F(1, 3), F(1, 7)],
             [([F(2, 5), F(1)], "<=", F(9, 11))],
         )
-        assert res.status == "optimal"
         assert res.objective == F(1, 3) * (F(9, 11) / F(2, 5))
 
     def test_degenerate_cycling_guard(self):
@@ -88,8 +87,66 @@ class TestSolve:
             coeffs[i] = F(1)
             rows.append((coeffs, "<=", F(5) ** (i + 1)))
         res = solve_lp(obj, rows)
-        assert res.status == "optimal"
         assert res.objective == F(5) ** n
+
+
+def explicit_dual(objective, rows):
+    """The dual of max objective . x s.t. rows, x >= 0, written for
+    ``solve_lp`` (min, nonnegative variables): a '<=' row's multiplier
+    is u >= 0, a '>=' row's is -u, and an '=' row's is u - w.  Column j
+    of the primal gives the dual row sum_i a_ij y_i >= c_j."""
+    cols = [[] for _ in objective]
+    dual_obj = []
+    for coeffs, rel, rhs in rows:
+        for sign in {"<=": (1,), ">=": (-1,), "=": (1, -1)}[rel]:
+            dual_obj.append(sign * rhs)
+            for col, a in zip(cols, coeffs):
+                col.append(sign * a)
+    return dual_obj, [(col, ">=", c) for col, c in zip(cols, objective)]
+
+
+small = st.integers(-3, 3)
+
+
+@st.composite
+def bounded_feasible_lps(draw):
+    """At most 4 variables, mixed rows through a known point, box rows,
+    and one '=' row stated twice so phase 1 ends with a redundant row."""
+    n = draw(st.integers(1, 4))
+    point = [F(draw(st.integers(0, 6)), draw(st.integers(1, 3))) for _ in range(n)]
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        coeffs = [F(draw(small)) for _ in range(n)]
+        rel = draw(st.sampled_from(["<=", ">=", "="]))
+        at = sum(a * x for a, x in zip(coeffs, point))
+        gap = F(draw(st.integers(0, 4)), 2)
+        rows.append((coeffs, rel, at + {"<=": gap, ">=": -gap, "=": 0}[rel]))
+    dup = [F(draw(small)) for _ in range(n)]
+    at = sum(a * x for a, x in zip(dup, point))
+    rows += [(dup, "=", at), (list(dup), "=", at)]
+    for j in range(n):
+        box = [F(int(i == j)) for i in range(n)]
+        rows.append((box, "<=", point[j] + draw(st.integers(0, 5))))
+    rows = draw(st.permutations(rows))
+    objective = [F(draw(small)) for _ in range(n)]
+    return objective, rows, draw(st.booleans())
+
+
+class TestOptimality:
+    """solve_lp's optimum is feasible, and its value is the optimum of
+    the explicit dual, solved by solve_lp too (strong duality)."""
+
+    @given(bounded_feasible_lps())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_explicit_dual(self, lp):
+        objective, rows, maximize = lp
+        res = solve_lp(objective, rows, maximize=maximize)
+        assert check_solution(objective, rows, res.x) == res.objective
+        sign = 1 if maximize else -1
+        dual_obj, dual_rows = explicit_dual([sign * c for c in objective], rows)
+        dual = solve_lp(dual_obj, dual_rows, maximize=False)
+        assert check_solution(dual_obj, dual_rows, dual.x) == dual.objective
+        assert sign * dual.objective == res.objective
 
 
 class TestIterationLimit:
