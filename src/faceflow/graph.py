@@ -236,11 +236,30 @@ def _apex_planarity(g: MetricGraph, verts) -> tuple[bool, nx.PlanarEmbedding]:
     return nx.check_planarity(gx)
 
 
+def _outer_ring(g: MetricGraph) -> Optional[list[int]]:
+    """Rotation of an apex joined to every vertex of g, or None if g is
+    not outerplanar.  Every subgraph of g keeps that embedding, so the
+    ring restricted to one of its blocks is the block's outer cycle."""
+    ok, emb = _apex_planarity(g, range(g.n))
+    return list(emb.neighbors_cw_order(g.n)) if ok else None
+
+
+def _block_cycle(ring: list[int], idx: dict[int, int]) -> list[int]:
+    """Outer cycle of a biconnected block (vertex -> local id ``idx``)
+    read off the apex ring of a graph containing it: local ids, starting
+    at 0 and continuing to the smaller of its two cycle neighbours."""
+    cyc = [idx[v] for v in ring if v in idx]
+    i = cyc.index(0)
+    cyc = cyc[i:] + cyc[:i]
+    if cyc[-1] < cyc[1]:
+        cyc = [0] + cyc[:0:-1]
+    return cyc
+
+
 def is_outerplanar(g: MetricGraph) -> bool:
     """A graph is outerplanar iff adding an apex adjacent to every vertex
     keeps it planar."""
-    ok, _ = _apex_planarity(g, range(g.n))
-    return ok
+    return _outer_ring(g) is not None
 
 
 def find_outer_cycle(g: MetricGraph) -> list[int]:
@@ -252,15 +271,10 @@ def find_outer_cycle(g: MetricGraph) -> list[int]:
         raise NotBiconnected("outer cycle defined for biconnected graphs")
     if g.n == 2:
         raise NotOuterplanar("no outer cycle on a single edge")
-    ok, emb = _apex_planarity(g, range(g.n))
-    if not ok:
+    ring = _outer_ring(g)
+    if ring is None:
         raise NotOuterplanar("no Hamiltonian cycle: graph is not biconnected outerplanar")
-    ring = list(emb.neighbors_cw_order(g.n))
-    i = ring.index(0)
-    ring = ring[i:] + ring[:i]
-    if ring[-1] < ring[1]:
-        ring = [0] + ring[:0:-1]
-    return ring
+    return _block_cycle(ring, {v: v for v in range(g.n)})
 
 
 # -- instances ----------------------------------------------------------
@@ -524,8 +538,8 @@ def ear_decomposition(
             return OuterplanarBuild(tuple(vs), tuple(ws), ())
     if not is_biconnected(g):
         raise NotBiconnected("ear decomposition needs a biconnected graph or a path")
-    if not is_outerplanar(g):
-        raise NotOuterplanar("graph is not outerplanar")
+    # A given face is checked below: a Hamiltonian cycle with
+    # non-crossing chords proves the graph outerplanar.
     if outer_face is None:
         outer_face = find_outer_cycle(g)
     order = list(outer_face)
@@ -569,8 +583,22 @@ def ear_decomposition(
 def general_build(g: MetricGraph) -> OuterplanarBuild:
     """Build for an arbitrary connected outerplanar graph: per-block ear
     builds joined through cut vertices (joins carry no attach edge)."""
-    if not is_outerplanar(g):
+    ring = _outer_ring(g)
+    if ring is None:
         raise NotOuterplanar("graph is not outerplanar")
+    return _general_build(g, ring)
+
+
+def _block_build(g: MetricGraph, block: set[int], ring: list[int]):
+    """Ear build of the block induced by ``block`` (local ids), with its
+    outer cycle read off ``ring``; also returns local id -> vertex."""
+    sub, idx = induced_subgraph(g, block)
+    face = _block_cycle(ring, idx) if len(block) >= 3 else None
+    return ear_decomposition(sub, face), sub, {i: v for v, i in idx.items()}
+
+
+def _general_build(g: MetricGraph, ring: list[int]) -> OuterplanarBuild:
+    """general_build of a subgraph of the graph whose apex ring is ``ring``."""
     blocks, _ = biconnected_components(g)
     blocks = [b for b in blocks if len(b) >= 2]
     if not blocks:
@@ -596,9 +624,7 @@ def general_build(g: MetricGraph) -> OuterplanarBuild:
     init_ws: tuple[Fraction, ...] = ()
     steps: list[BuildStep] = []
     for b in ordered:
-        sub, idx = induced_subgraph(g, b)
-        back = {i: v for v, i in idx.items()}
-        bd = ear_decomposition(sub)
+        bd, _, back = _block_build(g, b, ring)
         vs = tuple(back[i] for i in bd.initial_vertices)
         if first:
             init_vs, init_ws = vs, bd.initial_lengths
@@ -618,11 +644,10 @@ def general_build(g: MetricGraph) -> OuterplanarBuild:
 
 
 def _block_slack_violations(
-    sub: MetricGraph, alpha: Fraction
+    build: OuterplanarBuild, sub: MetricGraph, alpha: Fraction
 ) -> list[tuple[int, int]]:
     """Edges of a biconnected outerplanar block (local ids) whose ear is
     too short for an alpha-slack structure."""
-    build = ear_decomposition(sub)
     lengths = sub.edge_lengths()
     bad = []
     for st in build.steps:
@@ -645,7 +670,10 @@ def slack_transform(
     alpha = frac(alpha)
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    if not is_outerplanar(g):
+    # Outerplanarity is tested once: every graph below is a subgraph of
+    # g, so the apex ring of g gives every block's outer cycle.
+    ring = _outer_ring(g)
+    if ring is None:
         raise NotOuterplanar("slack transform needs an outerplanar graph")
     current = reduce_lengths(g)
     while True:
@@ -654,9 +682,8 @@ def slack_transform(
         for b in blocks:
             if len(b) < 3:
                 continue
-            sub, idx = induced_subgraph(current, b)
-            back = {i: v for v, i in idx.items()}
-            for (u, v) in _block_slack_violations(sub, alpha):
+            build, sub, back = _block_build(current, b, ring)
+            for (u, v) in _block_slack_violations(build, sub, alpha):
                 doomed.add(norm_edge(back[u], back[v]))
         if not doomed:
             break
@@ -665,7 +692,7 @@ def slack_transform(
         )
         current = reduce_lengths(current)
     h = current.scaled(Fraction(1) / alpha)
-    return h, general_build(h)
+    return h, _general_build(h, ring)
 
 
 # -- glue lives in tree.py (re-exported in the package __init__) --------

@@ -8,6 +8,7 @@ dual as length functions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -41,7 +42,13 @@ class PolymatroidCaps:
 
     @staticmethod
     def from_vertex_caps(caps) -> "PolymatroidCaps":
-        return PolymatroidCaps(vertex_caps={v: frac(c) for v, c in dict(caps).items()})
+        """Vertex-capacity form; a negative capacity would make rho_v
+        non-monotone, so it is rejected."""
+        vertex_caps = {v: frac(c) for v, c in dict(caps).items()}
+        for v, c in vertex_caps.items():
+            if c < 0:
+                raise NegativeEntry(f"negative capacity {c} at vertex {v}")
+        return PolymatroidCaps(vertex_caps=vertex_caps)
 
     def is_vertex_form(self) -> bool:
         return self.vertex_caps is not None
@@ -207,31 +214,43 @@ def assignment_value(assign: dict[Edge, int], caps: PolymatroidCaps) -> Fraction
     return sum((caps.rho(v, es) for v, es in buckets.items()), Fraction(0))
 
 
+def _components(
+    g: MetricGraph, cut_edges=frozenset(), cut_vertices=frozenset()
+) -> list[int]:
+    """Union-find root of every vertex of g once the (normalised) edges in
+    ``cut_edges`` and every edge at a vertex of ``cut_vertices`` are
+    deleted.  Two vertices are connected iff their roots are equal; a
+    vertex of ``cut_vertices`` is left alone in its component."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (a, b, _) in g.edges:
+        if a in cut_vertices or b in cut_vertices or (a, b) in cut_edges:
+            continue
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(x) for x in range(g.n)]
+
+
+def _separated(root: list[int], dem: DemandMatrix) -> Fraction:
+    """Demand whose endpoints lie in different components."""
+    return sum((w for (u, v, w) in dem.items() if root[u] != root[v]), Fraction(0))
+
+
 def sigma(g: MetricGraph, s_edges, u: int, v: int) -> int:
     """1 iff u and v are disconnected after deleting the edges in S."""
-    cut = {norm_edge(*e) for e in s_edges}
-    adj: dict[int, list[int]] = {x: [] for x in range(g.n)}
-    for (a, b, _) in g.edges:
-        if norm_edge(a, b) not in cut:
-            adj[a].append(b)
-            adj[b].append(a)
-    seen = {u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        if x == v:
-            return 0
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return 0 if v in seen else 1
+    root = _components(g, cut_edges={norm_edge(*e) for e in s_edges})
+    return int(root[u] != root[v])
 
 
 def separated_demand(g: MetricGraph, s_edges, dem: DemandMatrix) -> Fraction:
-    return sum(
-        (w * sigma(g, s_edges, u, v) for (u, v, w) in dem.items()), Fraction(0)
-    )
+    return _separated(_components(g, cut_edges={norm_edge(*e) for e in s_edges}), dem)
 
 
 def sparsity(
@@ -247,8 +266,7 @@ def sparsity(
 # -- sparsest cuts by enumeration --------------------------------------
 
 
-def vertex_rho_s(g: MetricGraph, s_verts: frozenset, u: int, v: int) -> Fraction:
-    """Half-credit separation function of a vertex set."""
+def _half_credit(s_verts, root: list[int], u: int, v: int) -> Fraction:
     inside = (u in s_verts) + (v in s_verts)
     if inside == 1:
         return Fraction(1, 2)
@@ -256,20 +274,12 @@ def vertex_rho_s(g: MetricGraph, s_verts: frozenset, u: int, v: int) -> Fraction
         return Fraction(1)
     # Both outside: full credit iff they sit in distinct components of
     # the graph with S removed.
-    adj: dict[int, list[int]] = {x: [] for x in range(g.n)}
-    for (a, b, _) in g.edges:
-        if a not in s_verts and b not in s_verts:
-            adj[a].append(b)
-            adj[b].append(a)
-    seen = {u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return Fraction(0) if v in seen else Fraction(1)
+    return Fraction(int(root[u] != root[v]))
+
+
+def vertex_rho_s(g: MetricGraph, s_verts: frozenset, u: int, v: int) -> Fraction:
+    """Half-credit separation function of a vertex set."""
+    return _half_credit(s_verts, _components(g, cut_vertices=s_verts), u, v)
 
 
 def brute_sparsest_vertex_cut(
@@ -284,8 +294,9 @@ def brute_sparsest_vertex_cut(
     found_separable = False
     for mask in range(1, 1 << g.n):
         s = frozenset(v for v in range(g.n) if mask >> v & 1)
+        root = _components(g, cut_vertices=s)
         denom = sum(
-            (w * vertex_rho_s(g, s, u, v) for (u, v, w) in dem.items()),
+            (w * _half_credit(s, root, u, v) for (u, v, w) in dem.items()),
             Fraction(0),
         )
         if denom == 0:
@@ -305,24 +316,110 @@ def brute_sparsest_edge_cut(
     caps: PolymatroidCaps,
     dem: DemandMatrix,
 ) -> tuple[frozenset, Fraction]:
-    edges = [norm_edge(u, v) for (u, v, _) in g.edges]
-    if len(edges) > DEFAULT_CONFIG.edge_cut_max_edges:
-        raise TooLarge(f"|E| = {len(edges)} too large for enumeration")
+    """Sparsest edge cut: min over nonempty edge sets S of nu(S) / sep(S).
+
+    With vertex capacities, nu(S) is the cheapest vertex cover of S, and
+    covering more edges only separates more demand, so the minimum is
+    attained by the edges at some vertex set C (Chekuri-Kannan-Raja-
+    Viswanath, ITCS 2012): 2^n vertex sets instead of 2^|E| edge sets,
+    each with a 2^|S| assignment enumeration.  Polymatroid tables keep
+    the edge-set enumeration."""
+    if len(g.edges) > DEFAULT_CONFIG.edge_cut_max_edges:
+        raise TooLarge(f"|E| = {len(g.edges)} too large for enumeration")
+    if caps.is_vertex_form():
+        return _vertex_cover_cut(g, caps.vertex_caps, dem)
+    return _table_cut(g, caps, dem)
+
+
+def _vertex_cover_cut(
+    g: MetricGraph, cap: dict[int, Fraction], dem: DemandMatrix
+) -> tuple[frozenset, Fraction]:
+    """min over vertex sets C touching an edge of cap(C) / sep(edges at C);
+    the first C (in mask order) with the smallest ratio wins."""
+    touched = 0
+    for (a, b, _) in g.edges:
+        touched |= 1 << a | 1 << b
+    best = None
+    best_c = None
+    for mask in range(1, 1 << g.n):
+        # Vertices without edges add capacity and no cut edge.
+        if not mask & touched:
+            continue
+        c = frozenset(v for v in range(g.n) if mask >> v & 1)
+        sep = _separated(_components(g, cut_vertices=c), dem)
+        if sep == 0:
+            continue
+        val = sum((cap.get(v, Fraction(0)) for v in c), Fraction(0)) / sep
+        if best is None or val < best:
+            best = val
+            best_c = c
+    if best is None:
+        raise NoSeparatedDemand("no edge set separates any demand")
+    cut = frozenset(
+        (a, b) for (a, b, _) in g.edges if a in best_c or b in best_c
+    )
+    return cut, best
+
+
+def _table_cut(
+    g: MetricGraph, caps: PolymatroidCaps, dem: DemandMatrix
+) -> tuple[frozenset, Fraction]:
+    """Edge-set enumeration for polymatroid tables.  Each rho_v is read
+    into a list indexed by a bitmask of v's incident edges and scaled by
+    the common denominator, so the assignment sums are integer sums."""
+    edges = [(a, b) for (a, b, _) in g.edges]
+    incident = {v: caps.incident(v, g) for v in range(g.n)}
+    values = {
+        v: [
+            caps.rho(v, [e for i, e in enumerate(inc) if m >> i & 1])
+            for m in range(1 << len(inc))
+        ]
+        for v, inc in incident.items()
+    }
+    scale = math.lcm(*(x.denominator for vals in values.values() for x in vals))
+    table = {v: [int(x * scale) for x in vals] for v, vals in values.items()}
+    # Edge e = (a, b) as (a, b, its bit at a, its bit at b).
+    ends = [
+        (a, b, 1 << incident[a].index((a, b)), 1 << incident[b].index((a, b)))
+        for (a, b) in edges
+    ]
     best = None
     best_s = None
     for mask in range(1, 1 << len(edges)):
-        s = [e for i, e in enumerate(edges) if mask >> i & 1]
-        sep = separated_demand(g, s, dem)
+        picked = [i for i in range(len(edges)) if mask >> i & 1]
+        s = frozenset(edges[i] for i in picked)
+        sep = _separated(_components(g, cut_edges=s), dem)
         if sep == 0:
             continue
-        val, _ = nu(s, caps)
-        val = val / sep
+        low = _min_assignment([ends[i] for i in picked], table)
+        val = Fraction(low, scale) / sep
         if best is None or val < best:
             best = val
-            best_s = frozenset(s)
+            best_s = s
     if best is None:
         raise NoSeparatedDemand("no edge set separates any demand")
     return best_s, best
+
+
+def _min_assignment(ends, table) -> int:
+    """min over assignments of each edge (a, b, bit_a, bit_b) in ``ends``
+    to one endpoint of sum_v table[v][bits of the edges assigned to v].
+    A Gray code moves one edge to its other endpoint per step."""
+    held: dict[int, int] = {}
+    for (a, b, bit_a, _) in ends:
+        held[a] = held.get(a, 0) | bit_a
+        held.setdefault(b, 0)
+    total = sum(table[v][m] for v, m in held.items())
+    low = total
+    for step in range(1, 1 << len(ends)):
+        a, b, bit_a, bit_b = ends[(step & -step).bit_length() - 1]
+        ta, tb = table[a], table[b]
+        ha, hb = held[a], held[b]
+        held[a], held[b] = ha ^ bit_a, hb ^ bit_b
+        total += ta[ha ^ bit_a] + tb[hb ^ bit_b] - ta[ha] - tb[hb]
+        if total < low:
+            low = total
+    return low
 
 
 # -- concurrent flow LP -------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 from fractions import Fraction
@@ -12,7 +13,7 @@ from faceflow.instances import (
     load_instance,
     save_instance,
 )
-from faceflow.polyflow import DemandMatrix
+from faceflow.polyflow import DemandMatrix, sparsity
 
 F = Fraction
 
@@ -27,6 +28,31 @@ def c6_file(tmp_path):
         demands=DemandMatrix.from_pairs([(0, 3, F(1)), (1, 4, F(1))]),
     )
     p = os.path.join(tmp_path, "c6.json")
+    save_instance(inst, p)
+    return p
+
+
+@pytest.fixture
+def table_file(tmp_path):
+    """6-cycle with a chord and tables rho_v(A) = min(2, |A|)."""
+    g = cycle_instance(6).with_edges(
+        list(cycle_instance(6).edges) + [(0, 3, F(3))]
+    )
+    tables = {}
+    for v in range(6):
+        inc = [(a, b) for (a, b, _) in g.edges if v in (a, b)]
+        tables[v] = {
+            frozenset(c): F(min(2, r))
+            for r in range(len(inc) + 1)
+            for c in itertools.combinations(inc, r)
+        }
+    inst = Instance(
+        g,
+        face=tuple(range(6)),
+        polymatroid=tables,
+        demands=DemandMatrix.from_pairs([(1, 4, F(1)), (2, 5, F(2))]),
+    )
+    p = os.path.join(tmp_path, "table.json")
     save_instance(inst, p)
     return p
 
@@ -142,6 +168,18 @@ class TestFlowCutCommands:
         assert main(["cut", c6_file]) == 0
         out = capsys.readouterr().out
         assert "vertex-sparsity:" in out and "edge-sparsity:" in out
+
+    @pytest.mark.parametrize("which", ["c6_file", "table_file"])
+    def test_cut_edge_set_rederives_sparsity(self, which, request, capsys):
+        path = request.getfixturevalue(which)
+        assert main(["cut", path]) == 0
+        fields = dict(
+            line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+        )
+        cut = [tuple(map(int, e.split("-"))) for e in fields["edge-cut"].split()]
+        inst = load_instance(path)
+        phi = sparsity(inst.graph, cut, inst.caps(), inst.demand_matrix())
+        assert phi == Fraction(fields["edge-sparsity"])
 
     def test_dual_matches_flow(self, c6_file, capsys):
         assert main(["flow", c6_file]) == 0

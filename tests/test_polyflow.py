@@ -1,12 +1,15 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_reduced_graph
-from faceflow.errors import NoSeparatedDemand
-from faceflow.graph import MetricGraph
+from faceflow.errors import NegativeEntry, NoSeparatedDemand
+from faceflow.graph import MetricGraph, norm_edge
 from faceflow.instances import cycle_instance, random_caps, random_demands, random_tree
 from faceflow.polyflow import (
     AdaptedLengths,
@@ -60,11 +63,170 @@ def assert_feasible_flow(g, cap, sol, endpoint_factor):
         assert load <= endpoint_factor * cap.get(w, F(0)), w
 
 
+def reference_sigma(g, s_edges, u, v):
+    """sigma by one depth-first search per pair (the replaced code)."""
+    cut = {norm_edge(*e) for e in s_edges}
+    adj = {x: [] for x in range(g.n)}
+    for (a, b, _) in g.edges:
+        if norm_edge(a, b) not in cut:
+            adj[a].append(b)
+            adj[b].append(a)
+    seen = {u}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        if x == v:
+            return 0
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return 0 if v in seen else 1
+
+
+def reference_separated_demand(g, s_edges, dem):
+    return sum(
+        (w * reference_sigma(g, s_edges, u, v) for (u, v, w) in dem.items()), F(0)
+    )
+
+
+def reference_edge_cut(g, caps, dem):
+    """The replaced brute_sparsest_edge_cut: every nonempty edge set S in
+    mask order, nu(S) by assignment enumeration, first strict minimum."""
+    edges = [norm_edge(u, v) for (u, v, _) in g.edges]
+    best = None
+    best_s = None
+    for mask in range(1, 1 << len(edges)):
+        s = [e for i, e in enumerate(edges) if mask >> i & 1]
+        sep = reference_separated_demand(g, s, dem)
+        if sep == 0:
+            continue
+        val, _ = nu(s, caps)
+        val = val / sep
+        if best is None or val < best:
+            best = val
+            best_s = frozenset(s)
+    if best is None:
+        raise NoSeparatedDemand("no edge set separates any demand")
+    return best_s, best
+
+
+def reference_vertex_cut(g, cap, dem):
+    """The replaced brute_sparsest_vertex_cut: one search per demand pair."""
+    def rho_s(s, u, v):
+        inside = (u in s) + (v in s)
+        if inside:
+            return F(inside, 2)
+        cut = [(a, b) for (a, b, _) in g.edges if a in s or b in s]
+        return F(reference_sigma(g, cut, u, v))
+
+    best = None
+    best_s = None
+    for mask in range(1, 1 << g.n):
+        s = frozenset(v for v in range(g.n) if mask >> v & 1)
+        denom = sum((w * rho_s(s, u, v) for (u, v, w) in dem.items()), F(0))
+        if denom == 0:
+            continue
+        val = sum((cap[v] for v in s), F(0)) / denom
+        if best is None or val < best:
+            best = val
+            best_s = s
+    if best is None:
+        raise NoSeparatedDemand("no vertex set separates any demand")
+    return best_s, best
+
+
+SMALL = st.builds(F, st.integers(0, 4), st.integers(1, 3))
+
+
+@st.composite
+def cut_instances(draw, tables=None):
+    """(g, caps, dem): up to 7 vertices (isolated ones included), 1-9
+    edges, vertex capacities or budget-additive tables
+    rho_v(A) = min(c_v, sum of w_v(e) over A), zeros allowed."""
+    n = draw(st.integers(2, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    picked = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=9, unique=True))
+    g = MetricGraph(n, tuple((u, v, F(1)) for (u, v) in picked))
+    dem = DemandMatrix.from_pairs(
+        (u, v, w)
+        for ((u, v), w) in draw(st.lists(
+            st.tuples(st.sampled_from(pairs), st.builds(F, st.integers(1, 3), st.integers(1, 2))),
+            min_size=1, max_size=3,
+        ))
+    )
+    if tables is None:
+        tables = draw(st.booleans())
+    if not tables:
+        return g, PolymatroidCaps.from_vertex_caps({v: draw(SMALL) for v in range(n)}), dem
+    out = {}
+    for v in range(n):
+        inc = [e for e in picked if v in e]
+        c = draw(SMALL)
+        w = {e: draw(SMALL) for e in inc}
+        out[v] = {
+            frozenset(sub): min(c, sum((w[e] for e in sub), F(0)))
+            for r in range(len(inc) + 1)
+            for sub in itertools.combinations(inc, r)
+        }
+    caps = PolymatroidCaps(tables=out)
+    caps.validate_tables()
+    return g, caps, dem
+
+
+class TestOracleCrossCheck:
+    """The cut oracles against the enumerations they replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(cut_instances())
+    def test_edge_cut_matches_reference(self, inst):
+        g, caps, dem = inst
+        try:
+            ref_s, ref_phi = reference_edge_cut(g, caps, dem)
+        except NoSeparatedDemand:
+            with pytest.raises(NoSeparatedDemand):
+                brute_sparsest_edge_cut(g, caps, dem)
+            return
+        s, phi = brute_sparsest_edge_cut(g, caps, dem)
+        assert phi == ref_phi
+        sep = reference_separated_demand(g, s, dem)
+        assert separated_demand(g, s, dem) == sep
+        assert nu(s, caps)[0] / sep == phi
+        if not caps.is_vertex_form():
+            assert s == ref_s
+
+    @settings(max_examples=80, deadline=None)
+    @given(cut_instances(tables=False))
+    def test_vertex_cut_matches_reference(self, inst):
+        g, caps, dem = inst
+        try:
+            want = reference_vertex_cut(g, caps.vertex_caps, dem)
+        except NoSeparatedDemand:
+            with pytest.raises(NoSeparatedDemand):
+                brute_sparsest_vertex_cut(g, caps.vertex_caps, dem)
+            return
+        assert brute_sparsest_vertex_cut(g, caps.vertex_caps, dem) == want
+
+    def test_isolated_vertex_adds_no_cut(self):
+        # Vertex 2 has no edge and capacity 0: a vertex set holding only
+        # it would cut no edge, so it is not a candidate.
+        g = MetricGraph(3, ((0, 1, F(1)),))
+        caps = PolymatroidCaps.from_vertex_caps({0: F(2), 1: F(3), 2: F(0)})
+        dem = DemandMatrix.from_pairs([(0, 2, F(1))])
+        assert reference_edge_cut(g, caps, dem) == (frozenset({(0, 1)}), F(2))
+        assert brute_sparsest_edge_cut(g, caps, dem) == (frozenset({(0, 1)}), F(2))
+
+
 class TestCaps:
     def test_vertex_form_rho(self):
         caps = PolymatroidCaps.from_vertex_caps({0: F(3), 1: F(5)})
         assert caps.rho(0, [(0, 1)]) == 3
         assert caps.rho(0, []) == 0
+
+    def test_negative_vertex_cap_rejected(self):
+        PolymatroidCaps.from_vertex_caps({0: F(0), 1: F(1)})
+        with pytest.raises(NegativeEntry):
+            PolymatroidCaps.from_vertex_caps({0: F(1), 1: F(-1, 2)})
 
     def test_tables_validated(self):
         good = PolymatroidCaps(
@@ -231,6 +393,14 @@ class TestBruteCuts:
         caps = PolymatroidCaps.from_vertex_caps({0: F(3), 1: F(5)})
         s, phi = brute_sparsest_edge_cut(g, caps, dem)
         assert phi == F(3, 2)
+
+    def test_edge_cut_first_cover_on_ties(self):
+        # Every single vertex of the unit 6-cycle gives ratio 1; the
+        # first vertex set in mask order, {0}, wins with its two edges.
+        g = cycle_instance(6)
+        dem = DemandMatrix.from_pairs([(0, 3, F(1)), (1, 4, F(1))])
+        s, phi = brute_sparsest_edge_cut(g, unit_caps(6), dem)
+        assert (s, phi) == (frozenset({(0, 1), (0, 5)}), 1)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sandwich(self, seed):

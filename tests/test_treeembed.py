@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from conftest import slack_cycle
@@ -327,3 +328,22 @@ class TestGoodVertex:
                     for e in [(i, (i + 1) % n) for i in range(n)]:
                         for k in range(2 * n):
                             check_good_vertex_exists(g, cyc, F(k, 2), e)
+
+
+class TestSamplerBuild:
+    @pytest.mark.parametrize(
+        "g", [slack_cycle(8), random_outerplanar(8, 0)[0]], ids=["slack8", "outer8-0"]
+    )
+    def test_one_planarity_test_per_build(self, g, monkeypatch):
+        # The slack transform and every block's ear build reuse the one
+        # apex embedding of g.
+        calls = []
+        check = nx.check_planarity
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].number_of_nodes())
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(nx, "check_planarity", counting)
+        embed_sampler(g)
+        assert calls == [g.n + 1]
