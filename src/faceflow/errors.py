@@ -49,10 +49,6 @@ class NoSeparatedDemand(FaceflowError):
     pass
 
 
-class TooLargeForExact(FaceflowError):
-    pass
-
-
 class TooLarge(FaceflowError):
     pass
 

@@ -140,7 +140,10 @@ def gap_experiment(
             v: caps.rho(v, caps.incident(v, g)) for v in range(g.n)
         }
         mcf = mcf_polymatroid_lp(g, caps, dem).epsilon
-    length, ell, _ = mcf_dual_vertex(g, cap_dict, dem, endpoint_factor=1)
+    length, ell, dual_obj = mcf_dual_vertex(g, cap_dict, dem, endpoint_factor=1)
+    # In vertex form the flow LP and the dual's primal are the same LP.
+    if caps.is_vertex_form() and dual_obj != mcf:
+        raise InvariantViolation(f"dual objective {dual_obj} != flow value {mcf}")
     best: Optional[CutCertificate] = None
 
     phi_brute = None

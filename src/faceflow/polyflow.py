@@ -18,11 +18,10 @@ from .errors import (
     NegativeEntry,
     NoSeparatedDemand,
     TooLarge,
-    TooLargeForExact,
     ZeroDenominator,
 )
 from .graph import MetricGraph, dijkstra, frac, norm_edge
-from .simplex import check_solution, solve_lp
+from .simplex import check_solution, dual_lp, solve_lp
 
 Edge = tuple[int, int]
 
@@ -189,7 +188,7 @@ def nu(
     cut edge to one of its endpoints."""
     edges = [norm_edge(*e) for e in s_edges]
     if len(edges) > limit:
-        raise TooLargeForExact(f"{len(edges)} edges exceeds exact limit {limit}")
+        raise TooLarge(f"{len(edges)} edges exceeds exact limit {limit}")
     if not edges:
         return Fraction(0), {}
     best = None
@@ -499,6 +498,19 @@ def _solve_mcf(g: MetricGraph, dem: DemandMatrix, cap_rows) -> FlowSolution:
     return FlowSolution(res.objective, flows, commodities)
 
 
+def _vertex_cap_rows(g: MetricGraph, cap, endpoint_factor: int):
+    """Capacity rows of the vertex form, keyed by vertex: one (incident
+    edges, endpoint_factor * cap(w)) per vertex w with an edge, in vertex
+    order."""
+    cap = {v: frac(c) for v, c in dict(cap).items()}
+    rows = {}
+    for w in range(g.n):
+        incident = {norm_edge(a, b) for (a, b, _) in g.edges if w in (a, b)}
+        if incident:
+            rows[w] = (incident, endpoint_factor * cap.get(w, Fraction(0)))
+    return rows
+
+
 def mcf_vertex_lp(
     g: MetricGraph, cap, dem: DemandMatrix, endpoint_factor: int = 2
 ) -> FlowSolution:
@@ -507,13 +519,7 @@ def mcf_vertex_lp(
     endpoint_factor=2 is the half-credit-at-endpoints convention (the
     constraint reads sum of incidences <= 2 cap); endpoint_factor=1 is
     the vertex-capacity polymatroid form."""
-    cap = {v: frac(c) for v, c in dict(cap).items()}
-    cap_rows = []
-    for w in range(g.n):
-        incident = {norm_edge(a, b) for (a, b, _) in g.edges if w in (a, b)}
-        if incident:
-            cap_rows.append((incident, endpoint_factor * cap.get(w, Fraction(0))))
-    return _solve_mcf(g, dem, cap_rows)
+    return _solve_mcf(g, dem, _vertex_cap_rows(g, cap, endpoint_factor).values())
 
 
 def mcf_dual_vertex(
@@ -521,61 +527,28 @@ def mcf_dual_vertex(
 ) -> tuple[dict[Edge, Fraction], AdaptedLengths, Fraction]:
     """Optimal dual of the concurrent-flow LP as length functions.
 
-    Variables: a nonnegative vertex length t_v, and per-commodity node
-    potentials.  Returns (edge lengths len = t_u + t_v, the adapted
-    family ell_v(e) = t_v, objective = sum factor * cap(v) * t_v)."""
-    cap = {v: frac(c) for v, c in dict(cap).items()}
-    commodities = [(u, v, w) for (u, v, w) in dem.items()]
-    k = len(commodities)
-    if k == 0:
+    The LP dual of ``mcf_vertex_lp``'s rows (``simplex.dual_lp``) has a
+    nonnegative vertex length t_v per capacity row, so per vertex with an
+    edge, and a free potential per conservation row.  Returns (edge
+    lengths len = t_u + t_v, the adapted family ell_v(e) = t_v,
+    objective = sum factor * cap(v) * t_v)."""
+    if not dem.items():
         raise ZeroDenominator("no demands")
-    # Variables: t_v (n), then z+_{c,v}, z-_{c,v} for v != source_c.
-    nvar = g.n + 2 * k * g.n
-
-    def t_i(v):
-        return v
-
-    def zp(ci, v):
-        return g.n + 2 * (ci * g.n + v)
-
-    def zm(ci, v):
-        return g.n + 2 * (ci * g.n + v) + 1
-
-    rows = []
-    for ci, (s, t, d) in enumerate(commodities):
-        # Pin the source potential to zero.
-        coeffs = [Fraction(0)] * nvar
-        coeffs[zp(ci, s)] = 1
-        coeffs[zm(ci, s)] = 1
-        rows.append((coeffs, "=", Fraction(0)))
-        for (u, v, _) in g.edges:
-            for (a, b) in ((u, v), (v, u)):
-                coeffs = [Fraction(0)] * nvar
-                coeffs[zp(ci, b)] += 1
-                coeffs[zm(ci, b)] -= 1
-                coeffs[zp(ci, a)] -= 1
-                coeffs[zm(ci, a)] += 1
-                coeffs[t_i(u)] -= 1
-                coeffs[t_i(v)] -= 1
-                rows.append((coeffs, "<=", Fraction(0)))
-    coeffs = [Fraction(0)] * nvar
-    for ci, (s, t, d) in enumerate(commodities):
-        coeffs[zp(ci, t)] += d
-        coeffs[zm(ci, t)] -= d
-    rows.append((coeffs, ">=", Fraction(1)))
-    objective = [Fraction(0)] * nvar
-    for v in range(g.n):
-        objective[t_i(v)] = endpoint_factor * cap.get(v, Fraction(0))
-    res = solve_lp(objective, rows, maximize=False)
-    check_solution(objective, rows, res.x)
-    t_vals = [res.x[t_i(v)] for v in range(g.n)]
+    cap_rows = _vertex_cap_rows(g, cap, endpoint_factor)
+    objective, rows, _, _ = _mcf_lp_rows(g, dem, cap_rows.values())
+    d_obj, d_rows, cols = dual_lp(objective, rows)
+    res = solve_lp(d_obj, d_rows, maximize=False)
+    check_solution(d_obj, d_rows, res.x)
+    # The capacity rows come last, one per vertex with an edge.
+    row_vertex = dict(enumerate(cap_rows, len(rows) - len(cap_rows)))
+    t = {row_vertex[i]: x for (i, _), x in zip(cols, res.x) if i in row_vertex}
     length = {}
     ell: dict[int, dict[Edge, Fraction]] = {v: {} for v in range(g.n)}
     for (u, v, _) in g.edges:
         e = norm_edge(u, v)
-        length[e] = t_vals[u] + t_vals[v]
-        ell[u][e] = t_vals[u]
-        ell[v][e] = t_vals[v]
+        length[e] = t[u] + t[v]
+        ell[u][e] = t[u]
+        ell[v][e] = t[v]
     return length, AdaptedLengths(ell, length), res.objective
 
 

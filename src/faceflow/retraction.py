@@ -15,7 +15,6 @@ from .graph import (
     all_pairs_distances,
     connected_components,
     diameter,
-    frac,
     is_outerplanar,
     norm_edge,
 )
@@ -186,35 +185,6 @@ def _components_within(adj, verts: set[int]) -> list[set[int]]:
         seen |= comp
         out.append(comp)
     return out
-
-
-def gradient_stat(
-    g: MetricGraph,
-    sampler,
-    x: int,
-    tau,
-    samples: int,
-    seed: int,
-) -> float:
-    """Mean over samples of the single-scale gradient at x: the worst
-    stretch d(F(x),F(v))/len(x,v) among incident edges with length in
-    [tau, 2 tau]; zero when no such edge exists."""
-    tau = frac(tau)
-    dmat = all_pairs_distances(g)
-    relevant = []
-    for (u, v, w) in g.edges:
-        if x not in (u, v):
-            continue
-        if tau <= w <= 2 * tau:
-            relevant.append((v if u == x else u, w))
-    if not relevant:
-        return 0.0
-    total = 0.0
-    for i in range(samples):
-        retr = sampler(seed * 104_729 + i)
-        fx = retr.mapping[x]
-        total += max(float(dmat[fx][retr.mapping[v]] / w) for (v, w) in relevant)
-    return total / samples
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ which every pivot updates like the others; its right-hand side is minus
 the objective.  Dantzig pricing with an automatic switch to Bland's rule
 guards against cycling.  An LP with no optimum raises ``Infeasible`` or
 ``Unbounded``, and running out of pivots raises ``IterationLimit``.
+``dual_lp`` writes the dual of a ``max`` LP in the same row format.
 """
 
 from __future__ import annotations
@@ -159,6 +160,28 @@ def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
     for i, b in enumerate(basis):
         x[b] = tab[i][-1]
     return LPResult(obj if maximize else -obj, x[:n])
+
+
+_DUAL_SIGNS = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
+
+
+def dual_lp(objective, rows):
+    """The LP dual of max objective . x s.t. rows, x >= 0, written for
+    ``solve_lp(..., maximize=False)``; returns (objective, rows, cols).
+
+    Dual column j is a nonnegative u_j, and cols[j] = (i, sign) says that
+    u_j adds sign * u_j to the multiplier y_i of primal row i: a '<=' row
+    gives one column (sign 1), a '>=' row one negated column (sign -1),
+    and an '=' row the pair (1, -1).  Primal variable k gives the row
+    -sum_i a_ik y_i <= -c_k, so a zero-cost variable needs no artificial.
+    """
+    cols = [(i, s) for i, (_, rel, _) in enumerate(rows) for s in _DUAL_SIGNS[rel]]
+    dual_obj = [s * rows[i][2] for i, s in cols]
+    dual_rows = [
+        ([-s * rows[i][0][k] for i, s in cols], "<=", -c)
+        for k, c in enumerate(objective)
+    ]
+    return dual_obj, dual_rows, cols
 
 
 def check_solution(objective, rows, x) -> Fraction:

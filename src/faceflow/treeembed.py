@@ -124,12 +124,6 @@ class EmbedState:
     embedded: set[int]
     graph: MetricGraph                 # full graph (neighbor structure)
     block: frozenset[int]
-    next_id: int = 0
-
-    def fresh(self) -> int:
-        i = self.next_id
-        self.next_id += 1
-        return i
 
 
 def _is_good(state: EmbedState, x: int, y: int) -> bool:
@@ -256,7 +250,6 @@ def _embed_block(
         embedded=set(init_vs),
         graph=g,
         block=block,
-        next_id=len(init_vs),
     )
     for step in build.steps:
         random_extension(
@@ -352,33 +345,3 @@ def thin_number(tm: TreeMap, u: int) -> int:
 
 def is_thin(tm: TreeMap, delta: int) -> bool:
     return all(thin_number(tm, u) <= delta for u in tm.mapping)
-
-
-def check_good_vertex_exists(
-    g: MetricGraph, outer_cycle, p, edge: tuple[int, int]
-):
-    """One endpoint of an outer-face edge always satisfies the one-sided
-    neighbor condition in the outer-cycle pseudometric; return it."""
-    order = list(outer_cycle)
-    lengths = g.edge_lengths()
-    pos: dict[int, Fraction] = {}
-    cur = Fraction(0)
-    for i, x in enumerate(order):
-        pos[x] = cur
-        nxt = order[(i + 1) % len(order)]
-        cur += lengths[norm_edge(x, nxt)]
-    circ = cur
-
-    def d_c(a: Fraction, b: Fraction) -> Fraction:
-        d = abs(a - b)
-        return min(d, circ - d)
-
-    p = frac(p)
-    u, v = edge
-    if d_c(p, pos[u]) > d_c(p, pos[v]):
-        u, v = v, u
-    if all(d_c(p, pos[w]) >= d_c(p, pos[u]) for w in g.neighbors(v)):
-        return v
-    if all(d_c(p, pos[w]) <= d_c(p, pos[v]) for w in g.neighbors(u)):
-        return u
-    raise InvariantViolation(f"no good endpoint for edge {edge} at position {p}")

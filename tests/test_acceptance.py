@@ -81,18 +81,29 @@ def test_criterion_1_lp_duality():
     t0 = time.monotonic()
     worst = 0.0
     count = 0
+    exact = 0
     for seed in range(50):
         g, cap, dem = _random_capped_instance(seed)
-        eps = mcf_vertex_lp(g, cap, dem, endpoint_factor=2).epsilon
-        _, _, obj = mcf_dual_vertex(g, cap, dem, endpoint_factor=2)
-        denom = max(abs(float(eps)), 1.0)
-        rel = abs(float(eps - obj)) / denom
-        worst = max(worst, rel)
-        count += 1
+        caps = PolymatroidCaps.from_vertex_caps(cap)
+        for factor in (2, 1):
+            eps = mcf_vertex_lp(g, cap, dem, endpoint_factor=factor).epsilon
+            _, ell, obj = mcf_dual_vertex(g, cap, dem, endpoint_factor=factor)
+            denom = max(abs(float(eps)), 1.0)
+            rel = abs(float(eps - obj)) / denom
+            worst = max(worst, rel)
+            # The dual LP is derived from the flow LP's own rows, so also
+            # re-derive its value from shortest paths under its lengths.
+            exact += eps == obj == factor * dual_objective(g, ell, caps, dem)
+            count += 1
     dt = time.monotonic() - t0
-    ok = worst <= DEFAULT_CONFIG.duality_rel_tol and dt < 60.0 and count >= 50
+    ok = (
+        worst <= DEFAULT_CONFIG.duality_rel_tol
+        and exact == count
+        and dt < 60.0
+        and count >= 50
+    )
     _line(1, "LP primal equals dual", ok,
-          f"{count} instances, worst rel err {worst:.2e}, {dt:.1f}s")
+          f"{count} LPs, worst rel err {worst:.2e}, {exact} exact, {dt:.1f}s")
     assert ok
 
 

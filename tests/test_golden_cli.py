@@ -82,7 +82,11 @@ CASES = [
     for name in ("cycle6", "grid2x3", "outer6", "slack6")
     for cmd in _SAMPLING
 ] + [
+    (name, "dual", ())
+    for name in ("cycle6", "grid2x3", "outer6", "slack6")
+] + [
     ("cycle6", "flow", ("--factor", "1", "--float")),
+    ("outer6", "dual", ("--factor", "1")),
     ("outer6", "embed", ("--stats",)),
     ("table6", "flow", ()),
     ("table6", "gap", ()),

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_reduced_graph
-from faceflow.errors import NegativeEntry, NoSeparatedDemand
-from faceflow.graph import MetricGraph, norm_edge
+from faceflow.errors import NegativeEntry, NoSeparatedDemand, ZeroDenominator
+from faceflow.graph import MetricGraph, frac, norm_edge
 from faceflow.instances import cycle_instance, random_caps, random_demands, random_tree
 from faceflow.polyflow import (
     AdaptedLengths,
     DemandMatrix,
+    Edge,
     PolymatroidCaps,
     assignment_value,
     brute_sparsest_edge_cut,
@@ -30,6 +31,7 @@ from faceflow.polyflow import (
     sparsity,
     vertex_rho_s,
 )
+from faceflow.simplex import check_solution, solve_lp
 
 F = Fraction
 
@@ -136,6 +138,70 @@ def reference_vertex_cut(g, cap, dem):
     return best_s, best
 
 
+def reference_dual_vertex(
+    g: MetricGraph, cap, dem: DemandMatrix, endpoint_factor: int = 2
+) -> tuple[dict[Edge, Fraction], AdaptedLengths, Fraction]:
+    """The replaced mcf_dual_vertex: the dual of the concurrent-flow LP,
+    built by hand as its own LP.  Optimal dual as length functions.
+
+    Variables: a nonnegative vertex length t_v, and per-commodity node
+    potentials.  Returns (edge lengths len = t_u + t_v, the adapted
+    family ell_v(e) = t_v, objective = sum factor * cap(v) * t_v)."""
+    cap = {v: frac(c) for v, c in dict(cap).items()}
+    commodities = [(u, v, w) for (u, v, w) in dem.items()]
+    k = len(commodities)
+    if k == 0:
+        raise ZeroDenominator("no demands")
+    # Variables: t_v (n), then z+_{c,v}, z-_{c,v} for v != source_c.
+    nvar = g.n + 2 * k * g.n
+
+    def t_i(v):
+        return v
+
+    def zp(ci, v):
+        return g.n + 2 * (ci * g.n + v)
+
+    def zm(ci, v):
+        return g.n + 2 * (ci * g.n + v) + 1
+
+    rows = []
+    for ci, (s, t, d) in enumerate(commodities):
+        # Pin the source potential to zero.
+        coeffs = [Fraction(0)] * nvar
+        coeffs[zp(ci, s)] = 1
+        coeffs[zm(ci, s)] = 1
+        rows.append((coeffs, "=", Fraction(0)))
+        for (u, v, _) in g.edges:
+            for (a, b) in ((u, v), (v, u)):
+                coeffs = [Fraction(0)] * nvar
+                coeffs[zp(ci, b)] += 1
+                coeffs[zm(ci, b)] -= 1
+                coeffs[zp(ci, a)] -= 1
+                coeffs[zm(ci, a)] += 1
+                coeffs[t_i(u)] -= 1
+                coeffs[t_i(v)] -= 1
+                rows.append((coeffs, "<=", Fraction(0)))
+    coeffs = [Fraction(0)] * nvar
+    for ci, (s, t, d) in enumerate(commodities):
+        coeffs[zp(ci, t)] += d
+        coeffs[zm(ci, t)] -= d
+    rows.append((coeffs, ">=", Fraction(1)))
+    objective = [Fraction(0)] * nvar
+    for v in range(g.n):
+        objective[t_i(v)] = endpoint_factor * cap.get(v, Fraction(0))
+    res = solve_lp(objective, rows, maximize=False)
+    check_solution(objective, rows, res.x)
+    t_vals = [res.x[t_i(v)] for v in range(g.n)]
+    length = {}
+    ell: dict[int, dict[Edge, Fraction]] = {v: {} for v in range(g.n)}
+    for (u, v, _) in g.edges:
+        e = norm_edge(u, v)
+        length[e] = t_vals[u] + t_vals[v]
+        ell[u][e] = t_vals[u]
+        ell[v][e] = t_vals[v]
+    return length, AdaptedLengths(ell, length), res.objective
+
+
 SMALL = st.builds(F, st.integers(0, 4), st.integers(1, 3))
 
 
@@ -215,6 +281,29 @@ class TestOracleCrossCheck:
         dem = DemandMatrix.from_pairs([(0, 2, F(1))])
         assert reference_edge_cut(g, caps, dem) == (frozenset({(0, 1)}), F(2))
         assert brute_sparsest_edge_cut(g, caps, dem) == (frozenset({(0, 1)}), F(2))
+
+
+class TestDualCrossCheck:
+    """mcf_dual_vertex, derived from the flow LP's own rows, against the
+    hand-built dual LP it replaced and against the primal."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(cut_instances(tables=False), st.sampled_from([1, 2]))
+    def test_matches_reference_dual(self, inst, factor):
+        g, caps, dem = inst
+        cap = caps.vertex_caps
+        _, ell, obj = mcf_dual_vertex(g, cap, dem, endpoint_factor=factor)
+        _, _, ref_obj = reference_dual_vertex(g, cap, dem, endpoint_factor=factor)
+        eps = mcf_vertex_lp(g, cap, dem, endpoint_factor=factor).epsilon
+        assert obj == ref_obj == eps
+        ell.check_adapted()
+        t = {v: next(iter(ell.ell[v].values()), F(0)) for v in range(g.n)}
+        assert all(ell.ell[v][e] == t[v] >= 0 for v in range(g.n) for e in ell.ell[v])
+        assert obj == factor * sum((cap[v] * t[v] for v in range(g.n)), F(0))
+        if obj > 0:
+            # Every pair is connected, and shortest paths under the
+            # lengths re-derive the objective.
+            assert factor * dual_objective(g, ell, caps, dem) == obj
 
 
 class TestCaps:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from faceflow import simplex
 from faceflow.errors import Infeasible, IterationLimit, Unbounded
-from faceflow.simplex import check_solution, solve_lp
+from faceflow.simplex import check_solution, dual_lp, solve_lp
 
 
 F = Fraction
@@ -147,6 +147,53 @@ class TestOptimality:
         dual = solve_lp(dual_obj, dual_rows, maximize=False)
         assert check_solution(dual_obj, dual_rows, dual.x) == dual.objective
         assert sign * dual.objective == res.objective
+
+
+class TestDualLP:
+    """dual_lp writes the dual that explicit_dual writes, up to the sign
+    of each dual row, and keeps the map back to the primal rows."""
+
+    @given(bounded_feasible_lps())
+    @settings(max_examples=150, deadline=None)
+    def test_optimum_matches_primal_and_explicit_dual(self, lp):
+        objective, rows, maximize = lp
+        sign = 1 if maximize else -1
+        c = [sign * v for v in objective]
+        primal = solve_lp(c, rows, maximize=True)
+        dual_obj, dual_rows, cols = dual_lp(c, rows)
+        assert len(cols) == len(dual_obj)
+        assert all(len(coeffs) == len(cols) for coeffs, _, _ in dual_rows)
+        dual = solve_lp(dual_obj, dual_rows, maximize=False)
+        assert check_solution(dual_obj, dual_rows, dual.x) == dual.objective
+        e_obj, e_rows = explicit_dual(c, rows)
+        explicit = solve_lp(e_obj, e_rows, maximize=False)
+        assert dual.objective == primal.objective == explicit.objective
+
+    def test_cols_map_rows_with_signs(self):
+        # max x + 2y st x + y <= 3, x - y >= -1, y = 1: one column for
+        # '<=', a negated one for '>=', a pair for '='.
+        rows = [
+            ([F(1), F(1)], "<=", F(3)),
+            ([F(1), F(-1)], ">=", F(-1)),
+            ([F(0), F(1)], "=", F(1)),
+        ]
+        dual_obj, dual_rows, cols = dual_lp([F(1), F(2)], rows)
+        assert cols == [(0, 1), (1, -1), (2, 1), (2, -1)]
+        assert dual_obj == [F(3), F(1), F(1), F(-1)]
+        assert dual_rows == [
+            ([F(-1), F(1), F(0), F(0)], "<=", F(-1)),
+            ([F(-1), F(-1), F(-1), F(1)], "<=", F(-2)),
+        ]
+        res = solve_lp(dual_obj, dual_rows, maximize=False)
+        y = [F(0)] * len(rows)
+        for (i, s), u in zip(cols, res.x):
+            y[i] += s * u
+        # x = 2, y = 1 is the primal optimum, value 4; its multipliers
+        # price every column at its cost.
+        assert res.objective == 4 == solve_lp([F(1), F(2)], rows).objective
+        assert y[0] >= 0 and y[1] <= 0
+        for k, c in enumerate([F(1), F(2)]):
+            assert sum((r[0][k] * yi for r, yi in zip(rows, y)), F(0)) >= c
 
 
 class TestIterationLimit:

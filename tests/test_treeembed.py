@@ -8,11 +8,13 @@ import pytest
 
 from conftest import slack_cycle
 from faceflow.config import DEFAULT_CONFIG
-from faceflow.errors import ChordTooLong, NotOuterplanar
+from faceflow.errors import ChordTooLong, InvariantViolation, NotOuterplanar
 from faceflow.graph import (
     MetricGraph,
     all_pairs_distances,
+    frac,
     make_cycle,
+    norm_edge,
     reduce_lengths,
 )
 from faceflow.instances import cycle_instance, random_outerplanar
@@ -21,7 +23,6 @@ from faceflow.tree import MetricTree, TreeMap
 from faceflow.treeembed import (
     EmbedState,
     anchor_points,
-    check_good_vertex_exists,
     embed_outerplanar,
     embed_sampler,
     is_star_shaped,
@@ -31,6 +32,36 @@ from faceflow.treeembed import (
 )
 
 F = Fraction
+
+
+def check_good_vertex_exists(
+    g: MetricGraph, outer_cycle, p, edge: tuple[int, int]
+):
+    """One endpoint of an outer-face edge always satisfies the one-sided
+    neighbor condition in the outer-cycle pseudometric; return it."""
+    order = list(outer_cycle)
+    lengths = g.edge_lengths()
+    pos: dict[int, Fraction] = {}
+    cur = Fraction(0)
+    for i, x in enumerate(order):
+        pos[x] = cur
+        nxt = order[(i + 1) % len(order)]
+        cur += lengths[norm_edge(x, nxt)]
+    circ = cur
+
+    def d_c(a: Fraction, b: Fraction) -> Fraction:
+        d = abs(a - b)
+        return min(d, circ - d)
+
+    p = frac(p)
+    u, v = edge
+    if d_c(p, pos[u]) > d_c(p, pos[v]):
+        u, v = v, u
+    if all(d_c(p, pos[w]) >= d_c(p, pos[u]) for w in g.neighbors(v)):
+        return v
+    if all(d_c(p, pos[w]) <= d_c(p, pos[v]) for w in g.neighbors(u)):
+        return u
+    raise InvariantViolation(f"no good endpoint for edge {edge} at position {p}")
 
 
 class FakeRng:
@@ -102,7 +133,6 @@ def two_vertex_state():
         embedded={0, 1},
         graph=g,
         block=frozenset({0, 1, 2}),
-        next_id=2,
     )
 
 
@@ -136,8 +166,7 @@ class TestRandomExtension:
             embedded={0, 1},
             graph=g,
             block=frozenset({0, 1, 2}),
-            next_id=1,
-        )
+            )
         random_extension(
             state, [0, 2, 1], [F(1), F(1)], (0, 1), random.Random(4)
         )
