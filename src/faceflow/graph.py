@@ -397,13 +397,12 @@ def flatten(c: Cycle, p: Fraction) -> FlatPath:
 
 @dataclass(frozen=True)
 class BuildStep:
-    """One path attachment.  ``attach_edge`` set means an ear: the path's
-    endpoints coincide with the endpoints of an existing edge.  ``None``
-    means the path is attached by vertex identity only (block joins)."""
+    """One ear: a path whose endpoints are the endpoints of the existing
+    edge ``attach_edge``."""
 
     path_vertices: tuple[int, ...]
     path_lengths: tuple[Fraction, ...]
-    attach_edge: Optional[tuple[int, int]]
+    attach_edge: tuple[int, int]
 
     @property
     def length(self) -> Fraction:
@@ -426,28 +425,13 @@ class OuterplanarBuild:
 
         add_path(self.initial_vertices, self.initial_lengths)
         for step in self.steps:
-            if step.attach_edge is not None:
-                e = norm_edge(*step.attach_edge)
-                if e not in edges:
-                    raise ValueError(f"ear attached to missing edge {e}")
-                if {step.path_vertices[0], step.path_vertices[-1]} != set(e):
-                    raise ValueError("ear endpoints do not match its attach edge")
+            e = norm_edge(*step.attach_edge)
+            if e not in edges:
+                raise ValueError(f"ear attached to missing edge {e}")
+            if {step.path_vertices[0], step.path_vertices[-1]} != set(e):
+                raise ValueError("ear endpoints do not match its attach edge")
             add_path(step.path_vertices, step.path_lengths)
         return MetricGraph(n, tuple((u, v, w) for (u, v), w in edges.items()))
-
-    def blocks(self) -> list["OuterplanarBuild"]:
-        """Split a build from ``general_build`` into its per-block builds,
-        in build order, at the joins (the steps without an attach edge)."""
-        out = []
-        init_vs, init_ws, steps = self.initial_vertices, self.initial_lengths, []
-        for step in self.steps:
-            if step.attach_edge is None:
-                out.append(OuterplanarBuild(init_vs, init_ws, tuple(steps)))
-                init_vs, init_ws, steps = step.path_vertices, step.path_lengths, []
-            else:
-                steps.append(step)
-        out.append(OuterplanarBuild(init_vs, init_ws, tuple(steps)))
-        return out
 
 
 def _chord_children(chords: list[tuple[int, int]], lo: int, hi: int):
@@ -580,15 +564,6 @@ def ear_decomposition(
     )
 
 
-def general_build(g: MetricGraph) -> OuterplanarBuild:
-    """Build for an arbitrary connected outerplanar graph: per-block ear
-    builds joined through cut vertices (joins carry no attach edge)."""
-    ring = _outer_ring(g)
-    if ring is None:
-        raise NotOuterplanar("graph is not outerplanar")
-    return _general_build(g, ring)
-
-
 def _block_build(g: MetricGraph, block: set[int], ring: list[int]):
     """Ear build of the block induced by ``block`` (local ids), with its
     outer cycle read off ``ring``; also returns local id -> vertex."""
@@ -597,13 +572,14 @@ def _block_build(g: MetricGraph, block: set[int], ring: list[int]):
     return ear_decomposition(sub, face), sub, {i: v for v, i in idx.items()}
 
 
-def _general_build(g: MetricGraph, ring: list[int]) -> OuterplanarBuild:
-    """general_build of a subgraph of the graph whose apex ring is ``ring``."""
+def _block_builds(g: MetricGraph, ring: list[int]) -> list[OuterplanarBuild]:
+    """Ear builds of the blocks of g, a subgraph of the graph whose apex
+    ring is ``ring``, in original vertex ids.  Each block after the first
+    meets the earlier ones in exactly one cut vertex."""
     blocks, _ = biconnected_components(g)
     blocks = [b for b in blocks if len(b) >= 2]
     if not blocks:
-        return OuterplanarBuild((0,) if g.n else (), (), ())
-    lengths = g.edge_lengths()
+        return [OuterplanarBuild((0,) if g.n else (), (), ())]
     # Order blocks by a BFS over the block-cut structure, rooted at the
     # block containing the lowest vertex.
     blocks.sort(key=min)
@@ -619,25 +595,21 @@ def _general_build(g: MetricGraph, ring: list[int]) -> OuterplanarBuild:
                 break
         else:
             raise ValueError("graph is disconnected")
-    first = True
-    init_vs: tuple[int, ...] = ()
-    init_ws: tuple[Fraction, ...] = ()
-    steps: list[BuildStep] = []
+    out = []
     for b in ordered:
         bd, _, back = _block_build(g, b, ring)
-        vs = tuple(back[i] for i in bd.initial_vertices)
-        if first:
-            init_vs, init_ws = vs, bd.initial_lengths
-            first = False
-        else:
-            steps.append(BuildStep(vs, bd.initial_lengths, None))
-        for st in bd.steps:
-            pv = tuple(back[i] for i in st.path_vertices)
-            ae = None
-            if st.attach_edge is not None:
-                ae = (back[st.attach_edge[0]], back[st.attach_edge[1]])
-            steps.append(BuildStep(pv, st.path_lengths, ae))
-    return OuterplanarBuild(init_vs, init_ws, tuple(steps))
+        steps = tuple(
+            BuildStep(
+                tuple(back[i] for i in st.path_vertices),
+                st.path_lengths,
+                (back[st.attach_edge[0]], back[st.attach_edge[1]]),
+            )
+            for st in bd.steps
+        )
+        out.append(OuterplanarBuild(
+            tuple(back[i] for i in bd.initial_vertices), bd.initial_lengths, steps
+        ))
+    return out
 
 
 # -- slack transform ----------------------------------------------------
@@ -659,13 +631,13 @@ def _block_slack_violations(
 
 def slack_transform(
     g: MetricGraph, alpha: Fraction
-) -> tuple[MetricGraph, OuterplanarBuild]:
+) -> tuple[MetricGraph, list[OuterplanarBuild]]:
     """Delete edges whose ears are too short until every block has an
     alpha-slack ear build, then scale all lengths down by alpha.
 
-    The output satisfies E(h) subset of E(g), d_g >= d_h >= d_g/alpha,
-    h reduced, and every ear in the build is at least alpha times the
-    length of its attach edge.
+    Returns h and one ear build per block of h, in block order.  The
+    output satisfies E(h) subset of E(g), d_g >= d_h >= d_g/alpha, h
+    reduced, and every ear is at least alpha times its attach edge.
     """
     alpha = frac(alpha)
     if alpha < 1:
@@ -692,7 +664,7 @@ def slack_transform(
         )
         current = reduce_lengths(current)
     h = current.scaled(Fraction(1) / alpha)
-    return h, _general_build(h, ring)
+    return h, _block_builds(h, ring)
 
 
 # -- glue lives in tree.py (re-exported in the package __init__) --------

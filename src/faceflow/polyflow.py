@@ -558,7 +558,8 @@ def dual_objective(
     caps: PolymatroidCaps,
     dem: DemandMatrix,
 ) -> Fraction:
-    """Evaluate sum_v rho_hat_v(ell_v) / sum dem * d_len exactly."""
+    """Evaluate sum_v rho_hat_v(ell_v) / sum dem * d_len exactly; 0 when
+    a demand pair is disconnected (infinite distance under any length)."""
     ell.check_adapted()
     adj: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in range(g.n)}
     for (u, v, _) in g.edges:
@@ -569,7 +570,7 @@ def dual_objective(
     for (u, v, w) in dem.items():
         dist = dijkstra(adj, u)
         if v not in dist:
-            raise ZeroDenominator(f"demand pair ({u},{v}) disconnected")
+            return Fraction(0)
         denom += w * dist[v]
     if denom == 0:
         raise ZeroDenominator("all demand pairs at dual distance zero")

@@ -42,6 +42,9 @@ def thin_map(
 ) -> TreeMap:
     """Random 4-thin, 1-Lipschitz image of a star-shaped tree map.
 
+    Star shape, thinness and the Lipschitz bound refer to the edges of
+    ``tm.source``, which the result keeps as its source.
+
     ``_choice_fn(tree_vertex, k)`` may supply the branch bits (one per
     arm) deterministically; used by exhaustive-enumeration tests."""
     rng = random.Random(f"thin:{seed}")
@@ -101,9 +104,6 @@ def thin_map(
 
         # Current images of tree vertices adjacent (through graph edges)
         # to the fiber of x.
-        inv: dict[int, list[int]] = {}
-        for orig, cur in phi.items():
-            inv.setdefault(cur, []).append(orig)
         targets = set()
         for (fa, fb) in fiber_pairs:
             if fa in phi and fb in phi:
@@ -185,12 +185,12 @@ class CutCertificate:
     tree_edge: Optional[tuple[int, int]] = None
 
 
-def _tree_edge_cuts(tm: TreeMap):
-    """For every tree edge a, the graph edges whose image path crosses a."""
+def _tree_edge_cuts(g: MetricGraph, tm: TreeMap):
+    """For every tree edge a, the edges of g whose image path crosses a."""
     tree = tm.tree
     out = []
     path_cache: dict[Edge, set[Edge]] = {}
-    for (u, v, w) in tm.source.edges:
+    for (u, v, w) in g.edges:
         p = tree.path(tm.mapping[u], tm.mapping[v])
         es = set()
         for i in range(len(p) - 1):
@@ -239,8 +239,9 @@ def round_thin(
 ) -> CutCertificate:
     """Best cut among the tree-edge cuts S(a) of a thin map.
 
+    The cuts range over the edges of ``g``, not of ``tm.source``.
     Requires tree-adaptedness d_T(F(u),F(v)) <= ell_u(e) + ell_v(e); for
-    a delta-thin map the returned sparsity satisfies the delta * sum
+    a map delta-thin on g the returned sparsity satisfies the delta * sum
     rho_hat / sum dem d_T bound whenever every nu was computed exactly."""
     tree = tm.tree
     for (u, v, _) in g.edges:
@@ -254,7 +255,7 @@ def round_thin(
                 f"tree distance {lhs} exceeds ell_u + ell_v = {rhs} on edge {e}"
             )
     best: Optional[CutCertificate] = None
-    for (te, w, cut) in _tree_edge_cuts(tm):
+    for (te, w, cut) in _tree_edge_cuts(g, tm):
         if not cut:
             continue
         sep = separated_demand(g, cut, dem)

@@ -230,7 +230,10 @@ def glue(
 @dataclass
 class TreeMap:
     """A map from graph vertices into a metric tree, with a root used by
-    downstream thinning."""
+    downstream thinning.
+
+    ``source`` is the graph whose edges the Lipschitz, star-shape and
+    thinness checks read; for ``embed_sampler`` maps, the slack graph."""
 
     tree: MetricTree
     mapping: dict[int, int]

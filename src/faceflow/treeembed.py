@@ -28,7 +28,6 @@ from .graph import (
     frac,
     make_cycle,
     norm_edge,
-    reduce_lengths,
     slack_transform,
 )
 from .tree import MetricTree, TreeMap, glue
@@ -259,24 +258,25 @@ def _embed_block(
 
 
 def embed_sampler(g: MetricGraph):
-    """Precompute the deterministic part of the embedding (reduction,
-    slack transform and its block-ordered ear build) and return a
-    seed -> TreeMap sampler; use this when drawing many embeddings of the
-    same graph."""
+    """Precompute the deterministic part of the embedding (slack transform
+    and its per-block ear builds) and return a seed -> TreeMap sampler;
+    use this when drawing many embeddings of the same graph.
+
+    Each map's ``source`` is the slack graph h (lengths scaled by 1/160),
+    on whose edges it is 1-Lipschitz and star-shaped.  As d_h <= d_g it
+    is 1-Lipschitz on g too, but not star-shaped on the deleted edges."""
     if len(connected_components(g)) != 1:
         raise ValueError("embedding expects a connected graph")
-    g_red = reduce_lengths(g)
-    # slack_transform raises NotOuterplanar; it is the one outerplanarity
-    # test of the build.
-    h, build = slack_transform(g_red, DEFAULT_CONFIG.slack_alpha)
-    blocks = build.blocks()
+    # slack_transform reduces g and raises NotOuterplanar; it is the one
+    # outerplanarity test of the build.
+    h, builds = slack_transform(g, DEFAULT_CONFIG.slack_alpha)
 
     def sample(seed: int) -> TreeMap:
         rng = random.Random(f"embed:{seed}")
         final = MetricTree()
         mapping: dict[int, int] = {}
         next_global = 0
-        for block_build in blocks:
+        for block_build in builds:
             bt, bmap = _embed_block(h, block_build, rng)
             # Blocks meet the earlier ones in exactly one cut vertex.
             shared = [x for x in bmap if x in mapping]
@@ -296,7 +296,7 @@ def embed_sampler(g: MetricGraph):
             for x, t_v in bmap.items():
                 mapping[x] = relabel[t_v]
         root_vertex = min(mapping)
-        return TreeMap(final, mapping, g_red, root=mapping[root_vertex])
+        return TreeMap(final, mapping, h, root=mapping[root_vertex])
 
     return sample
 
@@ -306,7 +306,8 @@ def embed_outerplanar(g: MetricGraph, seed: int) -> TreeMap:
     outerplanar metric graph into a random tree.
 
     Pipeline: reduce, slack transform at alpha=160, then per-block ear
-    embedding; block trees are joined at the images of cut vertices."""
+    embedding; block trees are joined at the images of cut vertices.
+    The star shape holds on the slack graph only (see ``embed_sampler``)."""
     return embed_sampler(g)(seed)
 
 

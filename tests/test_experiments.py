@@ -7,7 +7,7 @@ import pytest
 
 from faceflow import experiments, graph
 from faceflow.config import DEFAULT_CONFIG
-from faceflow.errors import BudgetExhausted, InvariantViolation
+from faceflow.errors import BudgetExhausted
 from faceflow.experiments import (
     _positive_dual_lengths,
     distortion_experiment,
@@ -22,6 +22,7 @@ from faceflow.instances import (
     random_caps,
     random_demands,
     random_outerplanar,
+    random_planar_with_face,
     random_tree,
 )
 from faceflow.polyflow import (
@@ -88,19 +89,36 @@ class TestGapExperiment:
         assert rep.gap_ratio is not None
         assert 1.0 - 1e-9 <= rep.gap_ratio <= DEFAULT_CONFIG.pipeline_ratio_bound
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=InvariantViolation,
-        reason="known defect: embed_sampler returns maps that are not "
-        "star-shaped on outerplanar graphs with chords",
+    @pytest.mark.parametrize(
+        "gen,n,s,pipeline",
+        [
+            (random_outerplanar, 7, 0, F(2, 7)),
+            (random_outerplanar, 7, 1, F(1, 5)),
+            (random_outerplanar, 8, 0, F(5, 14)),
+            (random_planar_with_face, 11, 0, F(1, 4)),
+        ],
+        ids=["outer7-0", "outer7-1", "outer8-0", "planar11-0"],
     )
-    def test_outerplanar_with_chords(self):
-        g, face = random_outerplanar(7, 0)
+    def test_outerplanar_with_chords(self, gen, n, s, pipeline):
+        # Chorded instances whose slack transform deletes edges: the
+        # embedding is star-shaped only on its slack graph, so the
+        # pipeline must check and thin it there.
+        g, face = gen(n, s)
         inst = Instance(
-            g, face=face, vcaps=random_caps(7, 0), demands=random_demands(face, 0)
+            g, face=face, vcaps=random_caps(n, s), demands=random_demands(face, s)
         )
-        rep = gap_experiment(inst, 1, 0)
-        assert rep.assertion_tallies.get("retraction") == 1
+        samples = 5
+        rep = gap_experiment(inst, samples, 0)
+        assert set(rep.assertion_tallies) == {
+            "retraction", "embed_lipschitz", "composition_star_shaped",
+            "thin", "rounded",
+        }
+        assert all(c == samples for c in rep.assertion_tallies.values())
+        cert = rep.best_certificate
+        for sparsity in (rep.phi_brute, cert.sparsity, rep.best_sparsity):
+            assert sparsity is None or sparsity >= rep.mcf
+        assert cert.sparsity / rep.mcf <= DEFAULT_CONFIG.pipeline_ratio_bound
+        assert cert.sparsity == pipeline
 
     def test_report_lines_render(self):
         g = random_tree(4, 0)

@@ -19,7 +19,7 @@ import pytest
 
 from conftest import slack_cycle
 from faceflow.cli import main
-from faceflow.graph import norm_edge
+from faceflow.graph import MetricGraph, norm_edge
 from faceflow.instances import (
     Instance,
     cycle_instance,
@@ -68,11 +68,21 @@ def _table6() -> Instance:
     )
 
 
+def _split4() -> Instance:
+    """Two components, 0-1 and 2-3; the demand pair (0, 2) is disconnected."""
+    g = MetricGraph(4, ((0, 1, F(1)), (2, 3, F(1))))
+    return Instance(
+        g, vcaps=(F(1),) * 4,
+        demands=DemandMatrix.from_pairs([(0, 2, F(1)), (0, 1, F(1))]),
+    )
+
+
 INSTANCES = {
     "cycle6": lambda: _unit(cycle_instance(6), range(6), [(0, 3), (1, 4)]),
     "grid2x3": lambda: _unit(*grid_graph(2, 3), [(0, 5), (2, 3)]),
     "outer6": _outer6,
     "slack6": lambda: _unit(slack_cycle(6), range(6), [(0, 3), (2, 5)]),
+    "split4": _split4,
     "table6": _table6,
 }
 
@@ -90,6 +100,7 @@ CASES = [
     ("outer6", "embed", ("--stats",)),
     ("table6", "flow", ()),
     ("table6", "gap", ()),
+    ("split4", "dual", ()),
 ]
 
 

@@ -300,10 +300,13 @@ class TestDualCrossCheck:
         t = {v: next(iter(ell.ell[v].values()), F(0)) for v in range(g.n)}
         assert all(ell.ell[v][e] == t[v] >= 0 for v in range(g.n) for e in ell.ell[v])
         assert obj == factor * sum((cap[v] * t[v] for v in range(g.n)), F(0))
-        if obj > 0:
-            # Every pair is connected, and shortest paths under the
-            # lengths re-derive the objective.
+        # Shortest paths under the lengths re-derive the objective; a
+        # disconnected pair gives 0.  Only all pairs at distance 0 leave
+        # the ratio undefined, and then the objective is 0.
+        try:
             assert factor * dual_objective(g, ell, caps, dem) == obj
+        except ZeroDenominator:
+            assert obj == 0
 
 
 class TestCaps:
@@ -593,6 +596,17 @@ class TestDual:
         dem = DemandMatrix.from_pairs([(0, 1, F(1))])
         val = dual_objective(g, AdaptedLengths.split_evenly(g), unit_caps(2), dem)
         assert val == 1
+
+    def test_dual_objective_disconnected_pair_is_zero(self):
+        # (0, 2) is disconnected: its distance is infinite under every
+        # length, so the ratio is 0 and agrees with the LP optimum.
+        g = MetricGraph(4, ((0, 1, F(1)), (2, 3, F(1))))
+        dem = DemandMatrix.from_pairs([(0, 2, F(1)), (0, 1, F(1))])
+        cap = {v: F(1) for v in range(4)}
+        _, ell, obj = mcf_dual_vertex(g, cap, dem)
+        assert obj == 0
+        assert dual_objective(g, ell, unit_caps(4), dem) == 0
+        assert dual_objective(g, AdaptedLengths.split_evenly(g), unit_caps(4), dem) == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_weak_duality_any_adapted(self, seed):

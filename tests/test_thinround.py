@@ -103,10 +103,10 @@ class TestThinMap:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_embedded_cycle_invariants(self, seed):
-        samp = embed_sampler(cycle_instance(6))
-        out = thin_map(samp(seed), seed)
+        g = cycle_instance(6)
+        out = thin_map(embed_sampler(g)(seed), seed)
         assert out.is_lipschitz()
-        assert is_thin(out, 4)
+        assert is_thin(TreeMap(out.tree, out.mapping, g, root=out.root), 4)
 
 
 class TestRoundThin:

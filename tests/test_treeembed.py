@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import slack_cycle
 from faceflow.config import DEFAULT_CONFIG
@@ -16,6 +18,7 @@ from faceflow.graph import (
     make_cycle,
     norm_edge,
     reduce_lengths,
+    slack_transform,
 )
 from faceflow.instances import cycle_instance, random_outerplanar
 from faceflow import treeembed
@@ -216,6 +219,21 @@ class TestEmbedOuterplanar:
     def test_invariants_random_outerplanar(self, seed):
         g, _ = random_outerplanar(7, seed)
         tm = embed_outerplanar(g, seed)
+        assert tm.is_lipschitz()
+        assert is_star_shaped(tm)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(7, 9), st.integers(0, 10**6), st.integers(1, 4),
+        st.integers(0, 10**6),
+    )
+    def test_source_is_the_slack_graph(self, n, graph_seed, chords, seed):
+        # The map's guarantees cover exactly the slack graph's edges.
+        g, _ = random_outerplanar(n, graph_seed, extra_chords=chords)
+        assert len(g.edges) > n
+        h, _ = slack_transform(reduce_lengths(g), DEFAULT_CONFIG.slack_alpha)
+        tm = embed_sampler(g)(seed)
+        assert sorted(tm.source.edges) == sorted(h.edges)
         assert tm.is_lipschitz()
         assert is_star_shaped(tm)
 
