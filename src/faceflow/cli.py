@@ -31,7 +31,6 @@ from .polyflow import (
 )
 from .retraction import retract_to_outerplanar
 from .thinround import multiscale_round, thin_map
-from .tree import TreeMap
 from .treeembed import embed_outerplanar, embed_sampler, is_star_shaped, is_thin
 
 
@@ -139,7 +138,7 @@ def cmd_thin(args) -> int:
     thin = thin_map(tm, args.seed)
     # Lipschitz on the slack graph (which implies it on the input graph);
     # thinness on every edge of the input graph.
-    on_input = TreeMap(thin.tree, thin.mapping, inst.graph, root=thin.root)
+    on_input = thin.with_source(inst.graph)
     if not thin.is_lipschitz() or not is_thin(on_input, DEFAULT_CONFIG.thinness):
         _emit(["violation: thinned map invariants failed"], args.out)
         return 1

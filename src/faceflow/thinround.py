@@ -17,6 +17,7 @@ from typing import Optional
 from .config import DEFAULT_CONFIG
 from .errors import (
     HypothesisViolated,
+    InvariantViolation,
     NoSeparatedDemand,
     NotStarShaped,
 )
@@ -31,6 +32,7 @@ from .polyflow import (
     separated_demand,
 )
 from .tree import MetricTree, TreeMap
+from .treeembed import is_thin
 
 Edge = tuple[int, int]
 
@@ -388,9 +390,9 @@ def multiscale_round(
     samples: int,
     seed: int,
 ) -> RoundingReport:
-    """Dyadic preprocessing, then per sample: embed, thin, build the
-    tree-adapted tilde lengths, and round; keeps the sparsest
-    certificate."""
+    """Dyadic preprocessing, then per sample: embed, thin, check the
+    thinned map 4-thin on every edge of g, build the tree-adapted tilde
+    lengths, and round; keeps the sparsest certificate."""
     ell.check_adapted()
     ell2 = dyadic_preprocess(g, ell)
     best: Optional[CutCertificate] = None
@@ -398,6 +400,9 @@ def multiscale_round(
     for i in range(samples):
         tm = embed_sampler(seed * 65_537 + i)
         thin = thin_map(tm, seed * 65_537 + i)
+        # Thinned on the slack graph; the rounding bound needs it on g.
+        if not is_thin(thin.with_source(g), DEFAULT_CONFIG.thinness):
+            raise InvariantViolation("thinned map exceeds thinness bound on g")
         tl = tilde_lengths(g, thin, ell2)
         try:
             cert = round_thin(g, thin, tl, caps, dem)

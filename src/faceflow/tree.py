@@ -7,7 +7,7 @@ time) and treated as immutable once handed to consumers.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import LengthMismatch
@@ -242,6 +242,11 @@ class TreeMap:
 
     def image(self, v: int) -> int:
         return self.mapping[v]
+
+    def with_source(self, g: MetricGraph) -> "TreeMap":
+        """The same map with its checks read over the edges of ``g``, e.g.
+        a map built on a slack graph, checked on the full input graph."""
+        return replace(self, source=g)
 
     def is_lipschitz(self) -> bool:
         """d_T(F(u),F(v)) <= len(u,v) for every graph edge."""

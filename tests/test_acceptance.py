@@ -173,10 +173,14 @@ def test_criterion_5_structural_invariants():
     embeds = []
     for gi, g in enumerate(embed_graphs):
         samp = embed_sampler(g)
+        g_red = reduce_lengths(g)
         for i in range(per):
             tm = samp(gi * 100_003 + i)
             total += 1
-            if not (tm.is_lipschitz() and is_star_shaped(tm)):
+            # These draws are also star-shaped on every edge of the input.
+            on_g = tm.with_source(g_red)
+            if not (tm.is_lipschitz() and is_star_shaped(tm)
+                    and is_star_shaped(on_g)):
                 bad += 1
             embeds.append((g, tm))
 
@@ -184,7 +188,7 @@ def test_criterion_5_structural_invariants():
     # edge of the input graph.
     for i, (g, tm) in enumerate(embeds[:2500]):
         thin = thin_map(tm, i)
-        on_g = TreeMap(thin.tree, thin.mapping, g, root=thin.root)
+        on_g = thin.with_source(g)
         total += 1
         if not (thin.is_lipschitz() and is_thin(on_g, DEFAULT_CONFIG.thinness)):
             bad += 1

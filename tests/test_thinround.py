@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from faceflow.errors import HypothesisViolated, NoSeparatedDemand
+from faceflow.errors import (
+    HypothesisViolated,
+    InvariantViolation,
+    NoSeparatedDemand,
+)
 from faceflow.graph import MetricGraph, norm_edge
-from faceflow.instances import cycle_instance, random_tree
+from faceflow.instances import cycle_instance, random_outerplanar, random_tree
 from faceflow.polyflow import (
     AdaptedLengths,
     DemandMatrix,
@@ -106,7 +110,7 @@ class TestThinMap:
         g = cycle_instance(6)
         out = thin_map(embed_sampler(g)(seed), seed)
         assert out.is_lipschitz()
-        assert is_thin(TreeMap(out.tree, out.mapping, g, root=out.root), 4)
+        assert is_thin(out.with_source(g), 4)
 
 
 class TestRoundThin:
@@ -262,3 +266,30 @@ class TestMultiscale:
         )
         assert rep.best.sparsity > 0
         assert all(r <= 1.0 + 1e-12 for r in rep.sample_ratios)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_chorded_outerplanar_runs_and_bounded(self, seed):
+        # The slack transform deletes 4 of the 10 edges here; each thinned
+        # map must still be 4-thin on every edge of g.
+        g, _ = random_outerplanar(7, 0)
+        ell = AdaptedLengths.split_evenly(g)
+        caps = PolymatroidCaps.from_vertex_caps({v: F(1) for v in range(g.n)})
+        dem = DemandMatrix.from_pairs([(0, 3, F(1)), (1, 5, F(1))])
+        rep = multiscale_round(
+            g, ell, caps, dem, embed_sampler(g), samples=8, seed=seed
+        )
+        assert rep.best.sparsity > 0
+        assert all(r <= 1.0 + 1e-12 for r in rep.sample_ratios)
+
+    def test_rejects_map_not_thin_on_g(self):
+        # A map whose source has no edges is trivially thin there, but on
+        # the 5-leg spider g its center has thin number 5 > 4.
+        g, tm = spider(5)
+        bare = tm.with_source(MetricGraph(g.n, ()))
+        ell = AdaptedLengths.split_evenly(g)
+        caps = PolymatroidCaps.from_vertex_caps({v: F(1) for v in range(g.n)})
+        dem = DemandMatrix.from_pairs([(1, 2, F(1))])
+        with pytest.raises(InvariantViolation):
+            multiscale_round(
+                g, ell, caps, dem, lambda s: bare, samples=1, seed=0
+            )

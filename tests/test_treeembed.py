@@ -221,6 +221,8 @@ class TestEmbedOuterplanar:
         tm = embed_outerplanar(g, seed)
         assert tm.is_lipschitz()
         assert is_star_shaped(tm)
+        # These draws are also star-shaped on every edge of the input.
+        assert is_star_shaped(tm.with_source(reduce_lengths(g)))
 
     @settings(max_examples=30, deadline=None)
     @given(
