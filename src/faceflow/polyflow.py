@@ -291,7 +291,8 @@ def brute_sparsest_vertex_cut(
     best = None
     best_s = None
     found_separable = False
-    for mask in range(1, 1 << g.n):
+    # The empty set comes first: a disconnected demand pair gives 0.
+    for mask in range(1 << g.n):
         s = frozenset(v for v in range(g.n) if mask >> v & 1)
         root = _components(g, cut_vertices=s)
         denom = sum(
@@ -315,7 +316,8 @@ def brute_sparsest_edge_cut(
     caps: PolymatroidCaps,
     dem: DemandMatrix,
 ) -> tuple[frozenset, Fraction]:
-    """Sparsest edge cut: min over nonempty edge sets S of nu(S) / sep(S).
+    """Sparsest edge cut: min over edge sets S of nu(S) / sep(S).  The
+    empty set is one, so a demand pair in two components gives 0.
 
     With vertex capacities, nu(S) is the cheapest vertex cover of S, and
     covering more edges only separates more demand, so the minimum is
@@ -333,16 +335,17 @@ def brute_sparsest_edge_cut(
 def _vertex_cover_cut(
     g: MetricGraph, cap: dict[int, Fraction], dem: DemandMatrix
 ) -> tuple[frozenset, Fraction]:
-    """min over vertex sets C touching an edge of cap(C) / sep(edges at C);
-    the first C (in mask order) with the smallest ratio wins."""
+    """min over the empty set and the vertex sets C touching an edge of
+    cap(C) / sep(edges at C); the first C (in mask order) with the
+    smallest ratio wins."""
     touched = 0
     for (a, b, _) in g.edges:
         touched |= 1 << a | 1 << b
     best = None
     best_c = None
-    for mask in range(1, 1 << g.n):
+    for mask in range(1 << g.n):
         # Vertices without edges add capacity and no cut edge.
-        if not mask & touched:
+        if mask and not mask & touched:
             continue
         c = frozenset(v for v in range(g.n) if mask >> v & 1)
         sep = _separated(_components(g, cut_vertices=c), dem)
@@ -384,7 +387,7 @@ def _table_cut(
     ]
     best = None
     best_s = None
-    for mask in range(1, 1 << len(edges)):
+    for mask in range(1 << len(edges)):
         picked = [i for i in range(len(edges)) if mask >> i & 1]
         s = frozenset(edges[i] for i in picked)
         sep = _separated(_components(g, cut_edges=s), dem)

@@ -1,16 +1,20 @@
-"""Dense two-phase tableau simplex over exact rationals.
+"""Two-phase tableau simplex over exact rationals.
 
 Small desk-scale LPs only.  Variables are nonnegative; rows may be
-'<=', '>=', or '='.  The reduced costs are kept as one more tableau row,
-which every pivot updates like the others; its right-hand side is minus
-the objective.  Dantzig pricing with an automatic switch to Bland's rule
-guards against cycling.  An LP with no optimum raises ``Infeasible`` or
-``Unbounded``, and running out of pivots raises ``IterationLimit``.
-``dual_lp`` writes the dual of a ``max`` LP in the same row format.
+'<=', '>=', or '='.  The tableau is stored dense, but a pivot touches
+only the nonzero columns of the pivot row, and only in the rows with a
+nonzero entry in the pivot column.  The reduced costs are kept as one
+more tableau row, which every pivot updates like the others; its
+right-hand side is minus the objective.  Dantzig pricing with an
+automatic switch to Bland's rule guards against cycling.  An LP with
+no optimum raises ``Infeasible`` or ``Unbounded``, and running out of
+pivots raises ``IterationLimit``.  ``dual_lp`` writes the dual of a
+``max`` LP in the same row format.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +23,7 @@ from .errors import Infeasible, IterationLimit, Unbounded
 _ZERO = Fraction(0)
 _BLAND_AFTER = 2000
 _MAX_ITERS = 200_000
+_HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
 
 
 @dataclass
@@ -85,15 +90,19 @@ def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
     tab.append([])
 
     def pivot(r: int, col: int):
+        # Only the nonzero columns of the pivot row change any row; zeros
+        # elsewhere would add a - f * 0 = a.
         prow = tab[r]
         inv = Fraction(1) / prow[col]
-        tab[r] = prow = [v * inv for v in prow]
+        entries = [(j, v * inv) for j, v in enumerate(prow) if v]
+        for j, b in entries:
+            prow[j] = b
         for i in range(m + 1):
-            if i == r:
-                continue
-            f = tab[i][col]
-            if f:
-                tab[i] = [a - f * b for a, b in zip(tab[i], prow)]
+            row = tab[i]
+            f = row[col]
+            if f and i != r:
+                for j, b in entries:
+                    row[j] -= f * b
         basis[r] = col
 
     def run_phase(cost: list[Fraction]) -> Fraction:
@@ -103,7 +112,9 @@ def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
         for i in range(m):
             cb = cost[basis[i]]
             if cb:
-                d = [a - cb * b for a, b in zip(d, tab[i])]
+                for j, b in enumerate(tab[i]):
+                    if b:
+                        d[j] -= cb * b
         tab[m] = d
         iters = 0
         while True:
@@ -188,16 +199,13 @@ def check_solution(objective, rows, x) -> Fraction:
     """Substitute x into all rows exactly; raises Infeasible on any
     violation and returns the exact objective value."""
     for coeffs, rel, rhs in rows:
-        lhs = sum((Fraction(a) * xi for a, xi in zip(coeffs, x)), _ZERO)
+        lhs = sum((Fraction(a) * xi for a, xi in zip(coeffs, x) if a and xi), _ZERO)
         rhs = Fraction(rhs)
-        ok = {
-            "<=": lhs <= rhs,
-            ">=": lhs >= rhs,
-            "=": lhs == rhs,
-        }[rel]
-        if not ok:
+        if not _HOLDS[rel](lhs, rhs):
             raise Infeasible(f"constraint violated: {lhs} {rel} {rhs}")
     for xi in x:
         if xi < 0:
             raise Infeasible("negative variable value")
-    return sum((Fraction(ci) * xi for ci, xi in zip(objective, x)), _ZERO)
+    return sum(
+        (Fraction(ci) * xi for ci, xi in zip(objective, x) if ci and xi), _ZERO
+    )

@@ -93,12 +93,13 @@ def reference_separated_demand(g, s_edges, dem):
 
 
 def reference_edge_cut(g, caps, dem):
-    """The replaced brute_sparsest_edge_cut: every nonempty edge set S in
-    mask order, nu(S) by assignment enumeration, first strict minimum."""
+    """The replaced brute_sparsest_edge_cut: every edge set S, the empty
+    one first, in mask order, nu(S) by assignment enumeration, first
+    strict minimum."""
     edges = [norm_edge(u, v) for (u, v, _) in g.edges]
     best = None
     best_s = None
-    for mask in range(1, 1 << len(edges)):
+    for mask in range(1 << len(edges)):
         s = [e for i, e in enumerate(edges) if mask >> i & 1]
         sep = reference_separated_demand(g, s, dem)
         if sep == 0:
@@ -124,7 +125,7 @@ def reference_vertex_cut(g, cap, dem):
 
     best = None
     best_s = None
-    for mask in range(1, 1 << g.n):
+    for mask in range(1 << g.n):
         s = frozenset(v for v in range(g.n) if mask >> v & 1)
         denom = sum((w * rho_s(s, u, v) for (u, v, w) in dem.items()), F(0))
         if denom == 0:
@@ -275,12 +276,18 @@ class TestOracleCrossCheck:
 
     def test_isolated_vertex_adds_no_cut(self):
         # Vertex 2 has no edge and capacity 0: a vertex set holding only
-        # it would cut no edge, so it is not a candidate.
+        # it cuts no edge, like the empty set.  With (0, 1) the empty set
+        # separates nothing, so the cover {0} wins; with (0, 2) already
+        # disconnected, the empty set wins at 0.
         g = MetricGraph(3, ((0, 1, F(1)),))
         caps = PolymatroidCaps.from_vertex_caps({0: F(2), 1: F(3), 2: F(0)})
-        dem = DemandMatrix.from_pairs([(0, 2, F(1))])
-        assert reference_edge_cut(g, caps, dem) == (frozenset({(0, 1)}), F(2))
-        assert brute_sparsest_edge_cut(g, caps, dem) == (frozenset({(0, 1)}), F(2))
+        for pair, want in (
+            ((0, 1), (frozenset({(0, 1)}), F(2))),
+            ((0, 2), (frozenset(), F(0))),
+        ):
+            dem = DemandMatrix.from_pairs([(*pair, F(1))])
+            assert reference_edge_cut(g, caps, dem) == want
+            assert brute_sparsest_edge_cut(g, caps, dem) == want
 
 
 class TestDualCrossCheck:
@@ -493,6 +500,23 @@ class TestBruteCuts:
         dem = DemandMatrix.from_pairs([(0, 3, F(1)), (1, 4, F(1))])
         s, phi = brute_sparsest_edge_cut(g, unit_caps(6), dem)
         assert (s, phi) == (frozenset({(0, 1), (0, 5)}), 1)
+
+    def test_disconnected_pair_gives_zero(self):
+        # Edges 0-1 and 2-3: the pair (0, 2) is split before any cut, so
+        # the empty set is the sparsest cut of either kind, as mcf is 0.
+        g = MetricGraph(4, ((0, 1, F(1)), (2, 3, F(1))))
+        cap = {v: F(1) for v in range(4)}
+        dem = DemandMatrix.from_pairs([(0, 2, F(1)), (0, 1, F(1))])
+        assert brute_sparsest_vertex_cut(g, cap, dem) == (frozenset(), 0)
+        caps = PolymatroidCaps.from_vertex_caps(cap)
+        assert brute_sparsest_edge_cut(g, caps, dem) == (frozenset(), 0)
+        # Each vertex has one edge: the table {} -> 0, {e} -> 1.
+        tables = PolymatroidCaps(tables={
+            v: {frozenset(): F(0), frozenset(caps.incident(v, g)): F(1)}
+            for v in range(4)
+        })
+        assert brute_sparsest_edge_cut(g, tables, dem) == (frozenset(), 0)
+        assert mcf_vertex_lp(g, cap, dem).epsilon == 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sandwich(self, seed):

@@ -6,7 +6,17 @@ from hypothesis import strategies as st
 
 from faceflow import simplex
 from faceflow.errors import Infeasible, IterationLimit, Unbounded
-from faceflow.simplex import check_solution, dual_lp, solve_lp
+from faceflow.polyflow import _mcf_lp_rows, _vertex_cap_rows
+from faceflow.simplex import (
+    _BLAND_AFTER,
+    _MAX_ITERS,
+    _ZERO,
+    LPResult,
+    check_solution,
+    dual_lp,
+    solve_lp,
+)
+from test_polyflow import cut_instances
 
 
 F = Fraction
@@ -194,6 +204,191 @@ class TestDualLP:
         assert y[0] >= 0 and y[1] <= 0
         for k, c in enumerate([F(1), F(2)]):
             assert sum((r[0][k] * yi for r, yi in zip(rows, y)), F(0)) >= c
+
+
+def reference_solve_lp(objective, rows, maximize: bool = True) -> LPResult:
+    """The replaced dense solve_lp, kept verbatim: every pivot rebuilds
+    every row over all columns.  Solve max/min objective . x subject to
+    rows, x >= 0.
+
+    ``objective``: list of Fractions (length n).
+    ``rows``: list of (coeffs, relation, rhs) with relation in
+    '<=', '>=', '='.  Returns an optimum; raises Infeasible, Unbounded,
+    or IterationLimit when either phase runs past ``_MAX_ITERS`` pivots.
+    """
+    n = len(objective)
+    c = [Fraction(v) for v in objective]
+    if not maximize:
+        c = [-v for v in c]
+
+    # Normalize rows to rhs >= 0.
+    norm = []
+    for coeffs, rel, rhs in rows:
+        coeffs = [Fraction(v) for v in coeffs]
+        rhs = Fraction(rhs)
+        if rhs < 0:
+            coeffs = [-v for v in coeffs]
+            rhs = -rhs
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        norm.append((coeffs, rel, rhs))
+
+    m = len(norm)
+    n_slack = sum(1 for (_, rel, _) in norm if rel in ("<=", ">="))
+    n_art = sum(1 for (_, rel, _) in norm if rel in (">=", "="))
+    total = n + n_slack + n_art
+
+    # Build tableau: m constraint rows of length total+1 (last column
+    # rhs), then the reduced-cost row at index m.
+    tab = []
+    basis = []
+    si = n
+    ai = n + n_slack
+    art_cols = []
+    for coeffs, rel, rhs in norm:
+        row = coeffs + [_ZERO] * (n_slack + n_art) + [rhs]
+        if rel == "<=":
+            row[si] = Fraction(1)
+            basis.append(si)
+            si += 1
+        elif rel == ">=":
+            row[si] = Fraction(-1)
+            si += 1
+            row[ai] = Fraction(1)
+            basis.append(ai)
+            art_cols.append(ai)
+            ai += 1
+        else:
+            row[ai] = Fraction(1)
+            basis.append(ai)
+            art_cols.append(ai)
+            ai += 1
+        tab.append(row)
+    tab.append([])
+
+    def pivot(r: int, col: int):
+        prow = tab[r]
+        inv = Fraction(1) / prow[col]
+        tab[r] = prow = [v * inv for v in prow]
+        for i in range(m + 1):
+            if i == r:
+                continue
+            f = tab[i][col]
+            if f:
+                tab[i] = [a - f * b for a, b in zip(tab[i], prow)]
+        basis[r] = col
+
+    def run_phase(cost: list[Fraction]) -> Fraction:
+        # Maximize cost . x: price out the starting basis once, then let
+        # the pivots keep the reduced-cost row current.
+        d = cost + [_ZERO]
+        for i in range(m):
+            cb = cost[basis[i]]
+            if cb:
+                d = [a - cb * b for a, b in zip(d, tab[i])]
+        tab[m] = d
+        iters = 0
+        while True:
+            iters += 1
+            if iters > _MAX_ITERS:
+                raise IterationLimit(f"simplex iteration limit {_MAX_ITERS} hit")
+            d = tab[m]
+            if iters > _BLAND_AFTER:
+                enter = next((j for j in range(total) if d[j] > 0), -1)
+            else:
+                # Largest reduced cost; index() picks the lowest on a tie.
+                best = max(d[:total], default=_ZERO)
+                enter = d.index(best) if best > 0 else -1
+            if enter < 0:
+                return -d[-1]
+            leave = -1
+            best_ratio = None
+            for i in range(m):
+                a = tab[i][enter]
+                if a > 0:
+                    ratio = tab[i][-1] / a
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and basis[i] < basis[leave])
+                    ):
+                        best_ratio = ratio
+                        leave = i
+            if leave < 0:
+                raise Unbounded("objective unbounded")
+            pivot(leave, enter)
+
+    if art_cols:
+        phase1 = [_ZERO] * total
+        for j in art_cols:
+            phase1[j] = Fraction(-1)
+        if run_phase(phase1) != 0:
+            raise Infeasible("no point satisfies every row")
+        # Drive remaining artificials out of the basis.
+        art_set = set(art_cols)
+        for i in range(m):
+            if basis[i] in art_set:
+                for j in range(total):
+                    if j not in art_set and tab[i][j] != 0:
+                        pivot(i, j)
+                        break
+        # Forbid artificials from re-entering by zeroing their columns.
+        for i in range(m):
+            for j in art_cols:
+                tab[i][j] = _ZERO
+
+    obj = run_phase(c + [_ZERO] * (n_slack + n_art))
+    x = [_ZERO] * total
+    for i, b in enumerate(basis):
+        x[b] = tab[i][-1]
+    return LPResult(obj if maximize else -obj, x[:n])
+
+
+@st.composite
+def any_lps(draw):
+    """Up to 4 variables and 4 rows of small integers with nothing behind
+    them, so infeasible and unbounded LPs come up too."""
+    n = draw(st.integers(1, 4))
+    rows = [
+        (
+            [F(draw(small)) for _ in range(n)],
+            draw(st.sampled_from(["<=", ">=", "="])),
+            F(draw(small)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return [F(draw(small)) for _ in range(n)], rows, draw(st.booleans())
+
+
+def outcome(solve, objective, rows, maximize):
+    """(objective, x) of an optimum, or the class of the error raised."""
+    try:
+        res = solve(objective, rows, maximize=maximize)
+    except (Infeasible, Unbounded, IterationLimit) as exc:
+        return type(exc)
+    return res.objective, res.x
+
+
+class TestSparseMatchesDense:
+    """solve_lp skips zero entries but takes the same pivots as the dense
+    solver it replaced, so optima, x and failures are exactly equal."""
+
+    @given(st.one_of(bounded_feasible_lps(), any_lps()))
+    @settings(max_examples=200, deadline=None)
+    def test_random_lps(self, lp):
+        objective, rows, maximize = lp
+        assert outcome(solve_lp, objective, rows, maximize) == outcome(
+            reference_solve_lp, objective, rows, maximize
+        )
+
+    @given(cut_instances(tables=False), st.sampled_from([1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_flow_lp_and_its_dual(self, inst, factor):
+        g, caps, dem = inst
+        cap_rows = _vertex_cap_rows(g, caps.vertex_caps, factor).values()
+        objective, rows, _, _ = _mcf_lp_rows(g, dem, cap_rows)
+        d_obj, d_rows, _ = dual_lp(objective, rows)
+        for lp in ((objective, rows, True), (d_obj, d_rows, False)):
+            assert outcome(solve_lp, *lp) == outcome(reference_solve_lp, *lp)
 
 
 class TestIterationLimit:
