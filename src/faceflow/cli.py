@@ -67,7 +67,7 @@ def cmd_validate(args) -> int:
             lines.append(f"violation: {p}")
     if inst.polymatroid is not None:
         try:
-            inst.caps().validate_tables()
+            inst.caps()
         except ValueError as exc:
             lines.append(f"violation: {exc}")
     if inst.demands is not None and inst.face is not None:

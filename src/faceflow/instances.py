@@ -45,8 +45,13 @@ class Instance:
         return PlanarInstance(self.graph, self.face, self.rotation)
 
     def caps(self) -> PolymatroidCaps:
+        """The instance's capacities; tables are checked monotone and
+        submodular (``nu`` prunes only under monotone rho) and raise
+        ValueError otherwise."""
         if self.polymatroid is not None:
-            return PolymatroidCaps(vertex_caps=None, tables=dict(self.polymatroid))
+            caps = PolymatroidCaps(vertex_caps=None, tables=dict(self.polymatroid))
+            caps.validate_tables()
+            return caps
         if self.vcaps is None:
             raise ValueError("instance has no capacities")
         return PolymatroidCaps.from_vertex_caps(dict(enumerate(self.vcaps)))

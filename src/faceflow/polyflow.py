@@ -185,23 +185,48 @@ def nu(
     limit: int = 20,
 ) -> tuple[Fraction, dict[Edge, int]]:
     """Exact minimum of sum_v rho_v(g^-1(v)) over all assignments of each
-    cut edge to one of its endpoints."""
+    cut edge to one of its endpoints.
+
+    Depth-first over the assignments in the order of
+    ``itertools.product((0, 1), ...)``, bit 0 sending an edge to its
+    smaller endpoint, with each endpoint's rho_v updated as one edge joins
+    its bucket.  A partial assignment is cut off once its value is >= the
+    best complete one.  This is exact only for monotone rho (tables pass
+    ``validate_tables``): no completion is then smaller, so the value and
+    the assignment are those of full enumeration, and among tied minima
+    the lexicographically first assignment is returned."""
     edges = [norm_edge(*e) for e in s_edges]
     if len(edges) > limit:
         raise TooLarge(f"{len(edges)} edges exceeds exact limit {limit}")
     if not edges:
         return Fraction(0), {}
-    best = None
-    best_assign = None
-    for bits in itertools.product((0, 1), repeat=len(edges)):
-        buckets: dict[int, list[Edge]] = {}
-        for e, b in zip(edges, bits):
-            buckets.setdefault(e[b], []).append(e)
-        val = sum((caps.rho(v, es) for v, es in buckets.items()), Fraction(0))
-        if best is None or val < best:
-            best = val
-            best_assign = {e: e[b] for e, b in zip(edges, bits)}
-    return best, best_assign
+    buckets: dict[int, frozenset] = {}
+    rhos: dict[int, Fraction] = {}
+    bits = [0] * len(edges)
+    best: Optional[Fraction] = None
+    best_bits: list[int] = []
+
+    def search(i: int, val: Fraction) -> None:
+        nonlocal best, best_bits
+        if best is not None and val >= best:
+            return
+        if i == len(edges):
+            # Not cut off, so strictly below every earlier leaf.
+            best, best_bits = val, list(bits)
+            return
+        e = edges[i]
+        for b in (0, 1):
+            v = e[b]
+            old_s = buckets.get(v, frozenset())
+            old_r = rhos.get(v, Fraction(0))
+            s = old_s | {e}
+            r = caps.rho(v, s)
+            buckets[v], rhos[v], bits[i] = s, r, b
+            search(i + 1, val + r - old_r)
+            buckets[v], rhos[v] = old_s, old_r
+
+    search(0, Fraction(0))
+    return best, {e: e[b] for e, b in zip(edges, best_bits)}
 
 
 def assignment_value(assign: dict[Edge, int], caps: PolymatroidCaps) -> Fraction:

@@ -202,9 +202,10 @@ def retraction_sampler(inst: PlanarInstance):
     """Validate the instance and precompute the deterministic part of the
     face retraction (distance matrices, target scale, scale count), and
     return a seed -> FaceRetraction sampler; use this when drawing many
-    retractions of the same instance.  Every sample is checked: fixed
-    target, connected fibers, level bounds, an outerplanar quotient, and
-    no face pair brought closer."""
+    retractions of the same instance.  Every sample's retraction is
+    checked (fixed target, connected fibers, level bounds); the quotient
+    is checked to be outerplanar and to bring no face pair closer once
+    per distinct quotient graph."""
     problems = inst.validate()
     if problems:
         raise FaceInvalid("; ".join(problems))
@@ -213,6 +214,9 @@ def retraction_sampler(inst: PlanarInstance):
     dmat = all_pairs_distances(g)
     retract = _absorption_sampler(g, set(face), dmat)
     idx = {v: i for i, v in enumerate(face)}
+    # Quotients that passed the checks depending on h alone; a graph is
+    # added only once it passes, so a failing one raises on every draw.
+    checked: set[MetricGraph] = set()
 
     def sample(seed: int) -> FaceRetraction:
         retr = retract(seed)
@@ -225,15 +229,17 @@ def retraction_sampler(inst: PlanarInstance):
         h = MetricGraph(len(face), tuple((u, v, w) for (u, v), w in edges.items()))
         mapping = {v: idx[retr.mapping[v]] for v in range(g.n)}
         retr.check(g, dmat)
-        if not is_outerplanar(h):
-            raise InvariantViolation("retracted graph is not outerplanar")
-        dh = all_pairs_distances(h)
-        for i, u in enumerate(face):
-            for j, v in enumerate(face):
-                if i < j and dh[i][j] < dmat[u][v]:
-                    raise InvariantViolation(
-                        f"face pair ({u},{v}) got closer after retraction"
-                    )
+        if h not in checked:
+            if not is_outerplanar(h):
+                raise InvariantViolation("retracted graph is not outerplanar")
+            dh = all_pairs_distances(h)
+            for i, u in enumerate(face):
+                for j, v in enumerate(face):
+                    if i < j and dh[i][j] < dmat[u][v]:
+                        raise InvariantViolation(
+                            f"face pair ({u},{v}) got closer after retraction"
+                        )
+            checked.add(h)
         return FaceRetraction(h, face, mapping, retr)
 
     return sample

@@ -96,6 +96,23 @@ class TestValidate:
         assert main(["validate", p]) == 1
         assert "leaves the face" in capsys.readouterr().out
 
+    def test_non_monotone_table(self, tmp_path, capsys):
+        g = cycle_instance(3)
+        e01, e02 = (0, 1), (0, 2)
+        tables = {
+            0: {
+                frozenset(): F(0), frozenset({e01}): F(2), frozenset({e02}): F(1),
+                frozenset({e01, e02}): F(1),
+            }
+        }
+        p = os.path.join(tmp_path, "table.json")
+        save_instance(Instance(g, polymatroid=tables), p)
+        assert main(["validate", p]) == 1
+        assert capsys.readouterr().out == (
+            "violation: rho_0 not monotone at frozenset({(0, 1)}) <= "
+            "frozenset({(0, 1), (0, 2)})\n"
+        )
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["validate", os.path.join(tmp_path, "nope.json")])

@@ -120,6 +120,24 @@ class TestGapExperiment:
         assert cert.sparsity / rep.mcf <= DEFAULT_CONFIG.pipeline_ratio_bound
         assert cert.sparsity == pipeline
 
+    def test_non_monotone_table_rejected(self):
+        # nu prunes only under monotone rho, so a table that shrinks when
+        # an edge is added is refused before any work.
+        g = cycle_instance(3)
+        tables = {}
+        for v in range(3):
+            a, b = [(x, y) for (x, y, _) in g.edges if v in (x, y)]
+            tables[v] = {
+                frozenset(): F(0), frozenset({a}): F(2), frozenset({b}): F(1),
+                frozenset({a, b}): F(1),
+            }
+        inst = Instance(
+            g, face=(0, 1, 2), polymatroid=tables,
+            demands=DemandMatrix.from_pairs([(0, 1, F(1))]),
+        )
+        with pytest.raises(ValueError, match="not monotone"):
+            gap_experiment(inst, samples=1, seed=0)
+
     def test_report_lines_render(self):
         g = random_tree(4, 0)
         inst = Instance(
@@ -180,7 +198,7 @@ class TestPerSampleWork:
         rep = gap_experiment(inst, samples=3, seed=1)
         assert rep.assertion_tallies["thin"] == 3
         for i in (1, 2):
-            assert counts[i, "all_pairs_distances"] <= 1
+            assert counts[i, "all_pairs_distances"] == 0
             assert counts[i, "ear_decomposition"] == 0
             assert counts[i, "find_outer_cycle"] == 0
             assert counts[i, "planar_g"] == 0

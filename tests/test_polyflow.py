@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_reduced_graph
-from faceflow.errors import NegativeEntry, NoSeparatedDemand, ZeroDenominator
+from faceflow.errors import NegativeEntry, NoSeparatedDemand, TooLarge, ZeroDenominator
 from faceflow.graph import MetricGraph, frac, norm_edge
 from faceflow.instances import cycle_instance, random_caps, random_demands, random_tree
 from faceflow.polyflow import (
@@ -92,6 +92,32 @@ def reference_separated_demand(g, s_edges, dem):
     )
 
 
+# The replaced nu, kept unchanged: all 2^|S| assignments in product order.
+def reference_nu(
+    s_edges,
+    caps: PolymatroidCaps,
+    limit: int = 20,
+) -> tuple[Fraction, dict[Edge, int]]:
+    """Exact minimum of sum_v rho_v(g^-1(v)) over all assignments of each
+    cut edge to one of its endpoints."""
+    edges = [norm_edge(*e) for e in s_edges]
+    if len(edges) > limit:
+        raise TooLarge(f"{len(edges)} edges exceeds exact limit {limit}")
+    if not edges:
+        return Fraction(0), {}
+    best = None
+    best_assign = None
+    for bits in itertools.product((0, 1), repeat=len(edges)):
+        buckets: dict[int, list[Edge]] = {}
+        for e, b in zip(edges, bits):
+            buckets.setdefault(e[b], []).append(e)
+        val = sum((caps.rho(v, es) for v, es in buckets.items()), Fraction(0))
+        if best is None or val < best:
+            best = val
+            best_assign = {e: e[b] for e, b in zip(edges, bits)}
+    return best, best_assign
+
+
 def reference_edge_cut(g, caps, dem):
     """The replaced brute_sparsest_edge_cut: every edge set S, the empty
     one first, in mask order, nu(S) by assignment enumeration, first
@@ -104,7 +130,7 @@ def reference_edge_cut(g, caps, dem):
         sep = reference_separated_demand(g, s, dem)
         if sep == 0:
             continue
-        val, _ = nu(s, caps)
+        val, _ = reference_nu(s, caps)
         val = val / sep
         if best is None or val < best:
             best = val
@@ -400,7 +426,39 @@ class TestLovasz:
         assert lovasz_extension(rho, three) == 3 * lovasz_extension(rho, ell)
 
 
+@st.composite
+def nu_cases(draw):
+    """(cut, caps): some edges of a ``cut_instances`` graph in drawn order
+    and orientation, with the instance's vertex or table capacities, or
+    with vertex capacities that include zeros and leave vertices out."""
+    g, caps, _ = draw(cut_instances())
+    edges = [(u, v) for (u, v, _) in g.edges]
+    cut = draw(st.lists(st.sampled_from(edges), max_size=len(edges), unique=True))
+    cut = [e if draw(st.booleans()) else e[::-1] for e in cut]
+    if draw(st.booleans()):
+        kept = draw(st.sets(st.integers(0, g.n - 1)))
+        caps = PolymatroidCaps.from_vertex_caps(
+            {v: draw(st.sampled_from([F(0), F(1), F(3, 2)])) for v in sorted(kept)}
+        )
+    return cut, caps
+
+
 class TestNu:
+    @settings(max_examples=300, deadline=None)
+    @given(nu_cases())
+    def test_matches_reference(self, case):
+        cut, caps = case
+        assert nu(cut, caps) == reference_nu(cut, caps)
+
+    def test_tie_goes_to_first_assignment(self):
+        # Unit caps on the path 0-1-2-3: covers {0,2}, {1,2} and {1,3}
+        # all cost 2.  In product order (bit 0 = smaller endpoint) the
+        # first of these assignments is (0, 1, 0), the cover {0, 2}.
+        cut = [(0, 1), (1, 2), (2, 3)]
+        want = (F(2), {(0, 1): 0, (1, 2): 2, (2, 3): 2})
+        assert reference_nu(cut, unit_caps(4)) == want
+        assert nu(cut, unit_caps(4)) == want
+
     def test_single_edge_min_endpoint(self):
         caps = PolymatroidCaps.from_vertex_caps({0: F(3), 1: F(5)})
         val, assign = nu([(0, 1)], caps)

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from faceflow import retraction
 from faceflow.config import DEFAULT_CONFIG
-from faceflow.errors import EmptyTarget, FaceInvalid
+from faceflow.errors import EmptyTarget, FaceInvalid, InvariantViolation
 from faceflow.graph import (
     MetricGraph,
     PlanarInstance,
@@ -14,6 +15,7 @@ from faceflow.graph import (
 )
 from faceflow.instances import cycle_instance, grid_graph
 from faceflow.retraction import (
+    Retraction,
     retract_to_outerplanar,
     retraction_sampler,
     sample_retraction,
@@ -62,6 +64,13 @@ def wheel(k):
     edges = [(i, (i + 1) % k, F(1)) for i in range(k)]
     edges += [(i, k, F(1)) for i in range(k)]
     return MetricGraph(k + 1, tuple(edges))
+
+
+def wheel_with_tail(k, tail):
+    """wheel(k) plus an interior pendant of length ``tail`` at the hub; the
+    extra scales let the hub join different rim vertices, so its face
+    retractions have several distinct quotients."""
+    return MetricGraph(k + 2, wheel(k).edges + ((k, k + 1, F(tail)),))
 
 
 class TestSampleRetraction:
@@ -167,3 +176,36 @@ class TestRetractToOuterplanar:
         fr = retract_to_outerplanar(inst, seed)
         assert is_outerplanar(fr.h)
         assert set(fr.mapping) == set(range(9))
+
+
+class TestQuotientChecksOncePerGraph:
+    """The quotient checks depend on h alone and run once per distinct h;
+    the retraction's own check runs on every sample."""
+
+    def test_counts(self, monkeypatch):
+        calls = {"outerplanar": 0, "check": 0}
+        real_outerplanar = retraction.is_outerplanar
+        real_check = Retraction.check
+
+        def outerplanar(h):
+            calls["outerplanar"] += 1
+            return real_outerplanar(h)
+
+        def check(self, g, dmat=None):
+            calls["check"] += 1
+            return real_check(self, g, dmat)
+
+        monkeypatch.setattr(retraction, "is_outerplanar", outerplanar)
+        monkeypatch.setattr(Retraction, "check", check)
+        draw = retraction_sampler(PlanarInstance(wheel_with_tail(5, 10), tuple(range(5))))
+        hs = {draw(seed).h for seed in range(20)}
+        assert 1 < len(hs) < 20
+        assert calls == {"outerplanar": len(hs), "check": 20}
+
+    def test_failing_graph_raises_every_time(self, monkeypatch):
+        monkeypatch.setattr(retraction, "is_outerplanar", lambda h: False)
+        g, face = grid_graph(3, 4)
+        draw = retraction_sampler(PlanarInstance(g, face))
+        for seed in (0, 1, 0, 2):
+            with pytest.raises(InvariantViolation, match="not outerplanar"):
+                draw(seed)
