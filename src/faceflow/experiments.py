@@ -345,20 +345,25 @@ def distortion_experiment(
         for v in range(u + 1, g.n)
         if dmat[u][v] not in (0, math.inf)
     ]
-    sums = {p: 0.0 for p in pairs}
-    sqs = {p: 0.0 for p in pairs}
+    sums = [0.0] * len(pairs)
+    sqs = [0.0] * len(pairs)
+    # d_G(u, v) = num / den; a tree distance is t / D in ticks, so the
+    # ratio is the one correctly rounded int division (t * den) / (D * num),
+    # bit-identical to float() of the exact Fraction ratio.
+    nd = [(u, v, *dmat[u][v].as_integer_ratio()) for (u, v) in pairs]
     sources = sorted({u for (u, _) in pairs})
     for i in range(samples):
         tm = embed_fn(seed * 65_537 + i)
-        d_tree = {u: tm.tree.dist_from(tm.mapping[u]) for u in sources}
-        for (u, v) in pairs:
-            r = float(d_tree[u][tm.mapping[v]] / dmat[u][v])
-            sums[(u, v)] += r
-            sqs[(u, v)] += r * r
+        f = tm.mapping
+        D, d_tree = tm.tree.tick_dists({f[u] for u in sources})
+        for k, (u, v, num, den) in enumerate(nd):
+            r = d_tree[f[u]][f[v]] * den / (D * num)
+            sums[k] += r
+            sqs[k] += r * r
     table = {}
-    for p in pairs:
-        mean = sums[p] / samples
-        var = max(0.0, sqs[p] / samples - mean * mean)
+    for k, p in enumerate(pairs):
+        mean = sums[k] / samples
+        var = max(0.0, sqs[k] / samples - mean * mean)
         se = math.sqrt(var / samples)
         table[p] = (mean, mean - _Z99 * se)
     min_mean = min(m for (m, _) in table.values()) if table else 0.0

@@ -336,7 +336,9 @@ class PlanarInstance:
 class Cycle:
     """A continuous cycle with labelled points.
 
-    ``points`` maps vertex id to a position in [0, circumference)."""
+    ``points`` maps vertex id to a position in [0, circumference).  The
+    positions are Fractions, or ints for a cycle measured in integer ticks;
+    ``dist_pos`` and ``flatten`` keep the type they are given."""
 
     circumference: Fraction
     points: dict[int, Fraction]
@@ -384,10 +386,9 @@ class FlatPath:
         return abs(self.positions[x] - self.positions[y])
 
 
-def flatten(c: Cycle, p: Fraction) -> FlatPath:
-    p = frac(p)
+def flatten(c: Cycle, p) -> FlatPath:
     return FlatPath(
-        length=c.circumference / 2,
+        length=Fraction(c.circumference, 2),
         positions={v: c.dist_pos(p, pos) for v, pos in c.points.items()},
     )
 

@@ -53,11 +53,15 @@ class PolymatroidCaps:
         return self.vertex_caps is not None
 
     def rho(self, v: int, edges) -> Fraction:
+        if self.vertex_caps is not None:
+            # cap(v) on every nonempty S: only emptiness is read, so the
+            # edges are neither normalised nor collected.
+            for _ in edges:
+                return self.vertex_caps.get(v, Fraction(0))
+            return Fraction(0)
         s = frozenset(norm_edge(*e) for e in edges)
         if not s:
             return Fraction(0)
-        if self.vertex_caps is not None:
-            return self.vertex_caps.get(v, Fraction(0))
         return self.tables[v][s]
 
     def incident(self, v: int, g: MetricGraph) -> list[Edge]:

@@ -6,6 +6,7 @@ time) and treated as immutable once handed to consumers.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -52,6 +53,20 @@ class MetricTree:
         self.remove_edge(u, v)
         self.add_edge(u, w_id, d)
         self.add_edge(w_id, v, w - d)
+
+    def graft(self, other: "MetricTree", ids: dict[int, int]) -> None:
+        """Add a copy of ``other`` with vertex v renamed ``ids[v]``, in the
+        order ``add_vertex``/``add_edge`` over ``other.edges()`` would give.
+        Its edges must be new here; their lengths were checked when
+        ``other`` was built."""
+        adj = self.adj
+        for v in other.adj:
+            adj.setdefault(ids[v], {})
+        for v, nbrs in other.adj.items():
+            for y, w in nbrs.items():
+                if v < y:
+                    adj[ids[v]][ids[y]] = w
+                    adj[ids[y]][ids[v]] = w
 
     def copy(self) -> "MetricTree":
         t = MetricTree()
@@ -148,15 +163,37 @@ class MetricTree:
 
     def dist_from(self, u: int) -> dict[int, Fraction]:
         """Distances from u to every vertex in its component."""
-        dist = {u: Fraction(0)}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for y, w in self.adj[x].items():
-                if y not in dist:
-                    dist[y] = dist[x] + w
-                    stack.append(y)
-        return dist
+        D, dist = self.tick_dists([u])
+        return {v: Fraction(t, D) for v, t in dist[u].items()}
+
+    def tick_dists(self, sources) -> tuple[int, dict[int, dict[int, int]]]:
+        """Exact distances from each source in integer ticks: ``(D, dist)``
+        with d(s, v) = dist[s][v] / D, D the lcm of the edge-length
+        denominators."""
+        edges = [
+            (x, y, w.as_integer_ratio())
+            for x, nbrs in self.adj.items() for y, w in nbrs.items() if x < y
+        ]
+        # A list, not a generator, to unpack: see ``treeembed._lcd``.
+        D = math.lcm(*[m for _, _, (_, m) in edges])
+        adj: dict[int, list[tuple[int, int]]] = {x: [] for x in self.adj}
+        for x, y, (n, m) in edges:
+            t = n * (D // m)
+            adj[x].append((y, t))
+            adj[y].append((x, t))
+        out: dict[int, dict[int, int]] = {}
+        for s in sources:
+            dist = {s: 0}
+            stack = [s]
+            while stack:
+                x = stack.pop()
+                dx = dist[x]
+                for y, w in adj[x]:
+                    if y not in dist:
+                        dist[y] = dx + w
+                        stack.append(y)
+            out[s] = dist
+        return D, out
 
     @staticmethod
     def from_path(vertex_ids, lengths) -> "MetricTree":

@@ -5,10 +5,18 @@ closed into a cycle with a chord equal to the current tree distance of
 its attach edge, two anchor points are chosen on the cycle, and the
 flattened cycle is glued onto the tree along one of the two anchors with
 probability 1/2 each.
+
+The cycle geometry runs on integer ticks: every ear cycle position, every
+anchor candidate and every flattened offset is a whole number of 1/D, D
+the least common denominator of the ear's lengths and of the anchor grid.
+Comparisons are then int comparisons, and the results stay exact: the
+anchors and the new tree edge lengths go back to Fractions equal to what
+Fraction arithmetic would give.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,13 +34,47 @@ from .graph import (
     connected_components,
     flatten,
     frac,
-    make_cycle,
     norm_edge,
     slack_transform,
 )
 from .tree import MetricTree, TreeMap, glue
 
 _ETA_TRIES = 512
+
+
+def _lcd(values) -> int:
+    """Least common denominator of ints and Fractions: the tick grid 1/D
+    on which each of them is a whole number of ticks."""
+    # Unpack a list, not a generator: a generator's argument tuple is
+    # resized on the way, and freed tuples then pile up on the free list
+    # of another size, so memory creeps up call after call.
+    return math.lcm(*[x.denominator for x in values])
+
+
+def _tick(x, D: int) -> int:
+    """x as a whole number of ticks 1/D; D must be a multiple of x's
+    denominator."""
+    return x.numerator * (D // x.denominator)
+
+
+def _anchor_grid(circ, chord) -> tuple[Fraction, Fraction, Fraction]:
+    """Offsets ``(p0, q0, step)`` of the anchors from the base endpoint:
+    grid point k (1 <= k <= anchor_grid) puts p at p0 - k*step and q at
+    q0 - k*step, i.e. at (1/4 + 3 alpha/2 - eta) len(C) and
+    (1/2 - eta - beta) len(C) with eta = delta + (alpha - delta) k / (grid + 1)
+    and delta = chord / len(path)."""
+    path_len = circ - chord
+    if path_len <= 0:
+        raise ChordTooLong("degenerate cycle: chord covers the whole circumference")
+    delta = Fraction(chord) / path_len
+    delta_max = DEFAULT_CONFIG.anchor_delta_max
+    if delta > delta_max:
+        raise ChordTooLong(f"chord ratio {delta} exceeds {delta_max}")
+    alpha, beta = DEFAULT_CONFIG.anchor_alpha, DEFAULT_CONFIG.anchor_beta
+    p0 = (Fraction(1, 4) + 3 * alpha / 2 - delta) * circ
+    q0 = (Fraction(1, 2) - beta - delta) * circ
+    step = (alpha - delta) * circ / (DEFAULT_CONFIG.anchor_grid + 1)
+    return p0, q0, step
 
 
 def anchor_points(
@@ -50,67 +92,80 @@ def anchor_points(
     one.  Distances from each anchor to all forbidden positions are
     pairwise distinct (zero-distance pairs exempt); ``extra_check`` can
     reject a candidate pair to force a resample.
+
+    Positions are ints or Fractions in the cycle's unit, and the pair is
+    returned as Fractions in that unit.  The search runs on integer ticks
+    1/D, D the least common denominator of the cycle, forbidden and path
+    positions and of every grid anchor, so each comparison is exact.
+    ``extra_check`` sees candidates in these ticks; a cycle already on its
+    grid (as ``random_extension`` passes) has D = 1 and ticks in its unit.
     """
-    circ = c.circumference
-    chord = c.dist(u, v)
-    path_len = circ - chord
-    if path_len <= 0:
-        raise ChordTooLong("degenerate cycle: chord covers the whole circumference")
-    delta = chord / path_len
-    delta_max = DEFAULT_CONFIG.anchor_delta_max
-    if delta > delta_max:
-        raise ChordTooLong(f"chord ratio {delta} exceeds {delta_max}")
-    alpha, beta = DEFAULT_CONFIG.anchor_alpha, DEFAULT_CONFIG.anchor_beta
+    p0, q0, step = _anchor_grid(c.circumference, c.dist(u, v))
     base = u if good_end == v else v
     if path_pos is None:
         path_pos = c.points
+    forbidden = list(forbidden)
+    D = _lcd([c.circumference, p0, q0, step, *c.points.values(),
+              *path_pos.values(), *forbidden])
+
+    circ = _tick(c.circumference, D)
+    ct = Cycle(circ, {x: _tick(pos, D) for x, pos in c.points.items()})
+    path_pos = {x: _tick(pos, D) for x, pos in path_pos.items()}
+    p0, q0, step = _tick(p0, D), _tick(q0, D), _tick(step, D)
     # Anchors sit on the path arc, measured from the non-good endpoint.
     sign = 1 if path_pos[base] == 0 else -1
-    forb = sorted(set(frac(x) for x in forbidden))
+    base_pos = ct.points[base]
+    forb = sorted({_tick(x, D) for x in forbidden})
+    dist_pos = ct.dist_pos
 
-    def distances_distinct(anchor: Fraction) -> bool:
-        seen: dict[Fraction, Fraction] = {}
+    def distances_distinct(anchor: int) -> bool:
+        seen: dict[int, int] = {}
         for s in forb:
-            d = c.dist_pos(anchor, s)
-            if d in seen and c.dist_pos(seen[d], s) != 0:
+            d = dist_pos(anchor, s)
+            if d in seen and dist_pos(seen[d], s) != 0:
                 return False
             seen.setdefault(d, s)
         return True
 
     n_grid = DEFAULT_CONFIG.anchor_grid
     for _ in range(_ETA_TRIES):
-        eta = delta + (alpha - delta) * Fraction(rng.randrange(n_grid) + 1, n_grid + 1)
-        p_off = (Fraction(1, 4) + 3 * alpha / 2 - eta) * circ
-        q_off = (Fraction(1, 2) - eta - beta) * circ
-        p_pos = (c.points[base] + sign * p_off) % circ
-        q_pos = (c.points[base] + sign * q_off) % circ
+        k = rng.randrange(n_grid) + 1
+        p_pos = (base_pos + sign * (p0 - k * step)) % circ
+        q_pos = (base_pos + sign * (q0 - k * step)) % circ
         if not (distances_distinct(p_pos) and distances_distinct(q_pos)):
             continue
         if extra_check is not None and not extra_check(p_pos, q_pos):
             continue
-        _assert_anchor_conditions(c, u, v, base, p_pos, q_pos, path_pos, path_len)
-        return p_pos, q_pos
+        _assert_anchor_conditions(ct, u, v, base, p_pos, q_pos, path_pos)
+        return Fraction(p_pos, D), Fraction(q_pos, D)
     raise InvariantViolation("anchor sampling failed to avoid the forbidden set")
 
 
-def _assert_anchor_conditions(c, u, v, base, p_pos, q_pos, path_pos, path_len):
+def _assert_anchor_conditions(c, u, v, base, p_pos, q_pos, path_pos):
+    """The anchor guarantees, checked exactly; the bounds are
+    cross-multiplied, so positions need not sit on their grid."""
     circ = c.circumference
-    beta = DEFAULT_CONFIG.anchor_beta
-    if c.dist_pos(p_pos, q_pos) != circ / 6:
+    path_len = circ - c.dist(u, v)
+    if 6 * c.dist_pos(p_pos, q_pos) != circ:
         raise InvariantViolation("anchors are not len(C)/6 apart")
+    # beta len(C) <= d <= (1/2 - beta) len(C), times beta's denominator.
+    beta = DEFAULT_CONFIG.anchor_beta
+    lo = beta.numerator * circ
+    hi = (beta.denominator - 2 * beta.numerator) * circ
     for a in (c.points[u], c.points[v]):
         for b in (p_pos, q_pos):
-            d = c.dist_pos(a, b)
-            if not (beta * circ <= d <= (Fraction(1, 2) - beta) * circ):
+            d = beta.denominator * c.dist_pos(a, b)
+            if not (lo <= d and 2 * d <= hi):
                 raise InvariantViolation("anchor apartness band violated")
     other = v if base == u else u
+    reach = Fraction(1, 2) + DEFAULT_CONFIG.anchor_delta_max
     for b in (p_pos, q_pos):
-        if c.dist_pos(b, c.points[base]) > c.dist_pos(b, c.points[other]):
+        to_base = c.dist_pos(b, c.points[base])
+        if to_base > c.dist_pos(b, c.points[other]):
             raise InvariantViolation("anchor condition (a) violated")
-        bound = (Fraction(1, 2) + DEFAULT_CONFIG.anchor_delta_max) * path_len
-        for x, pos in path_pos.items():
-            if abs(pos - path_pos[base]) <= bound:
-                if c.dist_pos(b, pos % circ) > c.dist_pos(b, c.points[base]):
+        for pos in path_pos.values():
+            if abs(pos - path_pos[base]) * reach.denominator <= reach.numerator * path_len:
+                if c.dist_pos(b, pos % circ) > to_base:
                     raise InvariantViolation("anchor condition (b) violated")
 
 
@@ -179,19 +234,34 @@ def random_extension(
     else:
         raise InvariantViolation(f"no good endpoint for attach edge ({u},{v})")
 
-    cyc = make_cycle(path_vertices, path_lengths, d)
-    path_pos: dict[int, Fraction] = {}
-    pos = Fraction(0)
+    if d > len_p:
+        raise ChordTooLong(f"chord {d} exceeds path length {len_p}")
+    if len_p == 0:
+        raise ValueError("degenerate cycle of circumference zero")
+    # The ear cycle in integer ticks 1/D, D the grid of its positions and
+    # of every anchor candidate: only the anchors and the new tree edge
+    # lengths go back to Fractions.
+    D = _lcd([d, *_anchor_grid(len_p + d, d), *path_lengths])
+    circ = _tick(len_p + d, D)
+    path_pos: dict[int, int] = {}
+    pos = 0
     for i, x in enumerate(path_vertices):
         path_pos[x] = pos
         if i < len(path_lengths):
-            pos += path_lengths[i]
-    forbidden = set(path_pos[x] % cyc.circumference for x in path_vertices)
+            pos += _tick(path_lengths[i], D)
+    cyc = Cycle(circ, {x: p % circ for x, p in path_pos.items()})
+    forbidden = set(cyc.points.values())
 
-    glue_positions = {p for (_, p) in tree.path_positions(fu, fv)}
+    # Tree positions along the F(u)-F(v) path; one off the grid never
+    # equals a flattened offset.
+    glue_positions = set()
+    for _, g_pos in tree.path_positions(fu, fv):
+        t, r = divmod(g_pos.numerator * D, g_pos.denominator)
+        if not r:
+            glue_positions.add(t)
     interior = path_vertices[1:-1]
 
-    def no_existing_collision(p_pos: Fraction, q_pos: Fraction) -> bool:
+    def no_existing_collision(p_pos: int, q_pos: int) -> bool:
         for b in (p_pos, q_pos):
             flat = flatten(cyc, b)
             lo, hi = sorted((flat.positions[u], flat.positions[v]))
@@ -206,14 +276,14 @@ def random_extension(
         path_pos=path_pos, extra_check=no_existing_collision,
     )
     branch = p_pos if rng.random() < 0.5 else q_pos
-    flat = flatten(cyc, branch)
+    flat = flatten(cyc, branch.numerator)  # whole: cyc is on its grid
 
     order = sorted(path_vertices, key=lambda x: (flat.positions[x], path_pos[x]))
     t2 = MetricTree()
     t2_id = {x: i for i, x in enumerate(order)}
     for i in range(len(order) - 1):
         a, b = order[i], order[i + 1]
-        w = flat.positions[b] - flat.positions[a]
+        w = Fraction(flat.positions[b] - flat.positions[a], D)
         t2.add_vertex(t2_id[a])
         t2.add_vertex(t2_id[b])
         t2.add_edge(t2_id[a], t2_id[b], w)
@@ -230,12 +300,13 @@ def random_extension(
 def _embed_block(
     g: MetricGraph,
     build: OuterplanarBuild,
+    block: frozenset[int],
     rng: random.Random,
 ) -> tuple[MetricTree, dict[int, int]]:
-    """Embed one biconnected block (or bridge) of the slack graph from its
-    ear build; tree ids are local and relabelled by the caller."""
+    """Embed one biconnected block (or bridge) of the slack graph, with
+    vertex set ``block``, from its ear build; tree ids are local and
+    relabelled by the caller.  Only ears draw from ``rng``."""
     init_vs = build.initial_vertices
-    block = frozenset(init_vs).union(*(st.path_vertices for st in build.steps))
     tree = MetricTree()
     mapping: dict[int, int] = {}
     for i, x in enumerate(init_vs):
@@ -270,14 +341,21 @@ def embed_sampler(g: MetricGraph):
     # slack_transform reduces g and raises NotOuterplanar; it is the one
     # outerplanarity test of the build.
     h, builds = slack_transform(g, DEFAULT_CONFIG.slack_alpha)
+    blocks = [
+        (b, frozenset(b.initial_vertices).union(*[st.path_vertices for st in b.steps]))
+        for b in builds
+    ]
+    # A block without ears (a bridge, say) draws nothing: embed it once.
+    fixed = {i: _embed_block(h, b, block, None)
+             for i, (b, block) in enumerate(blocks) if not b.steps}
 
     def sample(seed: int) -> TreeMap:
         rng = random.Random(f"embed:{seed}")
         final = MetricTree()
         mapping: dict[int, int] = {}
         next_global = 0
-        for block_build in builds:
-            bt, bmap = _embed_block(h, block_build, rng)
+        for i, (block_build, block) in enumerate(blocks):
+            bt, bmap = fixed.get(i) or _embed_block(h, block_build, block, rng)
             # Blocks meet the earlier ones in exactly one cut vertex.
             shared = [x for x in bmap if x in mapping]
             relabel: dict[int, int] = {}
@@ -289,10 +367,7 @@ def embed_sampler(g: MetricGraph):
                     relabel[t_v] = next_global
                     next_global += 1
             next_global = max(next_global, max(relabel.values()) + 1)
-            for t_v in bt.vertices():
-                final.add_vertex(relabel[t_v])
-            for (a, bb, w) in bt.edges():
-                final.add_edge(relabel[a], relabel[bb], w)
+            final.graft(bt, relabel)
             for x, t_v in bmap.items():
                 mapping[x] = relabel[t_v]
         root_vertex = min(mapping)

@@ -1,3 +1,4 @@
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -5,16 +6,19 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+from conftest import slack_cycle
 from faceflow import experiments, graph
 from faceflow.config import DEFAULT_CONFIG
 from faceflow.errors import BudgetExhausted
 from faceflow.experiments import (
+    _Z99,
+    DistortionReport,
     _positive_dual_lengths,
     distortion_experiment,
     gap_experiment,
     search_gap_instance,
 )
-from faceflow.graph import MetricGraph
+from faceflow.graph import MetricGraph, all_pairs_distances
 from faceflow.instances import (
     Instance,
     cycle_instance,
@@ -31,6 +35,7 @@ from faceflow.polyflow import (
     brute_sparsest_vertex_cut,
     mcf_vertex_lp,
 )
+from faceflow.treeembed import embed_sampler
 
 F = Fraction
 
@@ -272,3 +277,80 @@ class TestDistortion:
 
         rep = distortion_experiment(g, samples=10, seed=0, embed_fn=fn)
         assert rep.min_mean == pytest.approx(0.5)
+
+
+def reference_distortion(g, samples, seed, embed_fn=None):
+    """The exact-Fraction distance loop that the tick version replaced,
+    kept verbatim."""
+    dmat = all_pairs_distances(g)
+    if embed_fn is None:
+        embed_fn = embed_sampler(g)
+    pairs = [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if dmat[u][v] not in (0, math.inf)
+    ]
+    sums = {p: 0.0 for p in pairs}
+    sqs = {p: 0.0 for p in pairs}
+    sources = sorted({u for (u, _) in pairs})
+    for i in range(samples):
+        tm = embed_fn(seed * 65_537 + i)
+        d_tree = {u: reference_dist_from(tm.tree, tm.mapping[u]) for u in sources}
+        for (u, v) in pairs:
+            r = float(d_tree[u][tm.mapping[v]] / dmat[u][v])
+            sums[(u, v)] += r
+            sqs[(u, v)] += r * r
+    table = {}
+    for p in pairs:
+        mean = sums[p] / samples
+        var = max(0.0, sqs[p] / samples - mean * mean)
+        se = math.sqrt(var / samples)
+        table[p] = (mean, mean - _Z99 * se)
+    min_mean = min(m for (m, _) in table.values()) if table else 0.0
+    min_lcb = min(l for (_, l) in table.values()) if table else 0.0
+    return DistortionReport(samples, table, min_mean, min_lcb)
+
+
+def reference_dist_from(tree, u):
+    """Fraction distances from u, summed edge by edge."""
+    dist = {u: Fraction(0)}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        for y, w in tree.adj[x].items():
+            if y not in dist:
+                dist[y] = dist[x] + w
+                stack.append(y)
+    return dist
+
+
+class TestDistortionReference:
+    """Tick distances and one int division per ratio give every float of
+    the reference bit for bit."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [slack_cycle(6), slack_cycle(9, F(1, 32)), random_outerplanar(8, 1)[0],
+         random_outerplanar(9, 2, extra_chords=2)[0], random_tree(8, 3)],
+        ids=["slack6", "slack9", "outer8-1", "outer9-2c2", "tree8-3"],
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_tables_equal(self, g, seed):
+        got = distortion_experiment(g, 40, seed)
+        want = reference_distortion(g, 40, seed)
+        assert got.table == want.table
+        assert (got.min_mean, got.min_lcb) == (want.min_mean, want.min_lcb)
+
+    def test_custom_embed_fn(self):
+        # Edge lengths with coprime denominators; no common tick unit
+        # below their product.
+        g = MetricGraph(3, ((0, 1, F(2, 3)), (1, 2, F(5, 7))))
+        from faceflow.tree import MetricTree, TreeMap
+
+        def fn(seed):
+            t = MetricTree.from_path([0, 1, 2], [F(seed + 1, 11), F(1, 13)])
+            return TreeMap(t, {0: 0, 1: 1, 2: 2}, g, root=0)
+
+        got = distortion_experiment(g, 25, 1, embed_fn=fn)
+        assert got.table == reference_distortion(g, 25, 1, embed_fn=fn).table

@@ -348,6 +348,31 @@ class TestCaps:
         assert caps.rho(0, [(0, 1)]) == 3
         assert caps.rho(0, []) == 0
 
+    def test_rho_same_for_any_iterable(self):
+        # Lists, one-shot generators and frozensets, with edges in either
+        # orientation, read the same value in both forms.
+        inc = [(0, 1), (0, 2)]
+        table = {
+            frozenset(c): F(len(c) + 1) if c else F(0)
+            for r in range(3) for c in itertools.combinations(inc, r)
+        }
+        forms = [
+            PolymatroidCaps.from_vertex_caps({0: F(3), 1: F(5), 2: F(7)}),
+            PolymatroidCaps(tables={0: table}),
+        ]
+        for caps in forms:
+            for r in range(3):
+                for sub in itertools.combinations(inc, r):
+                    want = caps.rho(0, list(sub))
+                    flipped = [(b, a) for (a, b) in sub]
+                    assert caps.rho(0, iter(sub)) == want
+                    assert caps.rho(0, (e for e in flipped)) == want
+                    assert caps.rho(0, frozenset(sub)) == want
+                    assert caps.rho(0, flipped) == want
+        assert forms[0].rho(0, iter([(0, 1)])) == 3
+        assert forms[0].rho(0, iter([])) == 0
+        assert forms[1].rho(0, (e for e in [(2, 0), (1, 0)])) == 3
+
     def test_negative_vertex_cap_rejected(self):
         PolymatroidCaps.from_vertex_caps({0: F(0), 1: F(1)})
         with pytest.raises(NegativeEntry):

@@ -41,6 +41,33 @@ class TestMetricTree:
         assert not t.is_tree()
 
     @pytest.mark.parametrize("seed", range(5))
+    def test_graft_matches_edge_by_edge_copy(self, seed):
+        # Onto a tree sharing one vertex: same vertices, lengths and dict
+        # order as add_vertex/add_edge over other.edges().
+        base = build_random_tree(4, seed + 10)
+        other = build_random_tree(6, seed)
+        ids = {v: (0 if v == 3 else 10 + (v * 7) % 13) for v in other.vertices()}
+        want = base.copy()
+        for v in other.vertices():
+            want.add_vertex(ids[v])
+        for (a, b, w) in other.edges():
+            want.add_edge(ids[a], ids[b], w)
+        got = base.copy()
+        got.graft(other, ids)
+        assert [(v, list(n.items())) for v, n in got.adj.items()] == [
+            (v, list(n.items())) for v, n in want.adj.items()
+        ]
+        assert got.is_tree()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tick_dists_match_fraction_sums(self, seed):
+        t = build_random_tree(9, seed)
+        D, dist = t.tick_dists(t.vertices())
+        for u in t.vertices():
+            for v in t.vertices():
+                assert Fraction(dist[u][v], D) == t.dist(u, v)
+
+    @pytest.mark.parametrize("seed", range(5))
     def test_dist_from_matches_pairwise(self, seed):
         t = build_random_tree(8, seed)
         d0 = t.dist_from(0)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import networkx as nx
@@ -81,6 +82,94 @@ class FakeRng:
         return self.coin
 
 
+def reference_anchor_points(
+    c, u, v, forbidden, good_end, rng, path_pos=None, extra_check=None
+):
+    """The exact-Fraction anchor sampler that the tick version replaced,
+    kept verbatim; it reads the config through ``treeembed`` so a patched
+    grid applies to both."""
+    DEFAULT_CONFIG = treeembed.DEFAULT_CONFIG
+    circ = c.circumference
+    chord = c.dist(u, v)
+    path_len = circ - chord
+    if path_len <= 0:
+        raise ChordTooLong("degenerate cycle: chord covers the whole circumference")
+    delta = chord / path_len
+    delta_max = DEFAULT_CONFIG.anchor_delta_max
+    if delta > delta_max:
+        raise ChordTooLong(f"chord ratio {delta} exceeds {delta_max}")
+    alpha, beta = DEFAULT_CONFIG.anchor_alpha, DEFAULT_CONFIG.anchor_beta
+    base = u if good_end == v else v
+    if path_pos is None:
+        path_pos = c.points
+    # Anchors sit on the path arc, measured from the non-good endpoint.
+    sign = 1 if path_pos[base] == 0 else -1
+    forb = sorted(set(frac(x) for x in forbidden))
+
+    def distances_distinct(anchor: Fraction) -> bool:
+        seen: dict[Fraction, Fraction] = {}
+        for s in forb:
+            d = c.dist_pos(anchor, s)
+            if d in seen and c.dist_pos(seen[d], s) != 0:
+                return False
+            seen.setdefault(d, s)
+        return True
+
+    n_grid = DEFAULT_CONFIG.anchor_grid
+    for _ in range(512):
+        eta = delta + (alpha - delta) * Fraction(rng.randrange(n_grid) + 1, n_grid + 1)
+        p_off = (Fraction(1, 4) + 3 * alpha / 2 - eta) * circ
+        q_off = (Fraction(1, 2) - eta - beta) * circ
+        p_pos = (c.points[base] + sign * p_off) % circ
+        q_pos = (c.points[base] + sign * q_off) % circ
+        if not (distances_distinct(p_pos) and distances_distinct(q_pos)):
+            continue
+        if extra_check is not None and not extra_check(p_pos, q_pos):
+            continue
+        reference_assert_anchor_conditions(
+            c, u, v, base, p_pos, q_pos, path_pos, path_len
+        )
+        return p_pos, q_pos
+    raise InvariantViolation("anchor sampling failed to avoid the forbidden set")
+
+
+def reference_assert_anchor_conditions(c, u, v, base, p_pos, q_pos, path_pos, path_len):
+    DEFAULT_CONFIG = treeembed.DEFAULT_CONFIG
+    circ = c.circumference
+    beta = DEFAULT_CONFIG.anchor_beta
+    if c.dist_pos(p_pos, q_pos) != circ / 6:
+        raise InvariantViolation("anchors are not len(C)/6 apart")
+    for a in (c.points[u], c.points[v]):
+        for b in (p_pos, q_pos):
+            d = c.dist_pos(a, b)
+            if not (beta * circ <= d <= (Fraction(1, 2) - beta) * circ):
+                raise InvariantViolation("anchor apartness band violated")
+    other = v if base == u else u
+    for b in (p_pos, q_pos):
+        if c.dist_pos(b, c.points[base]) > c.dist_pos(b, c.points[other]):
+            raise InvariantViolation("anchor condition (a) violated")
+        bound = (Fraction(1, 2) + DEFAULT_CONFIG.anchor_delta_max) * path_len
+        for x, pos in path_pos.items():
+            if abs(pos - path_pos[base]) <= bound:
+                if c.dist_pos(b, pos % circ) > c.dist_pos(b, c.points[base]):
+                    raise InvariantViolation("anchor condition (b) violated")
+
+
+def anchors_both(c, u, v, forbidden, good_end, make_rng, **kwargs):
+    """``anchor_points`` and the reference, each on a fresh rng from
+    ``make_rng``: they return the same Fractions or raise the same error."""
+    try:
+        want = reference_anchor_points(c, u, v, forbidden, good_end, make_rng(), **kwargs)
+    except (ChordTooLong, InvariantViolation) as e:
+        with pytest.raises(type(e), match=re.escape(str(e))):
+            anchor_points(c, u, v, forbidden, good_end, make_rng(), **kwargs)
+        raise
+    got = anchor_points(c, u, v, forbidden, good_end, make_rng(), **kwargs)
+    assert got == want
+    assert all(type(x) is Fraction for x in got)
+    return got
+
+
 class TestAnchorPoints:
     def test_worked_example_unit_cycle(self, monkeypatch):
         # Circumference 1 with chord ratio delta = 1/160; the grid is
@@ -92,8 +181,7 @@ class TestAnchorPoints:
             treeembed, "DEFAULT_CONFIG",
             dataclasses.replace(DEFAULT_CONFIG, anchor_grid=54),
         )
-        rng = FakeRng([26])
-        p, q = anchor_points(c, 0, 1, {F(0), path_len}, 1, rng)
+        p, q = anchors_both(c, 0, 1, {F(0), path_len}, 1, lambda: FakeRng([26]))
         # Offsets from the formulas with alpha = 1/72, beta = 1/16.
         assert c.dist_pos(p, c.points[0]) == F(1, 4) + F(1, 48) - F(1, 100)
         assert c.dist_pos(p, c.points[0]) == F(313, 1200)
@@ -104,24 +192,138 @@ class TestAnchorPoints:
     def test_chord_ratio_too_large(self):
         c = make_cycle([0, 1], [F(10)], F(1))
         with pytest.raises(ChordTooLong):
-            anchor_points(c, 0, 1, set(), 1, random.Random(1))
+            anchors_both(c, 0, 1, set(), 1, lambda: random.Random(1))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_draws_sixth_apart(self, seed):
         c = make_cycle([0, 1, 2], [F(80), F(80)], F(1))
-        rng = random.Random(seed)
-        p, q = anchor_points(c, 0, 2, {F(0), F(80), F(160)}, 2, rng)
+        p, q = anchors_both(
+            c, 0, 2, {F(0), F(80), F(160)}, 2, lambda: random.Random(seed)
+        )
         assert c.dist_pos(p, q) == c.circumference / 6
 
     def test_forbidden_collision_forces_resample(self):
         c = make_cycle([0, 1, 2], [F(80), F(80)], F(1))
         seen = []
         for seed in range(40):
-            p, q = anchor_points(
-                c, 0, 2, {F(0), F(80), F(160)}, 2, random.Random(seed)
+            p, q = anchors_both(
+                c, 0, 2, {F(0), F(80), F(160)}, 2, lambda: random.Random(seed)
             )
             seen.append((p, q))
         assert len(set(seen)) > 1  # eta really is random
+
+
+def ear_cycle(rng: random.Random, k: int):
+    """An ear of k vertices closed by a chord at most 1/160 of its length,
+    with its path positions, as ``random_extension`` builds it."""
+    lens = [F(rng.randrange(1, 50), rng.randrange(1, 9)) for _ in range(k - 1)]
+    chord = sum(lens, F(0)) * F(rng.randrange(0, 17), 16 * 160)
+    c = make_cycle(list(range(k)), lens, chord)
+    path_pos = {0: F(0)}
+    for i, w in enumerate(lens):
+        path_pos[i + 1] = path_pos[i] + w
+    return c, path_pos
+
+
+class TestAnchorReference:
+    """The tick sampler returns exactly the reference's Fractions."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_ear_cycles(self, seed):
+        rng = random.Random(f"ear:{seed}")
+        c, path_pos = ear_cycle(rng, rng.randrange(2, 9))
+        forbidden = {p % c.circumference for p in path_pos.values()}
+        last = max(path_pos)
+        for good in (0, last):
+            anchors_both(
+                c, 0, last, forbidden, good, lambda: random.Random(seed),
+                path_pos=path_pos,
+            )
+
+    @pytest.mark.parametrize("n", [6, 8, 12])
+    def test_slack_cycle_ears(self, n):
+        # The one ear of slack_cycle(n) after the 160-slack transform:
+        # unit/160 arcs closed by the 1/64/160 edge.
+        lens = [F(1, 160)] * (n - 1)
+        c = make_cycle(list(range(n)), lens, F(1, 64 * 160))
+        forbidden = set(c.points.values())
+        for seed in range(25):
+            anchors_both(c, 0, n - 1, forbidden, n - 1, lambda: random.Random(seed))
+            anchors_both(c, 0, n - 1, forbidden, 0, lambda: random.Random(seed))
+
+    def test_extra_check_resamples(self):
+        # A check that rejects the first three candidates: both samplers
+        # draw the same fourth pair.
+        c = make_cycle([0, 1, 2], [F(80), F(80)], F(1))
+        calls = []
+
+        def reject_three(p, q):
+            calls.append((p, q))
+            return len(calls) % 4 == 0
+
+        anchors_both(
+            c, 0, 2, {F(0), F(80), F(160)}, 2, lambda: random.Random(3),
+            extra_check=reject_three,
+        )
+        assert len(calls) == 8
+
+
+class TestAnchorViolations:
+    """Each anchor check fires on an anchor that breaks it, in the tick
+    sampler and in the reference alike."""
+
+    def test_not_sixth_apart(self, monkeypatch):
+        # beta = 1/8 puts the anchors 5/48 of the cycle apart.
+        monkeypatch.setattr(
+            treeembed, "DEFAULT_CONFIG",
+            dataclasses.replace(DEFAULT_CONFIG, anchor_beta=F(1, 8)),
+        )
+        c = make_cycle([0, 1], [F(160, 161)], F(1, 161))
+        with pytest.raises(InvariantViolation, match="not len\\(C\\)/6 apart"):
+            anchors_both(c, 0, 1, set(), 1, lambda: random.Random(0))
+
+    def test_apartness_band(self, monkeypatch):
+        # A draw far off the grid gives eta > 3/8, so q lands within
+        # len(C)/16 of the base endpoint.
+        monkeypatch.setattr(
+            treeembed, "DEFAULT_CONFIG",
+            dataclasses.replace(DEFAULT_CONFIG, anchor_grid=54),
+        )
+        c = make_cycle([0, 1], [F(160, 161)], F(1, 161))
+        with pytest.raises(InvariantViolation, match="apartness band"):
+            anchors_both(c, 0, 1, set(), 1, lambda: FakeRng([2700]))
+
+    def test_condition_a(self, monkeypatch):
+        # Chord len(C)/6 (delta = 1/5, allowed by a raised delta_max) and
+        # eta = 1/96: q sits at 41/96 from the base endpoint but 39/96
+        # from the other one.
+        monkeypatch.setattr(
+            treeembed, "DEFAULT_CONFIG",
+            dataclasses.replace(
+                DEFAULT_CONFIG, anchor_grid=267, anchor_delta_max=F(1, 4)
+            ),
+        )
+        c = make_cycle([0, 1], [F(5, 6)], F(1, 6))
+        with pytest.raises(InvariantViolation, match="condition \\(a\\)"):
+            anchors_both(c, 0, 1, set(), 1, lambda: FakeRng([272]))
+
+    def test_condition_b(self):
+        # A path vertex len(C)/10 behind the base endpoint is farther from
+        # the anchors than the base endpoint itself.
+        c = make_cycle([0, 1], [F(160, 161)], F(1, 161))
+        path_pos = {0: F(0), 1: F(160, 161), 2: F(-1, 10)}
+        with pytest.raises(InvariantViolation, match="condition \\(b\\)"):
+            anchors_both(
+                c, 0, 1, set(), 1, lambda: random.Random(0), path_pos=path_pos
+            )
+
+    def test_forbidden_set_not_avoided(self):
+        c = make_cycle([0, 1, 2], [F(80), F(80)], F(1))
+        with pytest.raises(InvariantViolation, match="failed to avoid"):
+            anchors_both(
+                c, 0, 2, {F(0), F(80), F(160)}, 2, lambda: random.Random(0),
+                extra_check=lambda p, q: False,
+            )
 
 
 def two_vertex_state():
