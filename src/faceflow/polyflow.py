@@ -15,13 +15,14 @@ from typing import Callable, Optional
 
 from .config import DEFAULT_CONFIG
 from .errors import (
+    InvariantViolation,
     NegativeEntry,
     NoSeparatedDemand,
     TooLarge,
     ZeroDenominator,
 )
 from .graph import MetricGraph, dijkstra, frac, norm_edge
-from .simplex import check_solution, dual_lp, solve_lp
+from .simplex import check_solution, solve_lp
 
 Edge = tuple[int, int]
 
@@ -513,10 +514,12 @@ def _mcf_lp_rows(g: MetricGraph, dem: DemandMatrix, cap_rows):
     return objective, rows, commodities, arcs
 
 
-def _solve_mcf(g: MetricGraph, dem: DemandMatrix, cap_rows) -> FlowSolution:
-    """Solve the concurrent-flow LP and check the optimum exactly."""
+def _solve_mcf(g: MetricGraph, dem: DemandMatrix, cap_rows) -> tuple[FlowSolution, list]:
+    """Solve the concurrent-flow LP and check the optimum exactly.  Also
+    returns the optimal multiplier of each capacity row, in order, read
+    off the same solve: they are the LP's only inequality rows."""
     if not dem.items():
-        return FlowSolution(Fraction(0), {}, [])
+        return FlowSolution(Fraction(0), {}, []), []
     objective, rows, commodities, arcs = _mcf_lp_rows(g, dem, cap_rows)
     res = solve_lp(objective, rows, maximize=True)
     check_solution(objective, rows, res.x)
@@ -527,7 +530,7 @@ def _solve_mcf(g: MetricGraph, dem: DemandMatrix, cap_rows) -> FlowSolution:
             f = res.x[ci * n_arc + ai]
             if f:
                 flows[(ci, a, b)] = f
-    return FlowSolution(res.objective, flows, commodities)
+    return FlowSolution(res.objective, flows, commodities), list(res.duals.values())
 
 
 def _vertex_cap_rows(g: MetricGraph, cap, endpoint_factor: int):
@@ -551,7 +554,7 @@ def mcf_vertex_lp(
     endpoint_factor=2 is the half-credit-at-endpoints convention (the
     constraint reads sum of incidences <= 2 cap); endpoint_factor=1 is
     the vertex-capacity polymatroid form."""
-    return _solve_mcf(g, dem, _vertex_cap_rows(g, cap, endpoint_factor).values())
+    return _solve_mcf(g, dem, _vertex_cap_rows(g, cap, endpoint_factor).values())[0]
 
 
 def mcf_dual_vertex(
@@ -559,29 +562,37 @@ def mcf_dual_vertex(
 ) -> tuple[dict[Edge, Fraction], AdaptedLengths, Fraction]:
     """Optimal dual of the concurrent-flow LP as length functions.
 
-    The LP dual of ``mcf_vertex_lp``'s rows (``simplex.dual_lp``) has a
-    nonnegative vertex length t_v per capacity row, so per vertex with an
-    edge, and a free potential per conservation row.  Returns (edge
-    lengths len = t_u + t_v, the adapted family ell_v(e) = t_v,
-    objective = sum factor * cap(v) * t_v)."""
+    One solve of ``mcf_vertex_lp``'s LP: t_v is the multiplier of v's
+    capacity row, read off the final reduced costs.  Returns (edge
+    lengths len = t_u + t_v, the adapted family ell_v(e) = t_v, the flow
+    value).  Certified exactly, else InvariantViolation: t >= 0, sum
+    factor * cap(v) * t_v is the flow value, and sum_i d_i *
+    dist_len(s_i, t_i) >= 1, so by weak duality t is optimal."""
     if not dem.items():
         raise ZeroDenominator("no demands")
     cap_rows = _vertex_cap_rows(g, cap, endpoint_factor)
-    objective, rows, _, _ = _mcf_lp_rows(g, dem, cap_rows.values())
-    d_obj, d_rows, cols = dual_lp(objective, rows)
-    res = solve_lp(d_obj, d_rows, maximize=False)
-    check_solution(d_obj, d_rows, res.x)
-    # The capacity rows come last, one per vertex with an edge.
-    row_vertex = dict(enumerate(cap_rows, len(rows) - len(cap_rows)))
-    t = {row_vertex[i]: x for (i, _), x in zip(cols, res.x) if i in row_vertex}
-    length = {}
-    ell: dict[int, dict[Edge, Fraction]] = {v: {} for v in range(g.n)}
-    for (u, v, _) in g.edges:
-        e = norm_edge(u, v)
-        length[e] = t[u] + t[v]
-        ell[u][e] = t[u]
-        ell[v][e] = t[v]
-    return length, AdaptedLengths(ell, length), res.objective
+    sol, duals = _solve_mcf(g, dem, cap_rows.values())
+    t = dict(zip(cap_rows, duals))
+    if any(x < 0 for x in t.values()):
+        raise InvariantViolation("negative vertex length")
+    value = sum((rhs * t[v] for v, (_, rhs) in cap_rows.items()), Fraction(0))
+    if value != sol.epsilon:
+        raise InvariantViolation(f"dual objective {value} != flow {sol.epsilon}")
+    length = {(u, v): t[u] + t[v] for (u, v, _) in g.edges}
+    if _demand_distance(g, length, dem) < 1:
+        raise InvariantViolation("demand-weighted dual distance below 1")
+    ell = {w: {e: t[w] for e in length if w in e} for w in range(g.n)}
+    return length, AdaptedLengths(ell, length), sol.epsilon
+
+
+def _demand_distance(g: MetricGraph, length: dict[Edge, Fraction], dem: DemandMatrix):
+    """sum over demand pairs of dem * shortest-path distance under
+    ``length``; math.inf when a pair is disconnected."""
+    adj = g.with_edges((u, v, length[u, v]) for (u, v, _) in g.edges).adjacency()
+    return sum(
+        (w * dijkstra(adj, u).get(v, math.inf) for (u, v, w) in dem.items()),
+        Fraction(0),
+    )
 
 
 def dual_objective(
@@ -593,17 +604,9 @@ def dual_objective(
     """Evaluate sum_v rho_hat_v(ell_v) / sum dem * d_len exactly; 0 when
     a demand pair is disconnected (infinite distance under any length)."""
     ell.check_adapted()
-    adj: dict[int, list[tuple[int, Fraction]]] = {v: [] for v in range(g.n)}
-    for (u, v, _) in g.edges:
-        w = ell.length[norm_edge(u, v)]
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    denom = Fraction(0)
-    for (u, v, w) in dem.items():
-        dist = dijkstra(adj, u)
-        if v not in dist:
-            return Fraction(0)
-        denom += w * dist[v]
+    denom = _demand_distance(g, ell.length, dem)
+    if denom == math.inf:
+        return Fraction(0)
     if denom == 0:
         raise ZeroDenominator("all demand pairs at dual distance zero")
     numer = sum(
@@ -628,4 +631,4 @@ def mcf_polymatroid_lp(
                 for sub in itertools.combinations(inc, r):
                     yield set(sub), caps.rho(w, sub)
 
-    return _solve_mcf(g, dem, cap_rows())
+    return _solve_mcf(g, dem, cap_rows())[0]

@@ -8,14 +8,15 @@ more tableau row, which every pivot updates like the others; its
 right-hand side is minus the objective.  Dantzig pricing with an
 automatic switch to Bland's rule guards against cycling.  An LP with
 no optimum raises ``Infeasible`` or ``Unbounded``, and running out of
-pivots raises ``IterationLimit``.  ``dual_lp`` writes the dual of a
-``max`` LP in the same row format.
+pivots raises ``IterationLimit``.  The optimal multiplier of each
+inequality row is read off the final reduced-cost row, so one solve
+gives the primal and the dual.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import Infeasible, IterationLimit, Unbounded
@@ -30,6 +31,7 @@ _HOLDS = {"<=": operator.le, ">=": operator.ge, "=": operator.eq}
 class LPResult:
     objective: Fraction
     x: list[Fraction]
+    duals: dict[int, Fraction] = field(default_factory=dict)  # see solve_lp
 
 
 def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
@@ -39,17 +41,25 @@ def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
     ``rows``: list of (coeffs, relation, rhs) with relation in
     '<=', '>=', '='.  Returns an optimum; raises Infeasible, Unbounded,
     or IterationLimit when either phase runs past ``_MAX_ITERS`` pivots.
+
+    ``duals`` maps each '<=' or '>=' row i to its optimal multiplier y_i
+    (y_i >= 0 on a '<=' row of a max LP), read off the final reduced
+    cost of the row's slack column; sum_i y_i * rhs_i is the objective
+    when no row is '='.  '=' rows get none: their artificial columns are
+    zeroed before phase 2.
     """
     n = len(objective)
     c = [Fraction(v) for v in objective]
     if not maximize:
         c = [-v for v in c]
 
-    # Normalize rows to rhs >= 0.
+    # Normalize rows to rhs >= 0; flip[i] is -1 where row i was negated.
     norm = []
+    flip = []
     for coeffs, rel, rhs in rows:
         coeffs = [Fraction(v) for v in coeffs]
         rhs = Fraction(rhs)
+        flip.append(-1 if rhs < 0 else 1)
         if rhs < 0:
             coeffs = [-v for v in coeffs]
             rhs = -rhs
@@ -68,14 +78,18 @@ def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
     si = n
     ai = n + n_slack
     art_cols = []
-    for coeffs, rel, rhs in norm:
+    # Row index -> (its slack column, the sign taking d[slack] to y_i).
+    slack_of = {}
+    for i, (coeffs, rel, rhs) in enumerate(norm):
         row = coeffs + [_ZERO] * (n_slack + n_art) + [rhs]
         if rel == "<=":
             row[si] = Fraction(1)
             basis.append(si)
+            slack_of[i] = (si, -flip[i])
             si += 1
         elif rel == ">=":
             row[si] = Fraction(-1)
+            slack_of[i] = (si, flip[i])
             si += 1
             row[ai] = Fraction(1)
             basis.append(ai)
@@ -170,29 +184,10 @@ def solve_lp(objective, rows, maximize: bool = True) -> LPResult:
     x = [_ZERO] * total
     for i, b in enumerate(basis):
         x[b] = tab[i][-1]
-    return LPResult(obj if maximize else -obj, x[:n])
-
-
-_DUAL_SIGNS = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
-
-
-def dual_lp(objective, rows):
-    """The LP dual of max objective . x s.t. rows, x >= 0, written for
-    ``solve_lp(..., maximize=False)``; returns (objective, rows, cols).
-
-    Dual column j is a nonnegative u_j, and cols[j] = (i, sign) says that
-    u_j adds sign * u_j to the multiplier y_i of primal row i: a '<=' row
-    gives one column (sign 1), a '>=' row one negated column (sign -1),
-    and an '=' row the pair (1, -1).  Primal variable k gives the row
-    -sum_i a_ik y_i <= -c_k, so a zero-cost variable needs no artificial.
-    """
-    cols = [(i, s) for i, (_, rel, _) in enumerate(rows) for s in _DUAL_SIGNS[rel]]
-    dual_obj = [s * rows[i][2] for i, s in cols]
-    dual_rows = [
-        ([-s * rows[i][0][k] for i, s in cols], "<=", -c)
-        for k, c in enumerate(objective)
-    ]
-    return dual_obj, dual_rows, cols
+    # Undo the negated objective of a min LP.
+    sense = 1 if maximize else -1
+    duals = {i: sense * s * tab[m][j] for i, (j, s) in slack_of.items()}
+    return LPResult(sense * obj, x[:n], duals)
 
 
 def check_solution(objective, rows, x) -> Fraction:

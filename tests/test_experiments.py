@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 from conftest import slack_cycle
-from faceflow import experiments, graph
+from faceflow import experiments, graph, polyflow
 from faceflow.config import DEFAULT_CONFIG
 from faceflow.errors import BudgetExhausted
 from faceflow.experiments import (
@@ -36,6 +36,7 @@ from faceflow.polyflow import (
     mcf_vertex_lp,
 )
 from faceflow.treeembed import embed_sampler
+from test_golden_cli import INSTANCES
 
 F = Fraction
 
@@ -207,6 +208,26 @@ class TestPerSampleWork:
             assert counts[i, "ear_decomposition"] == 0
             assert counts[i, "find_outer_cycle"] == 0
             assert counts[i, "planar_g"] == 0
+
+
+class TestOneFlowSolve:
+    """The vertex-form flow LP is solved once per instance: the same
+    solve gives mcf and the dual lengths.  Polymatroid tables solve
+    their own flow LP and the vertex proxy that gives the lengths."""
+
+    @pytest.mark.parametrize("name,solves", [("cycle6", 1), ("table6", 2)])
+    def test_solve_lp_calls(self, monkeypatch, name, solves):
+        solve_lp = polyflow.solve_lp
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(polyflow, "solve_lp", counting)
+        rep = gap_experiment(INSTANCES[name](), samples=2, seed=0)
+        assert len(calls) == solves
+        assert rep.mcf > 0
 
 
 class TestPositiveDualLengths:

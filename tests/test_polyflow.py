@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_reduced_graph
-from faceflow.errors import NegativeEntry, NoSeparatedDemand, TooLarge, ZeroDenominator
+from faceflow import polyflow
+from faceflow.errors import InvariantViolation, NegativeEntry, NoSeparatedDemand, TooLarge, ZeroDenominator
 from faceflow.graph import MetricGraph, frac, norm_edge
 from faceflow.instances import cycle_instance, random_caps, random_demands, random_tree
 from faceflow.polyflow import (
@@ -317,8 +318,8 @@ class TestOracleCrossCheck:
 
 
 class TestDualCrossCheck:
-    """mcf_dual_vertex, derived from the flow LP's own rows, against the
-    hand-built dual LP it replaced and against the primal."""
+    """mcf_dual_vertex, read off the flow LP's own solve, against the
+    hand-built dual LP and against the primal."""
 
     @settings(max_examples=80, deadline=None)
     @given(cut_instances(tables=False), st.sampled_from([1, 2]))
@@ -340,6 +341,57 @@ class TestDualCrossCheck:
             assert factor * dual_objective(g, ell, caps, dem) == obj
         except ZeroDenominator:
             assert obj == 0
+
+
+class TestDualCertificate:
+    """mcf_dual_vertex certifies the multipliers it reads off the solve:
+    each of its three checks rejects a wrong read-out."""
+
+    # Path 0-1-2 with pendant 3 at vertex 1, demand (0, 2), unit caps.
+    G = MetricGraph(4, ((0, 1, F(1)), (1, 2, F(1)), (1, 3, F(1))))
+    CAP = {v: F(1) for v in range(4)}
+    DEM = DemandMatrix.from_pairs([(0, 2, F(1))])
+
+    def dual_vertex(self, monkeypatch, alter):
+        solve_lp = polyflow.solve_lp
+
+        def altered(*args, **kwargs):
+            res = solve_lp(*args, **kwargs)
+            return replace(res, duals=alter(res))
+
+        monkeypatch.setattr(polyflow, "solve_lp", altered)
+        return mcf_dual_vertex(self.G, self.CAP, self.DEM)
+
+    def test_unaltered_passes(self, monkeypatch):
+        length, _, obj = self.dual_vertex(monkeypatch, lambda res: res.duals)
+        assert obj == 1 and sum(length.values()) > 0
+
+    def test_halved_multipliers_rejected(self, monkeypatch):
+        with pytest.raises(InvariantViolation, match="dual objective"):
+            self.dual_vertex(
+                monkeypatch, lambda res: {i: y / 2 for i, y in res.duals.items()}
+            )
+
+    def test_zeroed_multipliers_rejected(self, monkeypatch):
+        with pytest.raises(InvariantViolation, match="dual objective"):
+            self.dual_vertex(monkeypatch, lambda res: dict.fromkeys(res.duals, F(0)))
+
+    def test_negated_multipliers_rejected(self, monkeypatch):
+        with pytest.raises(InvariantViolation, match="negative"):
+            self.dual_vertex(
+                monkeypatch, lambda res: {i: -y for i, y in res.duals.items()}
+            )
+
+    def test_lengths_off_every_path_rejected(self, monkeypatch):
+        # All of the objective on the pendant vertex 3 (the last capacity
+        # row, right-hand side 2): the value matches, but the demand pair
+        # is at distance 0.
+        def on_pendant(res):
+            last = max(res.duals)
+            return {i: res.objective / 2 if i == last else F(0) for i in res.duals}
+
+        with pytest.raises(InvariantViolation, match="distance"):
+            self.dual_vertex(monkeypatch, on_pendant)
 
 
 class TestCaps:

@@ -13,7 +13,6 @@ from faceflow.simplex import (
     _ZERO,
     LPResult,
     check_solution,
-    dual_lp,
     solve_lp,
 )
 from test_polyflow import cut_instances
@@ -159,51 +158,59 @@ class TestOptimality:
         assert sign * dual.objective == res.objective
 
 
-class TestDualLP:
-    """dual_lp writes the dual that explicit_dual writes, up to the sign
-    of each dual row, and keeps the map back to the primal rows."""
+class TestDualReadOut:
+    """The multipliers solve_lp reads off its final reduced costs are an
+    optimum of the explicit dual, from the same single solve."""
 
-    @given(bounded_feasible_lps())
+    @given(bounded_feasible_lps(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_optimum_matches_primal_and_explicit_dual(self, lp):
+    def test_multipliers_solve_explicit_dual(self, lp, data):
         objective, rows, maximize = lp
+        # Every '=' row as a '<=' / '>=' pair, so every row has a
+        # multiplier; some rows negated, so normalisation flips them.
+        split = []
+        for coeffs, rel, rhs in rows:
+            for r in ("<=", ">=") if rel == "=" else (rel,):
+                if data.draw(st.booleans()):
+                    r = {"<=": ">=", ">=": "<="}[r]
+                    coeffs, rhs = [-a for a in coeffs], -rhs
+                split.append((coeffs, r, rhs))
+        res = solve_lp(objective, split, maximize=maximize)
+        assert sorted(res.duals) == list(range(len(split)))
+        y = [res.duals[i] for i in range(len(split))]
+        assert sum((yi * rhs for yi, (_, _, rhs) in zip(y, split)), F(0)) == (
+            res.objective
+        )
+        # explicit_dual's column for row i is sign * y_i of the max LP.
         sign = 1 if maximize else -1
-        c = [sign * v for v in objective]
-        primal = solve_lp(c, rows, maximize=True)
-        dual_obj, dual_rows, cols = dual_lp(c, rows)
-        assert len(cols) == len(dual_obj)
-        assert all(len(coeffs) == len(cols) for coeffs, _, _ in dual_rows)
-        dual = solve_lp(dual_obj, dual_rows, maximize=False)
-        assert check_solution(dual_obj, dual_rows, dual.x) == dual.objective
-        e_obj, e_rows = explicit_dual(c, rows)
-        explicit = solve_lp(e_obj, e_rows, maximize=False)
-        assert dual.objective == primal.objective == explicit.objective
+        dual_obj, dual_rows = explicit_dual([sign * c for c in objective], split)
+        u = [
+            sign * yi * {"<=": 1, ">=": -1}[rel]
+            for yi, (_, rel, _) in zip(y, split)
+        ]
+        assert check_solution(dual_obj, dual_rows, u) == sign * res.objective
 
-    def test_cols_map_rows_with_signs(self):
-        # max x + 2y st x + y <= 3, x - y >= -1, y = 1: one column for
-        # '<=', a negated one for '>=', a pair for '='.
+    def test_signs_on_negated_rows(self):
+        # max x + 2y st -x - y >= -3 and -x + y <= -1, both negated by
+        # normalisation, and x >= 1/2 with slack: optimum x = 2, y = 1,
+        # priced by y = (-3/2, 1/2, 0).
         rows = [
-            ([F(1), F(1)], "<=", F(3)),
-            ([F(1), F(-1)], ">=", F(-1)),
-            ([F(0), F(1)], "=", F(1)),
+            ([F(-1), F(-1)], ">=", F(-3)),
+            ([F(-1), F(1)], "<=", F(-1)),
+            ([F(1), F(0)], ">=", F(1, 2)),
         ]
-        dual_obj, dual_rows, cols = dual_lp([F(1), F(2)], rows)
-        assert cols == [(0, 1), (1, -1), (2, 1), (2, -1)]
-        assert dual_obj == [F(3), F(1), F(1), F(-1)]
-        assert dual_rows == [
-            ([F(-1), F(1), F(0), F(0)], "<=", F(-1)),
-            ([F(-1), F(-1), F(-1), F(1)], "<=", F(-2)),
-        ]
-        res = solve_lp(dual_obj, dual_rows, maximize=False)
-        y = [F(0)] * len(rows)
-        for (i, s), u in zip(cols, res.x):
-            y[i] += s * u
-        # x = 2, y = 1 is the primal optimum, value 4; its multipliers
-        # price every column at its cost.
-        assert res.objective == 4 == solve_lp([F(1), F(2)], rows).objective
-        assert y[0] >= 0 and y[1] <= 0
-        for k, c in enumerate([F(1), F(2)]):
-            assert sum((r[0][k] * yi for r, yi in zip(rows, y)), F(0)) >= c
+        res = solve_lp([F(1), F(2)], rows)
+        assert (res.objective, res.x) == (4, [2, 1])
+        assert res.duals == {0: F(-3, 2), 1: F(1, 2), 2: 0}
+        # min -x - 2y over the same rows: every multiplier changes sign.
+        res = solve_lp([F(-1), F(-2)], rows, maximize=False)
+        assert (res.objective, res.x) == (-4, [2, 1])
+        assert res.duals == {0: F(3, 2), 1: F(-1, 2), 2: 0}
+
+    def test_equality_rows_get_none(self):
+        rows = [([F(1), F(1)], "=", F(3)), ([F(0), F(1)], ">=", F(1))]
+        res = solve_lp([F(1), F(0)], rows)
+        assert res.objective == 2 and list(res.duals) == [1]
 
 
 def reference_solve_lp(objective, rows, maximize: bool = True) -> LPResult:
@@ -386,7 +393,7 @@ class TestSparseMatchesDense:
         g, caps, dem = inst
         cap_rows = _vertex_cap_rows(g, caps.vertex_caps, factor).values()
         objective, rows, _, _ = _mcf_lp_rows(g, dem, cap_rows)
-        d_obj, d_rows, _ = dual_lp(objective, rows)
+        d_obj, d_rows = explicit_dual(objective, rows)
         for lp in ((objective, rows, True), (d_obj, d_rows, False)):
             assert outcome(solve_lp, *lp) == outcome(reference_solve_lp, *lp)
 
