@@ -1,7 +1,9 @@
 """Metric trees, path-gluing, and tree maps.
 
-Trees are mutable while being built (the embedding grows one ear at a
-time) and treated as immutable once handed to consumers.
+The embedding grows each block's tree one ear at a time as a ``TickTree``,
+whose lengths are ints over one denominator, glues each flattened ear onto
+it in place, and converts it to a ``MetricTree`` once the block is done.
+A ``MetricTree`` is treated as immutable once handed to consumers.
 """
 
 from __future__ import annotations
@@ -13,6 +15,30 @@ from fractions import Fraction
 
 from .errors import LengthMismatch
 from .graph import MetricGraph, frac
+
+
+def _path(adj, u: int, v: int) -> list[int]:
+    """The unique u-v path, as a vertex list, of the tree with adjacency
+    ``adj``."""
+    if u == v:
+        return [u]
+    prev = {u: None}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        if x == v:
+            break
+        for y in adj[x]:
+            if y not in prev:
+                prev[y] = x
+                stack.append(y)
+    if v not in prev:
+        raise ValueError(f"{u} and {v} are in different components")
+    out = [v]
+    while out[-1] != u:
+        out.append(prev[out[-1]])
+    out.reverse()
+    return out
 
 
 class MetricTree:
@@ -40,20 +66,6 @@ class MetricTree:
         self.adj[u][v] = w
         self.adj[v][u] = w
 
-    def remove_edge(self, u: int, v: int) -> None:
-        del self.adj[u][v]
-        del self.adj[v][u]
-
-    def subdivide(self, u: int, v: int, w_id: int, dist_from_u: Fraction):
-        """Insert a new vertex on edge (u,v) at the given offset from u."""
-        w = self.adj[u][v]
-        d = frac(dist_from_u)
-        if not (0 <= d <= w):
-            raise ValueError("subdivision point off the edge")
-        self.remove_edge(u, v)
-        self.add_edge(u, w_id, d)
-        self.add_edge(w_id, v, w - d)
-
     def graft(self, other: "MetricTree", ids: dict[int, int]) -> None:
         """Add a copy of ``other`` with vertex v renamed ``ids[v]``, in the
         order ``add_vertex``/``add_edge`` over ``other.edges()`` would give.
@@ -67,14 +79,6 @@ class MetricTree:
                 if v < y:
                     adj[ids[v]][ids[y]] = w
                     adj[ids[y]][ids[v]] = w
-
-    def copy(self) -> "MetricTree":
-        t = MetricTree()
-        t.adj = {v: dict(nbrs) for v, nbrs in self.adj.items()}
-        return t
-
-    def fresh_id(self) -> int:
-        return max(self.adj, default=-1) + 1
 
     # -- queries --------------------------------------------------------
 
@@ -111,25 +115,7 @@ class MetricTree:
 
     def path(self, u: int, v: int) -> list[int]:
         """The unique u-v path as a vertex list."""
-        if u == v:
-            return [u]
-        prev = {u: None}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            if x == v:
-                break
-            for y in self.adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    stack.append(y)
-        if v not in prev:
-            raise ValueError(f"{u} and {v} are in different components")
-        out = [v]
-        while out[-1] != u:
-            out.append(prev[out[-1]])
-        out.reverse()
-        return out
+        return _path(self.adj, u, v)
 
     def path_positions(self, u: int, v: int) -> list[tuple[int, Fraction]]:
         """Vertices of the u-v path with cumulative distance from u."""
@@ -206,62 +192,137 @@ class MetricTree:
         return t
 
 
+class TickTree:
+    """A tree being built, with every edge length a whole number of ticks
+    1/D over one denominator D for the whole tree, so that lengths add and
+    compare as ints.  ``metric`` converts the finished tree once."""
+
+    def __init__(self, D: int = 1):
+        self.adj: dict[int, dict[int, int]] = {}
+        self.D = D
+
+    @staticmethod
+    def from_path(vertex_ids, lengths) -> "TickTree":
+        """The path through ``vertex_ids`` with the given lengths, on the
+        least common denominator of the lengths; same vertex and adjacency
+        order as ``MetricTree.from_path``."""
+        lengths = [frac(w) for w in lengths]
+        if any(w < 0 for w in lengths):
+            raise ValueError("negative tree edge length")
+        t = TickTree(math.lcm(*[w.denominator for w in lengths]))
+        vs = list(vertex_ids)
+        adj = t.adj
+        for v in vs:
+            adj[v] = {}
+        for i, w in enumerate(lengths):
+            w = w.numerator * (t.D // w.denominator)
+            adj[vs[i]][vs[i + 1]] = w
+            adj[vs[i + 1]][vs[i]] = w
+        return t
+
+    def refine(self, m: int) -> int:
+        """Move to the grid 1/lcm(D, m), scaling every length in place;
+        return the factor by which tick counts grew."""
+        k = math.lcm(self.D, m) // self.D
+        if k != 1:
+            for nbrs in self.adj.values():
+                for y in nbrs:
+                    nbrs[y] *= k
+            self.D *= k
+        return k
+
+    def path(self, u: int, v: int) -> list[int]:
+        """The unique u-v path as a vertex list."""
+        return _path(self.adj, u, v)
+
+    def path_ticks(self, u: int, v: int) -> tuple[list[int], list[int]]:
+        """The u-v path and, for each of its vertices, the tick distance
+        from u."""
+        p = _path(self.adj, u, v)
+        adj = self.adj
+        pos = [0]
+        for i in range(1, len(p)):
+            pos.append(pos[-1] + adj[p[i - 1]][p[i]])
+        return p, pos
+
+    def metric(self) -> MetricTree:
+        """The tree with lengths ticks / D as Fractions, in the same vertex
+        and adjacency order."""
+        D = self.D
+        fracs: dict[int, Fraction] = {}  # edges share few distinct lengths
+        t = MetricTree()
+        for x, nbrs in self.adj.items():
+            row = t.adj[x] = {}
+            for y, w in nbrs.items():
+                f = fracs.get(w)
+                if f is None:
+                    f = fracs[w] = Fraction(w, D)
+                row[y] = f
+        return t
+
+
 def glue(
-    t1: MetricTree,
-    t2: MetricTree,
-    u1: int,
-    v1: int,
-    u2: int,
-    v2: int,
-) -> tuple[MetricTree, dict[int, int]]:
-    """Identify the u1-v1 path of t1 with the u2-v2 path of t2 point by
-    point and return the merged tree plus the map t2-vertex -> new id.
+    tree: TickTree, u: int, v: int, flat: list[int], iu: int, iv: int
+) -> list[int]:
+    """Glue a metric path onto ``tree`` in place; return the tree id of
+    each path vertex.
 
-    t1's vertex ids are preserved.  Positions that exist in only one of
-    the two paths become subdivision vertices.  Zero-length segments are
-    merged onto the first vertex at that position.
+    Path vertex j sits at ``flat[j]`` ticks of the tree's grid, with
+    ``flat`` sorted.  The stretch from vertex iu to vertex iv is
+    identified point by point with the u-v path of the tree, so the two
+    must have the same length.  A vertex of the stretch at a position the
+    tree path already has maps to the first tree vertex there (zero-length
+    segments merge); one at a new position subdivides the tree edge around
+    it.  The path vertices off the stretch become new vertices, joined by
+    the path's own edges.  New ids count up from max(largest tree id + 1,
+    len(flat)): first the subdivisions, in the order the stretch meets
+    them from iu, then the vertices off the stretch in path order.
     """
-    path_a = t1.path_positions(u1, v1)
-    path_b = t2.path_positions(u2, v2)
-    if path_a[-1][1] != path_b[-1][1]:
+    adj = tree.adj
+    work, positions = tree.path_ticks(u, v)
+    base = flat[iu]
+    if abs(flat[iv] - base) != positions[-1]:
         raise LengthMismatch(
-            f"glue paths differ in length: {path_a[-1][1]} vs {path_b[-1][1]}"
+            f"glue paths differ in length: {Fraction(positions[-1], tree.D)}"
+            f" vs {Fraction(abs(flat[iv] - base), tree.D)}"
         )
-    out = t1.copy()
-    next_id = max(out.fresh_id(), t2.fresh_id())
-
-    # Working copy of the glue path inside `out`, kept sorted by position.
-    work = list(path_a)
-    positions = [p for (_, p) in work]
-    on_path_b = {v for (v, _) in path_b}
-
-    mapping: dict[int, int] = {}
-    for (bv, p) in path_b:
+    next_id = max(max(adj) + 1, len(flat))
+    ids: list = [None] * len(flat)
+    step = 1 if iu <= iv else -1
+    for j in range(iu, iv + step, step):
+        p = abs(flat[j] - base)
         i = bisect_left(positions, p)
-        if i < len(positions) and positions[i] == p:
-            mapping[bv] = work[i][0]
+        if positions[i] == p:
+            ids[j] = work[i]
             continue
-        # Subdivide the segment containing position p.
-        a_prev, a_next = work[i - 1][0], work[i][0]
-        w_id = next_id
-        next_id += 1
-        out.subdivide(a_prev, a_next, w_id, p - work[i - 1][1])
-        work.insert(i, (w_id, p))
+        # Subdivide the tree edge (a, b) around position p.
+        a, b = work[i - 1], work[i]
+        w = adj[a].pop(b)
+        del adj[b][a]
+        off = p - positions[i - 1]
+        adj[a][next_id] = off
+        adj[next_id] = {a: off, b: w - off}
+        adj[b][next_id] = w - off
+        work.insert(i, next_id)
         positions.insert(i, p)
-        mapping[bv] = w_id
+        ids[j] = next_id
+        next_id += 1
 
-    for bv in t2.adj:
-        if bv not in mapping:
-            mapping[bv] = next_id
-            out.add_vertex(next_id)
+    for j in range(len(flat)):
+        if ids[j] is None:
+            ids[j] = next_id
+            adj[next_id] = {}
             next_id += 1
 
-    for (x, y, w) in t2.edges():
-        if x in on_path_b and y in on_path_b:
-            continue  # identified with a segment of the glue path
-        out.add_edge(mapping[x], mapping[y], w)
-
-    return out, mapping
+    lo, hi = sorted((iu, iv))
+    for j in range(len(flat) - 1):
+        if lo <= j and j + 1 <= hi:
+            continue  # identified with a segment of the tree path
+        x, y = ids[j], ids[j + 1]
+        if y in adj[x]:
+            raise ValueError(f"edge ({x},{y}) already present")
+        adj[x][y] = adj[y][x] = flat[j + 1] - flat[j]
+    return ids
 
 
 @dataclass

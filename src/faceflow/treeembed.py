@@ -6,12 +6,15 @@ its attach edge, two anchor points are chosen on the cycle, and the
 flattened cycle is glued onto the tree along one of the two anchors with
 probability 1/2 each.
 
-The cycle geometry runs on integer ticks: every ear cycle position, every
-anchor candidate and every flattened offset is a whole number of 1/D, D
-the least common denominator of the ear's lengths and of the anchor grid.
-Comparisons are then int comparisons, and the results stay exact: the
-anchors and the new tree edge lengths go back to Fractions equal to what
-Fraction arithmetic would give.
+Each block's tree grows on integer ticks (``tree.TickTree``): every tree
+length, ear cycle position, anchor candidate and flattened offset is a
+whole number of 1/D, with one D per block.  D starts as the least common
+denominator of the block's first path; at each ear it becomes the lcm of
+D, the ear's lengths and the ear's anchor grid, which is computed once per
+ear, and the tree's ticks are scaled once if it grew.  Sums and comparisons
+are then int operations, and the results stay exact: the finished block
+tree is converted once to Fraction lengths, equal to what Fraction
+arithmetic would give.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .config import DEFAULT_CONFIG
 from .errors import (
@@ -32,12 +36,11 @@ from .graph import (
     MetricGraph,
     OuterplanarBuild,
     connected_components,
-    flatten,
     frac,
     norm_edge,
     slack_transform,
 )
-from .tree import MetricTree, TreeMap, glue
+from .tree import MetricTree, TickTree, TreeMap, glue
 
 _ETA_TRIES = 512
 
@@ -57,24 +60,38 @@ def _tick(x, D: int) -> int:
     return x.numerator * (D // x.denominator)
 
 
-def _anchor_grid(circ, chord) -> tuple[Fraction, Fraction, Fraction]:
-    """Offsets ``(p0, q0, step)`` of the anchors from the base endpoint:
-    grid point k (1 <= k <= anchor_grid) puts p at p0 - k*step and q at
-    q0 - k*step, i.e. at (1/4 + 3 alpha/2 - eta) len(C) and
+def _anchor_grid(circ: int, chord: int) -> tuple[int, tuple[int, int, int]]:
+    """Anchor offsets of a cycle measured in integer ticks, as
+    ``(m, (p0, q0, step))`` with the offsets in ticks m times finer, m the
+    least factor that makes them whole.  Grid point k
+    (1 <= k <= anchor_grid) puts p at p0 - k*step and q at q0 - k*step
+    from the base endpoint, i.e. at (1/4 + 3 alpha/2 - eta) len(C) and
     (1/2 - eta - beta) len(C) with eta = delta + (alpha - delta) k / (grid + 1)
     and delta = chord / len(path)."""
     path_len = circ - chord
     if path_len <= 0:
         raise ChordTooLong("degenerate cycle: chord covers the whole circumference")
-    delta = Fraction(chord) / path_len
     delta_max = DEFAULT_CONFIG.anchor_delta_max
-    if delta > delta_max:
-        raise ChordTooLong(f"chord ratio {delta} exceeds {delta_max}")
+    if chord * delta_max.denominator > delta_max.numerator * path_len:
+        raise ChordTooLong(
+            f"chord ratio {Fraction(chord, path_len)} exceeds {delta_max}"
+        )
     alpha, beta = DEFAULT_CONFIG.anchor_alpha, DEFAULT_CONFIG.anchor_beta
-    p0 = (Fraction(1, 4) + 3 * alpha / 2 - delta) * circ
-    q0 = (Fraction(1, 2) - beta - delta) * circ
-    step = (alpha - delta) * circ / (DEFAULT_CONFIG.anchor_grid + 1)
-    return p0, q0, step
+    # An offset (n/d - delta) circ / div is
+    # (n path_len - d chord) circ / (d path_len div) ticks.
+    offsets = []
+    for n, d, div in (
+        (alpha.denominator + 6 * alpha.numerator, 4 * alpha.denominator, 1),
+        (beta.denominator - 2 * beta.numerator, 2 * beta.denominator, 1),
+        (alpha.numerator, alpha.denominator, DEFAULT_CONFIG.anchor_grid + 1),
+    ):
+        num = (n * path_len - d * chord) * circ
+        den = d * path_len * div
+        g = math.gcd(num, den)
+        offsets.append((num // g, den // g))
+    m = math.lcm(*[den for _, den in offsets])
+    p0, q0, step = (num * (m // den) for num, den in offsets)
+    return m, (p0, q0, step)
 
 
 def anchor_points(
@@ -84,39 +101,31 @@ def anchor_points(
     forbidden,
     good_end: int,
     rng: random.Random,
+    grid: tuple[int, int, int],
     path_pos=None,
     extra_check=None,
-) -> tuple[Fraction, Fraction]:
+) -> tuple[int, int]:
     """Pick two anchor positions on the cycle, (1/6, 1/16)-apart with
     respect to {u, v}, measured from the endpoint that is not the good
     one.  Distances from each anchor to all forbidden positions are
     pairwise distinct (zero-distance pairs exempt); ``extra_check`` can
     reject a candidate pair to force a resample.
 
-    Positions are ints or Fractions in the cycle's unit, and the pair is
-    returned as Fractions in that unit.  The search runs on integer ticks
-    1/D, D the least common denominator of the cycle, forbidden and path
-    positions and of every grid anchor, so each comparison is exact.
-    ``extra_check`` sees candidates in these ticks; a cycle already on its
-    grid (as ``random_extension`` passes) has D = 1 and ticks in its unit.
+    Everything is in integer ticks: the cycle, ``forbidden``, ``path_pos``
+    and ``grid``, the ``(p0, q0, step)`` of ``_anchor_grid`` for this cycle,
+    whose unit must make them whole.  The anchors are returned in ticks
+    too, so each comparison of the search is an int comparison.
     """
-    p0, q0, step = _anchor_grid(c.circumference, c.dist(u, v))
+    p0, q0, step = grid
     base = u if good_end == v else v
     if path_pos is None:
         path_pos = c.points
-    forbidden = list(forbidden)
-    D = _lcd([c.circumference, p0, q0, step, *c.points.values(),
-              *path_pos.values(), *forbidden])
-
-    circ = _tick(c.circumference, D)
-    ct = Cycle(circ, {x: _tick(pos, D) for x, pos in c.points.items()})
-    path_pos = {x: _tick(pos, D) for x, pos in path_pos.items()}
-    p0, q0, step = _tick(p0, D), _tick(q0, D), _tick(step, D)
+    circ = c.circumference
     # Anchors sit on the path arc, measured from the non-good endpoint.
     sign = 1 if path_pos[base] == 0 else -1
-    base_pos = ct.points[base]
-    forb = sorted({_tick(x, D) for x in forbidden})
-    dist_pos = ct.dist_pos
+    base_pos = c.points[base]
+    forb = sorted(set(forbidden))
+    dist_pos = c.dist_pos
 
     def distances_distinct(anchor: int) -> bool:
         seen: dict[int, int] = {}
@@ -136,8 +145,8 @@ def anchor_points(
             continue
         if extra_check is not None and not extra_check(p_pos, q_pos):
             continue
-        _assert_anchor_conditions(ct, u, v, base, p_pos, q_pos, path_pos)
-        return Fraction(p_pos, D), Fraction(q_pos, D)
+        _assert_anchor_conditions(c, u, v, base, p_pos, q_pos, path_pos)
+        return p_pos, q_pos
     raise InvariantViolation("anchor sampling failed to avoid the forbidden set")
 
 
@@ -173,7 +182,7 @@ def _assert_anchor_conditions(c, u, v, base, p_pos, q_pos, path_pos):
 class EmbedState:
     """Partial embedding of one biconnected block."""
 
-    tree: MetricTree
+    tree: TickTree
     mapping: dict[int, int]            # graph vertex -> tree vertex
     embedded: set[int]
     graph: MetricGraph                 # full graph (neighbor structure)
@@ -214,13 +223,19 @@ def random_extension(
         raise ValueError("ear endpoints do not match the attach edge")
     fu, fv = state.mapping[u], state.mapping[v]
     tree = state.tree
-    d = tree.dist(fu, fv)
-    len_p = sum(path_lengths, Fraction(0))
+    _, tree_pos = tree.path_ticks(fu, fv)
+    # The ear in ticks 1/D1, the grid of the tree and of the ear's lengths;
+    # the chord is the tree distance of the attach edge.
+    D1 = math.lcm(tree.D, _lcd(path_lengths))
+    ticks = [_tick(w, D1) for w in path_lengths]
+    len_p = sum(ticks)
+    chord = tree_pos[-1] * (D1 // tree.D)
     edge_len = state.graph.edge_lengths().get(norm_edge(u, v))
-    hyp = edge_len if edge_len is not None else d
-    if len_p < DEFAULT_CONFIG.slack_alpha * hyp:
+    hyp = edge_len if edge_len is not None else Fraction(chord, D1)
+    if len_p * hyp.denominator < DEFAULT_CONFIG.slack_alpha * hyp.numerator * D1:
         raise SlackViolation(
-            f"ear of length {len_p} too short for attach edge of length {hyp}"
+            f"ear of length {Fraction(len_p, D1)} too short for attach edge"
+            f" of length {hyp}"
         )
 
     good_u = _is_good(state, u, v)
@@ -234,66 +249,49 @@ def random_extension(
     else:
         raise InvariantViolation(f"no good endpoint for attach edge ({u},{v})")
 
-    if d > len_p:
-        raise ChordTooLong(f"chord {d} exceeds path length {len_p}")
+    if chord > len_p:
+        raise ChordTooLong(
+            f"chord {Fraction(chord, D1)} exceeds path length {Fraction(len_p, D1)}"
+        )
     if len_p == 0:
         raise ValueError("degenerate cycle of circumference zero")
-    # The ear cycle in integer ticks 1/D, D the grid of its positions and
-    # of every anchor candidate: only the anchors and the new tree edge
-    # lengths go back to Fractions.
-    D = _lcd([d, *_anchor_grid(len_p + d, d), *path_lengths])
-    circ = _tick(len_p + d, D)
-    path_pos: dict[int, int] = {}
-    pos = 0
-    for i, x in enumerate(path_vertices):
-        path_pos[x] = pos
-        if i < len(path_lengths):
-            pos += _tick(path_lengths[i], D)
-    cyc = Cycle(circ, {x: p % circ for x, p in path_pos.items()})
-    forbidden = set(cyc.points.values())
+    # The block's grid becomes 1/D, D = D1 * m, fine enough for every
+    # anchor candidate too; the tree's ticks grow by k.
+    m, grid = _anchor_grid(len_p + chord, chord)
+    k = tree.refine(D1 * m)
+    path_pos = {x: m * p for x, p in zip(path_vertices, accumulate([0, *ticks]))}
+    circ = m * (len_p + chord)
+    cyc_pos = {x: p % circ for x, p in path_pos.items()}
+    cyc = Cycle(circ, cyc_pos)
+    dist_pos = cyc.dist_pos
 
-    # Tree positions along the F(u)-F(v) path; one off the grid never
-    # equals a flattened offset.
-    glue_positions = set()
-    for _, g_pos in tree.path_positions(fu, fv):
-        t, r = divmod(g_pos.numerator * D, g_pos.denominator)
-        if not r:
-            glue_positions.add(t)
+    # A flattened offset equal to a tree position on the F(u)-F(v) path
+    # would glue an interior ear vertex onto an existing tree vertex.
+    glue_positions = {k * t for t in tree_pos}
     interior = path_vertices[1:-1]
+    pu, pv = cyc_pos[u], cyc_pos[v]
 
     def no_existing_collision(p_pos: int, q_pos: int) -> bool:
         for b in (p_pos, q_pos):
-            flat = flatten(cyc, b)
-            lo, hi = sorted((flat.positions[u], flat.positions[v]))
+            fu_b = dist_pos(b, pu)
+            lo, hi = sorted((fu_b, dist_pos(b, pv)))
             for x in interior:
-                fp = flat.positions[x]
-                if lo <= fp <= hi and (fp - flat.positions[u]) in glue_positions:
+                fp = dist_pos(b, cyc_pos[x])
+                if lo <= fp <= hi and fp - fu_b in glue_positions:
                     return False
         return True
 
     p_pos, q_pos = anchor_points(
-        cyc, u, v, forbidden, good, rng,
+        cyc, u, v, cyc_pos.values(), good, rng, grid,
         path_pos=path_pos, extra_check=no_existing_collision,
     )
     branch = p_pos if rng.random() < 0.5 else q_pos
-    flat = flatten(cyc, branch.numerator)  # whole: cyc is on its grid
-
-    order = sorted(path_vertices, key=lambda x: (flat.positions[x], path_pos[x]))
-    t2 = MetricTree()
-    t2_id = {x: i for i, x in enumerate(order)}
-    for i in range(len(order) - 1):
-        a, b = order[i], order[i + 1]
-        w = Fraction(flat.positions[b] - flat.positions[a], D)
-        t2.add_vertex(t2_id[a])
-        t2.add_vertex(t2_id[b])
-        t2.add_edge(t2_id[a], t2_id[b], w)
-    if len(order) == 1:
-        t2.add_vertex(t2_id[order[0]])
-
-    new_tree, map2 = glue(tree, t2, fu, fv, t2_id[u], t2_id[v])
-    state.tree = new_tree
+    flat = {x: dist_pos(branch, cyc_pos[x]) for x in path_vertices}
+    order = sorted(path_vertices, key=lambda x: (flat[x], path_pos[x]))
+    rank = {x: i for i, x in enumerate(order)}
+    ids = glue(tree, fu, fv, [flat[x] for x in order], rank[u], rank[v])
     for x in interior:
-        state.mapping[x] = map2[t2_id[x]]
+        state.mapping[x] = ids[rank[x]]
         state.embedded.add(x)
 
 
@@ -305,18 +303,12 @@ def _embed_block(
 ) -> tuple[MetricTree, dict[int, int]]:
     """Embed one biconnected block (or bridge) of the slack graph, with
     vertex set ``block``, from its ear build; tree ids are local and
-    relabelled by the caller.  Only ears draw from ``rng``."""
+    relabelled by the caller.  Only ears draw from ``rng``.  The tree
+    grows on ticks and is converted to Fractions once, at the end."""
     init_vs = build.initial_vertices
-    tree = MetricTree()
-    mapping: dict[int, int] = {}
-    for i, x in enumerate(init_vs):
-        tree.add_vertex(i)
-        mapping[x] = i
-    for i, w in enumerate(build.initial_lengths):
-        tree.add_edge(mapping[init_vs[i]], mapping[init_vs[i + 1]], w)
     state = EmbedState(
-        tree=tree,
-        mapping=mapping,
+        tree=TickTree.from_path(range(len(init_vs)), build.initial_lengths),
+        mapping={x: i for i, x in enumerate(init_vs)},
         embedded=set(init_vs),
         graph=g,
         block=block,
@@ -325,7 +317,7 @@ def _embed_block(
         random_extension(
             state, step.path_vertices, step.path_lengths, step.attach_edge, rng
         )
-    return state.tree, state.mapping
+    return state.tree.metric(), state.mapping
 
 
 def embed_sampler(g: MetricGraph):

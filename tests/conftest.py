@@ -35,6 +35,18 @@ def slack_cycle(n: int, eps=Fraction(1, 64)) -> MetricGraph:
     return MetricGraph(n, tuple(edges))
 
 
+def two_ear_block() -> MetricGraph:
+    """A chorded outerplanar graph whose 160-slack graph keeps one block
+    with two ears; its lengths have coprime denominators, so the block's
+    tick grid grows between the ears."""
+    edges = [
+        (0, 1, 1), (0, 2, 100), (2, 3, 1), (3, 1, 100), (2, 4, 100),
+        (4, 5, Fraction(3, 7)), (5, 3, 100), (4, 6, 50), (6, 7, 77),
+        (7, 5, 60), (6, 8, Fraction(1, 3)), (8, 7, Fraction(2, 5)),
+    ]
+    return MetricGraph(9, tuple((u, v, Fraction(w)) for u, v, w in edges))
+
+
 def random_reduced_graph(n: int, seed: int, p: float = 0.5) -> MetricGraph:
     """Connected random graph with rational lengths, then reduced."""
     rng = random.Random(f"rrg:{seed}")

@@ -1,11 +1,13 @@
+import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 
 from faceflow.errors import LengthMismatch
 from faceflow.graph import MetricGraph
-from faceflow.tree import MetricTree, TreeMap, glue
+from faceflow.tree import MetricTree, TickTree, TreeMap, glue
 
 
 def build_random_tree(n, seed):
@@ -18,6 +20,121 @@ def build_random_tree(n, seed):
     return t
 
 
+# -- the Fraction glue that the tick glue replaced, kept as the reference --
+
+
+def reference_copy(t: MetricTree) -> MetricTree:
+    out = MetricTree()
+    out.adj = {v: dict(nbrs) for v, nbrs in t.adj.items()}
+    return out
+
+
+def reference_fresh_id(t: MetricTree) -> int:
+    return max(t.adj, default=-1) + 1
+
+
+def reference_subdivide(t: MetricTree, u: int, v: int, w_id: int, dist_from_u):
+    """Insert a new vertex on edge (u,v) at the given offset from u."""
+    w = t.adj[u][v]
+    d = Fraction(dist_from_u)
+    if not (0 <= d <= w):
+        raise ValueError("subdivision point off the edge")
+    del t.adj[u][v]
+    del t.adj[v][u]
+    t.add_edge(u, w_id, d)
+    t.add_edge(w_id, v, w - d)
+
+
+def reference_glue(
+    t1: MetricTree,
+    t2: MetricTree,
+    u1: int,
+    v1: int,
+    u2: int,
+    v2: int,
+) -> tuple[MetricTree, dict[int, int]]:
+    """Identify the u1-v1 path of t1 with the u2-v2 path of t2 point by
+    point and return the merged tree plus the map t2-vertex -> new id.
+
+    t1's vertex ids are preserved.  Positions that exist in only one of
+    the two paths become subdivision vertices.  Zero-length segments are
+    merged onto the first vertex at that position.
+    """
+    path_a = t1.path_positions(u1, v1)
+    path_b = t2.path_positions(u2, v2)
+    if path_a[-1][1] != path_b[-1][1]:
+        raise LengthMismatch(
+            f"glue paths differ in length: {path_a[-1][1]} vs {path_b[-1][1]}"
+        )
+    out = reference_copy(t1)
+    next_id = max(reference_fresh_id(out), reference_fresh_id(t2))
+
+    # Working copy of the glue path inside `out`, kept sorted by position.
+    work = list(path_a)
+    positions = [p for (_, p) in work]
+    on_path_b = {v for (v, _) in path_b}
+
+    mapping: dict[int, int] = {}
+    for (bv, p) in path_b:
+        i = bisect_left(positions, p)
+        if i < len(positions) and positions[i] == p:
+            mapping[bv] = work[i][0]
+            continue
+        # Subdivide the segment containing position p.
+        a_prev, a_next = work[i - 1][0], work[i][0]
+        w_id = next_id
+        next_id += 1
+        reference_subdivide(out, a_prev, a_next, w_id, p - work[i - 1][1])
+        work.insert(i, (w_id, p))
+        positions.insert(i, p)
+        mapping[bv] = w_id
+
+    for bv in t2.adj:
+        if bv not in mapping:
+            mapping[bv] = next_id
+            out.add_vertex(next_id)
+            next_id += 1
+
+    for (x, y, w) in t2.edges():
+        if x in on_path_b and y in on_path_b:
+            continue  # identified with a segment of the glue path
+        out.add_edge(mapping[x], mapping[y], w)
+
+    return out, mapping
+
+
+def adj_lists(t: MetricTree):
+    """The adjacency with both orders, vertices and neighbours."""
+    return [(v, list(nbrs.items())) for v, nbrs in t.adj.items()]
+
+
+def tick_tree(t: MetricTree, D: int) -> TickTree:
+    """``t`` on the grid 1/D, which must hold every length."""
+    out = TickTree(D)
+    out.adj = {
+        x: {y: int(w * D) for y, w in nbrs.items()} for x, nbrs in t.adj.items()
+    }
+    assert adj_lists(out.metric()) == adj_lists(t)
+    return out
+
+
+def glue_both(t1: MetricTree, u: int, v: int, flat, iu: int, iv: int):
+    """Glue the path with sorted Fraction positions ``flat`` onto t1 with
+    the tick glue and with the reference, which gets the path as a
+    ``MetricTree`` on ids 0..len(flat)-1: both give the same tree, down to
+    its adjacency order, and the same ids.  Returns the glued tree and ids."""
+    t2 = MetricTree.from_path(range(len(flat)), [b - a for a, b in zip(flat, flat[1:])])
+    want, mapping = reference_glue(t1, t2, u, v, iu, iv)
+    D = math.lcm(*[w.denominator for _, _, w in t1.edges()],
+                 *[Fraction(p).denominator for p in flat])
+    tt = tick_tree(t1, D)
+    ids = glue(tt, u, v, [int(p * D) for p in flat], iu, iv)
+    got = tt.metric()
+    assert adj_lists(got) == adj_lists(want)
+    assert ids == [mapping[j] for j in range(len(flat))]
+    return got, ids
+
+
 class TestMetricTree:
     def test_path_and_dist(self):
         t = MetricTree.from_path([0, 1, 2], [Fraction(1), Fraction(2)])
@@ -26,7 +143,7 @@ class TestMetricTree:
 
     def test_subdivide(self):
         t = MetricTree.from_path([0, 1], [Fraction(2)])
-        t.subdivide(0, 1, 5, Fraction(1, 2))
+        reference_subdivide(t, 0, 1, 5, Fraction(1, 2))
         assert t.dist(0, 5) == Fraction(1, 2)
         assert t.dist(5, 1) == Fraction(3, 2)
         assert t.is_tree()
@@ -47,12 +164,12 @@ class TestMetricTree:
         base = build_random_tree(4, seed + 10)
         other = build_random_tree(6, seed)
         ids = {v: (0 if v == 3 else 10 + (v * 7) % 13) for v in other.vertices()}
-        want = base.copy()
+        want = reference_copy(base)
         for v in other.vertices():
             want.add_vertex(ids[v])
         for (a, b, w) in other.edges():
             want.add_edge(ids[a], ids[b], w)
-        got = base.copy()
+        got = reference_copy(base)
         got.graft(other, ids)
         assert [(v, list(n.items())) for v, n in got.adj.items()] == [
             (v, list(n.items())) for v, n in want.adj.items()
@@ -75,54 +192,105 @@ class TestMetricTree:
             assert d0[v] == t.dist(0, v)
 
 
+class TestTickTree:
+    def test_from_path_matches_metric_tree(self):
+        lengths = [Fraction(1, 3), Fraction(0), Fraction(5, 4)]
+        t = TickTree.from_path([3, 1, 2, 0], lengths)
+        assert t.D == 12
+        assert adj_lists(t.metric()) == adj_lists(
+            MetricTree.from_path([3, 1, 2, 0], lengths)
+        )
+
+    def test_refine_scales_every_length(self):
+        t = TickTree.from_path([0, 1, 2], [Fraction(1, 2), Fraction(3, 4)])
+        before = adj_lists(t.metric())
+        assert t.refine(6) == 3 and t.D == 12
+        assert t.adj[0][1] == 6 and t.adj[2][1] == 9
+        assert t.refine(4) == 1 and t.D == 12
+        assert adj_lists(t.metric()) == before
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_path_ticks_match_path_positions(self, seed):
+        t = build_random_tree(9, seed)
+        tt = tick_tree(t, 2)
+        for u, v in [(0, 8), (8, 0), (3, 5), (4, 4)]:
+            p, pos = tt.path_ticks(u, v)
+            assert list(zip(p, [Fraction(x, 2) for x in pos])) == t.path_positions(u, v)
+
+
 class TestGlue:
+    """The tick glue against the Fraction reference: the same tree, down
+    to its adjacency order, and the same ids."""
+
     def test_glue_tree_with_copy_is_isometric(self):
+        # Glue a copy of one of the tree's own paths: nothing is added.
         t = build_random_tree(6, 1)
-        out, mapping = glue(t, t.copy(), 0, 3, 0, 3)
-        for u in t.vertices():
-            for v in t.vertices():
-                assert out.dist(u, v) == t.dist(u, v)
-                assert out.dist(mapping[u], mapping[v]) == t.dist(u, v)
+        path = t.path_positions(0, 3)
+        out, ids = glue_both(t, 0, 3, [p for _, p in path], 0, len(path) - 1)
+        assert ids == [x for x, _ in path]
+        assert adj_lists(out) == adj_lists(t)
 
     def test_glue_two_unit_edges(self):
         t1 = MetricTree.from_path([0, 1], [Fraction(1)])
-        t2 = MetricTree.from_path([0, 1], [Fraction(1)])
-        out, mapping = glue(t1, t2, 0, 1, 0, 1)
+        out, ids = glue_both(t1, 0, 1, [Fraction(0), Fraction(1)], 0, 1)
         assert len(out.vertices()) == 2
         assert out.dist(0, 1) == 1
-        assert mapping[0] == 0 and mapping[1] == 1
+        assert ids == [0, 1]
 
     def test_glue_length_mismatch(self):
         t1 = MetricTree.from_path([0, 1], [Fraction(1)])
         t2 = MetricTree.from_path([0, 1], [Fraction(2)])
         with pytest.raises(LengthMismatch):
-            glue(t1, t2, 0, 1, 0, 1)
+            reference_glue(t1, t2, 0, 1, 0, 1)
+        with pytest.raises(LengthMismatch, match="1 vs 2"):
+            glue(TickTree.from_path([0, 1], [1]), 0, 1, [0, 2], 0, 1)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_glue_preserves_both_inputs(self, seed):
+        # A random path, its stretch between iu and iv as long as the
+        # tree's u1-v1 path and partly on its vertex positions; the path
+        # may run either way and have vertices off the stretch.
         rng = random.Random(seed)
         t1 = build_random_tree(7, seed)
-        t2 = build_random_tree(7, seed + 100)
         u1, v1 = rng.sample(t1.vertices(), 2)
-        u2, v2 = rng.sample(t2.vertices(), 2)
         d = t1.dist(u1, v1)
-        if t2.dist(u2, v2) != d:
-            # Stretch one t2 edge on the glue path to match lengths.
-            p = t2.path(u2, v2)
-            w0 = t2.adj[p[0]][p[1]]
-            need = d - (t2.dist(u2, v2) - w0)
-            if need <= 0:
-                return
-            t2.remove_edge(p[0], p[1])
-            t2.add_edge(p[0], p[1], need)
-        out, mapping = glue(t1, t2, u1, v1, u2, v2)
+        on_tree = [p for _, p in t1.path_positions(u1, v1)]
+        inner = sorted(
+            rng.choice(on_tree[1:-1] or [d / 2]) if rng.random() < 0.3
+            else d * Fraction(rng.randrange(1, 16), 16)
+            for _ in range(rng.randrange(0, 5))
+        )
+        stretch = [Fraction(0), *inner, d]
+        before = sorted(-Fraction(rng.randrange(5), 3) for _ in range(rng.randrange(3)))
+        after = sorted(d + Fraction(rng.randrange(5), 3) for _ in range(rng.randrange(3)))
+        flat = before + stretch + after
+        iu, iv = len(before), len(before) + len(stretch) - 1
+        if rng.random() < 0.5:  # the stretch runs from its far end
+            flat = [flat[-1] - p for p in reversed(flat)]
+            iu, iv = len(flat) - 1 - iu, len(flat) - 1 - iv
+        out, ids = glue_both(t1, u1, v1, flat, iu, iv)
         assert out.is_tree()
         for a in t1.vertices():
             for b in t1.vertices():
                 assert out.dist(a, b) == t1.dist(a, b)
-        for a in t2.vertices():
-            for b in t2.vertices():
-                assert out.dist(mapping[a], mapping[b]) == t2.dist(a, b)
+        for a in range(len(flat)):
+            for b in range(len(flat)):
+                assert out.dist(ids[a], ids[b]) == abs(flat[a] - flat[b])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_on_ear_like_paths(self, seed):
+        # Many vertices at equal positions: zero-length segments on both
+        # sides of the glue.
+        rng = random.Random(f"ear:{seed}")
+        t1 = MetricTree.from_path(
+            range(4), [Fraction(rng.randrange(0, 3), 2) for _ in range(3)]
+        )
+        d = t1.dist(0, 3)
+        stretch = sorted(
+            rng.choice([Fraction(0), d / 2, d]) for _ in range(rng.randrange(0, 4))
+        )
+        after = sorted(d + rng.randrange(0, 2) for _ in range(2))
+        glue_both(t1, 0, 3, [Fraction(0), *stretch, d, *after], 0, 1 + len(stretch))
 
 
 class TestTreeMap:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -9,12 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import slack_cycle
+from conftest import slack_cycle, two_ear_block
 from faceflow.config import DEFAULT_CONFIG
-from faceflow.errors import ChordTooLong, InvariantViolation, NotOuterplanar
+from faceflow.errors import (
+    ChordTooLong,
+    InvariantViolation,
+    NotOuterplanar,
+    SlackViolation,
+)
 from faceflow.graph import (
+    Cycle,
     MetricGraph,
+    OuterplanarBuild,
     all_pairs_distances,
+    flatten,
     frac,
     make_cycle,
     norm_edge,
@@ -23,7 +32,7 @@ from faceflow.graph import (
 )
 from faceflow.instances import cycle_instance, random_outerplanar
 from faceflow import treeembed
-from faceflow.tree import MetricTree, TreeMap
+from faceflow.tree import MetricTree, TickTree, TreeMap
 from faceflow.treeembed import (
     EmbedState,
     anchor_points,
@@ -34,6 +43,7 @@ from faceflow.treeembed import (
     random_extension,
     thin_number,
 )
+from test_tree import adj_lists, reference_glue
 
 F = Fraction
 
@@ -155,6 +165,52 @@ def reference_assert_anchor_conditions(c, u, v, base, p_pos, q_pos, path_pos, pa
                     raise InvariantViolation("anchor condition (b) violated")
 
 
+def reference_anchor_grid(circ, chord):
+    """The Fraction anchor grid that the integer one replaced, kept
+    verbatim: offsets ``(p0, q0, step)`` in the cycle's unit."""
+    DEFAULT_CONFIG = treeembed.DEFAULT_CONFIG
+    path_len = circ - chord
+    if path_len <= 0:
+        raise ChordTooLong("degenerate cycle: chord covers the whole circumference")
+    delta = Fraction(chord) / path_len
+    delta_max = DEFAULT_CONFIG.anchor_delta_max
+    if delta > delta_max:
+        raise ChordTooLong(f"chord ratio {delta} exceeds {delta_max}")
+    alpha, beta = DEFAULT_CONFIG.anchor_alpha, DEFAULT_CONFIG.anchor_beta
+    p0 = (Fraction(1, 4) + 3 * alpha / 2 - delta) * circ
+    q0 = (Fraction(1, 2) - beta - delta) * circ
+    step = (alpha - delta) * circ / (DEFAULT_CONFIG.anchor_grid + 1)
+    return p0, q0, step
+
+
+def fraction_anchor_points(
+    c, u, v, forbidden, good_end, rng, path_pos=None, extra_check=None
+):
+    """``anchor_points`` on a cycle in any unit: the common tick grid of
+    the positions and of the anchor grid is found here, and the anchors
+    come back as Fractions in the cycle's unit.  ``extra_check`` sees
+    ticks."""
+    if path_pos is None:
+        path_pos = c.points
+    forbidden = list(forbidden)
+    D = treeembed._lcd([frac(x) for x in [
+        c.circumference, *c.points.values(), *path_pos.values(), *forbidden]])
+
+    def tick(x):
+        return treeembed._tick(frac(x), D)
+
+    circ = tick(c.circumference)
+    points = {x: tick(pos) for x, pos in c.points.items()}
+    m, grid = treeembed._anchor_grid(circ, Cycle(circ, points).dist(u, v))
+    p, q = anchor_points(
+        Cycle(m * circ, {x: m * pos for x, pos in points.items()}),
+        u, v, [m * tick(x) for x in forbidden], good_end, rng, grid,
+        path_pos={x: m * tick(pos) for x, pos in path_pos.items()},
+        extra_check=extra_check,
+    )
+    return Fraction(p, m * D), Fraction(q, m * D)
+
+
 def anchors_both(c, u, v, forbidden, good_end, make_rng, **kwargs):
     """``anchor_points`` and the reference, each on a fresh rng from
     ``make_rng``: they return the same Fractions or raise the same error."""
@@ -162,9 +218,9 @@ def anchors_both(c, u, v, forbidden, good_end, make_rng, **kwargs):
         want = reference_anchor_points(c, u, v, forbidden, good_end, make_rng(), **kwargs)
     except (ChordTooLong, InvariantViolation) as e:
         with pytest.raises(type(e), match=re.escape(str(e))):
-            anchor_points(c, u, v, forbidden, good_end, make_rng(), **kwargs)
+            fraction_anchor_points(c, u, v, forbidden, good_end, make_rng(), **kwargs)
         raise
-    got = anchor_points(c, u, v, forbidden, good_end, make_rng(), **kwargs)
+    got = fraction_anchor_points(c, u, v, forbidden, good_end, make_rng(), **kwargs)
     assert got == want
     assert all(type(x) is Fraction for x in got)
     return got
@@ -211,6 +267,39 @@ class TestAnchorPoints:
             )
             seen.append((p, q))
         assert len(set(seen)) > 1  # eta really is random
+
+
+class TestAnchorGrid:
+    """The integer anchor grid gives the reference's Fractions, on the
+    least finer tick grid, and raises the same errors."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference(self, seed):
+        rng = random.Random(f"grid:{seed}")
+        circ = rng.randrange(1, 10**7)
+        chord = rng.choice([rng.randrange(circ // 150 + 1), rng.randrange(circ + 2)])
+        try:
+            want = reference_anchor_grid(circ, chord)
+        except ChordTooLong as e:
+            with pytest.raises(ChordTooLong, match=re.escape(str(e))):
+                treeembed._anchor_grid(circ, chord)
+            return
+        m, got = treeembed._anchor_grid(circ, chord)
+        assert [Fraction(x, m) for x in got] == list(want)
+        assert m == math.lcm(*[x.denominator for x in want])
+
+    def test_patched_config(self, monkeypatch):
+        monkeypatch.setattr(
+            treeembed, "DEFAULT_CONFIG",
+            dataclasses.replace(
+                DEFAULT_CONFIG, anchor_grid=54, anchor_alpha=F(1, 30),
+                anchor_beta=F(1, 9), anchor_delta_max=F(1, 40),
+            ),
+        )
+        for circ, chord in [(161, 1), (1000, 7), (2**20 + 3, 0)]:
+            m, got = treeembed._anchor_grid(circ, chord)
+            want = reference_anchor_grid(circ, chord)
+            assert [Fraction(x, m) for x in got] == list(want)
 
 
 def ear_cycle(rng: random.Random, k: int):
@@ -326,12 +415,162 @@ class TestAnchorViolations:
             )
 
 
+# -- the Fraction-tree ear step that the tick tree replaced, the reference --
+
+
+def reference_random_extension(
+    state: EmbedState,
+    path_vertices,
+    path_lengths,
+    attach: tuple[int, int],
+    rng: random.Random,
+) -> None:
+    """Attach one ear: close it into a cycle against the current tree
+    distance of the attach edge, pick anchors, flatten, and glue one of
+    the two flattenings (fair coin).  The version that grew a Fraction
+    ``MetricTree``, kept verbatim apart from the reference helpers' names."""
+    DEFAULT_CONFIG = treeembed.DEFAULT_CONFIG
+    u, v = attach
+    path_vertices = list(path_vertices)
+    path_lengths = [frac(w) for w in path_lengths]
+    if path_vertices[0] == v and path_vertices[-1] == u:
+        path_vertices.reverse()
+        path_lengths.reverse()
+    if path_vertices[0] != u or path_vertices[-1] != v:
+        raise ValueError("ear endpoints do not match the attach edge")
+    fu, fv = state.mapping[u], state.mapping[v]
+    tree = state.tree
+    d = tree.dist(fu, fv)
+    len_p = sum(path_lengths, Fraction(0))
+    edge_len = state.graph.edge_lengths().get(norm_edge(u, v))
+    hyp = edge_len if edge_len is not None else d
+    if len_p < DEFAULT_CONFIG.slack_alpha * hyp:
+        raise SlackViolation(
+            f"ear of length {len_p} too short for attach edge of length {hyp}"
+        )
+
+    good_u = treeembed._is_good(state, u, v)
+    good_v = treeembed._is_good(state, v, u)
+    if good_u and good_v:
+        good = min(u, v)
+    elif good_u:
+        good = u
+    elif good_v:
+        good = v
+    else:
+        raise InvariantViolation(f"no good endpoint for attach edge ({u},{v})")
+
+    if d > len_p:
+        raise ChordTooLong(f"chord {d} exceeds path length {len_p}")
+    if len_p == 0:
+        raise ValueError("degenerate cycle of circumference zero")
+    # The ear cycle in integer ticks 1/D, D the grid of its positions and
+    # of every anchor candidate: only the anchors and the new tree edge
+    # lengths go back to Fractions.
+    D = treeembed._lcd([d, *reference_anchor_grid(len_p + d, d), *path_lengths])
+    circ = treeembed._tick(len_p + d, D)
+    path_pos: dict[int, int] = {}
+    pos = 0
+    for i, x in enumerate(path_vertices):
+        path_pos[x] = pos
+        if i < len(path_lengths):
+            pos += treeembed._tick(path_lengths[i], D)
+    cyc = Cycle(circ, {x: p % circ for x, p in path_pos.items()})
+    forbidden = set(cyc.points.values())
+
+    # Tree positions along the F(u)-F(v) path; one off the grid never
+    # equals a flattened offset.
+    glue_positions = set()
+    for _, g_pos in tree.path_positions(fu, fv):
+        t, r = divmod(g_pos.numerator * D, g_pos.denominator)
+        if not r:
+            glue_positions.add(t)
+    interior = path_vertices[1:-1]
+
+    def no_existing_collision(p_pos: int, q_pos: int) -> bool:
+        for b in (p_pos, q_pos):
+            flat = flatten(cyc, b)
+            lo, hi = sorted((flat.positions[u], flat.positions[v]))
+            for x in interior:
+                fp = flat.positions[x]
+                if lo <= fp <= hi and (fp - flat.positions[u]) in glue_positions:
+                    return False
+        return True
+
+    p_pos, q_pos = fraction_anchor_points(
+        cyc, u, v, forbidden, good, rng,
+        path_pos=path_pos, extra_check=no_existing_collision,
+    )
+    branch = p_pos if rng.random() < 0.5 else q_pos
+    flat = flatten(cyc, branch.numerator)  # whole: cyc is on its grid
+
+    order = sorted(path_vertices, key=lambda x: (flat.positions[x], path_pos[x]))
+    t2 = MetricTree()
+    t2_id = {x: i for i, x in enumerate(order)}
+    for i in range(len(order) - 1):
+        a, b = order[i], order[i + 1]
+        w = Fraction(flat.positions[b] - flat.positions[a], D)
+        t2.add_vertex(t2_id[a])
+        t2.add_vertex(t2_id[b])
+        t2.add_edge(t2_id[a], t2_id[b], w)
+    if len(order) == 1:
+        t2.add_vertex(t2_id[order[0]])
+
+    new_tree, map2 = reference_glue(tree, t2, fu, fv, t2_id[u], t2_id[v])
+    state.tree = new_tree
+    for x in interior:
+        state.mapping[x] = map2[t2_id[x]]
+        state.embedded.add(x)
+
+
+def reference_embed_block(
+    g: MetricGraph,
+    build: OuterplanarBuild,
+    block: frozenset[int],
+    rng: random.Random,
+) -> tuple[MetricTree, dict[int, int]]:
+    """Embed one biconnected block (or bridge) of the slack graph, with
+    vertex set ``block``, from its ear build; tree ids are local and
+    relabelled by the caller.  Only ears draw from ``rng``.  The
+    version on a Fraction ``MetricTree`` throughout."""
+    init_vs = build.initial_vertices
+    tree = MetricTree()
+    mapping: dict[int, int] = {}
+    for i, x in enumerate(init_vs):
+        tree.add_vertex(i)
+        mapping[x] = i
+    for i, w in enumerate(build.initial_lengths):
+        tree.add_edge(mapping[init_vs[i]], mapping[init_vs[i + 1]], w)
+    state = EmbedState(
+        tree=tree,
+        mapping=mapping,
+        embedded=set(init_vs),
+        graph=g,
+        block=block,
+    )
+    for step in build.steps:
+        reference_random_extension(
+            state, step.path_vertices, step.path_lengths, step.attach_edge, rng
+        )
+    return state.tree, state.mapping
+
+
+def draws(g, seeds):
+    """Root, mapping and tree adjacency, in their order, of the maps that
+    ``embed_sampler(g)`` draws at the given seeds."""
+    samp = embed_sampler(g)
+    return [
+        (tm.root, list(tm.mapping.items()), adj_lists(tm.tree))
+        for tm in map(samp, seeds)
+    ]
+
+
 def two_vertex_state():
     """Fresh state embedding the single attach edge (0, 1) of length 1."""
     g = MetricGraph(
         3, ((0, 1, F(1)), (0, 2, F(80)), (1, 2, F(80)))
     )
-    tree = MetricTree.from_path([0, 1], [F(1)])
+    tree = TickTree.from_path([0, 1], [F(1)])
     return EmbedState(
         tree=tree,
         mapping={0: 0, 1: 1},
@@ -348,25 +587,24 @@ class TestRandomExtension:
         random_extension(
             state, [0, 2, 1], [F(80), F(80)], (0, 1), random.Random(seed)
         )
-        tm = TreeMap(state.tree, state.mapping, state.graph, root=0)
+        tm = TreeMap(state.tree.metric(), state.mapping, state.graph, root=0)
         assert tm.is_lipschitz()
         assert 2 in state.embedded
 
     @pytest.mark.parametrize("seed", range(20))
     def test_existing_distances_unchanged(self, seed):
         state = two_vertex_state()
-        before = state.tree.dist(0, 1)
+        before = state.tree.metric().dist(0, 1)
         random_extension(
             state, [0, 2, 1], [F(80), F(80)], (0, 1), random.Random(seed)
         )
-        assert state.tree.dist(state.mapping[0], state.mapping[1]) == before
+        tree = state.tree.metric()
+        assert tree.dist(state.mapping[0], state.mapping[1]) == before
 
     def test_zero_chord_degenerate(self):
         g = MetricGraph(3, ((0, 1, F(0)), (0, 2, F(1)), (1, 2, F(1))))
-        tree = MetricTree()
-        tree.add_vertex(0)
         state = EmbedState(
-            tree=tree,
+            tree=TickTree.from_path([0], []),
             mapping={0: 0, 1: 0},
             embedded={0, 1},
             graph=g,
@@ -375,9 +613,44 @@ class TestRandomExtension:
         random_extension(
             state, [0, 2, 1], [F(1), F(1)], (0, 1), random.Random(4)
         )
-        tm = TreeMap(state.tree, state.mapping, g, root=0)
+        tm = TreeMap(state.tree.metric(), state.mapping, g, root=0)
         assert tm.is_lipschitz()
-        assert state.tree.dist(state.mapping[0], state.mapping[1]) == 0
+        assert tm.tree.dist(state.mapping[0], state.mapping[1]) == 0
+
+
+class TestRandomExtensionErrors:
+    """Each check of the ear step raises the reference's error, message
+    included.  A case is the attach edge (0, 1)'s graph length, the tree
+    path lengths between F(0) and F(1) (none: one tree vertex), the ear
+    path and its lengths, and the error."""
+
+    CASES = {
+        "slack": (F(1), [F(1)], [0, 2, 1], [F(1), F(1)], SlackViolation),
+        "chord-over-path": (
+            F(1, 1000), [F(1), F(1, 3)], [0, 2, 1], [F(1, 10), F(1, 7)], ChordTooLong,
+        ),
+        "chord-ratio": (F(1, 1000), [F(1, 3)], [0, 2, 1], [F(1), F(1)], ChordTooLong),
+        "zero-circumference": (F(0), [], [0, 2, 1], [F(0), F(0)], ValueError),
+        "endpoints": (F(1), [F(1)], [0, 1, 2], [F(80), F(80)], ValueError),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_error_as_reference(self, case):
+        edge, tree_lens, path, ear_lens, error = self.CASES[case]
+        g = MetricGraph(3, ((0, 1, edge), (0, 2, ear_lens[0]), (1, 2, ear_lens[1])))
+        vs = list(range(len(tree_lens) + 1))  # tree ids; F(1) = vs[-1]
+
+        def run(step, tree):
+            state = EmbedState(
+                tree=tree, mapping={0: 0, 1: vs[-1]}, embedded={0, 1},
+                graph=g, block=frozenset({0, 1, 2}),
+            )
+            step(state, path, ear_lens, (0, 1), random.Random(0))
+
+        with pytest.raises(error) as want:
+            run(reference_random_extension, MetricTree.from_path(vs, tree_lens))
+        with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
+            run(random_extension, TickTree.from_path(vs, tree_lens))
 
 
 class TestEmbedOuterplanar:
@@ -413,6 +686,19 @@ class TestEmbedOuterplanar:
     @pytest.mark.parametrize("seed", range(30))
     def test_invariants_slack_cycle(self, seed):
         tm = embed_outerplanar(slack_cycle(6), seed)
+        assert tm.is_lipschitz()
+        assert is_star_shaped(tm)
+        assert tm.tree.is_tree()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_invariants_two_ear_block(self, seed):
+        # Two ears in one block, so the block's tick grid is refined
+        # between them.
+        g = two_ear_block()
+        h, builds = slack_transform(reduce_lengths(g), DEFAULT_CONFIG.slack_alpha)
+        assert max(len(b.steps) for b in builds) == 2
+        tm = embed_outerplanar(g, seed)
+        assert sorted(tm.source.edges) == sorted(h.edges)
         assert tm.is_lipschitz()
         assert is_star_shaped(tm)
         assert tm.tree.is_tree()
@@ -598,3 +884,50 @@ class TestSamplerBuild:
         monkeypatch.setattr(nx, "check_planarity", counting)
         embed_sampler(g)
         assert calls == [g.n + 1]
+
+
+class TestEmbedReference:
+    """The tick-tree embedding draws exactly the maps of the Fraction-tree
+    reference: the same root, mapping and tree, down to adjacency order."""
+
+    GRAPHS = [
+        *[(f"slack{n}", slack_cycle(n)) for n in (5, 6, 7, 8, 10, 12, 16)],
+        *[
+            (f"outer{n}-{s}-c{c}", random_outerplanar(n, s, extra_chords=c)[0])
+            for n, s, c in [(7, 0, 0), (8, 1, 2), (9, 2, 3), (9, 3, 4)]
+        ],
+        ("two-ear", two_ear_block()),
+        ("slack6-triangle", MetricGraph(8, tuple(list(slack_cycle(6).edges) + [
+            (5, 6, F(1)), (6, 7, F(1)), (5, 7, F(1, 128)),
+        ]))),
+    ]
+
+    @pytest.mark.parametrize("g", [g for _, g in GRAPHS], ids=[n for n, _ in GRAPHS])
+    def test_byte_identical_draws(self, g, monkeypatch):
+        seeds = range(40)
+        got = draws(g, seeds)
+        monkeypatch.setattr(treeembed, "_embed_block", reference_embed_block)
+        assert draws(g, seeds) == got
+
+
+class TestOneAnchorGrid:
+    """The anchor grid is computed once per ear."""
+
+    @pytest.mark.parametrize(
+        "g,ears", [(slack_cycle(8), 1), (two_ear_block(), 2)], ids=["slack8", "two-ear"]
+    )
+    def test_anchor_grid_calls(self, g, ears, monkeypatch):
+        _, builds = slack_transform(reduce_lengths(g), DEFAULT_CONFIG.slack_alpha)
+        assert sum(len(b.steps) for b in builds) == ears
+        anchor_grid = treeembed._anchor_grid
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return anchor_grid(*args)
+
+        monkeypatch.setattr(treeembed, "_anchor_grid", counting)
+        samp = embed_sampler(g)
+        for seed in range(3):
+            samp(seed)
+        assert len(calls) == 3 * ears
