@@ -10,7 +10,7 @@ import sys
 
 from faceflow.config import DEFAULT_CONFIG
 from faceflow.experiments import distortion_experiment
-from faceflow.instances import cycle_instance, random_outerplanar
+from faceflow.instances import cycle_instance, random_outerplanar, slack_cycle
 
 
 def main():
@@ -21,7 +21,10 @@ def main():
     args = ap.parse_args()
 
     floor = 1.0 / DEFAULT_CONFIG.embed_contraction
+    # The slack cycles keep an ear after the 160-slack transform, so their
+    # embeddings run the anchor and glue steps; the others become trees.
     graphs = [("c6", cycle_instance(6))]
+    graphs += [(f"slack{n}", slack_cycle(n)) for n in (6, 8, 12)]
     for s in range(args.seed, args.seed + args.random_instances):
         g, _ = random_outerplanar(5 + s % 3, s)
         graphs.append((f"outer-{s}", g))

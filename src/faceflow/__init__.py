@@ -5,15 +5,12 @@ from .config import DEFAULT_CONFIG, PipelineConfig
 from .errors import FaceflowError, InvariantViolation
 from .graph import (
     Cycle,
-    FlatPath,
     MetricGraph,
     PlanarInstance,
     all_pairs_distances,
     ear_decomposition,
-    flatten,
     is_outerplanar,
     is_planar,
-    make_cycle,
     reduce_lengths,
     slack_transform,
 )
@@ -44,7 +41,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "DemandMatrix",
     "FaceflowError",
-    "FlatPath",
     "Instance",
     "InvariantViolation",
     "MetricGraph",
@@ -61,7 +57,6 @@ __all__ = [
     "embed_outerplanar",
     "embed_sampler",
     "estimate_padding",
-    "flatten",
     "glue",
     "is_outerplanar",
     "is_planar",
@@ -69,7 +64,6 @@ __all__ = [
     "is_thin",
     "load_instance",
     "lovasz_extension",
-    "make_cycle",
     "mcf_dual_vertex",
     "mcf_polymatroid_lp",
     "mcf_vertex_lp",

@@ -354,7 +354,8 @@ def distortion_experiment(
     for i in range(samples):
         tm = embed_fn(seed * 65_537 + i)
         f = tm.mapping
-        D, d_tree = tm.tree.tick_dists({f[u] for u in sources})
+        D = tm.tree.D
+        d_tree = tm.tree.tick_dists({f[u] for u in sources})
         for k, (u, v, num, den) in enumerate(nd):
             r = d_tree[f[u]][f[v]] * den / (D * num)
             sums[k] += r

@@ -2,9 +2,9 @@
 
 Undirected graphs with exact rational edge lengths, shortest paths,
 biconnectivity, outerplanar structure (ear builds), the slack transform,
-and the cycle/flatten primitives used by the tree embedding.
+and the integer-tick cycle that the tree embedding closes each ear into.
 
-All lengths are ``fractions.Fraction``; infinity is represented by
+All graph lengths are ``fractions.Fraction``; infinity is represented by
 ``math.inf`` in distance matrices.
 """
 
@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 import networkx as nx
 
 from .errors import (
-    ChordTooLong,
     FaceInvalid,
     NotBiconnected,
     NotOuterplanar,
@@ -329,68 +328,24 @@ class PlanarInstance:
         return problems
 
 
-# -- cycles and flattening ---------------------------------------------
+# -- cycles ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Cycle:
-    """A continuous cycle with labelled points.
+    """A continuous cycle with labelled points, measured in integer ticks.
 
-    ``points`` maps vertex id to a position in [0, circumference).  The
-    positions are Fractions, or ints for a cycle measured in integer ticks;
-    ``dist_pos`` and ``flatten`` keep the type they are given."""
+    ``points`` maps vertex id to a position in [0, circumference)."""
 
-    circumference: Fraction
-    points: dict[int, Fraction]
+    circumference: int
+    points: dict[int, int]
 
-    def dist_pos(self, a: Fraction, b: Fraction) -> Fraction:
+    def dist_pos(self, a: int, b: int) -> int:
         d = abs(a - b)
         return min(d, self.circumference - d)
 
-    def dist(self, x: int, y: int) -> Fraction:
+    def dist(self, x: int, y: int) -> int:
         return self.dist_pos(self.points[x], self.points[y])
-
-
-def make_cycle(
-    path_vertices: Sequence[int],
-    path_lengths: Sequence[Fraction],
-    chord_len: Fraction,
-) -> Cycle:
-    """Close a metric path into a cycle with an extra chord of the given
-    length between its endpoints."""
-    chord_len = frac(chord_len)
-    total = sum((frac(w) for w in path_lengths), Fraction(0))
-    if chord_len > total:
-        raise ChordTooLong(f"chord {chord_len} exceeds path length {total}")
-    circumference = total + chord_len
-    if circumference == 0:
-        raise ValueError("degenerate cycle of circumference zero")
-    points: dict[int, Fraction] = {}
-    pos = Fraction(0)
-    for i, v in enumerate(path_vertices):
-        points[v] = pos % circumference
-        if i < len(path_lengths):
-            pos += frac(path_lengths[i])
-    return Cycle(circumference, points)
-
-
-@dataclass(frozen=True)
-class FlatPath:
-    """The unrolling of a cycle from a basepoint: every cycle point x sits
-    at position d_C(p, x) on a path of length circumference/2."""
-
-    length: Fraction
-    positions: dict[int, Fraction]
-
-    def dist(self, x: int, y: int) -> Fraction:
-        return abs(self.positions[x] - self.positions[y])
-
-
-def flatten(c: Cycle, p) -> FlatPath:
-    return FlatPath(
-        length=Fraction(c.circumference, 2),
-        positions={v: c.dist_pos(p, pos) for v, pos in c.points.items()},
-    )
 
 
 # -- outerplanar builds -------------------------------------------------
@@ -415,24 +370,6 @@ class OuterplanarBuild:
     initial_vertices: tuple[int, ...]
     initial_lengths: tuple[Fraction, ...]
     steps: tuple[BuildStep, ...]
-
-    def replay(self, n: int) -> MetricGraph:
-        """Reconstruct the graph the build describes."""
-        edges: dict[tuple[int, int], Fraction] = {}
-
-        def add_path(vs, ws):
-            for i in range(len(ws)):
-                edges[norm_edge(vs[i], vs[i + 1])] = frac(ws[i])
-
-        add_path(self.initial_vertices, self.initial_lengths)
-        for step in self.steps:
-            e = norm_edge(*step.attach_edge)
-            if e not in edges:
-                raise ValueError(f"ear attached to missing edge {e}")
-            if {step.path_vertices[0], step.path_vertices[-1]} != set(e):
-                raise ValueError("ear endpoints do not match its attach edge")
-            add_path(step.path_vertices, step.path_lengths)
-        return MetricGraph(n, tuple((u, v, w) for (u, v), w in edges.items()))
 
 
 def _chord_children(chords: list[tuple[int, int]], lo: int, hi: int):

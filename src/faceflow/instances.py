@@ -289,3 +289,12 @@ def cycle_instance(n: int, length: Fraction = Fraction(1)) -> MetricGraph:
     return MetricGraph(
         n, tuple((i, (i + 1) % n, length) for i in range(n))
     )
+
+
+def slack_cycle(n: int, eps: Fraction = Fraction(1, 64)) -> MetricGraph:
+    """n-cycle with unit arcs and one short closing edge of length eps; it
+    survives the 160-slack transform, so embedding it runs the ear, anchor
+    and glue steps."""
+    edges = [(i, i + 1, Fraction(1)) for i in range(n - 1)]
+    edges.append((n - 1, 0, Fraction(eps)))
+    return MetricGraph(n, tuple(edges))

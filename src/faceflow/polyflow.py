@@ -272,12 +272,6 @@ def _separated(root: list[int], dem: DemandMatrix) -> Fraction:
     return sum((w for (u, v, w) in dem.items() if root[u] != root[v]), Fraction(0))
 
 
-def sigma(g: MetricGraph, s_edges, u: int, v: int) -> int:
-    """1 iff u and v are disconnected after deleting the edges in S."""
-    root = _components(g, cut_edges={norm_edge(*e) for e in s_edges})
-    return int(root[u] != root[v])
-
-
 def separated_demand(g: MetricGraph, s_edges, dem: DemandMatrix) -> Fraction:
     return _separated(_components(g, cut_edges={norm_edge(*e) for e in s_edges}), dem)
 
@@ -304,11 +298,6 @@ def _half_credit(s_verts, root: list[int], u: int, v: int) -> Fraction:
     # Both outside: full credit iff they sit in distinct components of
     # the graph with S removed.
     return Fraction(int(root[u] != root[v]))
-
-
-def vertex_rho_s(g: MetricGraph, s_verts: frozenset, u: int, v: int) -> Fraction:
-    """Half-credit separation function of a vertex set."""
-    return _half_credit(s_verts, _components(g, cut_vertices=s_verts), u, v)
 
 
 def brute_sparsest_vertex_cut(

@@ -55,6 +55,7 @@ def thin_map(
             return tuple(rng.randrange(2) for _ in range(k))
 
     tree = tm.tree
+    D = tree.D
     root = tm.root
     # Children structure via BFS from the root.
     parent = {root: None}
@@ -84,9 +85,11 @@ def thin_map(
         counter[0] += 1
         return counter[0] - 1
 
-    # transform(x) -> (tree over new ids, phi: original subtree vertex -> new id)
+    # transform(x) -> (tree over new ids, phi: original subtree vertex -> new id);
+    # every length is a sum or difference of tick positions, so the new
+    # trees are on the input tree's grid.
     def transform(x: int) -> tuple[MetricTree, dict[int, int]]:
-        t_new = MetricTree()
+        t_new = MetricTree(D)
         if not children[x]:
             r = fresh()
             t_new.add_vertex(r)
@@ -97,11 +100,8 @@ def thin_map(
         phi[x] = r_tilde
         for c in children[x]:
             sub_t, sub_phi = transform(c)
-            for tv in sub_t.adj:
-                t_new.add_vertex(tv)
-            for (a, b, w) in sub_t.edges():
-                t_new.add_edge(a, b, w)
-            t_new.add_edge(r_tilde, sub_phi[c], tree.adj[x][c])
+            t_new.graft(sub_t, {v: v for v in sub_t.adj})
+            t_new.add_ticks(r_tilde, sub_phi[c], tree.adj[x][c])
             phi.update(sub_phi)
 
         # Current images of tree vertices adjacent (through graph edges)
@@ -126,19 +126,19 @@ def thin_map(
                 )
         h_vertices = set(h_deg)
         leaves = sorted(v for v, dv in h_deg.items() if dv == 1 and v != r_tilde)
-        arms = [t_new.path_positions(r_tilde, leaf) for leaf in leaves]
+        arms = [t_new.path_ticks(r_tilde, leaf) for leaf in leaves]
         bits = _choice_fn(x, len(arms))
 
         # New tree: a root with two vertical branches; each arm lands on
         # one branch isometrically; same-position points merge.
-        result = MetricTree()
+        result = MetricTree(D)
         r_new = fresh()
         result.add_vertex(r_new)
-        pos_id: dict[tuple[int, Fraction], int] = {}
+        pos_id: dict[tuple[int, int], int] = {}
         new_of: dict[int, int] = {r_tilde: r_new}
-        branch_positions: dict[int, set[Fraction]] = {0: set(), 1: set()}
-        for arm, b in zip(arms, bits):
-            for v, d in arm[1:]:
+        branch_positions: dict[int, set[int]] = {0: set(), 1: set()}
+        for (arm, arm_pos), b in zip(arms, bits):
+            for v, d in zip(arm[1:], arm_pos[1:]):
                 key = (b, d)
                 if d == 0:
                     new_of[v] = r_new
@@ -149,22 +149,20 @@ def thin_map(
                 new_of[v] = pos_id[key]
         for b in (0, 1):
             prev = r_new
-            prev_pos = Fraction(0)
+            prev_pos = 0
             for d in sorted(branch_positions[b]):
                 nid = pos_id[(b, d)]
-                result.add_vertex(nid)
-                result.add_edge(prev, nid, d - prev_pos)
+                result.add_ticks(prev, nid, d - prev_pos)
                 prev, prev_pos = nid, d
         # Re-attach everything hanging off the arms.
         for tv in t_new.adj:
             if tv not in h_vertices and tv != r_tilde:
                 result.add_vertex(tv)
                 new_of[tv] = tv
-        for (a, b, w) in t_new.edges():
-            if (min(a, b), max(a, b)) in h_edges:
-                continue
-            na, nb = new_of[a], new_of[b]
-            result.add_edge(na, nb, w)
+        for a, nbrs in t_new.adj.items():
+            for b, w in nbrs.items():
+                if a < b and (a, b) not in h_edges:
+                    result.add_ticks(new_of[a], new_of[b], w)
         phi2 = {orig: new_of[cur] for orig, cur in phi.items()}
         return result, phi2
 

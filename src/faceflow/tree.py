@@ -1,9 +1,11 @@
 """Metric trees, path-gluing, and tree maps.
 
-The embedding grows each block's tree one ear at a time as a ``TickTree``,
-whose lengths are ints over one denominator, glues each flattened ear onto
-it in place, and converts it to a ``MetricTree`` once the block is done.
-A ``MetricTree`` is treated as immutable once handed to consumers.
+A ``MetricTree`` keeps every edge length as an int number of ticks 1/D
+over one denominator D for the whole tree; rational lengths go in and
+come out as exact ``Fraction``s.  The embedding grows each block's tree
+one ear at a time, glues each flattened ear onto it in place and hands
+the tree on as it is; distortion and thinning read the same ticks.  A
+tree is treated as immutable once handed to consumers.
 """
 
 from __future__ import annotations
@@ -42,10 +44,17 @@ def _path(adj, u: int, v: int) -> list[int]:
 
 
 class MetricTree:
-    """Tree with rational edge lengths and integer vertex ids."""
+    """Tree with integer vertex ids and rational edge lengths.
 
-    def __init__(self):
-        self.adj: dict[int, dict[int, Fraction]] = {}
+    Every length is stored as a whole number of ticks 1/D, with one
+    denominator D for the whole tree: ``adj[u][v]`` is an int, and the
+    length it stands for is ``Fraction(adj[u][v], D)``.  Sums and
+    comparisons along the tree are then int operations; ``edges`` and
+    ``dist`` return the exact ``Fraction`` values."""
+
+    def __init__(self, D: int = 1):
+        self.adj: dict[int, dict[int, int]] = {}
+        self.D = D
 
     # -- construction ---------------------------------------------------
 
@@ -54,29 +63,50 @@ class MetricTree:
             self.adj[v] = {}
 
     def add_edge(self, u: int, v: int, w) -> None:
+        """Add an edge of rational length w, refining the grid if w's
+        denominator does not divide D."""
         w = frac(w)
         if w < 0:
             raise ValueError("negative tree edge length")
+        self.refine(w.denominator)
+        self.add_ticks(u, v, w.numerator * (self.D // w.denominator))
+
+    def add_ticks(self, u: int, v: int, t: int) -> None:
+        """Add an edge of t ticks."""
         if u == v:
             raise ValueError("loop in tree")
         self.add_vertex(u)
         self.add_vertex(v)
         if v in self.adj[u]:
             raise ValueError(f"edge ({u},{v}) already present")
-        self.adj[u][v] = w
-        self.adj[v][u] = w
+        self.adj[u][v] = t
+        self.adj[v][u] = t
+
+    def refine(self, m: int) -> int:
+        """Move to the grid 1/lcm(D, m), scaling every length in place;
+        return the factor by which tick counts grew."""
+        k = math.lcm(self.D, m) // self.D
+        if k != 1:
+            for nbrs in self.adj.values():
+                for y in nbrs:
+                    nbrs[y] *= k
+            self.D *= k
+        return k
 
     def graft(self, other: "MetricTree", ids: dict[int, int]) -> None:
         """Add a copy of ``other`` with vertex v renamed ``ids[v]``, in the
-        order ``add_vertex``/``add_edge`` over ``other.edges()`` would give.
-        Its edges must be new here; their lengths were checked when
-        ``other`` was built."""
+        order ``add_vertex``/``add_edge`` over ``other.edges()`` would give,
+        on the grid 1/lcm(D, other.D).  Its edges must be new here; their
+        lengths were checked when ``other`` was built."""
+        self.refine(other.D)
+        k = self.D // other.D
         adj = self.adj
         for v in other.adj:
             adj.setdefault(ids[v], {})
         for v, nbrs in other.adj.items():
             for y, w in nbrs.items():
                 if v < y:
+                    w *= k
                     adj[ids[v]][ids[y]] = w
                     adj[ids[y]][ids[v]] = w
 
@@ -86,15 +116,13 @@ class MetricTree:
         return list(self.adj)
 
     def edges(self) -> list[tuple[int, int, Fraction]]:
+        D = self.D
         out = []
         for u, nbrs in self.adj.items():
             for v, w in nbrs.items():
                 if u < v:
-                    out.append((u, v, w))
+                    out.append((u, v, Fraction(w, D)))
         return out
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def is_tree(self) -> bool:
         n = len(self.adj)
@@ -117,18 +145,18 @@ class MetricTree:
         """The unique u-v path as a vertex list."""
         return _path(self.adj, u, v)
 
-    def path_positions(self, u: int, v: int) -> list[tuple[int, Fraction]]:
-        """Vertices of the u-v path with cumulative distance from u."""
-        p = self.path(u, v)
-        pos = Fraction(0)
-        out = [(p[0], pos)]
+    def path_ticks(self, u: int, v: int) -> tuple[list[int], list[int]]:
+        """The u-v path and, for each of its vertices, the tick distance
+        from u."""
+        p = _path(self.adj, u, v)
+        adj = self.adj
+        pos = [0]
         for i in range(1, len(p)):
-            pos += self.adj[p[i - 1]][p[i]]
-            out.append((p[i], pos))
-        return out
+            pos.append(pos[-1] + adj[p[i - 1]][p[i]])
+        return p, pos
 
     def dist(self, u: int, v: int) -> Fraction:
-        return self.path_positions(u, v)[-1][1]
+        return Fraction(self.path_ticks(u, v)[1][-1], self.D)
 
     def path_union(
         self, center: int, targets
@@ -147,26 +175,10 @@ class MetricTree:
                     deg[p[i + 1]] = deg.get(p[i + 1], 0) + 1
         return deg, edges
 
-    def dist_from(self, u: int) -> dict[int, Fraction]:
-        """Distances from u to every vertex in its component."""
-        D, dist = self.tick_dists([u])
-        return {v: Fraction(t, D) for v, t in dist[u].items()}
-
-    def tick_dists(self, sources) -> tuple[int, dict[int, dict[int, int]]]:
-        """Exact distances from each source in integer ticks: ``(D, dist)``
-        with d(s, v) = dist[s][v] / D, D the lcm of the edge-length
-        denominators."""
-        edges = [
-            (x, y, w.as_integer_ratio())
-            for x, nbrs in self.adj.items() for y, w in nbrs.items() if x < y
-        ]
-        # A list, not a generator, to unpack: see ``treeembed._lcd``.
-        D = math.lcm(*[m for _, _, (_, m) in edges])
-        adj: dict[int, list[tuple[int, int]]] = {x: [] for x in self.adj}
-        for x, y, (n, m) in edges:
-            t = n * (D // m)
-            adj[x].append((y, t))
-            adj[y].append((x, t))
+    def tick_dists(self, sources) -> dict[int, dict[int, int]]:
+        """Exact distances from each source in ticks: d(s, v) is
+        ``dist[s][v] / D``."""
+        adj = self.adj
         out: dict[int, dict[int, int]] = {}
         for s in sources:
             dist = {s: 0}
@@ -174,15 +186,17 @@ class MetricTree:
             while stack:
                 x = stack.pop()
                 dx = dist[x]
-                for y, w in adj[x]:
+                for y, w in adj[x].items():
                     if y not in dist:
                         dist[y] = dx + w
                         stack.append(y)
             out[s] = dist
-        return D, out
+        return out
 
     @staticmethod
     def from_path(vertex_ids, lengths) -> "MetricTree":
+        """The path through ``vertex_ids`` with the given lengths, on the
+        least common denominator of the lengths."""
         t = MetricTree()
         vs = list(vertex_ids)
         for v in vs:
@@ -192,77 +206,8 @@ class MetricTree:
         return t
 
 
-class TickTree:
-    """A tree being built, with every edge length a whole number of ticks
-    1/D over one denominator D for the whole tree, so that lengths add and
-    compare as ints.  ``metric`` converts the finished tree once."""
-
-    def __init__(self, D: int = 1):
-        self.adj: dict[int, dict[int, int]] = {}
-        self.D = D
-
-    @staticmethod
-    def from_path(vertex_ids, lengths) -> "TickTree":
-        """The path through ``vertex_ids`` with the given lengths, on the
-        least common denominator of the lengths; same vertex and adjacency
-        order as ``MetricTree.from_path``."""
-        lengths = [frac(w) for w in lengths]
-        if any(w < 0 for w in lengths):
-            raise ValueError("negative tree edge length")
-        t = TickTree(math.lcm(*[w.denominator for w in lengths]))
-        vs = list(vertex_ids)
-        adj = t.adj
-        for v in vs:
-            adj[v] = {}
-        for i, w in enumerate(lengths):
-            w = w.numerator * (t.D // w.denominator)
-            adj[vs[i]][vs[i + 1]] = w
-            adj[vs[i + 1]][vs[i]] = w
-        return t
-
-    def refine(self, m: int) -> int:
-        """Move to the grid 1/lcm(D, m), scaling every length in place;
-        return the factor by which tick counts grew."""
-        k = math.lcm(self.D, m) // self.D
-        if k != 1:
-            for nbrs in self.adj.values():
-                for y in nbrs:
-                    nbrs[y] *= k
-            self.D *= k
-        return k
-
-    def path(self, u: int, v: int) -> list[int]:
-        """The unique u-v path as a vertex list."""
-        return _path(self.adj, u, v)
-
-    def path_ticks(self, u: int, v: int) -> tuple[list[int], list[int]]:
-        """The u-v path and, for each of its vertices, the tick distance
-        from u."""
-        p = _path(self.adj, u, v)
-        adj = self.adj
-        pos = [0]
-        for i in range(1, len(p)):
-            pos.append(pos[-1] + adj[p[i - 1]][p[i]])
-        return p, pos
-
-    def metric(self) -> MetricTree:
-        """The tree with lengths ticks / D as Fractions, in the same vertex
-        and adjacency order."""
-        D = self.D
-        fracs: dict[int, Fraction] = {}  # edges share few distinct lengths
-        t = MetricTree()
-        for x, nbrs in self.adj.items():
-            row = t.adj[x] = {}
-            for y, w in nbrs.items():
-                f = fracs.get(w)
-                if f is None:
-                    f = fracs[w] = Fraction(w, D)
-                row[y] = f
-        return t
-
-
 def glue(
-    tree: TickTree, u: int, v: int, flat: list[int], iu: int, iv: int
+    tree: MetricTree, u: int, v: int, flat: list[int], iu: int, iv: int
 ) -> list[int]:
     """Glue a metric path onto ``tree`` in place; return the tree id of
     each path vertex.
@@ -318,10 +263,7 @@ def glue(
     for j in range(len(flat) - 1):
         if lo <= j and j + 1 <= hi:
             continue  # identified with a segment of the tree path
-        x, y = ids[j], ids[j + 1]
-        if y in adj[x]:
-            raise ValueError(f"edge ({x},{y}) already present")
-        adj[x][y] = adj[y][x] = flat[j + 1] - flat[j]
+        tree.add_ticks(ids[j], ids[j + 1], flat[j + 1] - flat[j])
     return ids
 
 

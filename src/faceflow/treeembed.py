@@ -6,15 +6,14 @@ its attach edge, two anchor points are chosen on the cycle, and the
 flattened cycle is glued onto the tree along one of the two anchors with
 probability 1/2 each.
 
-Each block's tree grows on integer ticks (``tree.TickTree``): every tree
-length, ear cycle position, anchor candidate and flattened offset is a
-whole number of 1/D, with one D per block.  D starts as the least common
+Each block's tree grows on integer ticks (``tree.MetricTree``): every
+tree length, ear cycle position, anchor candidate and flattened offset is
+a whole number of 1/D, with one D per block.  D starts as the least common
 denominator of the block's first path; at each ear it becomes the lcm of
 D, the ear's lengths and the ear's anchor grid, which is computed once per
 ear, and the tree's ticks are scaled once if it grew.  Sums and comparisons
-are then int operations, and the results stay exact: the finished block
-tree is converted once to Fraction lengths, equal to what Fraction
-arithmetic would give.
+are then int operations, and the results stay exact.  A sample's tree is
+on the lcm of its blocks' grids, and is handed on in ticks as it is.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .graph import (
     norm_edge,
     slack_transform,
 )
-from .tree import MetricTree, TickTree, TreeMap, glue
+from .tree import MetricTree, TreeMap, glue
 
 _ETA_TRIES = 512
 
@@ -182,7 +181,7 @@ def _assert_anchor_conditions(c, u, v, base, p_pos, q_pos, path_pos):
 class EmbedState:
     """Partial embedding of one biconnected block."""
 
-    tree: TickTree
+    tree: MetricTree
     mapping: dict[int, int]            # graph vertex -> tree vertex
     embedded: set[int]
     graph: MetricGraph                 # full graph (neighbor structure)
@@ -303,11 +302,10 @@ def _embed_block(
 ) -> tuple[MetricTree, dict[int, int]]:
     """Embed one biconnected block (or bridge) of the slack graph, with
     vertex set ``block``, from its ear build; tree ids are local and
-    relabelled by the caller.  Only ears draw from ``rng``.  The tree
-    grows on ticks and is converted to Fractions once, at the end."""
+    relabelled by the caller.  Only ears draw from ``rng``."""
     init_vs = build.initial_vertices
     state = EmbedState(
-        tree=TickTree.from_path(range(len(init_vs)), build.initial_lengths),
+        tree=MetricTree.from_path(range(len(init_vs)), build.initial_lengths),
         mapping={x: i for i, x in enumerate(init_vs)},
         embedded=set(init_vs),
         graph=g,
@@ -317,7 +315,7 @@ def _embed_block(
         random_extension(
             state, step.path_vertices, step.path_lengths, step.attach_edge, rng
         )
-    return state.tree.metric(), state.mapping
+    return state.tree, state.mapping
 
 
 def embed_sampler(g: MetricGraph):

@@ -1,10 +1,13 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
-from faceflow.graph import MetricGraph, is_reduced, reduce_lengths
-from faceflow.instances import cycle_instance
+from faceflow.errors import ChordTooLong
+from faceflow.graph import Cycle, MetricGraph, is_reduced, reduce_lengths
+from faceflow.instances import cycle_instance, slack_cycle
 
 
 def frac(a, b=1):
@@ -27,14 +30,6 @@ def c6():
     return cycle_instance(6)
 
 
-def slack_cycle(n: int, eps=Fraction(1, 64)) -> MetricGraph:
-    """n-cycle with unit arcs and one short closing edge; survives the
-    160-slack transform so the random-cycle embedding path runs."""
-    edges = [(i, i + 1, Fraction(1)) for i in range(n - 1)]
-    edges.append((n - 1, 0, Fraction(eps)))
-    return MetricGraph(n, tuple(edges))
-
-
 def two_ear_block() -> MetricGraph:
     """A chorded outerplanar graph whose 160-slack graph keeps one block
     with two ears; its lengths have coprime denominators, so the block's
@@ -45,6 +40,62 @@ def two_ear_block() -> MetricGraph:
         (7, 5, 60), (6, 8, Fraction(1, 3)), (8, 7, Fraction(2, 5)),
     ]
     return MetricGraph(9, tuple((u, v, Fraction(w)) for u, v, w in edges))
+
+
+def two_slack_blocks() -> MetricGraph:
+    """Two slack 6-cycles joined at the cut vertex 5, one with lengths in
+    thirds and one in sevenths.  Their block grids have coprime parts, so
+    joining the block trees rescales the ticks of both."""
+    a = slack_cycle(6).scaled(Fraction(1, 3))
+    b = slack_cycle(6).scaled(Fraction(2, 7))
+    return MetricGraph(
+        11, a.edges + tuple((u + 5, v + 5, w) for u, v, w in b.edges)
+    )
+
+
+# -- Fraction cycle geometry, the reference for the tick cycle -----------
+
+
+def make_cycle(
+    path_vertices: Sequence[int],
+    path_lengths: Sequence[Fraction],
+    chord_len: Fraction,
+) -> Cycle:
+    """Close a metric path into a cycle with an extra chord of the given
+    length between its endpoints; positions are Fractions."""
+    chord_len = frac(chord_len)
+    total = sum((frac(w) for w in path_lengths), Fraction(0))
+    if chord_len > total:
+        raise ChordTooLong(f"chord {chord_len} exceeds path length {total}")
+    circumference = total + chord_len
+    if circumference == 0:
+        raise ValueError("degenerate cycle of circumference zero")
+    points: dict[int, Fraction] = {}
+    pos = Fraction(0)
+    for i, v in enumerate(path_vertices):
+        points[v] = pos % circumference
+        if i < len(path_lengths):
+            pos += frac(path_lengths[i])
+    return Cycle(circumference, points)
+
+
+@dataclass(frozen=True)
+class FlatPath:
+    """The unrolling of a cycle from a basepoint: every cycle point x sits
+    at position d_C(p, x) on a path of length circumference/2."""
+
+    length: Fraction
+    positions: dict[int, Fraction]
+
+    def dist(self, x: int, y: int) -> Fraction:
+        return abs(self.positions[x] - self.positions[y])
+
+
+def flatten(c: Cycle, p) -> FlatPath:
+    return FlatPath(
+        length=Fraction(c.circumference, 2),
+        positions={v: c.dist_pos(p, pos) for v, pos in c.points.items()},
+    )
 
 
 def random_reduced_graph(n: int, seed: int, p: float = 0.5) -> MetricGraph:

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import slack_cycle
+from conftest import flatten, make_cycle, slack_cycle
 from faceflow.config import DEFAULT_CONFIG
 from faceflow.experiments import (
     distortion_experiment,
@@ -17,8 +17,6 @@ from faceflow.experiments import (
 )
 from faceflow.graph import (
     all_pairs_distances,
-    flatten,
-    make_cycle,
     norm_edge,
     reduce_lengths,
     slack_transform,

@@ -6,7 +6,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from conftest import slack_cycle
+from conftest import slack_cycle, two_slack_blocks
 from faceflow import experiments, graph, polyflow
 from faceflow.config import DEFAULT_CONFIG
 from faceflow.errors import BudgetExhausted
@@ -334,12 +334,16 @@ def reference_distortion(g, samples, seed, embed_fn=None):
 
 
 def reference_dist_from(tree, u):
-    """Fraction distances from u, summed edge by edge."""
+    """Fraction distances from u, summed edge by edge over the lengths
+    of ``tree.edges()``."""
+    adj = {x: {} for x in tree.vertices()}
+    for x, y, w in tree.edges():
+        adj[x][y] = adj[y][x] = w
     dist = {u: Fraction(0)}
     stack = [u]
     while stack:
         x = stack.pop()
-        for y, w in tree.adj[x].items():
+        for y, w in adj[x].items():
             if y not in dist:
                 dist[y] = dist[x] + w
                 stack.append(y)
@@ -353,8 +357,9 @@ class TestDistortionReference:
     @pytest.mark.parametrize(
         "g",
         [slack_cycle(6), slack_cycle(9, F(1, 32)), random_outerplanar(8, 1)[0],
-         random_outerplanar(9, 2, extra_chords=2)[0], random_tree(8, 3)],
-        ids=["slack6", "slack9", "outer8-1", "outer9-2c2", "tree8-3"],
+         random_outerplanar(9, 2, extra_chords=2)[0], random_tree(8, 3),
+         two_slack_blocks()],
+        ids=["slack6", "slack9", "outer8-1", "outer9-2c2", "tree8-3", "two-slack-blocks"],
     )
     @pytest.mark.parametrize("seed", [0, 7])
     def test_tables_equal(self, g, seed):

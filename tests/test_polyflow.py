@@ -28,9 +28,7 @@ from faceflow.polyflow import (
     nu,
     rho_hat,
     separated_demand,
-    sigma,
     sparsity,
-    vertex_rho_s,
 )
 from faceflow.simplex import check_solution, solve_lp
 
@@ -558,19 +556,24 @@ class TestNu:
         assert assignment_value(assign, caps) == val
 
 
+def separates(g, s_edges, u, v):
+    """The demand a cut separates of one unit demand between u and v."""
+    return separated_demand(g, s_edges, DemandMatrix.from_pairs([(u, v, F(1))]))
+
+
 class TestSigmaSparsity:
     def test_empty_cut_connected(self, c4=None):
         g = cycle_instance(4)
-        assert sigma(g, [], 0, 2) == 0
+        assert separates(g, [], 0, 2) == 0
 
     def test_all_edges(self):
         g = cycle_instance(4)
-        assert sigma(g, [e[:2] for e in g.edges], 0, 2) == 1
+        assert separates(g, [e[:2] for e in g.edges], 0, 2) == 1
 
     def test_bridge(self):
         g = MetricGraph(4, ((0, 1, F(1)), (1, 2, F(1)), (2, 3, F(1))))
-        assert sigma(g, [(1, 2)], 0, 3) == 1
-        assert sigma(g, [(1, 2)], 0, 1) == 0
+        assert separates(g, [(1, 2)], 0, 3) == 1
+        assert separates(g, [(1, 2)], 0, 1) == 0
 
     def test_sparsity_single_edge(self):
         g = single_edge()
@@ -613,7 +616,9 @@ class TestBruteCuts:
         cap = {v: F(1) for v in range(3)}
         s, phi = brute_sparsest_vertex_cut(g, cap, dem)
         assert phi == 1 and s == frozenset({1})
-        assert vertex_rho_s(g, frozenset({0}), 0, 2) == F(1, 2)
+        s = frozenset({0})
+        root = polyflow._components(g, cut_vertices=s)
+        assert polyflow._half_credit(s, root, 0, 2) == F(1, 2)
 
     def test_single_edge_vertex_cut(self):
         g = single_edge()

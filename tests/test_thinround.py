@@ -1,13 +1,17 @@
+import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from conftest import slack_cycle, two_ear_block, two_slack_blocks
 from faceflow.errors import (
     HypothesisViolated,
     InvariantViolation,
     NoSeparatedDemand,
+    NotStarShaped,
 )
 from faceflow.graph import MetricGraph, norm_edge
 from faceflow.instances import cycle_instance, random_outerplanar, random_tree
@@ -28,6 +32,7 @@ from faceflow.thinround import (
 )
 from faceflow.tree import MetricTree, TreeMap
 from faceflow.treeembed import embed_sampler, is_thin
+from test_tree import ReferenceTree, adj_lists, reference_tree
 
 F = Fraction
 
@@ -47,6 +52,144 @@ def spider(legs, length=F(1)):
         legs + 1, tuple((0, i, length) for i in range(1, legs + 1))
     )
     return g, identity_tree_map(g)
+
+
+def reference_thin_map(
+    tm: TreeMap,
+    seed: int,
+    _choice_fn=None,
+) -> TreeMap:
+    """Random 4-thin, 1-Lipschitz image of a star-shaped tree map.  The
+    version that added Fraction lengths along paths, kept verbatim apart
+    from its name and its tree class.
+
+    Star shape, thinness and the Lipschitz bound refer to the edges of
+    ``tm.source``, which the result keeps as its source.
+
+    ``_choice_fn(tree_vertex, k)`` may supply the branch bits (one per
+    arm) deterministically; used by exhaustive-enumeration tests."""
+    rng = random.Random(f"thin:{seed}")
+    if _choice_fn is None:
+        def _choice_fn(x, k):
+            return tuple(rng.randrange(2) for _ in range(k))
+
+    tree = tm.tree
+    root = tm.root
+    # Children structure via BFS from the root.
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        for u in tree.adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    if len(parent) != len(tree.adj):
+        raise ValueError("tree map must live on a connected tree")
+    children: dict[int, list[int]] = {v: [] for v in parent}
+    for v, p in parent.items():
+        if p is not None:
+            children[p].append(v)
+
+    # Fiber adjacency in terms of original tree vertices.
+    fiber_pairs = set()
+    for (a, b, _) in tm.source.edges:
+        fa, fb = tm.mapping[a], tm.mapping[b]
+        if fa != fb:
+            fiber_pairs.add((min(fa, fb), max(fa, fb)))
+
+    counter = [0]
+
+    def fresh() -> int:
+        counter[0] += 1
+        return counter[0] - 1
+
+    # transform(x) -> (tree over new ids, phi: original subtree vertex -> new id)
+    def transform(x: int) -> tuple[ReferenceTree, dict[int, int]]:
+        t_new = ReferenceTree()
+        if not children[x]:
+            r = fresh()
+            t_new.add_vertex(r)
+            return t_new, {x: r}
+        phi: dict[int, int] = {}
+        r_tilde = fresh()
+        t_new.add_vertex(r_tilde)
+        phi[x] = r_tilde
+        for c in children[x]:
+            sub_t, sub_phi = transform(c)
+            for tv in sub_t.adj:
+                t_new.add_vertex(tv)
+            for (a, b, w) in sub_t.edges():
+                t_new.add_edge(a, b, w)
+            t_new.add_edge(r_tilde, sub_phi[c], tree.adj[x][c])
+            phi.update(sub_phi)
+
+        # Current images of tree vertices adjacent (through graph edges)
+        # to the fiber of x.
+        targets = set()
+        for (fa, fb) in fiber_pairs:
+            if fa in phi and fb in phi:
+                ca, cb = phi[fa], phi[fb]
+                if ca == r_tilde and cb != r_tilde:
+                    targets.add(cb)
+                elif cb == r_tilde and ca != r_tilde:
+                    targets.add(ca)
+        if not targets:
+            return t_new, phi
+
+        # H: union of the paths from the root to the targets.
+        h_deg, h_edges = t_new.path_union(r_tilde, sorted(targets))
+        for v, dv in h_deg.items():
+            if v != r_tilde and dv > 2:
+                raise NotStarShaped(
+                    f"arm union branches at {v}, map is not star-shaped"
+                )
+        h_vertices = set(h_deg)
+        leaves = sorted(v for v, dv in h_deg.items() if dv == 1 and v != r_tilde)
+        arms = [t_new.path_positions(r_tilde, leaf) for leaf in leaves]
+        bits = _choice_fn(x, len(arms))
+
+        # New tree: a root with two vertical branches; each arm lands on
+        # one branch isometrically; same-position points merge.
+        result = ReferenceTree()
+        r_new = fresh()
+        result.add_vertex(r_new)
+        pos_id: dict[tuple[int, Fraction], int] = {}
+        new_of: dict[int, int] = {r_tilde: r_new}
+        branch_positions: dict[int, set[Fraction]] = {0: set(), 1: set()}
+        for arm, b in zip(arms, bits):
+            for v, d in arm[1:]:
+                key = (b, d)
+                if d == 0:
+                    new_of[v] = r_new
+                    continue
+                if key not in pos_id:
+                    pos_id[key] = fresh()
+                    branch_positions[b].add(d)
+                new_of[v] = pos_id[key]
+        for b in (0, 1):
+            prev = r_new
+            prev_pos = Fraction(0)
+            for d in sorted(branch_positions[b]):
+                nid = pos_id[(b, d)]
+                result.add_vertex(nid)
+                result.add_edge(prev, nid, d - prev_pos)
+                prev, prev_pos = nid, d
+        # Re-attach everything hanging off the arms.
+        for tv in t_new.adj:
+            if tv not in h_vertices and tv != r_tilde:
+                result.add_vertex(tv)
+                new_of[tv] = tv
+        for (a, b, w) in t_new.edges():
+            if (min(a, b), max(a, b)) in h_edges:
+                continue
+            na, nb = new_of[a], new_of[b]
+            result.add_edge(na, nb, w)
+        phi2 = {orig: new_of[cur] for orig, cur in phi.items()}
+        return result, phi2
+
+    final_tree, phi = transform(root)
+    mapping = {u: phi[tv] for u, tv in tm.mapping.items()}
+    return TreeMap(final_tree, mapping, tm.source, root=phi[root])
 
 
 class TestThinMap:
@@ -111,6 +254,62 @@ class TestThinMap:
         out = thin_map(embed_sampler(g)(seed), seed)
         assert out.is_lipschitz()
         assert is_thin(out.with_source(g), 4)
+
+
+def thin_both(tm, seed, choice_fn=None):
+    """``thin_map`` and the reference, which gets the tree with the
+    Fraction lengths of its ``edges()``: the same tree adjacency (lengths
+    compared as Fractions, in order), mapping and root, on tm's grid."""
+    got = thin_map(tm, seed, choice_fn)
+    want = reference_thin_map(
+        dataclasses.replace(tm, tree=reference_tree(tm.tree)), seed, choice_fn
+    )
+    assert adj_lists(got.tree) == adj_lists(want.tree)
+    assert list(got.mapping.items()) == list(want.mapping.items())
+    assert got.root == want.root
+    assert got.tree.D == tm.tree.D
+    return got
+
+
+class TestThinReference:
+    """The tick ``thin_map`` against the parent's Fraction one."""
+
+    def test_identity_maps(self):
+        thin_both(identity_tree_map(MetricGraph(2, ((0, 1, F(1)),))), 0)
+        for seed in range(10):
+            thin_both(spider(4)[1], seed)
+        for seed in range(15):
+            thin_both(identity_tree_map(random_tree(7, seed)), seed)
+
+    def test_every_branch_choice(self):
+        _, tm = spider(3, F(2, 3))
+        for bits in itertools.product((0, 1), repeat=3):
+            thin_both(tm, 0, lambda x, k, b=bits: b[:k])
+
+    def test_same_error_when_not_star_shaped(self):
+        # The legs of a 3-leg spider carry the edges of a triangle, so the
+        # arm union branches at the spider's center 0.
+        g = MetricGraph(4, ((1, 2, F(2)), (1, 3, F(2)), (2, 3, F(2))))
+        _, tm = spider(3)
+        tm = TreeMap(tm.tree, {1: 1, 2: 2, 3: 3}, g, root=1)
+        with pytest.raises(NotStarShaped) as want:
+            reference_thin_map(dataclasses.replace(tm, tree=reference_tree(tm.tree)), 0)
+        with pytest.raises(NotStarShaped, match=f"^{re.escape(str(want.value))}$"):
+            thin_map(tm, 0)
+
+    GRAPHS = [
+        ("c6", cycle_instance(6)),
+        *[(f"slack{n}", slack_cycle(n)) for n in range(6, 13)],
+        ("two-ear", two_ear_block()),
+        *[(f"outer8-{s}", random_outerplanar(8, s)[0]) for s in range(3)],
+        ("two-slack-blocks", two_slack_blocks()),
+    ]
+
+    @pytest.mark.parametrize("g", [g for _, g in GRAPHS], ids=[n for n, _ in GRAPHS])
+    def test_embedded_maps(self, g):
+        samp = embed_sampler(g)
+        for seed in range(24):
+            thin_both(samp(seed), seed)
 
 
 class TestRoundThin:

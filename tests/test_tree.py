@@ -6,34 +6,126 @@ from fractions import Fraction
 import pytest
 
 from faceflow.errors import LengthMismatch
-from faceflow.graph import MetricGraph
-from faceflow.tree import MetricTree, TickTree, TreeMap, glue
+from faceflow.graph import MetricGraph, frac
+from faceflow.tree import MetricTree, TreeMap, glue
 
 
-def build_random_tree(n, seed):
+def build_random_tree(n, seed, den=2):
     rng = random.Random(f"t:{seed}")
     t = MetricTree()
     t.add_vertex(0)
     for v in range(1, n):
         t.add_vertex(v)
-        t.add_edge(rng.randrange(v), v, Fraction(rng.randrange(1, 9), 2))
+        t.add_edge(rng.randrange(v), v, Fraction(rng.randrange(1, 9), den))
     return t
 
 
-# -- the Fraction glue that the tick glue replaced, kept as the reference --
+# -- the Fraction tree and glue that the tick tree replaced, the references --
 
 
-def reference_copy(t: MetricTree) -> MetricTree:
-    out = MetricTree()
+class ReferenceTree:
+    """The Fraction-length tree that ``MetricTree`` replaced, kept verbatim
+    apart from its name and the unused methods: ``adj[u][v]`` is a
+    ``Fraction``, so its unit D is 1."""
+
+    D = 1
+
+    def __init__(self):
+        self.adj: dict[int, dict[int, Fraction]] = {}
+
+    def add_vertex(self, v: int):
+        if v not in self.adj:
+            self.adj[v] = {}
+
+    def add_edge(self, u: int, v: int, w) -> None:
+        w = frac(w)
+        if w < 0:
+            raise ValueError("negative tree edge length")
+        if u == v:
+            raise ValueError("loop in tree")
+        self.add_vertex(u)
+        self.add_vertex(v)
+        if v in self.adj[u]:
+            raise ValueError(f"edge ({u},{v}) already present")
+        self.adj[u][v] = w
+        self.adj[v][u] = w
+
+    def vertices(self) -> list[int]:
+        return list(self.adj)
+
+    def edges(self) -> list[tuple[int, int, Fraction]]:
+        out = []
+        for u, nbrs in self.adj.items():
+            for v, w in nbrs.items():
+                if u < v:
+                    out.append((u, v, w))
+        return out
+
+    def path(self, u: int, v: int) -> list[int]:
+        return MetricTree.path(self, u, v)
+
+    def path_positions(self, u: int, v: int) -> list[tuple[int, Fraction]]:
+        """Vertices of the u-v path with cumulative distance from u."""
+        p = self.path(u, v)
+        pos = Fraction(0)
+        out = [(p[0], pos)]
+        for i in range(1, len(p)):
+            pos += self.adj[p[i - 1]][p[i]]
+            out.append((p[i], pos))
+        return out
+
+    def dist(self, u: int, v: int) -> Fraction:
+        return self.path_positions(u, v)[-1][1]
+
+    def path_union(self, center: int, targets):
+        return MetricTree.path_union(self, center, targets)
+
+    @staticmethod
+    def from_path(vertex_ids, lengths) -> "ReferenceTree":
+        t = ReferenceTree()
+        vs = list(vertex_ids)
+        for v in vs:
+            t.add_vertex(v)
+        for i, w in enumerate(lengths):
+            t.add_edge(vs[i], vs[i + 1], w)
+        return t
+
+
+def reference_tree(t: MetricTree) -> ReferenceTree:
+    """``t`` with the Fraction lengths of ``t.edges()``, in the same vertex
+    and adjacency order."""
+    lengths = {(x, y): w for x, y, w in t.edges()}
+    out = ReferenceTree()
+    out.adj = {
+        x: {y: lengths[min(x, y), max(x, y)] for y in nbrs}
+        for x, nbrs in t.adj.items()
+    }
+    return out
+
+
+def tick_tree(t: ReferenceTree) -> MetricTree:
+    """``t`` on the least common denominator of its lengths, in the same
+    vertex and adjacency order."""
+    out = MetricTree(math.lcm(*[w.denominator for _, _, w in t.edges()]))
+    out.adj = {
+        x: {y: w.numerator * (out.D // w.denominator) for y, w in nbrs.items()}
+        for x, nbrs in t.adj.items()
+    }
+    return out
+
+
+def reference_copy(t):
+    out = type(t)()
+    out.D = t.D
     out.adj = {v: dict(nbrs) for v, nbrs in t.adj.items()}
     return out
 
 
-def reference_fresh_id(t: MetricTree) -> int:
+def reference_fresh_id(t) -> int:
     return max(t.adj, default=-1) + 1
 
 
-def reference_subdivide(t: MetricTree, u: int, v: int, w_id: int, dist_from_u):
+def reference_subdivide(t: ReferenceTree, u: int, v: int, w_id: int, dist_from_u):
     """Insert a new vertex on edge (u,v) at the given offset from u."""
     w = t.adj[u][v]
     d = Fraction(dist_from_u)
@@ -46,13 +138,13 @@ def reference_subdivide(t: MetricTree, u: int, v: int, w_id: int, dist_from_u):
 
 
 def reference_glue(
-    t1: MetricTree,
-    t2: MetricTree,
+    t1: ReferenceTree,
+    t2: ReferenceTree,
     u1: int,
     v1: int,
     u2: int,
     v2: int,
-) -> tuple[MetricTree, dict[int, int]]:
+) -> tuple[ReferenceTree, dict[int, int]]:
     """Identify the u1-v1 path of t1 with the u2-v2 path of t2 point by
     point and return the merged tree plus the map t2-vertex -> new id.
 
@@ -103,33 +195,27 @@ def reference_glue(
     return out, mapping
 
 
-def adj_lists(t: MetricTree):
-    """The adjacency with both orders, vertices and neighbours."""
-    return [(v, list(nbrs.items())) for v, nbrs in t.adj.items()]
-
-
-def tick_tree(t: MetricTree, D: int) -> TickTree:
-    """``t`` on the grid 1/D, which must hold every length."""
-    out = TickTree(D)
-    out.adj = {
-        x: {y: int(w * D) for y, w in nbrs.items()} for x, nbrs in t.adj.items()
-    }
-    assert adj_lists(out.metric()) == adj_lists(t)
-    return out
+def adj_lists(t):
+    """The adjacency with both orders, vertices and neighbours, and the
+    lengths as Fractions."""
+    return [
+        (v, [(y, Fraction(w, t.D)) for y, w in nbrs.items()])
+        for v, nbrs in t.adj.items()
+    ]
 
 
 def glue_both(t1: MetricTree, u: int, v: int, flat, iu: int, iv: int):
-    """Glue the path with sorted Fraction positions ``flat`` onto t1 with
-    the tick glue and with the reference, which gets the path as a
-    ``MetricTree`` on ids 0..len(flat)-1: both give the same tree, down to
-    its adjacency order, and the same ids.  Returns the glued tree and ids."""
-    t2 = MetricTree.from_path(range(len(flat)), [b - a for a, b in zip(flat, flat[1:])])
-    want, mapping = reference_glue(t1, t2, u, v, iu, iv)
-    D = math.lcm(*[w.denominator for _, _, w in t1.edges()],
-                 *[Fraction(p).denominator for p in flat])
-    tt = tick_tree(t1, D)
-    ids = glue(tt, u, v, [int(p * D) for p in flat], iu, iv)
-    got = tt.metric()
+    """Glue the path with sorted Fraction positions ``flat`` onto a copy
+    of t1 with the tick glue and with the reference, which gets the path
+    as a tree on ids 0..len(flat)-1: both give the same tree, down to its
+    adjacency order, and the same ids.  Returns the glued tree and ids."""
+    t2 = ReferenceTree.from_path(
+        range(len(flat)), [b - a for a, b in zip(flat, flat[1:])]
+    )
+    want, mapping = reference_glue(reference_tree(t1), t2, u, v, iu, iv)
+    got = reference_copy(t1)
+    got.refine(math.lcm(*[Fraction(p).denominator for p in flat]))
+    ids = glue(got, u, v, [int(p * got.D) for p in flat], iu, iv)
     assert adj_lists(got) == adj_lists(want)
     assert ids == [mapping[j] for j in range(len(flat))]
     return got, ids
@@ -142,11 +228,11 @@ class TestMetricTree:
         assert t.dist(0, 2) == 3
 
     def test_subdivide(self):
-        t = MetricTree.from_path([0, 1], [Fraction(2)])
+        t = ReferenceTree.from_path([0, 1], [Fraction(2)])
         reference_subdivide(t, 0, 1, 5, Fraction(1, 2))
         assert t.dist(0, 5) == Fraction(1, 2)
         assert t.dist(5, 1) == Fraction(3, 2)
-        assert t.is_tree()
+        assert MetricTree.is_tree(t)
 
     def test_is_tree_detects_cycle(self):
         t = MetricTree()
@@ -160,9 +246,10 @@ class TestMetricTree:
     @pytest.mark.parametrize("seed", range(5))
     def test_graft_matches_edge_by_edge_copy(self, seed):
         # Onto a tree sharing one vertex: same vertices, lengths and dict
-        # order as add_vertex/add_edge over other.edges().
+        # order as add_vertex/add_edge over other.edges(), on a grid both
+        # trees' ticks may have to be rescaled to.
         base = build_random_tree(4, seed + 10)
-        other = build_random_tree(6, seed)
+        other = build_random_tree(6, seed, den=3)
         ids = {v: (0 if v == 3 else 10 + (v * 7) % 13) for v in other.vertices()}
         want = reference_copy(base)
         for v in other.vertices():
@@ -171,51 +258,55 @@ class TestMetricTree:
             want.add_edge(ids[a], ids[b], w)
         got = reference_copy(base)
         got.graft(other, ids)
-        assert [(v, list(n.items())) for v, n in got.adj.items()] == [
-            (v, list(n.items())) for v, n in want.adj.items()
-        ]
+        assert got.D == want.D == math.lcm(base.D, other.D)
+        assert adj_lists(got) == adj_lists(want)
         assert got.is_tree()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_tick_dists_match_fraction_sums(self, seed):
         t = build_random_tree(9, seed)
-        D, dist = t.tick_dists(t.vertices())
+        dist = t.tick_dists(t.vertices())
+        ref = reference_tree(t)
         for u in t.vertices():
             for v in t.vertices():
-                assert Fraction(dist[u][v], D) == t.dist(u, v)
+                assert Fraction(dist[u][v], t.D) == ref.dist(u, v)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_dist_from_matches_pairwise(self, seed):
         t = build_random_tree(8, seed)
-        d0 = t.dist_from(0)
+        d0 = t.tick_dists([0])[0]
         for v in t.vertices():
-            assert d0[v] == t.dist(0, v)
+            assert Fraction(d0[v], t.D) == t.dist(0, v)
 
 
 class TestTickTree:
     def test_from_path_matches_metric_tree(self):
         lengths = [Fraction(1, 3), Fraction(0), Fraction(5, 4)]
-        t = TickTree.from_path([3, 1, 2, 0], lengths)
+        t = MetricTree.from_path([3, 1, 2, 0], lengths)
         assert t.D == 12
-        assert adj_lists(t.metric()) == adj_lists(
-            MetricTree.from_path([3, 1, 2, 0], lengths)
+        assert adj_lists(t) == adj_lists(
+            ReferenceTree.from_path([3, 1, 2, 0], lengths)
         )
+        assert t.edges() == ReferenceTree.from_path([3, 1, 2, 0], lengths).edges()
 
     def test_refine_scales_every_length(self):
-        t = TickTree.from_path([0, 1, 2], [Fraction(1, 2), Fraction(3, 4)])
-        before = adj_lists(t.metric())
+        t = MetricTree.from_path([0, 1, 2], [Fraction(1, 2), Fraction(3, 4)])
+        before = adj_lists(t)
         assert t.refine(6) == 3 and t.D == 12
         assert t.adj[0][1] == 6 and t.adj[2][1] == 9
         assert t.refine(4) == 1 and t.D == 12
-        assert adj_lists(t.metric()) == before
+        assert adj_lists(t) == before
+        # An edge whose denominator D does not hold refines the grid.
+        t.add_edge(2, 3, Fraction(1, 5))
+        assert t.D == 60 and t.adj[0][1] == 30 and t.adj[3][2] == 12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_path_ticks_match_path_positions(self, seed):
         t = build_random_tree(9, seed)
-        tt = tick_tree(t, 2)
+        ref = reference_tree(t)
         for u, v in [(0, 8), (8, 0), (3, 5), (4, 4)]:
-            p, pos = tt.path_ticks(u, v)
-            assert list(zip(p, [Fraction(x, 2) for x in pos])) == t.path_positions(u, v)
+            p, pos = t.path_ticks(u, v)
+            assert list(zip(p, [Fraction(x, t.D) for x in pos])) == ref.path_positions(u, v)
 
 
 class TestGlue:
@@ -225,7 +316,7 @@ class TestGlue:
     def test_glue_tree_with_copy_is_isometric(self):
         # Glue a copy of one of the tree's own paths: nothing is added.
         t = build_random_tree(6, 1)
-        path = t.path_positions(0, 3)
+        path = reference_tree(t).path_positions(0, 3)
         out, ids = glue_both(t, 0, 3, [p for _, p in path], 0, len(path) - 1)
         assert ids == [x for x, _ in path]
         assert adj_lists(out) == adj_lists(t)
@@ -238,12 +329,12 @@ class TestGlue:
         assert ids == [0, 1]
 
     def test_glue_length_mismatch(self):
-        t1 = MetricTree.from_path([0, 1], [Fraction(1)])
-        t2 = MetricTree.from_path([0, 1], [Fraction(2)])
+        t1 = ReferenceTree.from_path([0, 1], [Fraction(1)])
+        t2 = ReferenceTree.from_path([0, 1], [Fraction(2)])
         with pytest.raises(LengthMismatch):
             reference_glue(t1, t2, 0, 1, 0, 1)
         with pytest.raises(LengthMismatch, match="1 vs 2"):
-            glue(TickTree.from_path([0, 1], [1]), 0, 1, [0, 2], 0, 1)
+            glue(MetricTree.from_path([0, 1], [1]), 0, 1, [0, 2], 0, 1)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_glue_preserves_both_inputs(self, seed):
@@ -254,7 +345,7 @@ class TestGlue:
         t1 = build_random_tree(7, seed)
         u1, v1 = rng.sample(t1.vertices(), 2)
         d = t1.dist(u1, v1)
-        on_tree = [p for _, p in t1.path_positions(u1, v1)]
+        on_tree = [p for _, p in reference_tree(t1).path_positions(u1, v1)]
         inner = sorted(
             rng.choice(on_tree[1:-1] or [d / 2]) if rng.random() < 0.3
             else d * Fraction(rng.randrange(1, 16), 16)

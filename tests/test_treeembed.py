@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import slack_cycle, two_ear_block
+from conftest import flatten, make_cycle, slack_cycle, two_ear_block, two_slack_blocks
 from faceflow.config import DEFAULT_CONFIG
 from faceflow.errors import (
     ChordTooLong,
@@ -23,16 +23,14 @@ from faceflow.graph import (
     MetricGraph,
     OuterplanarBuild,
     all_pairs_distances,
-    flatten,
     frac,
-    make_cycle,
     norm_edge,
     reduce_lengths,
     slack_transform,
 )
 from faceflow.instances import cycle_instance, random_outerplanar
 from faceflow import treeembed
-from faceflow.tree import MetricTree, TickTree, TreeMap
+from faceflow.tree import MetricTree, TreeMap
 from faceflow.treeembed import (
     EmbedState,
     anchor_points,
@@ -43,7 +41,7 @@ from faceflow.treeembed import (
     random_extension,
     thin_number,
 )
-from test_tree import adj_lists, reference_glue
+from test_tree import ReferenceTree, adj_lists, reference_glue, tick_tree
 
 F = Fraction
 
@@ -505,7 +503,7 @@ def reference_random_extension(
     flat = flatten(cyc, branch.numerator)  # whole: cyc is on its grid
 
     order = sorted(path_vertices, key=lambda x: (flat.positions[x], path_pos[x]))
-    t2 = MetricTree()
+    t2 = ReferenceTree()
     t2_id = {x: i for i, x in enumerate(order)}
     for i in range(len(order) - 1):
         a, b = order[i], order[i + 1]
@@ -532,9 +530,10 @@ def reference_embed_block(
     """Embed one biconnected block (or bridge) of the slack graph, with
     vertex set ``block``, from its ear build; tree ids are local and
     relabelled by the caller.  Only ears draw from ``rng``.  The
-    version on a Fraction ``MetricTree`` throughout."""
+    version on a Fraction tree throughout, put on ticks at the end for
+    the caller's ``graft``."""
     init_vs = build.initial_vertices
-    tree = MetricTree()
+    tree = ReferenceTree()
     mapping: dict[int, int] = {}
     for i, x in enumerate(init_vs):
         tree.add_vertex(i)
@@ -552,7 +551,7 @@ def reference_embed_block(
         reference_random_extension(
             state, step.path_vertices, step.path_lengths, step.attach_edge, rng
         )
-    return state.tree, state.mapping
+    return tick_tree(state.tree), state.mapping
 
 
 def draws(g, seeds):
@@ -570,7 +569,7 @@ def two_vertex_state():
     g = MetricGraph(
         3, ((0, 1, F(1)), (0, 2, F(80)), (1, 2, F(80)))
     )
-    tree = TickTree.from_path([0, 1], [F(1)])
+    tree = MetricTree.from_path([0, 1], [F(1)])
     return EmbedState(
         tree=tree,
         mapping={0: 0, 1: 1},
@@ -587,24 +586,24 @@ class TestRandomExtension:
         random_extension(
             state, [0, 2, 1], [F(80), F(80)], (0, 1), random.Random(seed)
         )
-        tm = TreeMap(state.tree.metric(), state.mapping, state.graph, root=0)
+        tm = TreeMap(state.tree, state.mapping, state.graph, root=0)
         assert tm.is_lipschitz()
         assert 2 in state.embedded
 
     @pytest.mark.parametrize("seed", range(20))
     def test_existing_distances_unchanged(self, seed):
         state = two_vertex_state()
-        before = state.tree.metric().dist(0, 1)
+        before = state.tree.dist(0, 1)
         random_extension(
             state, [0, 2, 1], [F(80), F(80)], (0, 1), random.Random(seed)
         )
-        tree = state.tree.metric()
+        tree = state.tree
         assert tree.dist(state.mapping[0], state.mapping[1]) == before
 
     def test_zero_chord_degenerate(self):
         g = MetricGraph(3, ((0, 1, F(0)), (0, 2, F(1)), (1, 2, F(1))))
         state = EmbedState(
-            tree=TickTree.from_path([0], []),
+            tree=MetricTree.from_path([0], []),
             mapping={0: 0, 1: 0},
             embedded={0, 1},
             graph=g,
@@ -613,7 +612,7 @@ class TestRandomExtension:
         random_extension(
             state, [0, 2, 1], [F(1), F(1)], (0, 1), random.Random(4)
         )
-        tm = TreeMap(state.tree.metric(), state.mapping, g, root=0)
+        tm = TreeMap(state.tree, state.mapping, g, root=0)
         assert tm.is_lipschitz()
         assert tm.tree.dist(state.mapping[0], state.mapping[1]) == 0
 
@@ -648,9 +647,9 @@ class TestRandomExtensionErrors:
             step(state, path, ear_lens, (0, 1), random.Random(0))
 
         with pytest.raises(error) as want:
-            run(reference_random_extension, MetricTree.from_path(vs, tree_lens))
+            run(reference_random_extension, ReferenceTree.from_path(vs, tree_lens))
         with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
-            run(random_extension, TickTree.from_path(vs, tree_lens))
+            run(random_extension, MetricTree.from_path(vs, tree_lens))
 
 
 class TestEmbedOuterplanar:
@@ -741,6 +740,19 @@ class TestEmbedOuterplanar:
             tm = drawn[seed]
             assert (tm.root, tm.mapping) == (one.root, one.mapping)
             assert list(tm.tree.adj.items()) == list(one.tree.adj.items())
+
+    @pytest.mark.parametrize(
+        "g", [slack_cycle(8), two_ear_block(), two_slack_blocks()],
+        ids=["slack8", "two-ear", "two-slack-blocks"],
+    )
+    def test_sampled_tree_is_on_ticks(self, g):
+        # The sample's tree is handed on as built: int ticks over its D.
+        tm = embed_sampler(g)(3)
+        ticks = [
+            (x, y, w) for x, nbrs in tm.tree.adj.items() for y, w in nbrs.items() if x < y
+        ]
+        assert all(type(w) is int for _, _, w in ticks)
+        assert [(x, y, Fraction(w, tm.tree.D)) for x, y, w in ticks] == tm.tree.edges()
 
     def test_c6_contraction_quick(self):
         g = cycle_instance(6)
@@ -897,6 +909,7 @@ class TestEmbedReference:
             for n, s, c in [(7, 0, 0), (8, 1, 2), (9, 2, 3), (9, 3, 4)]
         ],
         ("two-ear", two_ear_block()),
+        ("two-slack-blocks", two_slack_blocks()),
         ("slack6-triangle", MetricGraph(8, tuple(list(slack_cycle(6).edges) + [
             (5, 6, F(1)), (6, 7, F(1)), (5, 7, F(1, 128)),
         ]))),
