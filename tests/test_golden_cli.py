@@ -101,6 +101,10 @@ CASES = [
     ("table6", "flow", ()),
     ("table6", "gap", ()),
     ("split4", "dual", ()),
+] + [
+    (name, "partition", ("--tau", tau))
+    for name in ("cycle6", "grid2x3", "outer6")
+    for tau in ("3", "2.5", "12", "7.5")
 ]
 
 
