@@ -47,6 +47,7 @@ from .polyflow import (
 from .retraction import retraction_sampler
 from .thinround import (
     CutCertificate,
+    CutMemo,
     dyadic_preprocess,
     round_thin,
     thin_map,
@@ -123,7 +124,12 @@ def gap_experiment(
     """Pipeline vs LP on one capacitated instance with face demands.  The
     dual lengths are read off the flow LP's final reduced costs and
     certified exactly (``mcf_dual_vertex``), from the same solve as mcf
-    in vertex form; polymatroid tables solve their own flow LP for mcf."""
+    in vertex form; polymatroid tables solve their own flow LP for mcf.
+
+    The graph, caps and demands are fixed across samples, so the run
+    pays for per-instance work once: retraction and embedding
+    samplers are prepared once, and one ``CutMemo`` gives every sample's
+    ``round_thin`` each distinct cut's nu and separated demand."""
     t0 = time.monotonic()
     g = inst.graph
     caps = inst.caps()
@@ -161,6 +167,7 @@ def gap_experiment(
         retract = retraction_sampler(PlanarInstance(gr, inst.face, inst.rotation))
         # Retracted graphs repeat across samples; prepare each one once.
         embedders: dict[MetricGraph, Callable[[int], TreeMap]] = {}
+        memo = CutMemo(g2, caps, dem)
         for i in range(samples):
             s_i = seed * 65_537 + i
             fr = retract(s_i)
@@ -188,7 +195,7 @@ def gap_experiment(
             tally("thin")
             tl = tilde_lengths(g2, thin, ell2)
             try:
-                cert = round_thin(g2, thin, tl, caps, dem)
+                cert = round_thin(g2, thin, tl, caps, dem, memo)
             except NoSeparatedDemand:
                 continue
             tally("rounded")

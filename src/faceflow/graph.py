@@ -137,6 +137,19 @@ def all_pairs_distances(g: MetricGraph) -> list[list]:
     return mat
 
 
+def distance_ticks(g: MetricGraph) -> tuple[list[list], int]:
+    """The distance matrix as ints over one denominator L, the lcm of the
+    finite distances' denominators: entry t stands for t / L, and
+    ``math.inf`` entries stay ``math.inf``.  Returns (ticks, L)."""
+    dmat = all_pairs_distances(g)
+    L = math.lcm(*(d.denominator for row in dmat for d in row if d is not INF))
+    ticks = [
+        [d if d is INF else d.numerator * (L // d.denominator) for d in row]
+        for row in dmat
+    ]
+    return ticks, L
+
+
 def reduce_lengths(g: MetricGraph) -> MetricGraph:
     """Replace every edge length by the shortest-path distance between its
     endpoints.  Idempotent; does not change the metric."""

@@ -8,20 +8,17 @@ Padding quality is estimated empirically, never assumed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG
 from .errors import NonPositiveScale
-from .graph import MetricGraph, all_pairs_distances, connected_components, frac
+from .graph import MetricGraph, connected_components, distance_ticks, frac
 
+# Chopping offsets are drawn as u / _GRID of the annulus width.
 _GRID = 1 << 30
-
-
-def _uniform_frac(rng: random.Random, hi: Fraction) -> Fraction:
-    """Uniform rational in [0, hi) from a fine grid."""
-    return hi * Fraction(rng.randrange(_GRID), _GRID)
 
 
 @dataclass(frozen=True)
@@ -51,47 +48,60 @@ def sample_padded_partition(
     g: MetricGraph,
     tau,
     seed: int,
-    _dmat=None,
+    _ticks=None,
 ) -> Partition:
     """Random tau-bounded partition (weak diameter in d_G).
 
     Rounds of annulus chopping at width tau/6 with uniform random
     offsets, then ball carving at radius tau/2 for any block still too
     large.  Deterministic given (g, tau, seed).
-    """
+
+    All tests run on ints: ``_ticks`` is ``graph.distance_ticks(g)``, a
+    pair (ticks, L) with d = t / L (built here when not given; pass it
+    when partitioning one graph many times).  With
+    tau = p / q, width tau / div and an offset u / 2^30 of the width,
+    each exact rational test is multiplied out:
+
+    - band floor((d - offset) / width) = (div 2^30 q t - p L u) // (p L 2^30);
+    - a cluster is one block iff t q <= p L for all its pairs;
+    - a vertex joins the carved ball iff 2 t q <= p L."""
     tau = frac(tau)
     if tau <= 0:
         raise NonPositiveScale(f"tau must be positive, got {tau}")
     rng = random.Random(f"padded:{seed}")
-    width = tau / DEFAULT_CONFIG.chop_width_divisor
-    dmat = _dmat if _dmat is not None else all_pairs_distances(g)
-    clusters: list[set[int]] = [set(c) for c in connected_components(g)]
+    ticks, L = _ticks if _ticks is not None else distance_ticks(g)
+    pL = tau.numerator * L
+    q = tau.denominator
+    a = DEFAULT_CONFIG.chop_width_divisor * _GRID * q
+    c = pL * _GRID
+    # Clusters are sorted vertex lists, so cl[0] is the smallest vertex.
+    clusters = [sorted(comp) for comp in connected_components(g)]
     for _ in range(DEFAULT_CONFIG.chop_rounds):
         new_clusters = []
-        for cl in sorted(clusters, key=min):
+        for cl in sorted(clusters, key=lambda cl: cl[0]):
             if len(cl) == 1:
                 new_clusters.append(cl)
                 continue
-            dist = dmat[min(cl)]
-            r0 = _uniform_frac(rng, width)
-            bands: dict[int, set[int]] = {}
-            for v in sorted(cl):
-                band = int((dist[v] - r0) // width)
-                bands.setdefault(band, set()).add(v)
+            dist = ticks[cl[0]]
+            offset = pL * rng.randrange(_GRID)
+            bands: dict[int, list[int]] = {}
+            for v in cl:
+                bands.setdefault((a * dist[v] - offset) // c, []).append(v)
             new_clusters.extend(bands[b] for b in sorted(bands))
         clusters = new_clusters
-    # Enforce the diameter bound deterministically.
-    final: list[set[int]] = []
+    # Enforce the diameter bound deterministically.  For an int t,
+    # t q <= p L iff t <= p L // q, and 2 t q <= p L iff t <= p L // 2q.
+    fits, half = pL // q, pL // (2 * q)
+    final: list[list[int]] = []
     for cl in clusters:
-        if weak_diameter(dmat, cl) <= tau:
+        if all(ticks[u][v] <= fits for u in cl for v in cl):
             final.append(cl)
             continue
-        remaining = sorted(cl)
+        remaining = cl
         while remaining:
-            c = remaining[0]
-            ball = {v for v in remaining if dmat[c][v] <= tau / 2}
-            final.append(ball)
-            remaining = [v for v in remaining if v not in ball]
+            dist = ticks[remaining[0]]
+            final.append([v for v in remaining if dist[v] <= half])
+            remaining = [v for v in remaining if dist[v] > half]
     return Partition(tuple(frozenset(b) for b in final), tau)
 
 
@@ -110,21 +120,30 @@ def estimate_padding(
     radii,
     samples: int,
     seed: int,
+    _ticks=None,
 ) -> PaddingReport:
     """Empirical padding constant: max over tested (x, R) of
-    escape-frequency * tau / R."""
+    escape-frequency * tau / R.  ``_ticks`` is as in
+    ``sample_padded_partition``, built once here when not given."""
     tau = frac(tau)
     radii = [frac(r) for r in radii]
-    dmat = all_pairs_distances(g)
+    ticks, L = _ticks if _ticks is not None else distance_ticks(g)
+    # B(x, r) once per instance: t / L <= r iff t <= floor(r L) for an int t.
+    balls = {
+        (x, r): [v for v in range(g.n) if ticks[x][v] <= math.floor(r * L)]
+        for x in range(g.n)
+        for r in radii
+    }
     escapes = {(x, r): 0 for x in range(g.n) for r in radii}
     for s in range(samples):
-        part = sample_padded_partition(g, tau, seed * 1_000_003 + s, _dmat=dmat)
+        part = sample_padded_partition(
+            g, tau, seed * 1_000_003 + s, _ticks=(ticks, L)
+        )
         idx = part.index_of()
         for x in range(g.n):
             bx = idx[x]
-            ball = [v for v in range(g.n) if dmat[x][v] <= max(radii)]
             for r in radii:
-                if any(dmat[x][v] <= r and idx[v] != bx for v in ball):
+                if any(idx[v] != bx for v in balls[(x, r)]):
                     escapes[(x, r)] += 1
     freqs = {k: c / samples for k, c in escapes.items()}
     alpha = 0.0

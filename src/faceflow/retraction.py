@@ -15,6 +15,7 @@ from .graph import (
     all_pairs_distances,
     connected_components,
     diameter,
+    distance_ticks,
     is_outerplanar,
     norm_edge,
 )
@@ -87,7 +88,8 @@ def sample_retraction(
 
 def _absorption_sampler(g: MetricGraph, s, dmat):
     """Check the target, fix the prescale, the scale count and the scaled
-    distance matrix once, and return the seed -> Retraction sampler of
+    distance matrix (as ints over one denominator, for the partitions)
+    once, and return the seed -> Retraction sampler of
     ``sample_retraction``; ``dmat`` is the distance matrix of g."""
     s = frozenset(s)
     if not s:
@@ -104,7 +106,7 @@ def _absorption_sampler(g: MetricGraph, s, dmat):
     gaps = [d for d in gaps if d > 0]
     scale = Fraction(2) / min(gaps) if gaps else Fraction(1)
     gs = g.scaled(scale)
-    dmat_s = all_pairs_distances(gs)
+    ticks_s = distance_ticks(gs)
 
     diam = diameter(gs)
     k0 = 1
@@ -121,7 +123,7 @@ def _absorption_sampler(g: MetricGraph, s, dmat):
                 blocks = comps
             else:
                 part = sample_padded_partition(
-                    gs, Fraction(2) ** k, seed * 7_919 + k, _dmat=dmat_s
+                    gs, Fraction(2) ** k, seed * 7_919 + k, _ticks=ticks_s
                 )
                 blocks = part.blocks
             newly: list[set[int]] = []

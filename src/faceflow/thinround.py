@@ -230,19 +230,58 @@ def _sweep_assignment(
     return assign
 
 
+class CutMemo:
+    """The per-instance values of ``round_thin``'s cuts, computed once per
+    distinct cut: its separated demand and, for cuts of at most
+    ``nu_brute_limit`` edges, nu's exact (value, assignment).  Keys are
+    frozensets of normalised cut edges.  g, caps and dem are fixed for
+    the memo's lifetime, so one memo serves every sample of a run."""
+
+    def __init__(self, g: MetricGraph, caps: PolymatroidCaps, dem: DemandMatrix):
+        self.g, self.caps, self.dem = g, caps, dem
+        self._sep: dict[frozenset, Fraction] = {}
+        self._nu: dict[frozenset, tuple[Fraction, dict[Edge, int]]] = {}
+
+    def separated(self, key: frozenset, cut) -> Fraction:
+        if key not in self._sep:
+            self._sep[key] = separated_demand(self.g, cut, self.dem)
+        return self._sep[key]
+
+    def exact_nu(self, key: frozenset, cut) -> tuple[Fraction, dict[Edge, int]]:
+        """nu of ``cut``; the first call for a key fixes the edge order,
+        and so which tied minimum is kept.  The assignment is shared:
+        copy it before handing it out."""
+        if key not in self._nu:
+            self._nu[key] = nu(cut, self.caps, limit=DEFAULT_CONFIG.nu_brute_limit)
+        return self._nu[key]
+
+
 def round_thin(
     g: MetricGraph,
     tm: TreeMap,
     ell: AdaptedLengths,
     caps: PolymatroidCaps,
     dem: DemandMatrix,
+    memo: Optional[CutMemo] = None,
 ) -> CutCertificate:
     """Best cut among the tree-edge cuts S(a) of a thin map.
 
     The cuts range over the edges of ``g``, not of ``tm.source``.
     Requires tree-adaptedness d_T(F(u),F(v)) <= ell_u(e) + ell_v(e); for
     a map delta-thin on g the returned sparsity satisfies the delta * sum
-    rho_hat / sum dem d_T bound whenever every nu was computed exactly."""
+    rho_hat / sum dem d_T bound whenever every nu was computed exactly.
+
+    Separated demands and exact nu values are read through ``memo``, a
+    ``CutMemo(g, caps, dem)``; a caller rounding many maps of one
+    instance passes the same memo to every call, and a call without one
+    uses a fresh memo.  Each cut is listed in ``g.edges`` order, so nu
+    breaks ties as a direct call would.  The sweep branch (more than
+    ``nu_brute_limit`` edges) depends on the map and is not memoised.
+    Every certificate owns its assignment dict."""
+    if memo is None:
+        memo = CutMemo(g, caps, dem)
+    elif (memo.g, memo.caps, memo.dem) != (g, caps, dem):
+        raise ValueError("memo was built for another graph, caps or demands")
     tree = tm.tree
     for (u, v, _) in g.edges:
         e = norm_edge(u, v)
@@ -258,11 +297,12 @@ def round_thin(
     for (te, w, cut) in _tree_edge_cuts(g, tm):
         if not cut:
             continue
-        sep = separated_demand(g, cut, dem)
+        key = frozenset(cut)
+        sep = memo.separated(key, cut)
         if sep == 0:
             continue
         if len(cut) <= DEFAULT_CONFIG.nu_brute_limit:
-            val, assign = nu(cut, caps, limit=DEFAULT_CONFIG.nu_brute_limit)
+            val, assign = memo.exact_nu(key, cut)
             exact = True
         else:
             # lambda-sweep heuristic: the rule changes only where
@@ -286,12 +326,9 @@ def round_thin(
                 v_ = assignment_value(a_, caps)
                 if val is None or v_ < val:
                     val, assign = v_, a_
-        cert = CutCertificate(
-            frozenset(norm_edge(*e) for e in cut), assign, val, sep, val / sep,
-            exact, te,
-        )
-        if best is None or cert.sparsity < best.sparsity:
-            best = cert
+        sparsity = val / sep
+        if best is None or sparsity < best.sparsity:
+            best = CutCertificate(key, dict(assign), val, sep, sparsity, exact, te)
     if best is None:
         raise NoSeparatedDemand("no tree edge separates any demand")
     return best
@@ -390,9 +427,12 @@ def multiscale_round(
 ) -> RoundingReport:
     """Dyadic preprocessing, then per sample: embed, thin, check the
     thinned map 4-thin on every edge of g, build the tree-adapted tilde
-    lengths, and round; keeps the sparsest certificate."""
+    lengths, and round; keeps the sparsest certificate.  One ``CutMemo``
+    serves all samples, so each distinct cut's nu and separated demand
+    are computed once."""
     ell.check_adapted()
     ell2 = dyadic_preprocess(g, ell)
+    memo = CutMemo(g, caps, dem)
     best: Optional[CutCertificate] = None
     ratios: list[float] = []
     for i in range(samples):
@@ -403,7 +443,7 @@ def multiscale_round(
             raise InvariantViolation("thinned map exceeds thinness bound on g")
         tl = tilde_lengths(g, thin, ell2)
         try:
-            cert = round_thin(g, thin, tl, caps, dem)
+            cert = round_thin(g, thin, tl, caps, dem, memo)
         except NoSeparatedDemand:
             continue
         try:

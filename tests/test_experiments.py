@@ -1,15 +1,21 @@
+import dataclasses
 import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from typing import Optional
 
 import networkx as nx
 import pytest
 
 from conftest import slack_cycle, two_slack_blocks
-from faceflow import experiments, graph, polyflow
+from faceflow import experiments, graph, polyflow, thinround
 from faceflow.config import DEFAULT_CONFIG
-from faceflow.errors import BudgetExhausted
+from faceflow.errors import (
+    BudgetExhausted,
+    HypothesisViolated,
+    NoSeparatedDemand,
+)
 from faceflow.experiments import (
     _Z99,
     DistortionReport,
@@ -18,7 +24,7 @@ from faceflow.experiments import (
     gap_experiment,
     search_gap_instance,
 )
-from faceflow.graph import MetricGraph, all_pairs_distances
+from faceflow.graph import MetricGraph, all_pairs_distances, norm_edge
 from faceflow.instances import (
     Instance,
     cycle_instance,
@@ -32,8 +38,19 @@ from faceflow.instances import (
 from faceflow.polyflow import (
     AdaptedLengths,
     DemandMatrix,
+    assignment_value,
     brute_sparsest_vertex_cut,
     mcf_vertex_lp,
+    nu,
+    separated_demand,
+)
+from faceflow.thinround import (
+    CutCertificate,
+    CutMemo,
+    _sweep_assignment,
+    _tree_edge_cuts,
+    multiscale_round,
+    round_thin,
 )
 from faceflow.treeembed import embed_sampler
 from test_golden_cli import INSTANCES
@@ -208,6 +225,218 @@ class TestPerSampleWork:
             assert counts[i, "ear_decomposition"] == 0
             assert counts[i, "find_outer_cycle"] == 0
             assert counts[i, "planar_g"] == 0
+
+
+def reference_round_thin(g, tm, ell, caps, dem):
+    """``round_thin`` with no memo: nu and the separated demand computed
+    afresh for every tree edge of every call."""
+    tree = tm.tree
+    for (u, v, _) in g.edges:
+        e = norm_edge(u, v)
+        lhs = tree.dist(tm.mapping[u], tm.mapping[v])
+        rhs = ell.ell.get(u, {}).get(e, Fraction(0)) + ell.ell.get(v, {}).get(
+            e, Fraction(0)
+        )
+        if lhs > rhs:
+            raise HypothesisViolated(
+                f"tree distance {lhs} exceeds ell_u + ell_v = {rhs} on edge {e}"
+            )
+    best: Optional[CutCertificate] = None
+    for (te, w, cut) in _tree_edge_cuts(g, tm):
+        if not cut:
+            continue
+        sep = separated_demand(g, cut, dem)
+        if sep == 0:
+            continue
+        if len(cut) <= DEFAULT_CONFIG.nu_brute_limit:
+            val, assign = nu(cut, caps, limit=DEFAULT_CONFIG.nu_brute_limit)
+            exact = True
+        else:
+            # lambda-sweep heuristic: the rule changes only where
+            # d_T(f(u), x) + lambda hits ell_u(e).
+            x, y = te
+            breaks = {Fraction(0), w}
+            for (a, b) in cut:
+                e = norm_edge(a, b)
+                for end in (a, b):
+                    lu = ell.ell.get(end, {}).get(e, Fraction(0))
+                    lam = lu - tree.dist(tm.mapping[end], x)
+                    if 0 <= lam <= w:
+                        breaks.add(lam)
+            pts = sorted(breaks)
+            cands = set(pts)
+            for i in range(len(pts) - 1):
+                cands.add((pts[i] + pts[i + 1]) / 2)
+            val, assign, exact = None, None, False
+            for lam in sorted(cands):
+                a_ = _sweep_assignment(tm, te, lam, cut, ell)
+                v_ = assignment_value(a_, caps)
+                if val is None or v_ < val:
+                    val, assign = v_, a_
+        cert = CutCertificate(
+            frozenset(norm_edge(*e) for e in cut), assign, val, sep, val / sep,
+            exact, te,
+        )
+        if best is None or cert.sparsity < best.sparsity:
+            best = cert
+    if best is None:
+        raise NoSeparatedDemand("no tree edge separates any demand")
+    return best
+
+
+def _grid3x4() -> Instance:
+    """The gap-pipeline grid: unit caps, the two diagonal face demands."""
+    g, face = grid_graph(3, 4)
+    return Instance(
+        g, face=face, vcaps=(F(1),) * 12,
+        demands=DemandMatrix.from_pairs([(0, 11, F(1)), (3, 8, F(1))]),
+    )
+
+
+def _planar12_2p2() -> Instance:
+    g, face = random_planar_with_face(12, 2)
+    return Instance(
+        g, face=face, vcaps=random_caps(12, 2),
+        demands=random_demands(face, 2, 2),
+    )
+
+
+def _count_cut_calls(monkeypatch) -> dict[str, list[frozenset]]:
+    """Record the cut of every ``nu`` and ``separated_demand`` call made
+    by ``thinround``."""
+    calls: dict[str, list[frozenset]] = {"nu": [], "separated_demand": []}
+
+    def counting(name, fn, cut_arg):
+        def wrapper(*args, **kwargs):
+            calls[name].append(frozenset(norm_edge(*e) for e in args[cut_arg]))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(thinround, "nu", counting("nu", thinround.nu, 0))
+    monkeypatch.setattr(
+        thinround, "separated_demand",
+        counting("separated_demand", thinround.separated_demand, 1),
+    )
+    return calls
+
+
+def _compare_with_reference(monkeypatch, module) -> list:
+    """Wrap ``module.round_thin`` so each call is also rounded by the
+    reference; returns the (certificate, reference) pairs."""
+    pairs = []
+    rt = module.round_thin
+
+    def checking(g, tm, ell, caps, dem, memo=None):
+        try:
+            want = reference_round_thin(g, tm, ell, caps, dem)
+        except NoSeparatedDemand:
+            with pytest.raises(NoSeparatedDemand):
+                rt(g, tm, ell, caps, dem, memo)
+            raise
+        got = rt(g, tm, ell, caps, dem, memo)
+        pairs.append((got, want))
+        return got
+
+    monkeypatch.setattr(module, "round_thin", checking)
+    return pairs
+
+
+def _multiscale_inputs():
+    g, _ = random_outerplanar(7, 0)
+    caps = polyflow.PolymatroidCaps.from_vertex_caps(
+        {v: F(1) for v in range(g.n)}
+    )
+    dem = DemandMatrix.from_pairs([(0, 3, F(1)), (1, 5, F(1))])
+    return g, AdaptedLengths.split_evenly(g), caps, dem
+
+
+class TestOneNuPerCut:
+    """Caps and demands are fixed within a run, so each distinct cut's nu
+    and separated demand are computed once, and every certificate is the
+    one a fresh computation gives."""
+
+    @pytest.mark.parametrize("make,cuts", [(_grid3x4, 7), (_planar12_2p2, 9)])
+    def test_gap_experiment_calls(self, monkeypatch, make, cuts):
+        calls = _count_cut_calls(monkeypatch)
+        rep = gap_experiment(make(), samples=60, seed=1)
+        assert rep.assertion_tallies["rounded"] == 60
+        for name in ("nu", "separated_demand"):
+            assert len(calls[name]) == len(set(calls[name])), name
+        assert len(calls["nu"]) == cuts
+
+    def test_multiscale_round_calls(self, monkeypatch):
+        g, ell, caps, dem = _multiscale_inputs()
+        calls = _count_cut_calls(monkeypatch)
+        multiscale_round(g, ell, caps, dem, embed_sampler(g), samples=30, seed=2)
+        for name in ("nu", "separated_demand"):
+            assert len(calls[name]) == len(set(calls[name])), name
+        assert 0 < len(calls["nu"]) < 30
+
+    @pytest.mark.parametrize("make", [_grid3x4, _planar12_2p2])
+    def test_gap_experiment_matches_reference(self, monkeypatch, make):
+        pairs = _compare_with_reference(monkeypatch, experiments)
+        gap_experiment(make(), samples=60, seed=1)
+        assert len(pairs) == 60
+        for i, (got, want) in enumerate(pairs):
+            assert got == want, i
+
+    def test_multiscale_round_matches_reference(self, monkeypatch):
+        g, ell, caps, dem = _multiscale_inputs()
+        pairs = _compare_with_reference(monkeypatch, thinround)
+        multiscale_round(g, ell, caps, dem, embed_sampler(g), samples=30, seed=2)
+        assert len(pairs) == 30
+        for i, (got, want) in enumerate(pairs):
+            assert got == want, i
+
+    def test_sweep_branch_matches_reference(self, monkeypatch):
+        # With an exact-nu limit of 2 edges most cuts take the lambda sweep,
+        # which depends on the map; only its separated demand is memoised.
+        small = dataclasses.replace(DEFAULT_CONFIG, nu_brute_limit=2)
+        monkeypatch.setattr(thinround, "DEFAULT_CONFIG", small)
+        monkeypatch.setitem(globals(), "DEFAULT_CONFIG", small)
+        sweeps = []
+        sweep = thinround._sweep_assignment
+
+        def counting(*a):
+            sweeps.append(a)
+            return sweep(*a)
+
+        monkeypatch.setattr(thinround, "_sweep_assignment", counting)
+        pairs = _compare_with_reference(monkeypatch, experiments)
+        gap_experiment(_grid3x4(), samples=20, seed=1)
+        assert sweeps
+        for i, (got, want) in enumerate(pairs):
+            assert got == want, i
+
+    @staticmethod
+    def _first_rounding(monkeypatch):
+        """The arguments of the first ``round_thin`` call on grid3x4."""
+        args = []
+        rt = experiments.round_thin
+
+        def capture(*a):
+            args.append(a)
+            return rt(*a)
+
+        monkeypatch.setattr(experiments, "round_thin", capture)
+        gap_experiment(_grid3x4(), samples=1, seed=1)
+        return args[0][:5]
+
+    def test_certificates_own_their_assignment(self, monkeypatch):
+        g, tm, ell, caps, dem = self._first_rounding(monkeypatch)
+        memo = CutMemo(g, caps, dem)
+        first = round_thin(g, tm, ell, caps, dem, memo)
+        want = reference_round_thin(g, tm, ell, caps, dem)
+        assert first == want and first.exact
+        first.assignment.clear()
+        assert round_thin(g, tm, ell, caps, dem, memo) == want
+
+    def test_memo_of_another_instance_rejected(self, monkeypatch):
+        g, tm, ell, caps, dem = self._first_rounding(monkeypatch)
+        other = DemandMatrix.from_pairs([(0, 11, F(1))])
+        with pytest.raises(ValueError):
+            round_thin(g, tm, ell, caps, dem, CutMemo(g, caps, other))
 
 
 class TestOneFlowSolve:

@@ -14,6 +14,7 @@ from faceflow.graph import (
     all_pairs_distances,
     biconnected_components,
     diameter,
+    distance_ticks,
     ear_decomposition,
     find_outer_cycle,
     is_outerplanar,
@@ -102,6 +103,23 @@ class TestDistances:
 
     def test_diameter(self, c6):
         assert diameter(c6) == 3
+
+    def test_distance_ticks(self):
+        # Two components: 0-1-2 with lengths 1/3, 3/4 and 3-4 with 5/6.
+        g = MetricGraph(5, (
+            (0, 1, Fraction(1, 3)), (1, 2, Fraction(3, 4)),
+            (3, 4, Fraction(5, 6)),
+        ))
+        d = all_pairs_distances(g)
+        ticks, L = distance_ticks(g)
+        assert L == 12
+        for i in range(5):
+            for j in range(5):
+                if d[i][j] == math.inf:
+                    assert ticks[i][j] == math.inf
+                else:
+                    assert type(ticks[i][j]) is int
+                    assert Fraction(ticks[i][j], L) == d[i][j]
 
 
 class TestReduce:
