@@ -18,7 +18,7 @@ from .experiments import (
     gap_experiment,
     search_gap_instance,
 )
-from .graph import PlanarInstance, distance_ticks, frac
+from .graph import PlanarInstance, frac
 from .instances import Instance, load_instance, save_instance, to_dict
 from .partition import estimate_padding, sample_padded_partition
 from .polyflow import (
@@ -86,15 +86,12 @@ def cmd_validate(args) -> int:
 def cmd_partition(args) -> int:
     inst = load_instance(args.instance)
     tau = frac(Fraction(args.tau))
-    ticks = distance_ticks(inst.graph)
-    part = sample_padded_partition(inst.graph, tau, args.seed, _ticks=ticks)
+    part = sample_padded_partition(inst.graph, tau, args.seed)
     lines = [f"tau: {tau}", f"blocks: {len(part.blocks)}"]
     for b in part.blocks:
         lines.append("block: " + " ".join(str(v) for v in sorted(b)))
     radii = [tau / 8, tau / 4, tau / 2]
-    rep = estimate_padding(
-        inst.graph, tau, radii, args.samples, args.seed, _ticks=ticks
-    )
+    rep = estimate_padding(inst.graph, tau, radii, args.samples, args.seed)
     for (x, r), fq in sorted(rep.frequencies.items()):
         lines.append(f"padding: x={x} R={r} cut-frequency={fq:.4f}")
     lines.append(f"alpha-hat: {rep.alpha_hat:.4f}")

@@ -22,12 +22,7 @@ from .errors import (
     NoSeparatedDemand,
     TooLarge,
 )
-from .graph import (
-    MetricGraph,
-    PlanarInstance,
-    all_pairs_distances,
-    reduce_lengths,
-)
+from .graph import MetricGraph, PlanarInstance, reduce_lengths
 from .instances import (
     Instance,
     random_caps,
@@ -103,17 +98,14 @@ def _positive_dual_lengths(
     new_edges = []
     new_ell: dict[int, dict] = {}
     for (u, v, _) in g.edges:
-        e = (min(u, v), max(u, v))
+        e = (u, v)
         new_edges.append((u, v, length[e] + eps))
         new_ell.setdefault(u, {})[e] = ell.ell.get(u, {}).get(e, Fraction(0)) + eps / 2
         new_ell.setdefault(v, {})[e] = ell.ell.get(v, {}).get(e, Fraction(0)) + eps / 2
     for x in range(g.n):
         new_ell.setdefault(x, {})
     g2 = MetricGraph(g.n, tuple(new_edges))
-    lens = {
-        (min(u, v), max(u, v)): w for (u, v, w) in new_edges
-    }
-    return g2, AdaptedLengths(new_ell, lens)
+    return g2, AdaptedLengths(new_ell, g2.edge_lengths())
 
 
 def gap_experiment(
@@ -341,8 +333,10 @@ def distortion_experiment(
 ) -> DistortionReport:
     """Per-pair empirical contraction d_T(F(u),F(v)) / d_G(u,v) of the
     random outerplanar tree embedding, with 99% one-sided lower
-    confidence bounds on the means."""
-    dmat = all_pairs_distances(g)
+    confidence bounds on the means, over ``samples`` >= 1 embeddings."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    dmat = g.distances()
     if embed_fn is None:
         embed_fn = embed_sampler(g)
     pairs = [

@@ -44,7 +44,10 @@ class MetricGraph:
     """Undirected graph with nonnegative rational edge lengths.
 
     No loops, no parallel edges.  Zero-length edges are permitted.
-    The adjacency lists are built once, with the graph.
+    Every edge is stored as (u, v, length) with u < v.  The adjacency
+    lists are built once, with the graph; the distance matrix, its tick
+    form and the connected components are built on first use and then
+    shared.  None of these views takes part in equality or hashing.
     """
 
     n: int
@@ -71,6 +74,7 @@ class MetricGraph:
             adj[e[1]].append((e[0], w))
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_views", {})
 
     # -- basic views ----------------------------------------------------
 
@@ -79,8 +83,27 @@ class MetricGraph:
         mutate."""
         return self._adj
 
+    def _view(self, name: str, build):
+        views = self._views
+        if name not in views:
+            views[name] = build(self)
+        return views[name]
+
+    def distances(self) -> list[list]:
+        """Shared distance matrix, ``all_pairs_distances``; do not mutate."""
+        return self._view("distances", all_pairs_distances)
+
+    def ticks(self) -> tuple[list[list], int]:
+        """Shared tick matrix (ticks, L), ``distance_ticks``; do not mutate."""
+        return self._view("ticks", distance_ticks)
+
+    def components(self) -> list[set[int]]:
+        """Shared connected components, ``connected_components``; do not
+        mutate."""
+        return self._view("components", connected_components)
+
     def edge_lengths(self) -> dict[tuple[int, int], Fraction]:
-        return {norm_edge(u, v): w for (u, v, w) in self.edges}
+        return {(u, v): w for (u, v, w) in self.edges}
 
     def neighbors(self, v: int) -> list[int]:
         return [x for (x, _) in self._adj[v]]
@@ -128,7 +151,8 @@ def dijkstra(adj, source, allowed: Optional[set] = None) -> dict[int, Fraction]:
 
 
 def all_pairs_distances(g: MetricGraph) -> list[list]:
-    """Shortest-path distance matrix; math.inf across components."""
+    """Shortest-path distance matrix; math.inf across components.  Builds
+    a fresh matrix: read a graph's shared one through ``g.distances()``."""
     adj = g.adjacency()
     mat = []
     for s in range(g.n):
@@ -138,10 +162,11 @@ def all_pairs_distances(g: MetricGraph) -> list[list]:
 
 
 def distance_ticks(g: MetricGraph) -> tuple[list[list], int]:
-    """The distance matrix as ints over one denominator L, the lcm of the
+    """``g.distances()`` as ints over one denominator L, the lcm of the
     finite distances' denominators: entry t stands for t / L, and
-    ``math.inf`` entries stay ``math.inf``.  Returns (ticks, L)."""
-    dmat = all_pairs_distances(g)
+    ``math.inf`` entries stay ``math.inf``.  Returns (ticks, L); read a
+    graph's shared pair through ``g.ticks()``."""
+    dmat = g.distances()
     L = math.lcm(*(d.denominator for row in dmat for d in row if d is not INF))
     ticks = [
         [d if d is INF else d.numerator * (L // d.denominator) for d in row]
@@ -153,18 +178,18 @@ def distance_ticks(g: MetricGraph) -> tuple[list[list], int]:
 def reduce_lengths(g: MetricGraph) -> MetricGraph:
     """Replace every edge length by the shortest-path distance between its
     endpoints.  Idempotent; does not change the metric."""
-    d = all_pairs_distances(g)
+    d = g.distances()
     return g.with_edges((u, v, d[u][v]) for (u, v, _) in g.edges)
 
 
 def is_reduced(g: MetricGraph) -> bool:
-    d = all_pairs_distances(g)
+    d = g.distances()
     return all(w == d[u][v] for (u, v, w) in g.edges)
 
 
 def diameter(g: MetricGraph) -> Fraction:
     """Largest finite pairwise distance."""
-    d = all_pairs_distances(g)
+    d = g.distances()
     best = Fraction(0)
     for i in range(g.n):
         for j in range(i + 1, g.n):
@@ -173,11 +198,15 @@ def diameter(g: MetricGraph) -> Fraction:
     return best
 
 
-def connected_components(g: MetricGraph) -> list[set[int]]:
-    adj = g.adjacency()
+def connected_components(g: MetricGraph, verts=None) -> list[set[int]]:
+    """Connected components of the subgraph induced by ``verts`` (all of
+    g by default), ordered by smallest vertex."""
+    if verts is None:
+        verts = range(g.n)
+    adj = g._adj  # read directly: retractions call this once per block
     seen: set[int] = set()
     comps = []
-    for s in range(g.n):
+    for s in sorted(verts):
         if s in seen:
             continue
         comp = {s}
@@ -185,7 +214,7 @@ def connected_components(g: MetricGraph) -> list[set[int]]:
         while stack:
             v = stack.pop()
             for (u, _) in adj[v]:
-                if u not in comp:
+                if u in verts and u not in comp:
                     comp.add(u)
                     stack.append(u)
         seen |= comp
@@ -459,7 +488,7 @@ def ear_decomposition(
     if m == len(present) - 1 and all(deg[v] <= 2 for v in present):
         adj = g.adjacency()
         ends = [v for v in present if deg[v] == 1]
-        if len(ends) == 2 and len(connected_components(g)) == g.n - len(present) + 1:
+        if len(ends) == 2 and len(g.components()) == g.n - len(present) + 1:
             vs = [min(ends)]
             ws = []
             prev = None
@@ -488,8 +517,7 @@ def ear_decomposition(
             raise FaceInvalid(f"outer face edge {e} missing from graph")
     chord_pairs = []
     for (u, v, _) in g.edges:
-        e = norm_edge(u, v)
-        if e in cycle_edges:
+        if (u, v) in cycle_edges:
             continue
         i, j = sorted((idx[u], idx[v]))
         chord_pairs.append((i, j))
@@ -611,7 +639,7 @@ def slack_transform(
         if not doomed:
             break
         current = current.with_edges(
-            (u, v, w) for (u, v, w) in current.edges if norm_edge(u, v) not in doomed
+            (u, v, w) for (u, v, w) in current.edges if (u, v) not in doomed
         )
         current = reduce_lengths(current)
     h = current.scaled(Fraction(1) / alpha)

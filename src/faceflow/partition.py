@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG
 from .errors import NonPositiveScale
-from .graph import MetricGraph, connected_components, distance_ticks, frac
+from .graph import MetricGraph, frac
 
 # Chopping offsets are drawn as u / _GRID of the annulus width.
 _GRID = 1 << 30
@@ -48,7 +48,6 @@ def sample_padded_partition(
     g: MetricGraph,
     tau,
     seed: int,
-    _ticks=None,
 ) -> Partition:
     """Random tau-bounded partition (weak diameter in d_G).
 
@@ -56,11 +55,10 @@ def sample_padded_partition(
     offsets, then ball carving at radius tau/2 for any block still too
     large.  Deterministic given (g, tau, seed).
 
-    All tests run on ints: ``_ticks`` is ``graph.distance_ticks(g)``, a
-    pair (ticks, L) with d = t / L (built here when not given; pass it
-    when partitioning one graph many times).  With
-    tau = p / q, width tau / div and an offset u / 2^30 of the width,
-    each exact rational test is multiplied out:
+    All tests run on ints, on g's shared tick matrix ``g.ticks()``: a
+    pair (ticks, L) with d = t / L, built once per graph however often
+    it is partitioned.  With tau = p / q, width tau / div and an offset
+    u / 2^30 of the width, each exact rational test is multiplied out:
 
     - band floor((d - offset) / width) = (div 2^30 q t - p L u) // (p L 2^30);
     - a cluster is one block iff t q <= p L for all its pairs;
@@ -69,13 +67,13 @@ def sample_padded_partition(
     if tau <= 0:
         raise NonPositiveScale(f"tau must be positive, got {tau}")
     rng = random.Random(f"padded:{seed}")
-    ticks, L = _ticks if _ticks is not None else distance_ticks(g)
+    ticks, L = g.ticks()
     pL = tau.numerator * L
     q = tau.denominator
     a = DEFAULT_CONFIG.chop_width_divisor * _GRID * q
     c = pL * _GRID
     # Clusters are sorted vertex lists, so cl[0] is the smallest vertex.
-    clusters = [sorted(comp) for comp in connected_components(g)]
+    clusters = [sorted(comp) for comp in g.components()]
     for _ in range(DEFAULT_CONFIG.chop_rounds):
         new_clusters = []
         for cl in sorted(clusters, key=lambda cl: cl[0]):
@@ -120,14 +118,14 @@ def estimate_padding(
     radii,
     samples: int,
     seed: int,
-    _ticks=None,
 ) -> PaddingReport:
     """Empirical padding constant: max over tested (x, R) of
-    escape-frequency * tau / R.  ``_ticks`` is as in
-    ``sample_padded_partition``, built once here when not given."""
+    escape-frequency * tau / R, over ``samples`` >= 1 partitions."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     tau = frac(tau)
     radii = [frac(r) for r in radii]
-    ticks, L = _ticks if _ticks is not None else distance_ticks(g)
+    ticks, L = g.ticks()
     # B(x, r) once per instance: t / L <= r iff t <= floor(r L) for an int t.
     balls = {
         (x, r): [v for v in range(g.n) if ticks[x][v] <= math.floor(r * L)]
@@ -136,9 +134,7 @@ def estimate_padding(
     }
     escapes = {(x, r): 0 for x in range(g.n) for r in radii}
     for s in range(samples):
-        part = sample_padded_partition(
-            g, tau, seed * 1_000_003 + s, _ticks=(ticks, L)
-        )
+        part = sample_padded_partition(g, tau, seed * 1_000_003 + s)
         idx = part.index_of()
         for x in range(g.n):
             bx = idx[x]

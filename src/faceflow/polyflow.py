@@ -66,7 +66,7 @@ class PolymatroidCaps:
         return self.tables[v][s]
 
     def incident(self, v: int, g: MetricGraph) -> list[Edge]:
-        return [norm_edge(a, b) for (a, b, _) in g.edges if v in (a, b)]
+        return [(a, b) for (a, b, _) in g.edges if v in (a, b)]
 
     def validate_tables(self) -> None:
         """Exhaustive monotonicity/submodularity check of every table."""
@@ -150,7 +150,7 @@ class AdaptedLengths:
         ell: dict[int, dict[Edge, Fraction]] = {v: {} for v in range(g.n)}
         length = {}
         for (u, v, w) in g.edges:
-            e = norm_edge(u, v)
+            e = (u, v)
             length[e] = w
             ell[u][e] = w / 2
             ell[v][e] = w / 2
@@ -529,7 +529,7 @@ def _vertex_cap_rows(g: MetricGraph, cap, endpoint_factor: int):
     cap = {v: frac(c) for v, c in dict(cap).items()}
     rows = {}
     for w in range(g.n):
-        incident = {norm_edge(a, b) for (a, b, _) in g.edges if w in (a, b)}
+        incident = {(a, b) for (a, b, _) in g.edges if w in (a, b)}
         if incident:
             rows[w] = (incident, endpoint_factor * cap.get(w, Fraction(0)))
     return rows

@@ -12,10 +12,8 @@ from .errors import EmptyTarget, FaceInvalid, InvariantViolation
 from .graph import (
     MetricGraph,
     PlanarInstance,
-    all_pairs_distances,
     connected_components,
     diameter,
-    distance_ticks,
     is_outerplanar,
     norm_edge,
 )
@@ -37,28 +35,18 @@ class Retraction:
     levels: dict[int, int]
     scale: Fraction
 
-    def check(self, g: MetricGraph, dmat=None) -> None:
+    def check(self, g: MetricGraph) -> None:
         """Assert the three structural invariants; raises on failure."""
-        if dmat is None:
-            dmat = all_pairs_distances(g)
+        dmat = g.distances()
         for x in self.target:
             if self.mapping[x] != x:
                 raise InvariantViolation(f"target vertex {x} not fixed")
-        # Connected fibers.
-        adj = g.adjacency()
+        # Connected fibers, each containing its image.
         fibers: dict[int, set[int]] = {}
         for v, img in self.mapping.items():
             fibers.setdefault(img, set()).add(v)
         for img, fib in fibers.items():
-            seen = {img}
-            stack = [img]
-            while stack:
-                v = stack.pop()
-                for (u, _) in adj[v]:
-                    if u in fib and u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            if seen != fib:
+            if img not in fib or len(connected_components(g, fib)) > 1:
                 raise InvariantViolation(f"fiber of {img} disconnected")
         # Distance/level bound in the scaled metric.
         for x, img in self.mapping.items():
@@ -83,21 +71,23 @@ def sample_retraction(
     joins when the connected part of its block reaches the already
     absorbed set, and each newly absorbed connected chunk inherits the
     image of one neighboring absorbed vertex (lowest id)."""
-    return _absorption_sampler(g, s, all_pairs_distances(g))(seed)
+    return _absorption_sampler(g, s)(seed)
 
 
-def _absorption_sampler(g: MetricGraph, s, dmat):
-    """Check the target, fix the prescale, the scale count and the scaled
-    distance matrix (as ints over one denominator, for the partitions)
-    once, and return the seed -> Retraction sampler of
-    ``sample_retraction``; ``dmat`` is the distance matrix of g."""
+def _absorption_sampler(g: MetricGraph, s):
+    """Check the target, fix the prescale and the scale count once, and
+    return the seed -> Retraction sampler of ``sample_retraction``.
+
+    Scale 2^k of the prescaled metric d_G * scale is scale 2^k / scale of
+    d_G, so every level partitions g itself, on its shared tick matrix."""
     s = frozenset(s)
     if not s:
         raise EmptyTarget("retraction target is empty")
-    comps = connected_components(g)
+    comps = g.components()
     for comp in comps:
         if not comp & s:
             raise EmptyTarget(f"component {sorted(comp)[:5]}... contains no target vertex")
+    dmat = g.distances()
 
     # Prescale so d(S, V \ S) > 1 (zero-distance complements keep scale 1).
     gaps = [
@@ -105,10 +95,8 @@ def _absorption_sampler(g: MetricGraph, s, dmat):
     ]
     gaps = [d for d in gaps if d > 0]
     scale = Fraction(2) / min(gaps) if gaps else Fraction(1)
-    gs = g.scaled(scale)
-    ticks_s = distance_ticks(gs)
 
-    diam = diameter(gs)
+    diam = diameter(g) * scale
     k0 = 1
     while Fraction(2) ** k0 < diam:
         k0 += 1
@@ -123,18 +111,18 @@ def _absorption_sampler(g: MetricGraph, s, dmat):
                 blocks = comps
             else:
                 part = sample_padded_partition(
-                    gs, Fraction(2) ** k, seed * 7_919 + k, _ticks=ticks_s
+                    g, Fraction(2) ** k / scale, seed * 7_919 + k
                 )
                 blocks = part.blocks
             newly: list[set[int]] = []
             for t_block in blocks:
                 # Connected components of G[T]; those touching the absorbed
                 # set absorb their unabsorbed vertices chunk by chunk.
-                for comp in _components_within(adj, t_block):
+                for comp in connected_components(g, t_block):
                     if not comp & absorbed:
                         continue
                     fresh = comp - absorbed
-                    for chunk in _components_within(adj, fresh):
+                    for chunk in connected_components(g, fresh):
                         nbrs = set()
                         for v in chunk:
                             for (u, _) in adj[v]:
@@ -170,25 +158,6 @@ def _absorption_sampler(g: MetricGraph, s, dmat):
     return sample
 
 
-def _components_within(adj, verts: set[int]) -> list[set[int]]:
-    out = []
-    seen: set[int] = set()
-    for start in sorted(verts):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for (u, _) in adj[v]:
-                if u in verts and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        out.append(comp)
-    return out
-
-
 @dataclass(frozen=True)
 class FaceRetraction:
     """Outerplanar quotient of a planar instance along a retraction onto
@@ -202,19 +171,19 @@ class FaceRetraction:
 
 def retraction_sampler(inst: PlanarInstance):
     """Validate the instance and precompute the deterministic part of the
-    face retraction (distance matrices, target scale, scale count), and
-    return a seed -> FaceRetraction sampler; use this when drawing many
-    retractions of the same instance.  Every sample's retraction is
-    checked (fixed target, connected fibers, level bounds); the quotient
-    is checked to be outerplanar and to bring no face pair closer once
-    per distinct quotient graph."""
+    face retraction (target scale, scale count), and return a seed ->
+    FaceRetraction sampler; use this when drawing many retractions of the
+    same instance.  Every sample's retraction is checked (fixed target,
+    connected fibers, level bounds); the quotient is checked to be
+    outerplanar and to bring no face pair closer once per distinct
+    quotient graph."""
     problems = inst.validate()
     if problems:
         raise FaceInvalid("; ".join(problems))
     g = inst.graph
     face = tuple(inst.face)
-    dmat = all_pairs_distances(g)
-    retract = _absorption_sampler(g, set(face), dmat)
+    dmat = g.distances()
+    retract = _absorption_sampler(g, set(face))
     idx = {v: i for i, v in enumerate(face)}
     # Quotients that passed the checks depending on h alone; a graph is
     # added only once it passes, so a failing one raises on every draw.
@@ -230,11 +199,11 @@ def retraction_sampler(inst: PlanarInstance):
             edges[norm_edge(idx[a], idx[b])] = dmat[a][b]
         h = MetricGraph(len(face), tuple((u, v, w) for (u, v), w in edges.items()))
         mapping = {v: idx[retr.mapping[v]] for v in range(g.n)}
-        retr.check(g, dmat)
+        retr.check(g)
         if h not in checked:
             if not is_outerplanar(h):
                 raise InvariantViolation("retracted graph is not outerplanar")
-            dh = all_pairs_distances(h)
+            dh = h.distances()
             for i, u in enumerate(face):
                 for j, v in enumerate(face):
                     if i < j and dh[i][j] < dmat[u][v]:

@@ -21,7 +21,7 @@ from .errors import (
     NoSeparatedDemand,
     NotStarShaped,
 )
-from .graph import MetricGraph, norm_edge
+from .graph import MetricGraph
 from .polyflow import (
     AdaptedLengths,
     DemandMatrix,
@@ -195,7 +195,7 @@ def _tree_edge_cuts(g: MetricGraph, tm: TreeMap):
         es = set()
         for i in range(len(p) - 1):
             es.add((min(p[i], p[i + 1]), max(p[i], p[i + 1])))
-        path_cache[norm_edge(u, v)] = es
+        path_cache[(u, v)] = es
     for (a, b, w) in tree.edges():
         te = (min(a, b), max(a, b))
         cut = [e for e, es in path_cache.items() if te in es]
@@ -216,8 +216,8 @@ def _sweep_assignment(
     x, y = tree_edge
     tree = tm.tree
     assign = {}
-    for (a, b) in cut_edges:
-        e = norm_edge(a, b)
+    for e in cut_edges:
+        a, b = e
         fa, fb = tm.mapping[a], tm.mapping[b]
         p = tree.path(fa, fb)
         # Orient (u, v) so the path traverses the tree edge as (x, y).
@@ -284,7 +284,7 @@ def round_thin(
         raise ValueError("memo was built for another graph, caps or demands")
     tree = tm.tree
     for (u, v, _) in g.edges:
-        e = norm_edge(u, v)
+        e = (u, v)
         lhs = tree.dist(tm.mapping[u], tm.mapping[v])
         rhs = ell.ell.get(u, {}).get(e, Fraction(0)) + ell.ell.get(v, {}).get(
             e, Fraction(0)
@@ -309,9 +309,8 @@ def round_thin(
             # d_T(f(u), x) + lambda hits ell_u(e).
             x, y = te
             breaks = {Fraction(0), w}
-            for (a, b) in cut:
-                e = norm_edge(a, b)
-                for end in (a, b):
+            for e in cut:
+                for end in e:
                     lu = ell.ell.get(end, {}).get(e, Fraction(0))
                     lam = lu - tree.dist(tm.mapping[end], x)
                     if 0 <= lam <= w:
@@ -370,7 +369,7 @@ def dyadic_preprocess(g: MetricGraph, ell: AdaptedLengths) -> AdaptedLengths:
     len >= (ell_u + ell_v) / 2."""
     new_ell: dict[int, dict[Edge, Fraction]] = {v: {} for v in ell.ell}
     for (u, v, w) in g.edges:
-        e = norm_edge(u, v)
+        e = (u, v)
         lu = ell.ell.get(u, {}).get(e, Fraction(0))
         lv = ell.ell.get(v, {}).get(e, Fraction(0))
         s = lu + lv
@@ -391,7 +390,7 @@ def tilde_lengths(
     tree = tm.tree
     new_ell: dict[int, dict[Edge, Fraction]] = {v: {} for v in ell.ell}
     for (u, v, w) in g.edges:
-        e = norm_edge(u, v)
+        e = (u, v)
         lu = ell.ell.get(u, {}).get(e, Fraction(0))
         lv = ell.ell.get(v, {}).get(e, Fraction(0))
         if w == 0:

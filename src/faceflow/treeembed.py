@@ -34,7 +34,6 @@ from .graph import (
     Cycle,
     MetricGraph,
     OuterplanarBuild,
-    connected_components,
     frac,
     norm_edge,
     slack_transform,
@@ -326,7 +325,7 @@ def embed_sampler(g: MetricGraph):
     Each map's ``source`` is the slack graph h (lengths scaled by 1/160),
     on whose edges it is 1-Lipschitz and star-shaped.  As d_h <= d_g it
     is 1-Lipschitz on g too, but not star-shaped on the deleted edges."""
-    if len(connected_components(g)) != 1:
+    if len(g.components()) != 1:
         raise ValueError("embedding expects a connected graph")
     # slack_transform reduces g and raises NotOuterplanar; it is the one
     # outerplanarity test of the build.

@@ -233,6 +233,18 @@ class TestExperimentsCommands:
         assert rc == 0
         assert "min-lcb:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args", [
+        ["distortion", "--samples", "0"],
+        ["distortion", "--samples", "-1"],
+        ["partition", "--tau", "3", "--samples", "0"],
+        ["embed", "--stats", "--samples", "0"],
+    ])
+    def test_too_few_samples_rejected(self, c6_file, args, capsys):
+        assert main([args[0], c6_file, *args[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: samples must be >= 1")
+
     def test_out_file(self, c6_file, tmp_path):
         op = os.path.join(tmp_path, "flow.txt")
         assert main(["flow", c6_file, "--out", op]) == 0

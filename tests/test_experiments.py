@@ -351,6 +351,43 @@ def _multiscale_inputs():
     return g, AdaptedLengths.split_evenly(g), caps, dem
 
 
+def _count_matrices(monkeypatch) -> list[int]:
+    """Count every all-pairs matrix built, whichever module calls it."""
+    calls = [0]
+    original = graph.all_pairs_distances
+
+    def counting(g):
+        calls[0] += 1
+        return original(g)
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("faceflow")]:
+        if getattr(mod, "all_pairs_distances", None) is original:
+            monkeypatch.setattr(mod, "all_pairs_distances", counting)
+    return calls
+
+
+class TestOneMatrixPerGraph:
+    """Each graph builds its distance matrix once, for every reader."""
+
+    @pytest.mark.parametrize("make", [_grid3x4, _planar12_2p2])
+    def test_gap_experiment(self, monkeypatch, make):
+        """The dual-length graph g2, its reduction gr (validation,
+        retraction prescale, partitions and level bounds), the retracted
+        graph h (quotient check and slack input) and h after its slack
+        deletions: one matrix each."""
+        inst = make()
+        calls = _count_matrices(monkeypatch)
+        gap_experiment(inst, samples=20, seed=1)
+        assert calls[0] == 4
+
+    def test_distortion_experiment(self, monkeypatch):
+        """The pairs and the slack transform read the same matrix of g."""
+        g = slack_cycle(6)
+        calls = _count_matrices(monkeypatch)
+        distortion_experiment(g, samples=5, seed=0)
+        assert calls[0] == 1
+
+
 class TestOneNuPerCut:
     """Caps and demands are fixed within a run, so each distinct cut's nu
     and separated demand are computed once, and every certificate is the

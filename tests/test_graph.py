@@ -13,6 +13,7 @@ from faceflow.graph import (
     PlanarInstance,
     all_pairs_distances,
     biconnected_components,
+    connected_components,
     diameter,
     distance_ticks,
     ear_decomposition,
@@ -120,6 +121,46 @@ class TestDistances:
                 else:
                     assert type(ticks[i][j]) is int
                     assert Fraction(ticks[i][j], L) == d[i][j]
+
+
+class TestViews:
+    """Distances, ticks and components are built once per graph and
+    shared; they play no part in equality or hashing."""
+
+    GRAPHS = {
+        "two-components": MetricGraph(6, (
+            (0, 1, Fraction(1, 3)), (1, 2, Fraction(3, 4)),
+            (3, 4, Fraction(5, 6)),
+        )),
+        "c6": cycle_instance(6),
+        "outer8": random_outerplanar(8, 1)[0],
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_views_are_shared_and_exact(self, name):
+        g = self.GRAPHS[name]
+        fresh = MetricGraph(g.n, g.edges)
+        for view, build in (
+            ("distances", all_pairs_distances),
+            ("ticks", distance_ticks),
+            ("components", connected_components),
+        ):
+            first = getattr(g, view)()
+            assert getattr(g, view)() is first
+            assert first == build(fresh)
+
+    def test_components_ordered_by_smallest_vertex(self):
+        g = self.GRAPHS["two-components"]
+        assert g.components() == [{0, 1, 2}, {3, 4}, {5}]
+        assert connected_components(g, {2, 0, 4, 3}) == [{0}, {2}, {3, 4}]
+
+    def test_views_leave_equality_and_hash_alone(self):
+        g = cycle_instance(6)
+        other = MetricGraph(g.n, g.edges)
+        g.distances(), g.ticks(), g.components()
+        assert g == other and hash(g) == hash(other)
+        assert {g: 1}[other] == 1
+        assert other != g.scaled(2)
 
 
 class TestReduce:

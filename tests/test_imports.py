@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, no
-package function takes a ``config`` parameter, and no package code
-raises a bare ``RuntimeError``.
+package function takes a ``config`` parameter, no package code raises a
+bare ``RuntimeError``, and every function the benchmark's tracer wraps
+by name still exists.
 
 No linter is a dependency, so this walks the syntax trees with the
 standard ``ast`` module.  ``__init__.py`` re-exports by design and is
@@ -12,11 +13,14 @@ says what went wrong.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "faceflow"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "faceflow"
+TRACER = ROOT / "perfbench" / "tracer.py"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
@@ -117,3 +121,48 @@ def test_no_runtime_error():
         f"{p.name}: line {n}" for p in SOURCES for n in runtime_error_raises(p.read_text())
     ]
     assert found == []
+
+
+def tracer_layers(source: str) -> dict[str, tuple[str, ...]]:
+    """The ``LAYERS`` literal of the tracer's source, read without
+    importing it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in targets):
+                return ast.literal_eval(node.value)
+    raise AssertionError("no LAYERS assignment")
+
+
+def unresolved(layers: dict[str, tuple[str, ...]]) -> list[str]:
+    """Names ``module.function`` or ``module.Class.method`` that are not
+    a function of that ``faceflow`` module or a method defined on that
+    class, as the tracer looks them up."""
+    out = []
+    for mod_name, names in layers.items():
+        mod = importlib.import_module(f"faceflow.{mod_name}")
+        for name in names:
+            if "." in name:
+                cls_name, attr = name.split(".")
+                ok = callable(vars(getattr(mod, cls_name, object)).get(attr))
+            else:
+                ok = callable(getattr(mod, name, None))
+            if not ok:
+                out.append(f"{mod_name}.{name}")
+    return out
+
+
+def test_checker_flags_unresolved_names():
+    layers = tracer_layers(
+        "import sys\n"
+        "LAYERS: dict = {'graph': ('diameter', 'nope', 'MetricGraph.adjacency',"
+        " 'MetricGraph.nope', 'Nope.f')}\n"
+    )
+    assert unresolved(layers) == [
+        "graph.nope", "graph.MetricGraph.nope", "graph.Nope.f",
+    ]
+
+
+def test_traced_names_resolve():
+    layers = tracer_layers(TRACER.read_text())
+    assert layers and unresolved(layers) == []

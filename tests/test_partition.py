@@ -302,13 +302,13 @@ def test_retraction_matches_reference_partition(name, monkeypatch):
     exact-rational partition.  The sampler is ``sample_retraction``'s own,
     built once; it looks up ``sample_padded_partition`` at each draw."""
     g, face = RETRACTION_GRAPHS[name]()
-    sample = retraction._absorption_sampler(g, set(face), all_pairs_distances(g))
+    sample = retraction._absorption_sampler(g, set(face))
     seeds = range(300)
     got = [sample(s) for s in seeds]
     assert got[7] == sample_retraction(g, face, 7)
     dmats: dict[MetricGraph, list] = {}
 
-    def reference(h, tau, seed, _ticks=None):
+    def reference(h, tau, seed):
         if h not in dmats:
             dmats[h] = all_pairs_distances(h)
         return reference_padded_partition(h, tau, seed, _dmat=dmats[h])

@@ -9,17 +9,21 @@ from faceflow.graph import (
     MetricGraph,
     PlanarInstance,
     all_pairs_distances,
+    connected_components,
+    diameter,
     frac,
     is_outerplanar,
     reduce_lengths,
 )
 from faceflow.instances import cycle_instance, grid_graph
+from faceflow.partition import sample_padded_partition
 from faceflow.retraction import (
     Retraction,
     retract_to_outerplanar,
     retraction_sampler,
     sample_retraction,
 )
+from test_partition import RETRACTION_GRAPHS
 
 F = Fraction
 
@@ -102,6 +106,24 @@ class TestSampleRetraction:
         g, face = grid_graph(3, 3)
         retr = sample_retraction(g, set(face), seed)
         retr.check(g)
+
+    def test_check_rejects_disconnected_fiber(self):
+        g = MetricGraph(4, tuple((i, i + 1, F(1)) for i in range(3)))
+        retr = Retraction(
+            frozenset({0, 3}), {0: 0, 1: 3, 2: 0, 3: 3},
+            {0: 0, 1: 1, 2: 1, 3: 0}, F(1),
+        )
+        with pytest.raises(InvariantViolation, match="fiber of 0 disconnected"):
+            retr.check(g)
+
+    def test_check_rejects_fiber_without_its_image(self):
+        # Fiber of 1 is {2}: connected, but it does not contain 1.
+        g = MetricGraph(3, ((0, 1, F(1)), (1, 2, F(1))))
+        retr = Retraction(
+            frozenset({0}), {0: 0, 1: 0, 2: 1}, {0: 0, 1: 1, 2: 1}, F(1),
+        )
+        with pytest.raises(InvariantViolation, match="fiber of 1 disconnected"):
+            retr.check(g)
 
 
 class TestGradientStat:
@@ -191,9 +213,9 @@ class TestQuotientChecksOncePerGraph:
             calls["outerplanar"] += 1
             return real_outerplanar(h)
 
-        def check(self, g, dmat=None):
+        def check(self, g):
             calls["check"] += 1
-            return real_check(self, g, dmat)
+            return real_check(self, g)
 
         monkeypatch.setattr(retraction, "is_outerplanar", outerplanar)
         monkeypatch.setattr(Retraction, "check", check)
@@ -209,3 +231,121 @@ class TestQuotientChecksOncePerGraph:
         for seed in (0, 1, 0, 2):
             with pytest.raises(InvariantViolation, match="not outerplanar"):
                 draw(seed)
+
+
+# -- reference: the absorption sampler that partitioned a scaled copy ------
+
+
+def reference_absorption_sampler(g: MetricGraph, s, dmat):
+    """The sampler before partitions ran on g at scale 2^k / scale: it
+    built the prescaled copy gs and partitioned gs at scale 2^k.  Kept
+    as it was, except that gs's tick matrix, once passed in to every
+    partition, is now gs's own view."""
+    s = frozenset(s)
+    if not s:
+        raise EmptyTarget("retraction target is empty")
+    comps = connected_components(g)
+    for comp in comps:
+        if not comp & s:
+            raise EmptyTarget(f"component {sorted(comp)[:5]}... contains no target vertex")
+
+    # Prescale so d(S, V \ S) > 1 (zero-distance complements keep scale 1).
+    gaps = [
+        min(dmat[x][t] for t in s) for x in range(g.n) if x not in s
+    ]
+    gaps = [d for d in gaps if d > 0]
+    scale = Fraction(2) / min(gaps) if gaps else Fraction(1)
+    gs = g.scaled(scale)
+
+    diam = diameter(gs)
+    k0 = 1
+    while Fraction(2) ** k0 < diam:
+        k0 += 1
+    adj = g.adjacency()
+
+    def sample(seed: int) -> Retraction:
+        mapping = {x: x for x in s}
+        levels = {x: 0 for x in s}
+        absorbed = set(s)
+        for k in range(1, k0 + 1):
+            if k == k0:
+                blocks = comps
+            else:
+                part = sample_padded_partition(
+                    gs, Fraction(2) ** k, seed * 7_919 + k
+                )
+                blocks = part.blocks
+            newly: list[set[int]] = []
+            for t_block in blocks:
+                # Connected components of G[T]; those touching the absorbed
+                # set absorb their unabsorbed vertices chunk by chunk.
+                for comp in _components_within(adj, t_block):
+                    if not comp & absorbed:
+                        continue
+                    fresh = comp - absorbed
+                    for chunk in _components_within(adj, fresh):
+                        nbrs = set()
+                        for v in chunk:
+                            for (u, _) in adj[v]:
+                                if u in comp and u in absorbed:
+                                    nbrs.add(u)
+                        if not nbrs:
+                            continue  # reached only through other fresh chunks
+                        v_c = min(nbrs)
+                        newly.append(chunk)
+                        for v in chunk:
+                            mapping[v] = mapping[v_c]
+                            levels[v] = k
+            for chunk in newly:
+                absorbed |= chunk
+            if len(absorbed) == g.n:
+                break
+        # Chunks reachable only through sibling chunks may need extra passes
+        # at the same top scale.
+        guard = 0
+        while len(absorbed) < g.n:
+            guard += 1
+            if guard > g.n:
+                raise InvariantViolation("retraction failed to absorb all vertices")
+            for v in sorted(set(range(g.n)) - absorbed):
+                nbrs = [u for (u, _) in adj[v] if u in absorbed]
+                if nbrs:
+                    v_c = min(nbrs)
+                    mapping[v] = mapping[v_c]
+                    levels[v] = k0
+                    absorbed.add(v)
+        return Retraction(s, mapping, levels, scale)
+
+    return sample
+
+
+def _components_within(adj, verts: set[int]) -> list[set[int]]:
+    out = []
+    seen: set[int] = set()
+    for start in sorted(verts):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for (u, _) in adj[v]:
+                if u in verts and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        out.append(comp)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RETRACTION_GRAPHS))
+def test_unscaled_partitions_match_scaled_reference(name):
+    """Partitioning g at 2^k / scale draws the same retractions as
+    partitioning the prescaled copy at 2^k."""
+    g, face = RETRACTION_GRAPHS[name]()
+    sample = retraction._absorption_sampler(g, set(face))
+    reference = reference_absorption_sampler(g, set(face), all_pairs_distances(g))
+    for seed in range(300):
+        got, want = sample(seed), reference(seed)
+        assert (got.mapping, got.levels) == (want.mapping, want.levels), seed
+        assert got.scale == want.scale
