@@ -100,7 +100,9 @@ def sample_padded_partition(
             dist = ticks[remaining[0]]
             final.append([v for v in remaining if dist[v] <= half])
             remaining = [v for v in remaining if dist[v] > half]
-    return Partition(tuple(frozenset(b) for b in final), tau)
+    # tuple() of a list: of a generator it is built by resizing, which
+    # strands tuples on the interpreter's free lists on every sample.
+    return Partition(tuple([frozenset(b) for b in final]), tau)
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,9 @@ def nu(
             buckets[v], rhos[v] = old_s, old_r
 
     search(0, Fraction(0))
+    # search holds itself through its closure cell: break that cycle now
+    # rather than leave it, and all it reaches, to the next full collection.
+    del search
     return best, {e: e[b] for e, b in zip(edges, best_bits)}
 
 

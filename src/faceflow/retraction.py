@@ -197,7 +197,8 @@ def retraction_sampler(inst: PlanarInstance):
             if a == b:
                 continue
             edges[norm_edge(idx[a], idx[b])] = dmat[a][b]
-        h = MetricGraph(len(face), tuple((u, v, w) for (u, v), w in edges.items()))
+        # tuple() of a list, not of a generator: see sample_padded_partition.
+        h = MetricGraph(len(face), tuple([(u, v, w) for (u, v), w in edges.items()]))
         mapping = {v: idx[retr.mapping[v]] for v in range(g.n)}
         retr.check(g)
         if h not in checked:

@@ -52,7 +52,8 @@ def thin_map(
     rng = random.Random(f"thin:{seed}")
     if _choice_fn is None:
         def _choice_fn(x, k):
-            return tuple(rng.randrange(2) for _ in range(k))
+            # tuple() of a list, not of a generator: see sample_padded_partition.
+            return tuple([rng.randrange(2) for _ in range(k)])
 
     tree = tm.tree
     D = tree.D
@@ -167,6 +168,9 @@ def thin_map(
         return result, phi2
 
     final_tree, phi = transform(root)
+    # transform holds itself through its closure cell: break that cycle now
+    # rather than leave it, and all it reaches, to the next full collection.
+    del transform
     mapping = {u: phi[tv] for u, tv in tm.mapping.items()}
     return TreeMap(final_tree, mapping, tm.source, root=phi[root])
 

@@ -1,12 +1,13 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faceflow import simplex
+from faceflow import polyflow, simplex
 from faceflow.errors import Infeasible, IterationLimit, Unbounded
-from faceflow.polyflow import _mcf_lp_rows, _vertex_cap_rows
+from faceflow.polyflow import _mcf_lp_rows, _vertex_cap_rows, mcf_polymatroid_lp
 from faceflow.simplex import (
     _BLAND_AFTER,
     _MAX_ITERS,
@@ -57,6 +58,16 @@ class TestSolve:
             ],
         )
         assert res.objective == 2
+
+    def test_row_length_must_match(self):
+        # A short row would shift the slack and rhs columns: x = [3, 2]
+        # reported as optimal with objective 2.
+        short = [([F(1)], "<=", F(3)), ([F(0), F(1)], "<=", F(2))]
+        with pytest.raises(ValueError, match="row 0 has 1 coefficients, not 2"):
+            solve_lp([F(1), F(1)], short)
+        long = [([F(1), F(0)], "<=", F(3)), ([F(0), F(1), F(1)], "=", F(2))]
+        with pytest.raises(ValueError, match="row 1 has 3 coefficients, not 2"):
+            solve_lp([F(1), F(1)], long)
 
     def test_infeasible(self):
         with pytest.raises(Infeasible):
@@ -396,6 +407,233 @@ class TestSparseMatchesDense:
         d_obj, d_rows = explicit_dual(objective, rows)
         for lp in ((objective, rows, True), (d_obj, d_rows, False)):
             assert outcome(solve_lp, *lp) == outcome(reference_solve_lp, *lp)
+
+
+def fraction_solve_lp(objective, rows, maximize: bool = True) -> LPResult:
+    """The replaced Fraction solve_lp, kept verbatim: every tableau entry
+    is a Fraction.  Solve max/min objective . x subject to rows, x >= 0.
+
+    ``objective``: list of Fractions (length n).
+    ``rows``: list of (coeffs, relation, rhs) with relation in
+    '<=', '>=', '='.  Returns an optimum; raises Infeasible, Unbounded,
+    or IterationLimit when either phase runs past ``_MAX_ITERS`` pivots.
+
+    ``duals`` maps each '<=' or '>=' row i to its optimal multiplier y_i
+    (y_i >= 0 on a '<=' row of a max LP), read off the final reduced
+    cost of the row's slack column; sum_i y_i * rhs_i is the objective
+    when no row is '='.  '=' rows get none: their artificial columns are
+    zeroed before phase 2.
+    """
+    n = len(objective)
+    c = [Fraction(v) for v in objective]
+    if not maximize:
+        c = [-v for v in c]
+
+    # Normalize rows to rhs >= 0; flip[i] is -1 where row i was negated.
+    norm = []
+    flip = []
+    for coeffs, rel, rhs in rows:
+        coeffs = [Fraction(v) for v in coeffs]
+        rhs = Fraction(rhs)
+        flip.append(-1 if rhs < 0 else 1)
+        if rhs < 0:
+            coeffs = [-v for v in coeffs]
+            rhs = -rhs
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        norm.append((coeffs, rel, rhs))
+
+    m = len(norm)
+    n_slack = sum(1 for (_, rel, _) in norm if rel in ("<=", ">="))
+    n_art = sum(1 for (_, rel, _) in norm if rel in (">=", "="))
+    total = n + n_slack + n_art
+
+    # Build tableau: m constraint rows of length total+1 (last column
+    # rhs), then the reduced-cost row at index m.
+    tab = []
+    basis = []
+    si = n
+    ai = n + n_slack
+    art_cols = []
+    # Row index -> (its slack column, the sign taking d[slack] to y_i).
+    slack_of = {}
+    for i, (coeffs, rel, rhs) in enumerate(norm):
+        row = coeffs + [_ZERO] * (n_slack + n_art) + [rhs]
+        if rel == "<=":
+            row[si] = Fraction(1)
+            basis.append(si)
+            slack_of[i] = (si, -flip[i])
+            si += 1
+        elif rel == ">=":
+            row[si] = Fraction(-1)
+            slack_of[i] = (si, flip[i])
+            si += 1
+            row[ai] = Fraction(1)
+            basis.append(ai)
+            art_cols.append(ai)
+            ai += 1
+        else:
+            row[ai] = Fraction(1)
+            basis.append(ai)
+            art_cols.append(ai)
+            ai += 1
+        tab.append(row)
+    tab.append([])
+
+    def pivot(r: int, col: int):
+        # Only the nonzero columns of the pivot row change any row; zeros
+        # elsewhere would add a - f * 0 = a.
+        prow = tab[r]
+        inv = Fraction(1) / prow[col]
+        entries = [(j, v * inv) for j, v in enumerate(prow) if v]
+        for j, b in entries:
+            prow[j] = b
+        for i in range(m + 1):
+            row = tab[i]
+            f = row[col]
+            if f and i != r:
+                for j, b in entries:
+                    row[j] -= f * b
+        basis[r] = col
+
+    def run_phase(cost: list[Fraction]) -> Fraction:
+        # Maximize cost . x: price out the starting basis once, then let
+        # the pivots keep the reduced-cost row current.
+        d = cost + [_ZERO]
+        for i in range(m):
+            cb = cost[basis[i]]
+            if cb:
+                for j, b in enumerate(tab[i]):
+                    if b:
+                        d[j] -= cb * b
+        tab[m] = d
+        iters = 0
+        while True:
+            iters += 1
+            if iters > _MAX_ITERS:
+                raise IterationLimit(f"simplex iteration limit {_MAX_ITERS} hit")
+            d = tab[m]
+            if iters > _BLAND_AFTER:
+                enter = next((j for j in range(total) if d[j] > 0), -1)
+            else:
+                # Largest reduced cost; index() picks the lowest on a tie.
+                best = max(d[:total], default=_ZERO)
+                enter = d.index(best) if best > 0 else -1
+            if enter < 0:
+                return -d[-1]
+            leave = -1
+            best_ratio = None
+            for i in range(m):
+                a = tab[i][enter]
+                if a > 0:
+                    ratio = tab[i][-1] / a
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio
+                        or (ratio == best_ratio and basis[i] < basis[leave])
+                    ):
+                        best_ratio = ratio
+                        leave = i
+            if leave < 0:
+                raise Unbounded("objective unbounded")
+            pivot(leave, enter)
+
+    if art_cols:
+        phase1 = [_ZERO] * total
+        for j in art_cols:
+            phase1[j] = Fraction(-1)
+        if run_phase(phase1) != 0:
+            raise Infeasible("no point satisfies every row")
+        # Drive remaining artificials out of the basis.
+        art_set = set(art_cols)
+        for i in range(m):
+            if basis[i] in art_set:
+                for j in range(total):
+                    if j not in art_set and tab[i][j] != 0:
+                        pivot(i, j)
+                        break
+        # Forbid artificials from re-entering by zeroing their columns.
+        for i in range(m):
+            for j in art_cols:
+                tab[i][j] = _ZERO
+
+    obj = run_phase(c + [_ZERO] * (n_slack + n_art))
+    x = [_ZERO] * total
+    for i, b in enumerate(basis):
+        x[b] = tab[i][-1]
+    # Undo the negated objective of a min LP.
+    sense = 1 if maximize else -1
+    duals = {i: sense * s * tab[m][j] for i, (j, s) in slack_of.items()}
+    return LPResult(sense * obj, x[:n], duals)
+
+
+def full_outcome(solve, objective, rows, maximize):
+    """(objective, x, duals) of an optimum, or the class of the error
+    raised."""
+    try:
+        res = solve(objective, rows, maximize=maximize)
+    except (Infeasible, Unbounded, IterationLimit) as exc:
+        return type(exc)
+    return res.objective, res.x, res.duals
+
+
+class _Captured(Exception):
+    pass
+
+
+# The most pivots one phase took over the LPs drawn below was 167 (the
+# dual of a flow LP; random LPs took at most 9, table LPs 24).  A solver
+# that cycles stops here with IterationLimit, which fails against the
+# reference's optimum, instead of running the module's 200 000 pivots.
+PIVOT_BUDGET = 2000
+
+
+class TestIntegerMatchesFraction:
+    """solve_lp keeps each row as ints over one positive denominator but
+    takes the same pivots as the Fraction solver it replaced, so optima,
+    x, duals and failures are exactly equal."""
+
+    def assert_same(self, objective, rows, maximize):
+        with mock.patch.object(simplex, "_MAX_ITERS", PIVOT_BUDGET):
+            got = full_outcome(solve_lp, objective, rows, maximize)
+        assert got == full_outcome(fraction_solve_lp, objective, rows, maximize)
+
+    @given(st.one_of(bounded_feasible_lps(), any_lps()))
+    @settings(max_examples=200, deadline=None)
+    def test_random_lps(self, lp):
+        self.assert_same(*lp)
+
+    @given(cut_instances(tables=False), st.sampled_from([1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_flow_lp_and_its_dual(self, inst, factor):
+        g, caps, dem = inst
+        cap_rows = _vertex_cap_rows(g, caps.vertex_caps, factor).values()
+        objective, rows, _, _ = _mcf_lp_rows(g, dem, cap_rows)
+        self.assert_same(objective, rows, True)
+        self.assert_same(*explicit_dual(objective, rows), False)
+
+    @given(cut_instances(tables=True))
+    @settings(max_examples=40, deadline=None)
+    def test_table_lps(self, inst):
+        g, caps, dem = inst
+        lps = []
+
+        def capture(objective, rows, maximize=True):
+            lps.append((objective, rows, maximize))
+            raise _Captured
+
+        with mock.patch.object(polyflow, "solve_lp", capture):
+            with pytest.raises(_Captured):
+                mcf_polymatroid_lp(g, caps, dem)
+        self.assert_same(*lps[0])
+
+    def test_negative_drive_out_pivot(self):
+        # -x - y = 0 leaves its artificial basic at 0 with no positive
+        # entry, so it is driven out by a pivot on the entry -1.  Read
+        # over a negative denominator, that row would let y = 1 in.
+        rows = [([F(-1), F(-1)], "=", F(0)), ([F(0), F(1)], "<=", F(1))]
+        res = solve_lp([F(0), F(1)], rows)
+        assert (res.objective, res.x, res.duals) == (0, [0, 0], {1: 0})
+        self.assert_same([F(0), F(1)], rows, True)
 
 
 class TestIterationLimit:
