@@ -151,12 +151,13 @@ def cmd_round(args) -> int:
     from .polyflow import AdaptedLengths
 
     g = inst.graph
+    embed = embed_sampler(g)
     rep = multiscale_round(
         g,
         AdaptedLengths.split_evenly(g),
         inst.caps(),
         inst.demand_matrix(),
-        embed_sampler(g),
+        lambda s: (embed(s), range(g.n)),
         args.samples,
         args.seed,
     )

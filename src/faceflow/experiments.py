@@ -16,12 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .config import DEFAULT_CONFIG
-from .errors import (
-    BudgetExhausted,
-    InvariantViolation,
-    NoSeparatedDemand,
-    TooLarge,
-)
+from .errors import BudgetExhausted, NoSeparatedDemand, TooLarge
 from .graph import MetricGraph, PlanarInstance, reduce_lengths
 from .instances import (
     Instance,
@@ -40,16 +35,9 @@ from .polyflow import (
     mcf_vertex_lp,
 )
 from .retraction import retraction_sampler
-from .thinround import (
-    CutCertificate,
-    CutMemo,
-    dyadic_preprocess,
-    round_thin,
-    thin_map,
-    tilde_lengths,
-)
+from .thinround import CutCertificate, multiscale_round
 from .tree import TreeMap
-from .treeembed import embed_sampler, is_star_shaped, is_thin
+from .treeembed import embed_sampler
 
 
 @dataclass
@@ -118,18 +106,16 @@ def gap_experiment(
     certified exactly (``mcf_dual_vertex``), from the same solve as mcf
     in vertex form; polymatroid tables solve their own flow LP for mcf.
 
-    The graph, caps and demands are fixed across samples, so the run
-    pays for per-instance work once: retraction and embedding
-    samplers are prepared once, and one ``CutMemo`` gives every sample's
-    ``round_thin`` each distinct cut's nu and separated demand."""
+    The samples run through ``multiscale_round``: each retracts onto the
+    face, embeds the retracted graph (one embedding sampler per distinct
+    retracted graph) and hands the map with its retraction to the shared
+    loop, which checks, thins, rounds and bounds it.  A failed check
+    raises, so each check's tally is ``samples``; ``rounded`` counts the
+    samples that separated some demand and is left out when none did."""
     t0 = time.monotonic()
     g = inst.graph
     caps = inst.caps()
     dem = inst.demand_matrix()
-    tallies: dict[str, int] = {}
-
-    def tally(key: str):
-        tallies[key] = tallies.get(key, 0) + 1
 
     # Polymatroid-convention flow value and its optimal dual lengths.
     if caps.is_vertex_form():
@@ -141,7 +127,6 @@ def gap_experiment(
         }
         mcf = mcf_polymatroid_lp(g, caps, dem).epsilon
         length, ell, _ = mcf_dual_vertex(g, cap_dict, dem, endpoint_factor=1)
-    best: Optional[CutCertificate] = None
 
     phi_brute = None
     if len(g.edges) <= DEFAULT_CONFIG.edge_cut_max_edges:
@@ -151,49 +136,32 @@ def gap_experiment(
             phi_brute = None
 
     g2, ell2 = _positive_dual_lengths(g, length, ell)
-    ell2 = dyadic_preprocess(g2, ell2)
-    gr = reduce_lengths(g2)
-
+    rep, tallies = None, {}
     # Without a face only the brute cut is available.
     if inst.face is not None:
-        retract = retraction_sampler(PlanarInstance(gr, inst.face, inst.rotation))
+        retract = retraction_sampler(
+            PlanarInstance(reduce_lengths(g2), inst.face, inst.rotation)
+        )
         # Retracted graphs repeat across samples; prepare each one once.
         embedders: dict[MetricGraph, Callable[[int], TreeMap]] = {}
-        memo = CutMemo(g2, caps, dem)
-        for i in range(samples):
-            s_i = seed * 65_537 + i
-            fr = retract(s_i)
-            tally("retraction")
+
+        def sample(s: int):
+            fr = retract(s)
             if fr.h not in embedders:
                 embedders[fr.h] = embed_sampler(fr.h)
-            # Star shape holds on the slack graph emb.source only: check and
-            # thin there, then compose and check thinness on all of gr.
-            emb = embedders[fr.h](s_i)
-            if not emb.is_lipschitz():
-                raise InvariantViolation("embedding is not 1-Lipschitz")
-            tally("embed_lipschitz")
-            if not is_star_shaped(emb):
-                raise InvariantViolation("embedding is not star-shaped")
-            tally("composition_star_shaped")
-            t = thin_map(emb, s_i)
-            thin = TreeMap(
-                t.tree,
-                {v: t.mapping[fr.mapping[v]] for v in range(gr.n)},
-                gr,
-                root=t.root,
-            )
-            if not is_thin(thin, DEFAULT_CONFIG.thinness):
-                raise InvariantViolation("thinned map exceeds thinness bound")
-            tally("thin")
-            tl = tilde_lengths(g2, thin, ell2)
-            try:
-                cert = round_thin(g2, thin, tl, caps, dem, memo)
-            except NoSeparatedDemand:
-                continue
-            tally("rounded")
-            if best is None or cert.sparsity < best.sparsity:
-                best = cert
+            return embedders[fr.h](s), fr.mapping
 
+        try:
+            rep = multiscale_round(g2, ell2, caps, dem, sample, samples, seed)
+        except NoSeparatedDemand:
+            pass
+        # A failed check raises, so every drawn sample passed all four.
+        checks = ("retraction", "embed_lipschitz", "composition_star_shaped", "thin")
+        tallies = dict.fromkeys(checks, samples) if samples else {}
+        if rep is not None:
+            tallies["rounded"] = rep.rounded
+
+    best = rep.best if rep is not None else None
     cands = [s for s in (phi_brute, best.sparsity if best else None) if s is not None]
     best_sparsity = min(cands) if cands else None
     ratio = float(best_sparsity / mcf) if best_sparsity is not None and mcf > 0 else None

@@ -178,7 +178,17 @@ def lovasz_extension(rho: Callable[[frozenset], Fraction], ell: dict) -> Fractio
 
 
 def rho_hat(caps: PolymatroidCaps, v: int, ell_v: dict) -> Fraction:
-    return lovasz_extension(lambda s: caps.rho(v, s), ell_v)
+    """Lovász extension of rho_v at ``ell_v``; under vertex caps every
+    nonempty level set costs cap(v), so it is cap(v) * max ell_v."""
+    if caps.vertex_caps is None:
+        return lovasz_extension(lambda s: caps.rho(v, s), ell_v)
+    top = Fraction(0)
+    for k, x in ell_v.items():
+        x = frac(x)
+        if x < 0:
+            raise NegativeEntry(f"negative weight {x} at {k}")
+        top = max(top, x)
+    return caps.vertex_caps.get(v, Fraction(0)) * top
 
 
 # -- cut capacity -------------------------------------------------------

@@ -4,7 +4,9 @@ thin_map converts a star-shaped 1-Lipschitz tree map into a random
 4-thin one by recursively rebuilding, at every internal tree vertex, the
 arms carrying graph edges onto two fresh vertical branches.  round_thin
 turns a thin map plus adapted lengths into a sparse cut certificate, and
-multiscale_round runs the dyadic preprocessing + sample loop on top.
+multiscale_round runs the dyadic preprocessing + sample loop on top: the
+one loop gap_experiment and ``faceflow round`` share, which checks every
+exact certificate against the rounding lemma's bound.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .polyflow import (
     separated_demand,
 )
 from .tree import MetricTree, TreeMap
-from .treeembed import is_thin
+from .treeembed import is_star_shaped, is_thin
 
 Edge = tuple[int, int]
 
@@ -415,6 +417,8 @@ def tilde_lengths(
 class RoundingReport:
     best: CutCertificate
     samples: int
+    # samples whose thinned map separated some demand
+    rounded: int
     # per-sample (sparsity, per-sample bound) pairs as floats
     sample_ratios: list[float]
 
@@ -424,38 +428,52 @@ def multiscale_round(
     ell: AdaptedLengths,
     caps: PolymatroidCaps,
     dem: DemandMatrix,
-    embed_sampler,
+    sample,
     samples: int,
     seed: int,
 ) -> RoundingReport:
-    """Dyadic preprocessing, then per sample: embed, thin, check the
-    thinned map 4-thin on every edge of g, build the tree-adapted tilde
-    lengths, and round; keeps the sparsest certificate.  One ``CutMemo``
-    serves all samples, so each distinct cut's nu and separated demand
-    are computed once."""
+    """Dyadic preprocessing, then per sample s = seed * 65 537 + i:
+    ``sample(s)`` gives ``(emb, pull)``, a tree map to be 1-Lipschitz and
+    star-shaped on its own source (e.g. a slack graph) and a map from each
+    vertex of g to a vertex of that source.  Check emb, thin it, compose
+    with pull, check 4-thinness on g, build the tilde lengths, round, and
+    check each exact certificate against ``rounding_bound``; keep the
+    sparsest.  One ``CutMemo`` serves all samples."""
     ell.check_adapted()
     ell2 = dyadic_preprocess(g, ell)
     memo = CutMemo(g, caps, dem)
     best: Optional[CutCertificate] = None
+    rounded = 0
     ratios: list[float] = []
     for i in range(samples):
-        tm = embed_sampler(seed * 65_537 + i)
-        thin = thin_map(tm, seed * 65_537 + i)
-        # Thinned on the slack graph; the rounding bound needs it on g.
-        if not is_thin(thin.with_source(g), DEFAULT_CONFIG.thinness):
-            raise InvariantViolation("thinned map exceeds thinness bound on g")
+        s = seed * 65_537 + i
+        emb, pull = sample(s)
+        if not emb.is_lipschitz():
+            raise InvariantViolation("embedding is not 1-Lipschitz")
+        if not is_star_shaped(emb):
+            raise InvariantViolation("embedding is not star-shaped")
+        t = thin_map(emb, s)
+        thin = TreeMap(
+            t.tree, {v: t.mapping[pull[v]] for v in range(g.n)}, g, root=t.root
+        )
+        if not is_thin(thin, DEFAULT_CONFIG.thinness):
+            raise InvariantViolation("thinned map exceeds thinness bound")
         tl = tilde_lengths(g, thin, ell2)
         try:
             cert = round_thin(g, thin, tl, caps, dem, memo)
         except NoSeparatedDemand:
             continue
+        rounded += 1
         try:
             bound = rounding_bound(thin, tl, caps, dem, DEFAULT_CONFIG.thinness)
-            ratios.append(float(cert.sparsity / bound) if bound else 0.0)
         except NoSeparatedDemand:
-            pass
+            pass  # every demand at tree distance 0: no bound to check
+        else:
+            if cert.exact and cert.sparsity > bound:
+                raise InvariantViolation(f"sparsity {cert.sparsity} > bound {bound}")
+            ratios.append(float(cert.sparsity / bound) if bound else 0.0)
         if best is None or cert.sparsity < best.sparsity:
             best = cert
     if best is None:
         raise NoSeparatedDemand("no sample produced a separating cut")
-    return RoundingReport(best, samples, ratios)
+    return RoundingReport(best, samples, rounded, ratios)

@@ -8,6 +8,7 @@ import pytest
 from faceflow.errors import ChordTooLong
 from faceflow.graph import Cycle, MetricGraph, is_reduced, reduce_lengths
 from faceflow.instances import cycle_instance, slack_cycle
+from faceflow.treeembed import embed_sampler
 
 
 def frac(a, b=1):
@@ -28,6 +29,13 @@ def c4():
 @pytest.fixture
 def c6():
     return cycle_instance(6)
+
+
+def embedded(g: MetricGraph):
+    """A ``multiscale_round`` sampler: g's random tree embedding, with
+    every vertex of g its own vertex of the embedding's source."""
+    samp = embed_sampler(g)
+    return lambda s: (samp(s), range(g.n))
 
 
 def two_ear_block() -> MetricGraph:

@@ -166,6 +166,11 @@ class TestPipelineCommands:
         out = capsys.readouterr().out
         assert "cut:" in out and "sparsity:" in out
 
+    def test_round_without_samples(self, c6_file, capsys):
+        assert main(["round", c6_file, "--samples", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: NoSeparatedDemand: no sample produced a separating cut\n"
+
 
 class TestFlowCutCommands:
     def test_flow_exact(self, c6_file, capsys):

@@ -8,12 +8,13 @@ from typing import Optional
 import networkx as nx
 import pytest
 
-from conftest import slack_cycle, two_slack_blocks
+from conftest import embedded, slack_cycle, two_slack_blocks
 from faceflow import experiments, graph, polyflow, thinround
 from faceflow.config import DEFAULT_CONFIG
 from faceflow.errors import (
     BudgetExhausted,
     HypothesisViolated,
+    InvariantViolation,
     NoSeparatedDemand,
 )
 from faceflow.experiments import (
@@ -54,6 +55,7 @@ from faceflow.thinround import (
 )
 from faceflow.treeembed import embed_sampler
 from test_golden_cli import INSTANCES
+from test_thinround import bound_at_half_the_sparsity
 
 F = Fraction
 
@@ -171,6 +173,19 @@ class TestGapExperiment:
         rep = gap_experiment(inst, samples=0, seed=0)
         text = "\n".join(rep.lines())
         assert "mcf" in text and "ratio" in text
+        assert rep.assertion_tallies == {}
+
+    def test_no_samples_no_tallies(self):
+        rep = gap_experiment(INSTANCES["cycle6"](), samples=0, seed=0)
+        assert rep.assertion_tallies == {}
+        assert rep.best_certificate is None
+        assert rep.phi_brute is not None and rep.best_sparsity == rep.phi_brute
+
+    @pytest.mark.parametrize("name", ["cycle6", "table6"])
+    def test_certificate_above_the_bound_raises(self, monkeypatch, name):
+        bound_at_half_the_sparsity(monkeypatch)
+        with pytest.raises(InvariantViolation, match="> bound"):
+            gap_experiment(INSTANCES[name](), samples=3, seed=0)
 
 
 class TestPerSampleWork:
@@ -211,14 +226,16 @@ class TestPerSampleWork:
             counting("planar_g", nx.check_planarity,
                      lambda gx, *a: gx.number_of_nodes() >= g.n),
         )
-        thin_map = experiments.thin_map
+        thin_map = thinround.thin_map
 
         def marking_thin_map(*args, **kwargs):
             segment[0] += 1
             return thin_map(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "thin_map", marking_thin_map)
+        monkeypatch.setattr(thinround, "thin_map", marking_thin_map)
         rep = gap_experiment(inst, samples=3, seed=1)
+        # Fails if the patch no longer reaches the sample loop.
+        assert segment[0] == 3
         assert rep.assertion_tallies["thin"] == 3
         for i in (1, 2):
             assert counts[i, "all_pairs_distances"] == 0
@@ -405,14 +422,14 @@ class TestOneNuPerCut:
     def test_multiscale_round_calls(self, monkeypatch):
         g, ell, caps, dem = _multiscale_inputs()
         calls = _count_cut_calls(monkeypatch)
-        multiscale_round(g, ell, caps, dem, embed_sampler(g), samples=30, seed=2)
+        multiscale_round(g, ell, caps, dem, embedded(g), samples=30, seed=2)
         for name in ("nu", "separated_demand"):
             assert len(calls[name]) == len(set(calls[name])), name
         assert 0 < len(calls["nu"]) < 30
 
     @pytest.mark.parametrize("make", [_grid3x4, _planar12_2p2])
     def test_gap_experiment_matches_reference(self, monkeypatch, make):
-        pairs = _compare_with_reference(monkeypatch, experiments)
+        pairs = _compare_with_reference(monkeypatch, thinround)
         gap_experiment(make(), samples=60, seed=1)
         assert len(pairs) == 60
         for i, (got, want) in enumerate(pairs):
@@ -421,7 +438,7 @@ class TestOneNuPerCut:
     def test_multiscale_round_matches_reference(self, monkeypatch):
         g, ell, caps, dem = _multiscale_inputs()
         pairs = _compare_with_reference(monkeypatch, thinround)
-        multiscale_round(g, ell, caps, dem, embed_sampler(g), samples=30, seed=2)
+        multiscale_round(g, ell, caps, dem, embedded(g), samples=30, seed=2)
         assert len(pairs) == 30
         for i, (got, want) in enumerate(pairs):
             assert got == want, i
@@ -440,9 +457,9 @@ class TestOneNuPerCut:
             return sweep(*a)
 
         monkeypatch.setattr(thinround, "_sweep_assignment", counting)
-        pairs = _compare_with_reference(monkeypatch, experiments)
+        pairs = _compare_with_reference(monkeypatch, thinround)
         gap_experiment(_grid3x4(), samples=20, seed=1)
-        assert sweeps
+        assert sweeps and len(pairs) == 20
         for i, (got, want) in enumerate(pairs):
             assert got == want, i
 
@@ -450,13 +467,13 @@ class TestOneNuPerCut:
     def _first_rounding(monkeypatch):
         """The arguments of the first ``round_thin`` call on grid3x4."""
         args = []
-        rt = experiments.round_thin
+        rt = thinround.round_thin
 
         def capture(*a):
             args.append(a)
             return rt(*a)
 
-        monkeypatch.setattr(experiments, "round_thin", capture)
+        monkeypatch.setattr(thinround, "round_thin", capture)
         gap_experiment(_grid3x4(), samples=1, seed=1)
         return args[0][:5]
 

@@ -1,10 +1,11 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_reduced_graph
@@ -487,6 +488,43 @@ class TestLovasz:
         # level set is nonempty -> 2 * 3 = 6.
         caps = PolymatroidCaps.from_vertex_caps({0: F(2)})
         assert rho_hat(caps, 0, {(0, 1): F(1), (0, 2): F(3)}) == 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([None, F(0), F(1), F(5, 3)]),
+        st.dictionaries(
+            st.integers(1, 6).map(lambda w: (0, w)),
+            st.fractions(min_value=0, max_value=4, max_denominator=6),
+            max_size=5,
+        ),
+    )
+    @example(F(2), {})
+    @example(F(2), {(0, 1): F(0), (0, 2): F(0)})
+    def test_vertex_caps_closed_form(self, cap, ell_v):
+        """Under vertex caps rho_hat is exactly the Lovász extension of
+        rho_0; cap None leaves vertex 0 out of the caps."""
+        caps = PolymatroidCaps.from_vertex_caps({} if cap is None else {0: cap})
+        got = rho_hat(caps, 0, ell_v)
+        assert isinstance(got, Fraction)
+        assert got == lovasz_extension(lambda s: caps.rho(0, s), ell_v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            min_size=1, max_size=5,
+        ).filter(lambda ws: min(ws) < 0)
+    )
+    @example([F(1), F(-1)])
+    def test_vertex_caps_negative_weight_raises(self, weights):
+        """Every entry is checked, not only the largest, and the error is
+        the Lovász extension's."""
+        caps = PolymatroidCaps.from_vertex_caps({0: F(1)})
+        ell_v = {(0, i + 1): w for i, w in enumerate(weights)}
+        with pytest.raises(NegativeEntry) as want:
+            lovasz_extension(lambda s: caps.rho(0, s), ell_v)
+        with pytest.raises(NegativeEntry, match=f"^{re.escape(str(want.value))}$"):
+            rho_hat(caps, 0, ell_v)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_positively_homogeneous(self, seed):

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import slack_cycle, two_ear_block, two_slack_blocks
+from conftest import embedded, slack_cycle, two_ear_block, two_slack_blocks
+from faceflow import thinround
 from faceflow.errors import (
     HypothesisViolated,
     InvariantViolation,
@@ -52,6 +53,29 @@ def spider(legs, length=F(1)):
         legs + 1, tuple((0, i, length) for i in range(1, legs + 1))
     )
     return g, identity_tree_map(g)
+
+
+def triangle_on_spider():
+    """A 1-Lipschitz map that is not star-shaped: the legs of a 3-leg
+    spider carry the edges of a triangle, so the arm union branches at
+    the spider's center 0."""
+    g = MetricGraph(4, ((1, 2, F(2)), (1, 3, F(2)), (2, 3, F(2))))
+    _, tm = spider(3)
+    return g, TreeMap(tm.tree, {1: 1, 2: 2, 3: 3}, g, root=1)
+
+
+def bound_at_half_the_sparsity(monkeypatch):
+    """Make ``rounding_bound`` return half the sparsity of the certificate
+    just rounded, so every exact certificate breaks the rounding lemma."""
+    last = []
+    rt = thinround.round_thin
+
+    def rounding(*args):
+        last.append(rt(*args))
+        return last[-1]
+
+    monkeypatch.setattr(thinround, "round_thin", rounding)
+    monkeypatch.setattr(thinround, "rounding_bound", lambda *a: last[-1].sparsity / 2)
 
 
 def reference_thin_map(
@@ -287,11 +311,7 @@ class TestThinReference:
             thin_both(tm, 0, lambda x, k, b=bits: b[:k])
 
     def test_same_error_when_not_star_shaped(self):
-        # The legs of a 3-leg spider carry the edges of a triangle, so the
-        # arm union branches at the spider's center 0.
-        g = MetricGraph(4, ((1, 2, F(2)), (1, 3, F(2)), (2, 3, F(2))))
-        _, tm = spider(3)
-        tm = TreeMap(tm.tree, {1: 1, 2: 2, 3: 3}, g, root=1)
+        _, tm = triangle_on_spider()
         with pytest.raises(NotStarShaped) as want:
             reference_thin_map(dataclasses.replace(tm, tree=reference_tree(tm.tree)), 0)
         with pytest.raises(NotStarShaped, match=f"^{re.escape(str(want.value))}$"):
@@ -434,7 +454,7 @@ class TestMultiscale:
         caps = PolymatroidCaps.from_vertex_caps({0: F(1), 1: F(1)})
         dem = DemandMatrix.from_pairs([(0, 1, F(1))])
         rep = multiscale_round(
-            g, ell, caps, dem, embed_sampler(g), samples=5, seed=3
+            g, ell, caps, dem, embedded(g), samples=5, seed=3
         )
         assert rep.best.sparsity == 1
         assert all(r <= 1.0 + 1e-12 for r in rep.sample_ratios)
@@ -448,7 +468,7 @@ class TestMultiscale:
         )
         dem = DemandMatrix.from_pairs([(0, g.n - 1, F(1))])
         rep = multiscale_round(
-            g, ell, caps, dem, embed_sampler(g), samples=8, seed=seed
+            g, ell, caps, dem, embedded(g), samples=8, seed=seed
         )
         assert rep.best.sparsity > 0
         assert all(r <= 1.0 + 1e-12 for r in rep.sample_ratios)
@@ -461,7 +481,7 @@ class TestMultiscale:
         )
         dem = DemandMatrix.from_pairs([(0, 3, F(1)), (1, 4, F(1))])
         rep = multiscale_round(
-            g, ell, caps, dem, embed_sampler(g), samples=20, seed=0
+            g, ell, caps, dem, embedded(g), samples=20, seed=0
         )
         assert rep.best.sparsity > 0
         assert all(r <= 1.0 + 1e-12 for r in rep.sample_ratios)
@@ -475,7 +495,7 @@ class TestMultiscale:
         caps = PolymatroidCaps.from_vertex_caps({v: F(1) for v in range(g.n)})
         dem = DemandMatrix.from_pairs([(0, 3, F(1)), (1, 5, F(1))])
         rep = multiscale_round(
-            g, ell, caps, dem, embed_sampler(g), samples=8, seed=seed
+            g, ell, caps, dem, embedded(g), samples=8, seed=seed
         )
         assert rep.best.sparsity > 0
         assert all(r <= 1.0 + 1e-12 for r in rep.sample_ratios)
@@ -490,5 +510,35 @@ class TestMultiscale:
         dem = DemandMatrix.from_pairs([(1, 2, F(1))])
         with pytest.raises(InvariantViolation):
             multiscale_round(
-                g, ell, caps, dem, lambda s: bare, samples=1, seed=0
+                g, ell, caps, dem, lambda s: (bare, range(g.n)), samples=1, seed=0
             )
+
+    def test_rejects_map_not_star_shaped(self):
+        g, tm = triangle_on_spider()
+        assert tm.is_lipschitz()
+        ell = AdaptedLengths.split_evenly(g)
+        caps = PolymatroidCaps.from_vertex_caps({v: F(1) for v in range(g.n)})
+        dem = DemandMatrix.from_pairs([(1, 2, F(1))])
+        with pytest.raises(InvariantViolation, match="^embedding is not star-shaped$"):
+            multiscale_round(
+                g, ell, caps, dem, lambda s: (tm, range(g.n)), samples=1, seed=0
+            )
+
+    def test_certificate_above_the_bound_raises(self, monkeypatch):
+        g = cycle_instance(6)
+        ell = AdaptedLengths.split_evenly(g)
+        caps = PolymatroidCaps.from_vertex_caps({v: F(1) for v in range(6)})
+        dem = DemandMatrix.from_pairs([(0, 3, F(1)), (1, 4, F(1))])
+        bound_at_half_the_sparsity(monkeypatch)
+        with pytest.raises(InvariantViolation, match="> bound"):
+            multiscale_round(g, ell, caps, dem, embedded(g), samples=5, seed=0)
+
+    def test_no_sample_no_certificate(self):
+        g = cycle_instance(6)
+        ell = AdaptedLengths.split_evenly(g)
+        caps = PolymatroidCaps.from_vertex_caps({v: F(1) for v in range(6)})
+        dem = DemandMatrix.from_pairs([(0, 3, F(1))])
+        with pytest.raises(
+            NoSeparatedDemand, match="^no sample produced a separating cut$"
+        ):
+            multiscale_round(g, ell, caps, dem, embedded(g), samples=0, seed=0)
