@@ -179,16 +179,20 @@ def lovasz_extension(rho: Callable[[frozenset], Fraction], ell: dict) -> Fractio
 
 def rho_hat(caps: PolymatroidCaps, v: int, ell_v: dict) -> Fraction:
     """Lovász extension of rho_v at ``ell_v``; under vertex caps every
-    nonempty level set costs cap(v), so it is cap(v) * max ell_v."""
+    nonempty level set costs cap(v), so it is cap(v) * max ell_v, with
+    the max taken by cross-multiplication."""
     if caps.vertex_caps is None:
         return lovasz_extension(lambda s: caps.rho(v, s), ell_v)
-    top = Fraction(0)
+    top_n, top_d = 0, 1
     for k, x in ell_v.items():
         x = frac(x)
-        if x < 0:
+        xn, xd = x.numerator, x.denominator
+        if xn < 0:
             raise NegativeEntry(f"negative weight {x} at {k}")
-        top = max(top, x)
-    return caps.vertex_caps.get(v, Fraction(0)) * top
+        if xn * top_d > top_n * xd:
+            top_n, top_d = xn, xd
+    c = caps.vertex_caps.get(v, Fraction(0))
+    return Fraction(c.numerator * top_n, c.denominator * top_d)
 
 
 # -- cut capacity -------------------------------------------------------

@@ -37,7 +37,8 @@ class Retraction:
 
     def check(self, g: MetricGraph) -> None:
         """Assert the three structural invariants; raises on failure."""
-        dmat = g.distances()
+        ticks, unit = g.ticks()
+        to_target = _target_ticks(ticks, self.target)
         for x in self.target:
             if self.mapping[x] != x:
                 raise InvariantViolation(f"target vertex {x} not fixed")
@@ -48,15 +49,26 @@ class Retraction:
         for img, fib in fibers.items():
             if img not in fib or len(connected_components(g, fib)) > 1:
                 raise InvariantViolation(f"fiber of {img} disconnected")
-        # Distance/level bound in the scaled metric.
+        # Distance/level bound in the scaled metric, on ints: with
+        # d(x, F(x)) = t / unit, d * scale < 2^(L+1) reads
+        # t * scale.num < (scale.den * unit) << (L+1), with the shift
+        # moved to the left side when L+1 < 0.  The fibers are connected,
+        # so t is finite.
+        s_num, s_den = self.scale.numerator, self.scale.denominator
         for x, img in self.mapping.items():
-            d_scaled = dmat[x][img] * self.scale
-            if d_scaled >= Fraction(2) ** (self.levels[x] + 1):
+            t = ticks[x][img]
+            level = self.levels[x]
+            lhs, rhs = t * s_num, s_den * unit
+            if level >= -1:
+                rhs <<= level + 1
+            else:
+                lhs <<= -(level + 1)
+            if lhs >= rhs:
                 raise InvariantViolation(
-                    f"vertex {x}: d(x,F(x)) = {d_scaled} >= 2^{self.levels[x] + 1}"
+                    f"vertex {x}: d(x,F(x)) = {Fraction(t, unit) * self.scale}"
+                    f" >= 2^{level + 1}"
                 )
-            d_to_s = min(dmat[x][s] for s in self.target)
-            if d_to_s > dmat[x][img]:
+            if to_target[x] > t:
                 raise InvariantViolation(f"vertex {x}: F(x) not closest-consistent")
 
 
@@ -87,14 +99,13 @@ def _absorption_sampler(g: MetricGraph, s):
     for comp in comps:
         if not comp & s:
             raise EmptyTarget(f"component {sorted(comp)[:5]}... contains no target vertex")
-    dmat = g.distances()
+    ticks, unit = g.ticks()
+    # d(x, S) in ticks, for the prescale's gaps.
+    to_target = _target_ticks(ticks, s)
 
     # Prescale so d(S, V \ S) > 1 (zero-distance complements keep scale 1).
-    gaps = [
-        min(dmat[x][t] for t in s) for x in range(g.n) if x not in s
-    ]
-    gaps = [d for d in gaps if d > 0]
-    scale = Fraction(2) / min(gaps) if gaps else Fraction(1)
+    gaps = [to_target[x] for x in range(g.n) if x not in s and to_target[x] > 0]
+    scale = Fraction(2 * unit, min(gaps)) if gaps else Fraction(1)
 
     diam = diameter(g) * scale
     k0 = 1
@@ -156,6 +167,11 @@ def _absorption_sampler(g: MetricGraph, s):
         return Retraction(s, mapping, levels, scale)
 
     return sample
+
+
+def _target_ticks(ticks: list[list], s) -> list:
+    """min over t in s of ticks[x][t], for every x."""
+    return [min(row[t] for t in s) for row in ticks]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ exact certificate against the rounding lemma's bound.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,21 +193,11 @@ class CutCertificate:
 
 
 def _tree_edge_cuts(g: MetricGraph, tm: TreeMap):
-    """For every tree edge a, the edges of g whose image path crosses a."""
-    tree = tm.tree
-    out = []
-    path_cache: dict[Edge, set[Edge]] = {}
-    for (u, v, w) in g.edges:
-        p = tree.path(tm.mapping[u], tm.mapping[v])
-        es = set()
-        for i in range(len(p) - 1):
-            es.add((min(p[i], p[i + 1]), max(p[i], p[i + 1])))
-        path_cache[(u, v)] = es
-    for (a, b, w) in tree.edges():
-        te = (min(a, b), max(a, b))
-        cut = [e for e, es in path_cache.items() if te in es]
-        out.append((te, w, cut))
-    return out
+    """For every tree edge a, in ``tree.edges()`` order, the edges of g
+    whose image path crosses a, in ``g.edges`` order."""
+    f = tm.mapping
+    cuts = tm.tree.edge_cuts([(f[u], f[v], (u, v)) for (u, v, _) in g.edges])
+    return [((a, b), w, cut) for (a, b, w, cut) in cuts]
 
 
 def _sweep_assignment(
@@ -289,15 +280,19 @@ def round_thin(
     elif (memo.g, memo.caps, memo.dem) != (g, caps, dem):
         raise ValueError("memo was built for another graph, caps or demands")
     tree = tm.tree
+    D = tree.D
+    zero = Fraction(0)
     for (u, v, _) in g.edges:
         e = (u, v)
-        lhs = tree.dist(tm.mapping[u], tm.mapping[v])
-        rhs = ell.ell.get(u, {}).get(e, Fraction(0)) + ell.ell.get(v, {}).get(
-            e, Fraction(0)
-        )
-        if lhs > rhs:
+        t = tree.tick_dist(tm.mapping[u], tm.mapping[v])
+        lu = ell.ell.get(u, {}).get(e, zero)
+        lv = ell.ell.get(v, {}).get(e, zero)
+        # t / D > lu + lv, cross-multiplied.
+        ud, vd = lu.denominator, lv.denominator
+        if t * ud * vd > (lu.numerator * vd + lv.numerator * ud) * D:
             raise HypothesisViolated(
-                f"tree distance {lhs} exceeds ell_u + ell_v = {rhs} on edge {e}"
+                f"tree distance {Fraction(t, D)} exceeds ell_u + ell_v = {lu + lv}"
+                f" on edge {e}"
             )
     best: Optional[CutCertificate] = None
     for (te, w, cut) in _tree_edge_cuts(g, tm):
@@ -343,16 +338,32 @@ def rounding_bound(
     tm: TreeMap, ell: AdaptedLengths, caps: PolymatroidCaps, dem: DemandMatrix,
     delta: int,
 ) -> Fraction:
-    """delta * sum_v rho_hat_v(ell_v) / sum dem * d_T(F(u), F(v))."""
-    numer = delta * sum(
-        (rho_hat(caps, v, ell.ell.get(v, {})) for v in ell.ell), Fraction(0)
+    """delta * sum_v rho_hat_v(ell_v) / sum dem * d_T(F(u), F(v)).
+
+    Both sums are taken on ints over the lcm of their terms'
+    denominators, the demand sum over tick distances, and one Fraction
+    is made at the end."""
+    terms = []
+    for v, ell_v in ell.ell.items():
+        r = rho_hat(caps, v, ell_v)
+        terms.append((r.numerator, r.denominator))
+    n_num, n_den = _int_sum(terms)
+    tree, f = tm.tree, tm.mapping
+    d_num, d_den = _int_sum(
+        [(w.numerator * tree.tick_dist(f[u], f[v]), w.denominator)
+         for (u, v, w) in dem.items()]
     )
-    denom = Fraction(0)
-    for (u, v, w) in dem.items():
-        denom += w * tm.tree.dist(tm.mapping[u], tm.mapping[v])
-    if denom == 0:
+    if d_num == 0:
         raise NoSeparatedDemand("demands have zero tree distance")
-    return numer / denom
+    # (delta * n_num / n_den) / (d_num / (d_den * D))
+    return Fraction(delta * n_num * d_den * tree.D, n_den * d_num)
+
+
+def _int_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of the fractions n/d of ``terms`` as (numerator, denominator)
+    over the lcm of the denominators."""
+    den = math.lcm(*[d for _, d in terms])
+    return sum(n * (den // d) for n, d in terms), den
 
 
 # -- multi-scale rounding ----------------------------------------------
@@ -394,21 +405,26 @@ def tilde_lengths(
     of each edge, tree-stretch-scaled on the other(s).  Zero-length edges
     get zero on both sides."""
     tree = tm.tree
+    D = tree.D
+    zero = Fraction(0)
     new_ell: dict[int, dict[Edge, Fraction]] = {v: {} for v in ell.ell}
     for (u, v, w) in g.edges:
         e = (u, v)
-        lu = ell.ell.get(u, {}).get(e, Fraction(0))
-        lv = ell.ell.get(v, {}).get(e, Fraction(0))
+        lu = ell.ell.get(u, {}).get(e, zero)
+        lv = ell.ell.get(v, {}).get(e, zero)
         if w == 0:
-            new_ell.setdefault(u, {})[e] = Fraction(0)
-            new_ell.setdefault(v, {})[e] = Fraction(0)
+            new_ell.setdefault(u, {})[e] = zero
+            new_ell.setdefault(v, {})[e] = zero
             continue
-        dt = tree.dist(tm.mapping[u], tm.mapping[v])
+        # 2 * l * d_T / w with d_T = t / D, as one Fraction per side.
+        t2 = 2 * tree.tick_dist(tm.mapping[u], tm.mapping[v]) * w.denominator
+        dw = D * w.numerator
+        un, ud, vn, vd = lu.numerator, lu.denominator, lv.numerator, lv.denominator
         new_ell.setdefault(u, {})[e] = (
-            Fraction(0) if lu < lv else 2 * lu * dt / w
+            zero if un * vd < vn * ud else Fraction(un * t2, ud * dw)
         )
         new_ell.setdefault(v, {})[e] = (
-            Fraction(0) if lv < lu else 2 * lv * dt / w
+            zero if vn * ud < un * vd else Fraction(vn * t2, vd * dw)
         )
     return AdaptedLengths(new_ell, dict(ell.length))
 

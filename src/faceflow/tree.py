@@ -5,7 +5,9 @@ over one denominator D for the whole tree; rational lengths go in and
 come out as exact ``Fraction``s.  The embedding grows each block's tree
 one ear at a time, glues each flattened ear onto it in place and hands
 the tree on as it is; distortion and thinning read the same ticks.  A
-tree is treated as immutable once handed to consumers.
+tree's path and distance queries read a rooted index (parents, depths,
+preorder intervals), built on the first query after the tree last
+changed.
 """
 
 from __future__ import annotations
@@ -19,28 +21,48 @@ from .errors import LengthMismatch
 from .graph import MetricGraph, frac
 
 
-def _path(adj, u: int, v: int) -> list[int]:
-    """The unique u-v path, as a vertex list, of the tree with adjacency
-    ``adj``."""
-    if u == v:
-        return [u]
-    prev = {u: None}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        if x == v:
-            break
-        for y in adj[x]:
-            if y not in prev:
-                prev[y] = x
-                stack.append(y)
-    if v not in prev:
-        raise ValueError(f"{u} and {v} are in different components")
-    out = [v]
-    while out[-1] != u:
-        out.append(prev[out[-1]])
-    out.reverse()
-    return out
+def _rooted_index(adj) -> tuple:
+    """(at, order, par, dep, tdep, last) of a depth-first preorder of the
+    forest ``adj``, each tree rooted at its first vertex in ``adj``:
+    vertex v has preorder number ``at[v]``, and for i = at[v],
+    ``order[i]`` is v, ``par[i]`` its parent's number (-1 at a root),
+    ``dep[i]`` and ``tdep[i]`` its depth in edges and in ticks, and
+    ``last[i]`` the largest number in its subtree, whose numbers are
+    i..last[i]."""
+    at: dict[int, int] = {}
+    order: list[int] = []
+    par: list[int] = []
+    dep: list[int] = []
+    tdep: list[int] = []
+    for r in adj:
+        if r in at:
+            continue
+        stack = [(r, -1, 0, 0)]
+        while stack:
+            v, p, d, t = stack.pop()
+            i = len(order)
+            at[v] = i
+            order.append(v)
+            par.append(p)
+            dep.append(d)
+            tdep.append(t)
+            for y, w in adj[v].items():
+                if y not in at:
+                    stack.append((y, i, d + 1, t + w))
+    last = list(range(len(order)))
+    for i in range(len(order) - 1, 0, -1):
+        p = par[i]
+        if p >= 0 and last[i] > last[p]:
+            last[p] = last[i]
+    return at, order, par, dep, tdep, last
+
+
+def _number(at: dict[int, int], x: int) -> int:
+    """The preorder number of x; ValueError if x is not in the tree."""
+    try:
+        return at[x]
+    except KeyError:
+        raise ValueError(f"{x} is not a vertex of the tree") from None
 
 
 class MetricTree:
@@ -50,17 +72,27 @@ class MetricTree:
     denominator D for the whole tree: ``adj[u][v]`` is an int, and the
     length it stands for is ``Fraction(adj[u][v], D)``.  Sums and
     comparisons along the tree are then int operations; ``edges`` and
-    ``dist`` return the exact ``Fraction`` values."""
+    ``dist`` return the exact ``Fraction`` values.
+
+    The path queries (``path``, ``path_ticks``, ``tick_dist``, ``dist``,
+    ``path_union``, ``edge_cuts``) read a rooted index, built on the
+    first of them (``_rooted_index``): the u-v path climbs from u and v to
+    their lowest common ancestor, and d(u, v) is
+    tdep(u) + tdep(v) - 2 tdep(lca) ticks.  Every mutator (``add_vertex``,
+    ``add_ticks``, ``refine``, ``graft``, and ``glue``) drops the index;
+    code that edits ``adj`` directly must set ``_index`` to None."""
 
     def __init__(self, D: int = 1):
         self.adj: dict[int, dict[int, int]] = {}
         self.D = D
+        self._index = None
 
     # -- construction ---------------------------------------------------
 
     def add_vertex(self, v: int):
         if v not in self.adj:
             self.adj[v] = {}
+            self._index = None
 
     def add_edge(self, u: int, v: int, w) -> None:
         """Add an edge of rational length w, refining the grid if w's
@@ -81,6 +113,7 @@ class MetricTree:
             raise ValueError(f"edge ({u},{v}) already present")
         self.adj[u][v] = t
         self.adj[v][u] = t
+        self._index = None
 
     def refine(self, m: int) -> int:
         """Move to the grid 1/lcm(D, m), scaling every length in place;
@@ -91,6 +124,7 @@ class MetricTree:
                 for y in nbrs:
                     nbrs[y] *= k
             self.D *= k
+            self._index = None
         return k
 
     def graft(self, other: "MetricTree", ids: dict[int, int]) -> None:
@@ -101,6 +135,7 @@ class MetricTree:
         self.refine(other.D)
         k = self.D // other.D
         adj = self.adj
+        self._index = None
         for v in other.adj:
             adj.setdefault(ids[v], {})
         for v, nbrs in other.adj.items():
@@ -141,22 +176,82 @@ class MetricTree:
                     stack.append(u)
         return len(seen) == n
 
+    def _rooted(self) -> tuple:
+        if self._index is None:
+            self._index = _rooted_index(self.adj)
+        return self._index
+
+    def _meet(self, u: int, v: int) -> tuple[int, int, int]:
+        """Preorder numbers of u, v and their lowest common ancestor."""
+        at, _, par, dep, _, _ = self._rooted()
+        i = a = _number(at, u)
+        j = b = _number(at, v)
+        while dep[a] > dep[b]:
+            a = par[a]
+        while dep[b] > dep[a]:
+            b = par[b]
+        while a != b:
+            a, b = par[a], par[b]
+        if a < 0:
+            raise ValueError(f"{u} and {v} are in different components")
+        return i, j, a
+
+    def _climb(self, u: int, v: int) -> tuple[list[int], int]:
+        """Preorder numbers of the u-v path, and the place of the lowest
+        common ancestor in that list."""
+        i, j, a = self._meet(u, v)
+        par = self._index[2]
+        up: list[int] = []
+        while i != a:
+            up.append(i)
+            i = par[i]
+        up.append(a)
+        down: list[int] = []
+        while j != a:
+            down.append(j)
+            j = par[j]
+        down.reverse()
+        return up + down, len(up) - 1
+
     def path(self, u: int, v: int) -> list[int]:
         """The unique u-v path as a vertex list."""
-        return _path(self.adj, u, v)
+        order = self._rooted()[1]
+        return [order[i] for i in self._climb(u, v)[0]]
 
     def path_ticks(self, u: int, v: int) -> tuple[list[int], list[int]]:
         """The u-v path and, for each of its vertices, the tick distance
         from u."""
-        p = _path(self.adj, u, v)
-        adj = self.adj
-        pos = [0]
-        for i in range(1, len(p)):
-            pos.append(pos[-1] + adj[p[i - 1]][p[i]])
-        return p, pos
+        ks, m = self._climb(u, v)
+        _, order, _, _, tdep, _ = self._rooted()
+        tu = tdep[ks[0]]
+        tv = tu - 2 * tdep[ks[m]]
+        pos = [tu - tdep[i] for i in ks[: m + 1]]
+        pos.extend([tv + tdep[i] for i in ks[m + 1:]])
+        return [order[i] for i in ks], pos
+
+    def tick_dist(self, u: int, v: int) -> int:
+        """d(u, v) in ticks: ``dist(u, v)`` is ``Fraction(tick_dist(u, v), D)``."""
+        i, j, a = self._meet(u, v)
+        tdep = self._index[4]
+        return tdep[i] + tdep[j] - 2 * tdep[a]
 
     def dist(self, u: int, v: int) -> Fraction:
-        return Fraction(self.path_ticks(u, v)[1][-1], self.D)
+        return Fraction(self.tick_dist(u, v), self.D)
+
+    def edge_cuts(self, ends) -> list[tuple[int, int, Fraction, list]]:
+        """Each edge (a, b, w) of ``edges()``, in that order, with the keys
+        k of the (x, y, k) in ``ends`` whose x-y path crosses it, in
+        ``ends`` order.  A path crosses the edge above c iff exactly one
+        of x, y lies in c's subtree, a preorder interval of the index."""
+        at, _, par, _, _, last = self._rooted()
+        nums = [(_number(at, x), _number(at, y), k) for (x, y, k) in ends]
+        out = []
+        for (a, b, w) in self.edges():
+            c = at[a] if par[at[a]] == at[b] else at[b]
+            hi = last[c]
+            cut = [k for (i, j, k) in nums if (c <= i <= hi) != (c <= j <= hi)]
+            out.append((a, b, w, cut))
+        return out
 
     def path_union(
         self, center: int, targets
@@ -225,6 +320,7 @@ def glue(
     """
     adj = tree.adj
     work, positions = tree.path_ticks(u, v)
+    tree._index = None  # adj is edited in place below
     base = flat[iu]
     if abs(flat[iv] - base) != positions[-1]:
         raise LengthMismatch(
@@ -290,8 +386,10 @@ class TreeMap:
 
     def is_lipschitz(self) -> bool:
         """d_T(F(u),F(v)) <= len(u,v) for every graph edge."""
+        tree, f = self.tree, self.mapping
+        D = tree.D
         for (u, v, w) in self.source.edges:
-            if self.tree.dist(self.mapping[u], self.mapping[v]) > w:
+            if tree.tick_dist(f[u], f[v]) * w.denominator > w.numerator * D:
                 return False
         return True
 

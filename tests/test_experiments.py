@@ -49,13 +49,13 @@ from faceflow.thinround import (
     CutCertificate,
     CutMemo,
     _sweep_assignment,
-    _tree_edge_cuts,
     multiscale_round,
     round_thin,
 )
 from faceflow.treeembed import embed_sampler
 from test_golden_cli import INSTANCES
 from test_thinround import bound_at_half_the_sparsity
+from test_tree import walk_tree, walk_tree_edge_cuts
 
 F = Fraction
 
@@ -246,7 +246,9 @@ class TestPerSampleWork:
 
 def reference_round_thin(g, tm, ell, caps, dem):
     """``round_thin`` with no memo: nu and the separated demand computed
-    afresh for every tree edge of every call."""
+    afresh for every tree edge of every call, and every tree path walked
+    as before the rooted index (``walk_tree``), in Fractions."""
+    tm = dataclasses.replace(tm, tree=walk_tree(tm.tree))
     tree = tm.tree
     for (u, v, _) in g.edges:
         e = norm_edge(u, v)
@@ -259,7 +261,7 @@ def reference_round_thin(g, tm, ell, caps, dem):
                 f"tree distance {lhs} exceeds ell_u + ell_v = {rhs} on edge {e}"
             )
     best: Optional[CutCertificate] = None
-    for (te, w, cut) in _tree_edge_cuts(g, tm):
+    for (te, w, cut) in walk_tree_edge_cuts(g, tm):
         if not cut:
             continue
         sep = separated_demand(g, cut, dem)

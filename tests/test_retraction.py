@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -124,6 +126,107 @@ class TestSampleRetraction:
         )
         with pytest.raises(InvariantViolation, match="fiber of 1 disconnected"):
             retr.check(g)
+
+
+def reference_check(retr: Retraction, g: MetricGraph) -> None:
+    """``Retraction.check`` before it read ticks: the level bound and
+    the closest-target test on the Fraction distance matrix, d(x, S)
+    recomputed on every call."""
+    dmat = g.distances()
+    for x in retr.target:
+        if retr.mapping[x] != x:
+            raise InvariantViolation(f"target vertex {x} not fixed")
+    fibers: dict[int, set[int]] = {}
+    for v, img in retr.mapping.items():
+        fibers.setdefault(img, set()).add(v)
+    for img, fib in fibers.items():
+        if img not in fib or len(connected_components(g, fib)) > 1:
+            raise InvariantViolation(f"fiber of {img} disconnected")
+    for x, img in retr.mapping.items():
+        d_scaled = dmat[x][img] * retr.scale
+        if d_scaled >= Fraction(2) ** (retr.levels[x] + 1):
+            raise InvariantViolation(
+                f"vertex {x}: d(x,F(x)) = {d_scaled} >= 2^{retr.levels[x] + 1}"
+            )
+        d_to_s = min(dmat[x][s] for s in retr.target)
+        if d_to_s > dmat[x][img]:
+            raise InvariantViolation(f"vertex {x}: F(x) not closest-consistent")
+
+
+def path_graph(lengths) -> MetricGraph:
+    return MetricGraph(len(lengths) + 1, tuple((i, i + 1, F(w)) for i, w in enumerate(lengths)))
+
+
+class TestCheckOnTicks:
+    """The tick check raises what the Fraction check raised, message for
+    message, also at levels below -1, where the bound 2^(L+1) is below 1."""
+
+    CASES = {
+        # d(2, F(2)) * scale = 7/3 * 3/2 = 7/2 >= 2^1.
+        "level-bound": (
+            [F(2, 3), F(5, 3)],
+            Retraction(frozenset({0}), {0: 0, 1: 0, 2: 0}, {0: 0, 1: 0, 2: 0}, F(3, 2)),
+        ),
+        # Exactly on the bound: d * scale = 2 = 2^1 fails.
+        "level-bound-tight": (
+            [F(1, 3), F(1, 3)],
+            Retraction(frozenset({0}), {0: 0, 1: 0, 2: 0}, {0: 0, 1: 1, 2: 0}, F(3)),
+        ),
+        # Vertex 1 is its own image, off the target, at distance 2 from it.
+        "closest": (
+            [F(2), F(1)],
+            Retraction(frozenset({0}), {0: 0, 1: 1, 2: 1}, {0: 0, 1: 0, 2: 0}, F(1)),
+        ),
+        "passes": (
+            [F(1, 5), F(2, 5)],
+            Retraction(frozenset({0, 2}), {0: 0, 1: 0, 2: 2}, {0: 0, 1: 1, 2: 0}, F(5)),
+        ),
+        # Level -2: d(1, F(1)) * scale = 1/3 * 3 = 1 >= 2^-1.
+        "level-minus-two": (
+            [F(1, 3), F(1, 3)],
+            Retraction(frozenset({0}), {0: 0, 1: 0, 2: 0}, {0: 0, 1: -2, 2: 1}, F(3)),
+        ),
+        # Level -3, exactly on the bound: 1/12 * 3 = 2^-2.
+        "level-minus-three-tight": (
+            [F(1, 12), F(1, 3)],
+            Retraction(frozenset({0}), {0: 0, 1: 0, 2: 0}, {0: 0, 1: -3, 2: 1}, F(3)),
+        ),
+        # Level -2: 1/10 * 3 = 3/10 < 2^-1.
+        "passes-level-minus-two": (
+            [F(1, 10), F(1, 3)],
+            Retraction(frozenset({0}), {0: 0, 1: 0, 2: 0}, {0: 0, 1: -2, 2: 0}, F(3)),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_same_outcome_as_fractions(self, name):
+        lengths, retr = self.CASES[name]
+        g = path_graph(lengths)
+        try:
+            reference_check(retr, g)
+        except InvariantViolation as err:
+            with pytest.raises(InvariantViolation, match=f"^{re.escape(str(err))}$"):
+                retr.check(g)
+        else:
+            assert name.startswith("passes")
+            retr.check(g)
+
+    @pytest.mark.parametrize("name", sorted(RETRACTION_GRAPHS))
+    def test_sampled_retractions(self, name):
+        g, face = RETRACTION_GRAPHS[name]()
+        sample = retraction._absorption_sampler(g, set(face))
+        for seed in range(40):
+            retr = sample(seed)
+            retr.check(g)
+            reference_check(retr, g)
+            # A wrong level for one vertex fails both checks alike.
+            x = max(retr.mapping, key=lambda v: g.distances()[v][retr.mapping[v]])
+            if retr.mapping[x] != x:
+                bad = dataclasses.replace(retr, levels={**retr.levels, x: -1})
+                with pytest.raises(InvariantViolation) as want:
+                    reference_check(bad, g)
+                with pytest.raises(InvariantViolation, match=f"^{re.escape(str(want.value))}$"):
+                    bad.check(g)
 
 
 class TestGradientStat:

@@ -11,16 +11,17 @@ from faceflow import thinround
 from faceflow.errors import (
     HypothesisViolated,
     InvariantViolation,
+    NegativeEntry,
     NoSeparatedDemand,
     NotStarShaped,
 )
-from faceflow.graph import MetricGraph, norm_edge
+from faceflow.graph import MetricGraph, frac, norm_edge
 from faceflow.instances import cycle_instance, random_outerplanar, random_tree
 from faceflow.polyflow import (
     AdaptedLengths,
     DemandMatrix,
     PolymatroidCaps,
-    rho_hat,
+    lovasz_extension,
 )
 from faceflow.thinround import (
     _pow2_ceil,
@@ -31,9 +32,11 @@ from faceflow.thinround import (
     thin_map,
     tilde_lengths,
 )
+from faceflow.experiments import gap_experiment
 from faceflow.tree import MetricTree, TreeMap
 from faceflow.treeembed import embed_sampler, is_thin
-from test_tree import ReferenceTree, adj_lists, reference_tree
+from test_golden_cli import INSTANCES
+from test_tree import ReferenceTree, adj_lists, reference_tree, walk_tree
 
 F = Fraction
 
@@ -389,6 +392,175 @@ class TestRoundThin:
         cert = round_thin(g, tm, ell, caps, dem)
         assert cert.exact
         assert cert.sparsity <= rounding_bound(tm, ell, caps, dem, 4)
+
+
+# -- the Fraction formulas that the tick arithmetic replaced, the references;
+# ``reference_rho_hat`` is ``polyflow.rho_hat`` before its max went to ints --
+
+
+def reference_tilde_lengths(
+    g: MetricGraph, tm: TreeMap, ell: AdaptedLengths
+) -> AdaptedLengths:
+    """Per-sample tree-adapted lengths: zero on the strictly smaller side
+    of each edge, tree-stretch-scaled on the other(s).  Zero-length edges
+    get zero on both sides."""
+    tree = tm.tree
+    new_ell: dict[int, dict[tuple[int, int], Fraction]] = {v: {} for v in ell.ell}
+    for (u, v, w) in g.edges:
+        e = (u, v)
+        lu = ell.ell.get(u, {}).get(e, Fraction(0))
+        lv = ell.ell.get(v, {}).get(e, Fraction(0))
+        if w == 0:
+            new_ell.setdefault(u, {})[e] = Fraction(0)
+            new_ell.setdefault(v, {})[e] = Fraction(0)
+            continue
+        dt = tree.dist(tm.mapping[u], tm.mapping[v])
+        new_ell.setdefault(u, {})[e] = (
+            Fraction(0) if lu < lv else 2 * lu * dt / w
+        )
+        new_ell.setdefault(v, {})[e] = (
+            Fraction(0) if lv < lu else 2 * lv * dt / w
+        )
+    return AdaptedLengths(new_ell, dict(ell.length))
+
+
+def reference_rho_hat(caps: PolymatroidCaps, v: int, ell_v: dict) -> Fraction:
+    """Lovász extension of rho_v at ``ell_v``; under vertex caps every
+    nonempty level set costs cap(v), so it is cap(v) * max ell_v."""
+    if caps.vertex_caps is None:
+        return lovasz_extension(lambda s: caps.rho(v, s), ell_v)
+    top = Fraction(0)
+    for k, x in ell_v.items():
+        x = frac(x)
+        if x < 0:
+            raise NegativeEntry(f"negative weight {x} at {k}")
+        top = max(top, x)
+    return caps.vertex_caps.get(v, Fraction(0)) * top
+
+
+def reference_rounding_bound(
+    tm: TreeMap, ell: AdaptedLengths, caps: PolymatroidCaps, dem: DemandMatrix,
+    delta: int,
+) -> Fraction:
+    """delta * sum_v rho_hat_v(ell_v) / sum dem * d_T(F(u), F(v))."""
+    numer = delta * sum(
+        (reference_rho_hat(caps, v, ell.ell.get(v, {})) for v in ell.ell), Fraction(0)
+    )
+    denom = Fraction(0)
+    for (u, v, w) in dem.items():
+        denom += w * tm.tree.dist(tm.mapping[u], tm.mapping[v])
+    if denom == 0:
+        raise NoSeparatedDemand("demands have zero tree distance")
+    return numer / denom
+
+
+def walked(tm: TreeMap) -> TreeMap:
+    return dataclasses.replace(tm, tree=walk_tree(tm.tree))
+
+
+def entries(ell: AdaptedLengths) -> list:
+    """Every length with its type, in dict order."""
+    return [(v, [(e, type(x), x) for e, x in d.items()]) for v, d in ell.ell.items()]
+
+
+def check_against_references(monkeypatch) -> list[str]:
+    """Wrap ``tilde_lengths`` and ``rounding_bound`` so that every call
+    also runs the Fraction reference on a walked copy of the tree: the
+    same lengths in the same order, the same bound or the same error.
+    Returns the names of the calls checked."""
+    seen: list[str] = []
+    tilde, bound = thinround.tilde_lengths, thinround.rounding_bound
+
+    def checked_tilde(g, tm, ell):
+        got = tilde(g, tm, ell)
+        assert entries(got) == entries(reference_tilde_lengths(g, walked(tm), ell))
+        assert got.length == ell.length
+        seen.append("tilde_lengths")
+        return got
+
+    def checked_bound(tm, ell, caps, dem, delta):
+        seen.append("rounding_bound")
+        try:
+            want = reference_rounding_bound(walked(tm), ell, caps, dem, delta)
+        except NoSeparatedDemand as err:
+            with pytest.raises(NoSeparatedDemand, match=f"^{re.escape(str(err))}$"):
+                bound(tm, ell, caps, dem, delta)
+            raise
+        got = bound(tm, ell, caps, dem, delta)
+        assert type(got) is Fraction and got == want
+        return got
+
+    monkeypatch.setattr(thinround, "tilde_lengths", checked_tilde)
+    monkeypatch.setattr(thinround, "rounding_bound", checked_bound)
+    return seen
+
+
+def table_caps(g: MetricGraph, seed: int) -> PolymatroidCaps:
+    """Explicit tables rho_v(A) = min(c_v, c_v / 2 * |A|) over the edges
+    at v, with random c_v."""
+    rng = random.Random(seed)
+    tables = {}
+    for v in range(g.n):
+        inc = [(a, b) for (a, b, _) in g.edges if v in (a, b)]
+        c = F(rng.randrange(1, 7), rng.randrange(1, 4))
+        tables[v] = {
+            frozenset(s): min(c, c / 2 * len(s))
+            for r in range(len(inc) + 1)
+            for s in itertools.combinations(inc, r)
+        }
+    return PolymatroidCaps(tables=tables)
+
+
+class TestTickArithmeticMatchesFractions:
+    """``tilde_lengths`` and ``rounding_bound`` on ticks and ints give the
+    Fractions of the formulas they replaced, on every sample."""
+
+    @pytest.mark.parametrize("name", ["cycle6", "grid2x3", "outer6", "slack6", "table6"])
+    def test_gap_experiment(self, monkeypatch, name):
+        seen = check_against_references(monkeypatch)
+        gap_experiment(INSTANCES[name](), samples=12, seed=1)
+        assert seen.count("tilde_lengths") == 12 and "rounding_bound" in seen
+
+    @pytest.mark.parametrize("tables", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_multiscale_round(self, monkeypatch, tables, seed):
+        # Chorded, so the slack graph drops edges; random caps and demands.
+        g, _ = random_outerplanar(7, seed)
+        rng = random.Random(seed)
+        caps = table_caps(g, seed) if tables else PolymatroidCaps.from_vertex_caps(
+            {v: F(rng.randrange(1, 9), rng.randrange(1, 5)) for v in range(g.n)}
+        )
+        dem = DemandMatrix.from_pairs(
+            [(0, 3, F(rng.randrange(1, 5), 3)), (1, 5, F(1, rng.randrange(1, 4)))]
+        )
+        seen = check_against_references(monkeypatch)
+        multiscale_round(
+            g, AdaptedLengths.split_evenly(g), caps, dem, embedded(g), samples=10, seed=seed
+        )
+        assert seen.count("tilde_lengths") == 10 and "rounding_bound" in seen
+
+    def test_bound_rejects_negative_length(self):
+        g, tm = spider(2)
+        ell = AdaptedLengths({0: {(0, 1): F(1)}, 1: {(0, 1): F(-1, 2)}}, {})
+        caps = PolymatroidCaps.from_vertex_caps({v: F(1) for v in range(3)})
+        dem = DemandMatrix.from_pairs([(1, 2, F(1))])
+        with pytest.raises(NegativeEntry, match=r"^negative weight -1/2 at \(0, 1\)$"):
+            rounding_bound(tm, ell, caps, dem, 4)
+        with pytest.raises(NegativeEntry, match=r"^negative weight -1/2 at \(0, 1\)$"):
+            reference_rounding_bound(tm, ell, caps, dem, 4)
+
+    def test_adaptedness_message(self):
+        g = MetricGraph(2, ((0, 1, F(1)),))
+        tm = identity_tree_map(g)
+        e = (0, 1)
+        ell = AdaptedLengths({0: {e: F(1, 3)}, 1: {e: F(1, 4)}}, {e: F(1)})
+        caps = PolymatroidCaps.from_vertex_caps({0: F(1), 1: F(1)})
+        dem = DemandMatrix.from_pairs([(0, 1, F(1))])
+        with pytest.raises(
+            HypothesisViolated,
+            match=r"^tree distance 1 exceeds ell_u \+ ell_v = 7/12 on edge \(0, 1\)$",
+        ):
+            round_thin(g, tm, ell, caps, dem)
 
 
 class TestDyadic:

@@ -4,9 +4,12 @@ from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faceflow.errors import LengthMismatch
 from faceflow.graph import MetricGraph, frac
+from faceflow.thinround import _tree_edge_cuts
 from faceflow.tree import MetricTree, TreeMap, glue
 
 
@@ -18,6 +21,98 @@ def build_random_tree(n, seed, den=2):
         t.add_vertex(v)
         t.add_edge(rng.randrange(v), v, Fraction(rng.randrange(1, 9), den))
     return t
+
+
+# -- the path queries that the rooted index replaced, the references ----
+
+
+def walk_path(adj, u: int, v: int) -> list[int]:
+    """The unique u-v path, as a vertex list, of the tree with adjacency
+    ``adj``."""
+    if u == v:
+        return [u]
+    prev = {u: None}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        if x == v:
+            break
+        for y in adj[x]:
+            if y not in prev:
+                prev[y] = x
+                stack.append(y)
+    if v not in prev:
+        raise ValueError(f"{u} and {v} are in different components")
+    out = [v]
+    while out[-1] != u:
+        out.append(prev[out[-1]])
+    out.reverse()
+    return out
+
+
+class WalkTree(MetricTree):
+    """``MetricTree`` with the path queries it had before its rooted index,
+    one depth-first walk per call; ``walk_path`` is its ``_path``.  Kept
+    verbatim apart from that name."""
+
+    def path(self, u: int, v: int) -> list[int]:
+        """The unique u-v path as a vertex list."""
+        return walk_path(self.adj, u, v)
+
+    def path_ticks(self, u: int, v: int) -> tuple[list[int], list[int]]:
+        """The u-v path and, for each of its vertices, the tick distance
+        from u."""
+        p = walk_path(self.adj, u, v)
+        adj = self.adj
+        pos = [0]
+        for i in range(1, len(p)):
+            pos.append(pos[-1] + adj[p[i - 1]][p[i]])
+        return p, pos
+
+    def dist(self, u: int, v: int) -> Fraction:
+        return Fraction(self.path_ticks(u, v)[1][-1], self.D)
+
+    def path_union(
+        self, center: int, targets
+    ) -> tuple[dict[int, int], set[tuple[int, int]]]:
+        """Vertex degrees and edge set of the union of the paths from
+        ``center`` to each target; a vertex off the union has no entry."""
+        deg: dict[int, int] = {}
+        edges: set[tuple[int, int]] = set()
+        for a in targets:
+            p = self.path(center, a)
+            for i in range(len(p) - 1):
+                e = (min(p[i], p[i + 1]), max(p[i], p[i + 1]))
+                if e not in edges:
+                    edges.add(e)
+                    deg[p[i]] = deg.get(p[i], 0) + 1
+                    deg[p[i + 1]] = deg.get(p[i + 1], 0) + 1
+        return deg, edges
+
+
+def walk_tree(t: MetricTree) -> WalkTree:
+    """A copy of ``t`` that answers path queries by walking."""
+    out = WalkTree(t.D)
+    out.adj = {v: dict(nbrs) for v, nbrs in t.adj.items()}
+    return out
+
+
+def walk_tree_edge_cuts(g: MetricGraph, tm: TreeMap):
+    """For every tree edge a, the edges of g whose image path crosses a."""
+    tree = tm.tree
+    out = []
+    path_cache: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    for (u, v, w) in g.edges:
+        p = tree.path(tm.mapping[u], tm.mapping[v])
+        es = set()
+        for i in range(len(p) - 1):
+            es.add((min(p[i], p[i + 1]), max(p[i], p[i + 1])))
+        path_cache[(u, v)] = es
+    for (a, b, w) in tree.edges():
+        te = (min(a, b), max(a, b))
+        cut = [e for e, es in path_cache.items() if te in es]
+        out.append((te, w, cut))
+    return out
 
 
 # -- the Fraction tree and glue that the tick tree replaced, the references --
@@ -62,7 +157,7 @@ class ReferenceTree:
         return out
 
     def path(self, u: int, v: int) -> list[int]:
-        return MetricTree.path(self, u, v)
+        return walk_path(self.adj, u, v)
 
     def path_positions(self, u: int, v: int) -> list[tuple[int, Fraction]]:
         """Vertices of the u-v path with cumulative distance from u."""
@@ -77,8 +172,7 @@ class ReferenceTree:
     def dist(self, u: int, v: int) -> Fraction:
         return self.path_positions(u, v)[-1][1]
 
-    def path_union(self, center: int, targets):
-        return MetricTree.path_union(self, center, targets)
+    path_union = WalkTree.path_union
 
     @staticmethod
     def from_path(vertex_ids, lengths) -> "ReferenceTree":
@@ -397,3 +491,155 @@ class TestTreeMap:
         t = MetricTree.from_path([0, 1], [Fraction(2)])
         tm = TreeMap(t, {0: 0, 1: 1}, g, root=0)
         assert not tm.is_lipschitz()
+
+
+def random_forest(rng: random.Random, n: int, parts: int = 1) -> MetricTree:
+    """A forest of ``parts`` trees on n vertices with scattered ids and
+    lengths in ticks, a quarter of them zero."""
+    t = MetricTree(rng.choice([1, 2, 6]))
+    ids = rng.sample(range(4 * n + 8), n)
+    for i, v in enumerate(ids):
+        t.add_vertex(v)
+        if i >= parts:
+            w = 0 if rng.random() < 0.25 else rng.randrange(1, 7)
+            t.add_ticks(rng.choice(ids[:i]), v, w)
+    return t
+
+
+def components(t: MetricTree) -> list[list[int]]:
+    """The vertex lists of the forest's trees."""
+    out: list[list[int]] = []
+    seen: set[int] = set()
+    for r in t.adj:
+        if r not in seen:
+            comp = [r]
+            seen.add(r)
+            for x in comp:
+                for y in t.adj[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        comp.append(y)
+            out.append(comp)
+    return out
+
+
+def assert_queries_match_walk(t: MetricTree, rng: random.Random) -> None:
+    """Every path query of ``t`` against the walk it replaced, on every
+    pair of vertices; the union of paths from each vertex to a random set
+    of targets; and, on a tree, the tree-edge cuts of a random graph
+    mapped into it."""
+    ref = walk_tree(t)
+    vs = t.vertices()
+    for u in vs:
+        for v in vs:
+            try:
+                want = ref.path_ticks(u, v)
+            except ValueError:
+                for query in (t.path, t.path_ticks, t.tick_dist, t.dist):
+                    with pytest.raises(ValueError, match="different components"):
+                        query(u, v)
+                continue
+            assert t.path(u, v) == want[0]
+            assert t.path_ticks(u, v) == want
+            assert t.tick_dist(u, v) == want[1][-1]
+            assert t.dist(u, v) == ref.dist(u, v)
+    for comp in components(t):
+        for center in comp:
+            targets = rng.sample(comp, rng.randrange(len(comp) + 1))
+            deg, edges = t.path_union(center, targets)
+            want_deg, want_edges = ref.path_union(center, targets)
+            assert list(deg.items()) == list(want_deg.items())
+            assert edges == want_edges
+    if not t.is_tree():
+        return
+    k = rng.randrange(2, 9)
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < 0.4]
+    g = MetricGraph(k, tuple((a, b, Fraction(1)) for a, b in pairs))
+    mapping = {x: rng.choice(vs) for x in range(k)}
+    got = _tree_edge_cuts(g, TreeMap(t, mapping, g))
+    assert got == walk_tree_edge_cuts(g, TreeMap(ref, mapping, g))
+
+
+def mutate(t: MetricTree, rng: random.Random) -> None:
+    """One random change by a mutator: a new leaf or isolated vertex, a
+    joining edge, a finer grid, a grafted tree or a glued path."""
+    fresh = max(t.adj) + 1
+    comps = components(t)
+    kind = rng.choice(["leaf", "vertex", "join", "refine", "graft", "glue"])
+    if kind == "leaf":
+        t.add_ticks(rng.choice(t.vertices()), fresh, rng.randrange(0, 5))
+    elif kind == "vertex":
+        t.add_vertex(fresh)
+    elif kind == "join" and len(comps) > 1:
+        a, b = rng.sample(comps, 2)
+        t.add_ticks(rng.choice(a), rng.choice(b), rng.randrange(0, 5))
+    elif kind == "refine":
+        t.refine(rng.randrange(1, 7))
+    elif kind == "graft":
+        other = random_forest(rng, rng.randrange(1, 6))
+        shared = rng.choice(other.vertices())
+        ids = {v: fresh + i for i, v in enumerate(other.vertices())}
+        ids[shared] = rng.choice(t.vertices())
+        t.graft(other, ids)
+    else:
+        comp = max(comps, key=len)
+        u, v = rng.choice(comp), rng.choice(comp)
+        d = walk_tree(t).path_ticks(u, v)[1][-1]
+        stretch = sorted([0, d, *(rng.randrange(d + 1) for _ in range(rng.randrange(3)))])
+        after = sorted(d + rng.randrange(0, 4) for _ in range(rng.randrange(3)))
+        glue(t, u, v, stretch + after, 0, len(stretch) - 1)
+
+
+class TestIndexMatchesWalk:
+    """The rooted index answers every path query as the depth-first walk
+    it replaced did, also after a mutator has changed the tree since the
+    last query."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_random_forests(self, rng):
+        t = random_forest(rng, rng.randrange(1, 13), parts=rng.choice([1, 1, 2]))
+        assert_queries_match_walk(t, rng)
+        for _ in range(rng.randrange(1, 4)):
+            mutate(t, rng)
+            assert_queries_match_walk(t, rng)
+
+    def test_every_mutator_drops_the_index(self):
+        t = MetricTree.from_path([0, 1, 2], [Fraction(1), Fraction(2)])
+        steps = [
+            lambda: t.add_vertex(7),
+            lambda: t.add_ticks(7, 2, 3),
+            lambda: t.add_edge(0, 8, Fraction(1, 5)),
+            lambda: t.refine(3),
+            lambda: t.graft(MetricTree.from_path([0, 1], [1]), {0: 8, 1: 9}),
+            lambda: glue(t, 0, 2, [0, 15, 45, 50], 0, 2),
+        ]
+        for step in steps:
+            assert t.dist(0, 2) == 3
+            step()
+            assert_queries_match_walk(t, random.Random(0))
+
+
+class TestPathErrors:
+    """A vertex not in the tree and a pair in two components are both
+    ValueErrors, whichever end is at fault."""
+
+    @pytest.mark.parametrize("query", ["path", "path_ticks", "tick_dist", "dist"])
+    @pytest.mark.parametrize("u,v", [(0, 9), (9, 0), (9, 9)])
+    def test_missing_vertex(self, query, u, v):
+        t = MetricTree.from_path([0, 1], [1])
+        with pytest.raises(ValueError, match="^9 is not a vertex of the tree$"):
+            getattr(t, query)(u, v)
+
+    @pytest.mark.parametrize("query", ["path", "path_ticks", "tick_dist", "dist"])
+    @pytest.mark.parametrize("u,v", [(0, 3), (3, 1), (2, 3)])
+    def test_other_component(self, query, u, v):
+        t = MetricTree.from_path([0, 1, 2], [1, 2])
+        t.add_edge(3, 4, 1)
+        with pytest.raises(ValueError, match=f"^{u} and {v} are in different components$"):
+            getattr(t, query)(u, v)
+
+    def test_path_union_missing_target(self):
+        t = MetricTree.from_path([0, 1], [1])
+        with pytest.raises(ValueError):
+            t.path_union(0, [1, 5])
