@@ -210,12 +210,13 @@ def search_gap_instance(
     seed: int = 0,
     target: Fraction = Fraction(7, 5),
 ) -> tuple[Instance, Fraction, Fraction]:
-    """Search small planar outer-face-demand instances for a vertex
-    flow/cut gap Phi^v / mcf^v >= target; returns (instance, phi, mcf).
+    """Search small planar outer-face-demand instances, of 5 to max_n
+    vertices with 5 <= max_n <= 14, for a vertex flow/cut gap
+    Phi^v / mcf^v >= target; returns (instance, phi, mcf).
 
     Both values are recomputed exactly before returning."""
-    if max_n > 14:
-        raise ValueError("max_n must be <= 14")
+    if not 5 <= max_n <= 14:
+        raise ValueError(f"max_n must be in 5..14, got {max_n}")
     t0 = time.monotonic()
     best_ratio = Fraction(0)
     best_found = None

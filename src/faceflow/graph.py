@@ -128,7 +128,7 @@ class MetricGraph:
 # -- shortest paths -----------------------------------------------------
 
 
-def dijkstra(adj, source, allowed: Optional[set] = None) -> dict[int, Fraction]:
+def dijkstra(adj, source) -> dict[int, Fraction]:
     """Exact-rational Dijkstra.  Returns finite distances only."""
     import heapq
 
@@ -141,8 +141,6 @@ def dijkstra(adj, source, allowed: Optional[set] = None) -> dict[int, Fraction]:
             continue
         done.add(v)
         for (u, w) in adj[v]:
-            if allowed is not None and u not in allowed:
-                continue
             nd = d + w
             if u not in dist or nd < dist[u]:
                 dist[u] = nd

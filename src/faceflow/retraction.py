@@ -79,10 +79,12 @@ def sample_retraction(
 ) -> Retraction:
     """Level-by-level absorption into S.
 
-    V_0 = S.  At scale 2^k a fresh padded partition is drawn; a vertex
-    joins when the connected part of its block reaches the already
-    absorbed set, and each newly absorbed connected chunk inherits the
-    image of one neighboring absorbed vertex (lowest id)."""
+    V_0 = S.  At scale 2^k a fresh padded partition is drawn, with A the
+    set absorbed before level k.  In each block T, every component C of
+    G[T \\ A] with a neighbour in A inside T joins at level k and takes
+    the image of its lowest such neighbour; A grows only after the level.
+    The top scale's blocks are G's components, each holding a target,
+    so every vertex is absorbed by then."""
     return _absorption_sampler(g, s)(seed)
 
 
@@ -127,43 +129,22 @@ def _absorption_sampler(g: MetricGraph, s):
                 blocks = part.blocks
             newly: list[set[int]] = []
             for t_block in blocks:
-                # Connected components of G[T]; those touching the absorbed
-                # set absorb their unabsorbed vertices chunk by chunk.
-                for comp in connected_components(g, t_block):
-                    if not comp & absorbed:
+                for chunk in connected_components(g, t_block - absorbed):
+                    nbrs = [
+                        u for v in chunk for (u, _) in adj[v]
+                        if u in absorbed and u in t_block
+                    ]
+                    if not nbrs:
                         continue
-                    fresh = comp - absorbed
-                    for chunk in connected_components(g, fresh):
-                        nbrs = set()
-                        for v in chunk:
-                            for (u, _) in adj[v]:
-                                if u in comp and u in absorbed:
-                                    nbrs.add(u)
-                        if not nbrs:
-                            continue  # reached only through other fresh chunks
-                        v_c = min(nbrs)
-                        newly.append(chunk)
-                        for v in chunk:
-                            mapping[v] = mapping[v_c]
-                            levels[v] = k
+                    v_c = min(nbrs)
+                    newly.append(chunk)
+                    for v in chunk:
+                        mapping[v] = mapping[v_c]
+                        levels[v] = k
             for chunk in newly:
                 absorbed |= chunk
             if len(absorbed) == g.n:
                 break
-        # Chunks reachable only through sibling chunks may need extra passes
-        # at the same top scale.
-        guard = 0
-        while len(absorbed) < g.n:
-            guard += 1
-            if guard > g.n:
-                raise InvariantViolation("retraction failed to absorb all vertices")
-            for v in sorted(set(range(g.n)) - absorbed):
-                nbrs = [u for (u, _) in adj[v] if u in absorbed]
-                if nbrs:
-                    v_c = min(nbrs)
-                    mapping[v] = mapping[v_c]
-                    levels[v] = k0
-                    absorbed.add(v)
         return Retraction(s, mapping, levels, scale)
 
     return sample

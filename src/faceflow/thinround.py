@@ -77,11 +77,12 @@ def thin_map(
             children[p].append(v)
 
     # Fiber adjacency in terms of original tree vertices.
-    fiber_pairs = set()
+    fiber_nbrs: dict[int, set[int]] = {}
     for (a, b, _) in tm.source.edges:
         fa, fb = tm.mapping[a], tm.mapping[b]
         if fa != fb:
-            fiber_pairs.add((min(fa, fb), max(fa, fb)))
+            fiber_nbrs.setdefault(fa, set()).add(fb)
+            fiber_nbrs.setdefault(fb, set()).add(fa)
 
     counter = [0]
 
@@ -109,15 +110,9 @@ def thin_map(
             phi.update(sub_phi)
 
         # Current images of tree vertices adjacent (through graph edges)
-        # to the fiber of x.
-        targets = set()
-        for (fa, fb) in fiber_pairs:
-            if fa in phi and fb in phi:
-                ca, cb = phi[fa], phi[fb]
-                if ca == r_tilde and cb != r_tilde:
-                    targets.add(cb)
-                elif cb == r_tilde and ca != r_tilde:
-                    targets.add(ca)
+        # to the fiber of x: only x maps to r_tilde, and phi's keys are
+        # x's subtree.
+        targets = {phi[y] for y in fiber_nbrs.get(x, ()) if y in phi}
         if not targets:
             return t_new, phi
 

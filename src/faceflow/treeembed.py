@@ -355,7 +355,6 @@ def embed_sampler(g: MetricGraph):
                 if t_v not in relabel:
                     relabel[t_v] = next_global
                     next_global += 1
-            next_global = max(next_global, max(relabel.values()) + 1)
             final.graft(bt, relabel)
             for x, t_v in bmap.items():
                 mapping[x] = relabel[t_v]

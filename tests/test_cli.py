@@ -233,6 +233,11 @@ class TestExperimentsCommands:
         w = load_instance(wp)
         assert w.graph.n <= 12
 
+    def test_search_gap_rejects_small_n(self, capsys):
+        rc = main(["search-gap", "--max-n", "4", "--budget", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: max_n must be in 5..14, got 4\n"
+
     def test_distortion(self, c6_file, capsys):
         rc = main(["distortion", c6_file, "--samples", "800"])
         assert rc == 0

@@ -553,6 +553,12 @@ class TestSearchGap:
         with pytest.raises(ValueError):
             search_gap_instance(15, budget_s=1.0)
 
+    @pytest.mark.parametrize("max_n", [4, 0, -3])
+    def test_rejects_small_n(self, max_n):
+        # Before the random search, whose sizes start at 5, can fail.
+        with pytest.raises(ValueError, match=rf"^max_n must be in 5\.\.14, got {max_n}$"):
+            search_gap_instance(max_n, budget_s=1.0)
+
     def test_budget_exhausted_when_target_unreachable(self):
         with pytest.raises(BudgetExhausted):
             search_gap_instance(5, budget_s=0.5, seed=1, target=F(100))

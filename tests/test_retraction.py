@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import re
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from faceflow.graph import (
     is_outerplanar,
     reduce_lengths,
 )
-from faceflow.instances import cycle_instance, grid_graph
+from faceflow.instances import cycle_instance, grid_graph, random_planar_with_face
 from faceflow.partition import sample_padded_partition
 from faceflow.retraction import (
     Retraction,
@@ -452,3 +453,40 @@ def test_unscaled_partitions_match_scaled_reference(name):
         got, want = sample(seed), reference(seed)
         assert (got.mapping, got.levels) == (want.mapping, want.levels), seed
         assert got.scale == want.scale
+
+
+def _random_targets(seed: int):
+    """A planar graph with one to three targets anywhere, face or not."""
+    g, _ = random_planar_with_face(11, seed)
+    rng = random.Random(seed)
+    return g, set(rng.sample(range(g.n), rng.randrange(1, 4)))
+
+
+def _dropped_edges(seed: int):
+    """A grid or planar graph with about 30% of its edges dropped, so often
+    several components, and one random target in each."""
+    g, _ = random_planar_with_face(12, seed) if seed % 2 else grid_graph(3, 4)
+    rng = random.Random(f"drop:{seed}")
+    h = MetricGraph(g.n, tuple(e for e in g.edges if rng.random() > 0.3))
+    return h, {rng.choice(sorted(c)) for c in connected_components(h)}
+
+
+class TestOnePassMatchesReference:
+    """Absorbing each component of G[T \\ A] that touches A in one pass
+    draws the retractions of the loop it replaced, which split each
+    touching component of G[T] into chunks and kept a guard loop for the
+    rest."""
+
+    @pytest.mark.parametrize(
+        "make", [_random_targets, _dropped_edges], ids=["random-targets", "dropped-edges"]
+    )
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_draws(self, make, seed):
+        g, s = make(seed)
+        sample = retraction._absorption_sampler(g, s)
+        reference = reference_absorption_sampler(g, s, all_pairs_distances(g))
+        for draw in range(60):
+            got, want = sample(draw), reference(draw)
+            assert (got.mapping, got.levels) == (want.mapping, want.levels), draw
+            assert got.scale == want.scale
+            got.check(g)

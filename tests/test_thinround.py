@@ -334,6 +334,19 @@ class TestThinReference:
         for seed in range(24):
             thin_both(samp(seed), seed)
 
+    @pytest.mark.parametrize("name", ["cycle6", "grid2x3", "outer6", "slack6"])
+    def test_gap_experiment_maps(self, monkeypatch, name):
+        # Every map the pipeline thins: embeddings of retracted graphs.
+        seen = []
+
+        def checked(tm, seed):
+            seen.append(seed)
+            return thin_both(tm, seed)
+
+        monkeypatch.setattr(thinround, "thin_map", checked)
+        gap_experiment(INSTANCES[name](), samples=20, seed=2)
+        assert len(seen) == 20
+
 
 class TestRoundThin:
     def single_edge_setup(self):
