@@ -320,14 +320,13 @@ def distortion_experiment(
     # ratio is the one correctly rounded int division (t * den) / (D * num),
     # bit-identical to float() of the exact Fraction ratio.
     nd = [(u, v, *dmat[u][v].as_integer_ratio()) for (u, v) in pairs]
-    sources = sorted({u for (u, _) in pairs})
     for i in range(samples):
         tm = embed_fn(seed * 65_537 + i)
         f = tm.mapping
-        D = tm.tree.D
-        d_tree = tm.tree.tick_dists({f[u] for u in sources})
+        tree = tm.tree
+        D = tree.D
         for k, (u, v, num, den) in enumerate(nd):
-            r = d_tree[f[u]][f[v]] * den / (D * num)
+            r = tree.tick_dist(f[u], f[v]) * den / (D * num)
             sums[k] += r
             sqs[k] += r * r
     table = {}

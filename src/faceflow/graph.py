@@ -223,19 +223,17 @@ def connected_components(g: MetricGraph, verts=None) -> list[set[int]]:
 # -- biconnectivity -----------------------------------------------------
 
 
-def biconnected_components(g: MetricGraph) -> tuple[list[set[int]], set[int]]:
-    """Blocks (as vertex sets) and cut vertices of g.
+def biconnected_components(g: MetricGraph) -> list[set[int]]:
+    """Blocks of g, as vertex sets.
 
     Isolated vertices form singleton blocks.
     """
-    gx = g.to_nx()
-    blocks = [set(b) for b in nx.biconnected_components(gx)]
-    cuts = set(nx.articulation_points(gx))
+    blocks = [set(b) for b in nx.biconnected_components(g.to_nx())]
     covered = set().union(*blocks) if blocks else set()
     for v in range(g.n):
         if v not in covered:
             blocks.append({v})
-    return blocks, cuts
+    return blocks
 
 
 def is_biconnected(g: MetricGraph) -> bool:
@@ -350,13 +348,13 @@ class PlanarInstance:
                     break
                 if norm_edge(u, v) not in lengths:
                     problems.append(f"face edge ({u},{v}) missing from graph")
-        if not is_planar(g):
-            problems.append("graph is not planar")
-        else:
-            # The face cycle bounds a face of some embedding iff an apex
-            # joined to all face vertices keeps the graph planar.
-            ok, _ = _apex_planarity(g, self.face)
-            if not ok:
+        # The face cycle bounds a face of some embedding iff an apex
+        # joined to all face vertices keeps the graph planar.  The apex
+        # graph contains g, so g itself is tested only to name a failure.
+        if not _apex_planarity(g, self.face)[0]:
+            if not is_planar(g):
+                problems.append("graph is not planar")
+            else:
                 problems.append("face cycle does not bound a face of any embedding")
         if not is_reduced(g):
             problems.append("edge lengths are not reduced")
@@ -541,20 +539,11 @@ def ear_decomposition(
     )
 
 
-def _block_build(g: MetricGraph, block: set[int], ring: list[int]):
-    """Ear build of the block induced by ``block`` (local ids), with its
-    outer cycle read off ``ring``; also returns local id -> vertex."""
-    sub, idx = induced_subgraph(g, block)
-    face = _block_cycle(ring, idx) if len(block) >= 3 else None
-    return ear_decomposition(sub, face), sub, {i: v for v, i in idx.items()}
-
-
 def _block_builds(g: MetricGraph, ring: list[int]) -> list[OuterplanarBuild]:
     """Ear builds of the blocks of g, a subgraph of the graph whose apex
     ring is ``ring``, in original vertex ids.  Each block after the first
     meets the earlier ones in exactly one cut vertex."""
-    blocks, _ = biconnected_components(g)
-    blocks = [b for b in blocks if len(b) >= 2]
+    blocks = [b for b in biconnected_components(g) if len(b) >= 2]
     if not blocks:
         return [OuterplanarBuild((0,) if g.n else (), (), ())]
     # Order blocks by a BFS over the block-cut structure, rooted at the
@@ -574,7 +563,9 @@ def _block_builds(g: MetricGraph, ring: list[int]) -> list[OuterplanarBuild]:
             raise ValueError("graph is disconnected")
     out = []
     for b in ordered:
-        bd, _, back = _block_build(g, b, ring)
+        sub, idx = induced_subgraph(g, b)
+        bd = ear_decomposition(sub, _block_cycle(ring, idx) if len(b) >= 3 else None)
+        back = {i: v for v, i in idx.items()}
         steps = tuple(
             BuildStep(
                 tuple(back[i] for i in st.path_vertices),
@@ -590,20 +581,6 @@ def _block_builds(g: MetricGraph, ring: list[int]) -> list[OuterplanarBuild]:
 
 
 # -- slack transform ----------------------------------------------------
-
-
-def _block_slack_violations(
-    build: OuterplanarBuild, sub: MetricGraph, alpha: Fraction
-) -> list[tuple[int, int]]:
-    """Edges of a biconnected outerplanar block (local ids) whose ear is
-    too short for an alpha-slack structure."""
-    lengths = sub.edge_lengths()
-    bad = []
-    for st in build.steps:
-        e = norm_edge(*st.attach_edge)
-        if st.length < alpha * lengths[e]:
-            bad.append(e)
-    return bad
 
 
 def slack_transform(
@@ -624,24 +601,24 @@ def slack_transform(
     ring = _outer_ring(g)
     if ring is None:
         raise NotOuterplanar("slack transform needs an outerplanar graph")
-    current = reduce_lengths(g)
+    # The rounds run on the scaled graph: the slack test compares two
+    # lengths, and reduction commutes with scaling, so each round deletes
+    # the same edges as at scale 1, and the last round's builds are h's.
+    h = reduce_lengths(g).scaled(Fraction(1) / alpha)
     while True:
-        doomed: set[tuple[int, int]] = set()
-        blocks, _ = biconnected_components(current)
-        for b in blocks:
-            if len(b) < 3:
-                continue
-            build, sub, back = _block_build(current, b, ring)
-            for (u, v) in _block_slack_violations(build, sub, alpha):
-                doomed.add(norm_edge(back[u], back[v]))
+        builds = _block_builds(h, ring)
+        lengths = h.edge_lengths()
+        doomed = set()
+        for bd in builds:
+            for st in bd.steps:
+                e = norm_edge(*st.attach_edge)
+                if st.length < alpha * lengths[e]:
+                    doomed.add(e)
         if not doomed:
-            break
-        current = current.with_edges(
-            (u, v, w) for (u, v, w) in current.edges if (u, v) not in doomed
+            return h, builds
+        h = reduce_lengths(
+            h.with_edges((u, v, w) for (u, v, w) in h.edges if (u, v) not in doomed)
         )
-        current = reduce_lengths(current)
-    h = current.scaled(Fraction(1) / alpha)
-    return h, _block_builds(h, ring)
 
 
 # -- glue lives in tree.py (re-exported in the package __init__) --------

@@ -270,24 +270,6 @@ class MetricTree:
                     deg[p[i + 1]] = deg.get(p[i + 1], 0) + 1
         return deg, edges
 
-    def tick_dists(self, sources) -> dict[int, dict[int, int]]:
-        """Exact distances from each source in ticks: d(s, v) is
-        ``dist[s][v] / D``."""
-        adj = self.adj
-        out: dict[int, dict[int, int]] = {}
-        for s in sources:
-            dist = {s: 0}
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                dx = dist[x]
-                for y, w in adj[x].items():
-                    if y not in dist:
-                        dist[y] = dx + w
-                        stack.append(y)
-            out[s] = dist
-        return out
-
     @staticmethod
     def from_path(vertex_ids, lengths) -> "MetricTree":
         """The path through ``vertex_ids`` with the given lengths, on the

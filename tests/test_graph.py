@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flatten, make_cycle, random_reduced_graph, slack_cycle
-from faceflow.errors import ChordTooLong, NotBiconnected, NotOuterplanar
+from faceflow import graph
+from faceflow.errors import ChordTooLong, FaceflowError, NotBiconnected, NotOuterplanar
 from faceflow.graph import (
+    BuildStep,
     Cycle,
     MetricGraph,
+    OuterplanarBuild,
     PlanarInstance,
+    _block_cycle,
+    _outer_ring,
     all_pairs_distances,
     biconnected_components,
     connected_components,
@@ -18,6 +24,8 @@ from faceflow.graph import (
     distance_ticks,
     ear_decomposition,
     find_outer_cycle,
+    frac,
+    induced_subgraph,
     is_outerplanar,
     is_planar,
     is_reduced,
@@ -25,7 +33,7 @@ from faceflow.graph import (
     reduce_lengths,
     slack_transform,
 )
-from faceflow.instances import cycle_instance, random_outerplanar
+from faceflow.instances import cycle_instance, random_outerplanar, random_tree
 
 
 def replay(build, n: int) -> MetricGraph:
@@ -184,13 +192,12 @@ class TestReduce:
 
 class TestBiconnected:
     def test_tree_blocks_are_edges(self, path3):
-        blocks, cuts = biconnected_components(path3)
+        blocks = biconnected_components(path3)
         assert sorted(sorted(b) for b in blocks) == [[0, 1], [1, 2]]
-        assert cuts == {1}
 
     def test_cycle_single_block(self, c6):
-        blocks, cuts = biconnected_components(c6)
-        assert len(blocks) == 1 and not cuts
+        blocks = biconnected_components(c6)
+        assert len(blocks) == 1
 
     def test_two_triangles_share_vertex(self):
         g = MetricGraph(
@@ -200,15 +207,8 @@ class TestBiconnected:
                 for (u, v) in [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
             ),
         )
-        blocks, cuts = biconnected_components(g)
+        blocks = biconnected_components(g)
         assert len(blocks) == 2
-        assert cuts == {2}
-        # Brute-force articulation check: removing 2 disconnects.
-        sub = MetricGraph(
-            5, tuple((u, v, w) for (u, v, w) in g.edges if 2 not in (u, v))
-        )
-        d = all_pairs_distances(sub)
-        assert d[0][3] == math.inf
 
 
 class TestPlanarity:
@@ -348,6 +348,233 @@ class TestSlackTransform:
                 assert step.length >= 160 * lengths[e]
 
 
+# -- reference: the slack transform with a rebuild after its loop --------
+
+
+def reference_block_build(g: MetricGraph, block: set[int], ring: list[int]):
+    """Ear build of the block induced by ``block`` (local ids), with its
+    outer cycle read off ``ring``; also returns local id -> vertex."""
+    sub, idx = induced_subgraph(g, block)
+    face = _block_cycle(ring, idx) if len(block) >= 3 else None
+    return ear_decomposition(sub, face), sub, {i: v for v, i in idx.items()}
+
+
+def reference_block_builds(g: MetricGraph, ring: list[int]) -> list[OuterplanarBuild]:
+    """Ear builds of the blocks of g, a subgraph of the graph whose apex
+    ring is ``ring``, in original vertex ids.  Each block after the first
+    meets the earlier ones in exactly one cut vertex."""
+    blocks = biconnected_components(g)
+    blocks = [b for b in blocks if len(b) >= 2]
+    if not blocks:
+        return [OuterplanarBuild((0,) if g.n else (), (), ())]
+    # Order blocks by a BFS over the block-cut structure, rooted at the
+    # block containing the lowest vertex.
+    blocks.sort(key=min)
+    ordered = [blocks[0]]
+    rest = blocks[1:]
+    covered = set(blocks[0])
+    while rest:
+        for i, b in enumerate(rest):
+            if b & covered:
+                ordered.append(b)
+                covered |= b
+                del rest[i]
+                break
+        else:
+            raise ValueError("graph is disconnected")
+    out = []
+    for b in ordered:
+        bd, _, back = reference_block_build(g, b, ring)
+        steps = tuple(
+            BuildStep(
+                tuple(back[i] for i in st.path_vertices),
+                st.path_lengths,
+                (back[st.attach_edge[0]], back[st.attach_edge[1]]),
+            )
+            for st in bd.steps
+        )
+        out.append(OuterplanarBuild(
+            tuple(back[i] for i in bd.initial_vertices), bd.initial_lengths, steps
+        ))
+    return out
+
+
+def reference_block_slack_violations(
+    build: OuterplanarBuild, sub: MetricGraph, alpha: Fraction
+) -> list[tuple[int, int]]:
+    """Edges of a biconnected outerplanar block (local ids) whose ear is
+    too short for an alpha-slack structure."""
+    lengths = sub.edge_lengths()
+    bad = []
+    for st in build.steps:
+        e = norm_edge(*st.attach_edge)
+        if st.length < alpha * lengths[e]:
+            bad.append(e)
+    return bad
+
+
+def reference_slack_transform(
+    g: MetricGraph, alpha: Fraction
+) -> tuple[MetricGraph, list[OuterplanarBuild]]:
+    """The slack transform that ran its rounds at scale 1, in networkx's
+    block order, and then rebuilt the blocks of the scaled result.  Kept
+    as it was (with its block helpers above), except that
+    ``biconnected_components`` no longer returns the cut vertices."""
+    alpha = frac(alpha)
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1")
+    # Outerplanarity is tested once: every graph below is a subgraph of
+    # g, so the apex ring of g gives every block's outer cycle.
+    ring = _outer_ring(g)
+    if ring is None:
+        raise NotOuterplanar("slack transform needs an outerplanar graph")
+    current = reduce_lengths(g)
+    while True:
+        doomed: set[tuple[int, int]] = set()
+        blocks = biconnected_components(current)
+        for b in blocks:
+            if len(b) < 3:
+                continue
+            build, sub, back = reference_block_build(current, b, ring)
+            for (u, v) in reference_block_slack_violations(build, sub, alpha):
+                doomed.add(norm_edge(back[u], back[v]))
+        if not doomed:
+            break
+        current = current.with_edges(
+            (u, v, w) for (u, v, w) in current.edges if (u, v) not in doomed
+        )
+        current = reduce_lengths(current)
+    h = current.scaled(Fraction(1) / alpha)
+    return h, reference_block_builds(h, ring)
+
+
+def _complete(n: int) -> MetricGraph:
+    return MetricGraph(n, tuple((u, v, 1) for u in range(n) for v in range(u + 1, n)))
+
+
+def _bridged_outerplanar(seed: int) -> MetricGraph:
+    """Two random outerplanar graphs joined by one bridge."""
+    a, _ = random_outerplanar(3 + seed % 5, seed)
+    b, _ = random_outerplanar(3 + seed % 4, seed + 100)
+    rng = random.Random(f"bridge:{seed}")
+    bridge = (rng.randrange(a.n), a.n + rng.randrange(b.n), Fraction(rng.randrange(1, 9), 4))
+    edges = a.edges + tuple((u + a.n, v + a.n, w) for (u, v, w) in b.edges) + (bridge,)
+    return MetricGraph(a.n + b.n, edges)
+
+
+def _slack_inputs():
+    """(name, graph) pairs: random outerplanar graphs of 3 to 12 vertices,
+    cycles, slack cycles, random trees and bridged outerplanar pairs."""
+    for n in range(3, 13):
+        for seed in range(40):
+            yield f"outer{n}-{seed}", random_outerplanar(n, seed)[0]
+    for n in range(3, 13):
+        yield f"cycle{n}", cycle_instance(n)
+        yield f"slack{n}", slack_cycle(n)
+        for seed in range(5):
+            yield f"tree{n}-{seed}", random_tree(n, seed)
+    for seed in range(40):
+        yield f"bridged{seed}", _bridged_outerplanar(seed)
+
+
+def _outcome(transform, g, alpha):
+    """The transform's result as plain tuples, or its error's type and
+    message."""
+    try:
+        h, builds = transform(g, alpha)
+    except (FaceflowError, ValueError) as exc:
+        return ("error", type(exc), str(exc))
+    return (
+        "ok",
+        h.n,
+        h.edges,
+        [
+            (
+                bd.initial_vertices,
+                bd.initial_lengths,
+                [(st.path_vertices, st.path_lengths, st.attach_edge) for st in bd.steps],
+            )
+            for bd in builds
+        ],
+    )
+
+
+class TestSlackOnePassMatchesReference:
+    """One block pass per round, on the scaled graph, returns exactly what
+    the transform that rebuilt the blocks after its loop returned."""
+
+    @pytest.mark.parametrize(
+        "alpha", [1, 2, Fraction(7, 2), 160], ids=["1", "2", "7_2", "160"]
+    )
+    def test_same_graphs_and_builds(self, alpha):
+        lost = 0
+        for name, g in _slack_inputs():
+            got = _outcome(slack_transform, g, alpha)
+            assert got[0] == "ok", name
+            assert got == _outcome(reference_slack_transform, g, alpha), name
+            lost += len(got[2]) < len(g.edges)
+        # Above alpha = 1 the cross-check covers deleting rounds too; at 1
+        # no ear of a reduced graph is shorter than its attach edge.
+        assert (lost > 0) == (alpha > 1)
+
+    @pytest.mark.parametrize(
+        "n, seed, alpha", [(6, 189, 5), (7, 195, 3), (7, 195, 5), (12, 57, 5), (12, 151, 3)]
+    )
+    def test_same_over_two_deleting_rounds(self, n, seed, alpha):
+        g, _ = random_outerplanar(n, seed)
+        got = _outcome(slack_transform, g, alpha)
+        assert got == _outcome(reference_slack_transform, g, alpha)
+        assert len(got[2]) < len(g.edges)
+
+    @pytest.mark.parametrize(
+        "g, alpha, error",
+        [
+            (_complete(4), 2, (NotOuterplanar, "slack transform needs an outerplanar graph")),
+            (
+                MetricGraph(6, cycle_instance(3).edges + ((3, 4, 1), (4, 5, 1))),
+                2,
+                (ValueError, "graph is disconnected"),
+            ),
+            (
+                MetricGraph(6, slack_cycle(3).edges + ((3, 4, 1), (4, 5, 1))),
+                160,
+                (ValueError, "graph is disconnected"),
+            ),
+            (MetricGraph(3, ()), 2, None),
+            (cycle_instance(4), Fraction(1, 2), (ValueError, "alpha must be >= 1")),
+        ],
+        ids=["K4", "two-components", "two-slack-components", "edgeless", "alpha-half"],
+    )
+    def test_same_errors(self, g, alpha, error):
+        got = _outcome(slack_transform, g, alpha)
+        assert got == _outcome(reference_slack_transform, g, alpha)
+        assert got[0] == ("error" if error else "ok")
+        if error:
+            assert got[1:] == error
+
+    @pytest.mark.parametrize(
+        "g, alpha, rounds",
+        [
+            (slack_cycle(8), 160, 1),
+            (cycle_instance(3), 160, 2),
+            (random_outerplanar(6, 189)[0], 5, 3),
+        ],
+        ids=["slack-cycle", "triangle-loses-one-edge", "two-deleting-rounds"],
+    )
+    def test_one_block_pass_per_round(self, monkeypatch, g, alpha, rounds):
+        calls = []
+        count = graph.biconnected_components
+
+        def counted(h):
+            calls.append(h)
+            return count(h)
+
+        monkeypatch.setattr(graph, "biconnected_components", counted)
+        h, _ = slack_transform(g, alpha)
+        assert len(calls) == rounds
+        assert calls[-1] is h
+
+
 class TestCycleGeometry:
     def test_make_cycle_circumference(self):
         c = make_cycle([0, 1], [Fraction(10)], Fraction(2))
@@ -424,3 +651,21 @@ class TestPlanarInstance:
         )
         inst = PlanarInstance(g, (0, 1, 2))
         assert inst.validate()
+
+    def test_nonplanar_graph_reported(self):
+        k5 = _complete(5)
+        inst = PlanarInstance(k5, (0, 1, 2))
+        assert inst.validate() == ["graph is not planar"]
+
+    def test_face_of_no_embedding_reported(self):
+        k4 = _complete(4)
+        inst = PlanarInstance(k4, (0, 1, 2, 3))
+        assert inst.validate() == ["face cycle does not bound a face of any embedding"]
+
+    def test_valid_instance_tests_planarity_once(self, monkeypatch, c6):
+        # The apex test proves g planar; is_planar only names the failure.
+        def unexpected(g):
+            raise AssertionError("is_planar called on a valid instance")
+
+        monkeypatch.setattr(graph, "is_planar", unexpected)
+        assert PlanarInstance(c6, tuple(range(6))).validate() == []
