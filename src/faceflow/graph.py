@@ -277,6 +277,8 @@ def _outer_ring(g: MetricGraph) -> Optional[list[int]]:
     """Rotation of an apex joined to every vertex of g, or None if g is
     not outerplanar.  Every subgraph of g keeps that embedding, so the
     ring restricted to one of its blocks is the block's outer cycle."""
+    if not g.n:
+        return []  # the apex alone has no rotation to read
     ok, emb = _apex_planarity(g, range(g.n))
     return list(emb.neighbors_cw_order(g.n)) if ok else None
 
@@ -545,7 +547,7 @@ def _block_builds(g: MetricGraph, ring: list[int]) -> list[OuterplanarBuild]:
     meets the earlier ones in exactly one cut vertex."""
     blocks = [b for b in biconnected_components(g) if len(b) >= 2]
     if not blocks:
-        return [OuterplanarBuild((0,) if g.n else (), (), ())]
+        return [OuterplanarBuild((0,), (), ())] if g.n else []
     # Order blocks by a BFS over the block-cut structure, rooted at the
     # block containing the lowest vertex.
     blocks.sort(key=min)
@@ -616,9 +618,10 @@ def slack_transform(
                     doomed.add(e)
         if not doomed:
             return h, builds
-        h = reduce_lengths(
-            h.with_edges((u, v, w) for (u, v, w) in h.edges if (u, v) not in doomed)
-        )
+        # h stays reduced without a new distance matrix: deleting edges
+        # only lengthens shortest paths, and each kept edge still bounds
+        # the distance of its own ends, so it keeps its length.
+        h = h.with_edges((u, v, w) for (u, v, w) in h.edges if (u, v) not in doomed)
 
 
 # -- glue lives in tree.py (re-exported in the package __init__) --------

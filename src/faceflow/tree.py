@@ -145,6 +145,15 @@ class MetricTree:
                     adj[ids[v]][ids[y]] = w
                     adj[ids[y]][ids[v]] = w
 
+    def copy(self) -> "MetricTree":
+        """An independent copy, adjacency order included.  The rooted
+        index is never edited in place, so the copy shares it until
+        either tree changes."""
+        t = MetricTree(self.D)
+        t.adj = {v: dict(nbrs) for v, nbrs in self.adj.items()}
+        t._index = self._index
+        return t
+
     # -- queries --------------------------------------------------------
 
     def vertices(self) -> list[int]:

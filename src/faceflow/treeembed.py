@@ -6,6 +6,16 @@ its attach edge, two anchor points are chosen on the cycle, and the
 flattened cycle is glued onto the tree along one of the two anchors with
 probability 1/2 each.
 
+Each ear step is two calls: ``_close_ear`` does the deterministic part
+(the chord, the slack and chord checks, the good endpoint, the anchor grid
+and the cycle positions) and ``random_extension`` the draw (anchors, coin,
+flattening and glue).  A block's first ear always closes against the same
+tree, its initial path, so ``embed_sampler`` closes it once, when it is
+built, and each sample starts that block from a copy of the initial tree;
+a first ear's ``SlackViolation`` or ``ChordTooLong`` is raised there.
+Later ears are closed per sample, on the tree the earlier draws made.  A
+graph whose blocks have no ears draws nothing.
+
 Each block's tree grows on integer ticks (``tree.MetricTree``): every
 tree length, ear cycle position, anchor candidate and flattened offset is
 a whole number of 1/D, with one D per block.  D starts as the least common
@@ -20,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 
@@ -33,7 +43,6 @@ from .errors import (
 from .graph import (
     Cycle,
     MetricGraph,
-    OuterplanarBuild,
     frac,
     norm_edge,
     slack_transform,
@@ -152,28 +161,41 @@ def _assert_anchor_conditions(c, u, v, base, p_pos, q_pos, path_pos):
     """The anchor guarantees, checked exactly; the bounds are
     cross-multiplied, so positions need not sit on their grid."""
     circ = c.circumference
-    path_len = circ - c.dist(u, v)
-    if 6 * c.dist_pos(p_pos, q_pos) != circ:
+    points = c.points
+    pu, pv = points[u], points[v]
+    d = abs(p_pos - q_pos)
+    if 6 * min(d, circ - d) != circ:
         raise InvariantViolation("anchors are not len(C)/6 apart")
+    beta, delta_max = DEFAULT_CONFIG.anchor_beta, DEFAULT_CONFIG.anchor_delta_max
+    bn, bd = beta.numerator, beta.denominator
     # beta len(C) <= d <= (1/2 - beta) len(C), times beta's denominator.
-    beta = DEFAULT_CONFIG.anchor_beta
-    lo = beta.numerator * circ
-    hi = (beta.denominator - 2 * beta.numerator) * circ
-    for a in (c.points[u], c.points[v]):
+    lo = bn * circ
+    hi = (bd - 2 * bn) * circ
+    for a in (pu, pv):
         for b in (p_pos, q_pos):
-            d = beta.denominator * c.dist_pos(a, b)
+            d = abs(a - b)
+            d = bd * min(d, circ - d)
             if not (lo <= d and 2 * d <= hi):
                 raise InvariantViolation("anchor apartness band violated")
-    other = v if base == u else u
-    reach = Fraction(1, 2) + DEFAULT_CONFIG.anchor_delta_max
+    d = abs(pu - pv)
+    path_len = circ - min(d, circ - d)
+    # Path positions within (1/2 + delta_max) len(path) of the base, the
+    # reach (dd + 2 dn) / (2 dd) cross-multiplied.
+    dn, dd = delta_max.numerator, delta_max.denominator
+    bound = (dd + 2 * dn) * path_len
+    at = path_pos[base]
+    near = [pos % circ for pos in path_pos.values() if 2 * dd * abs(pos - at) <= bound]
+    base_pos, other_pos = (pu, pv) if base == u else (pv, pu)
     for b in (p_pos, q_pos):
-        to_base = c.dist_pos(b, c.points[base])
-        if to_base > c.dist_pos(b, c.points[other]):
+        d = abs(b - base_pos)
+        to_base = min(d, circ - d)
+        d = abs(b - other_pos)
+        if to_base > min(d, circ - d):
             raise InvariantViolation("anchor condition (a) violated")
-        for pos in path_pos.values():
-            if abs(pos - path_pos[base]) * reach.denominator <= reach.numerator * path_len:
-                if c.dist_pos(b, pos % circ) > to_base:
-                    raise InvariantViolation("anchor condition (b) violated")
+        for pos in near:
+            d = abs(b - pos)
+            if min(d, circ - d) > to_base:
+                raise InvariantViolation("anchor condition (b) violated")
 
 
 @dataclass
@@ -201,16 +223,32 @@ def _is_good(state: EmbedState, x: int, y: int) -> bool:
     return True
 
 
-def random_extension(
+@dataclass(frozen=True)
+class ClosedEar:
+    """An ear closed into its cycle against a block's tree: everything of
+    the ear step that comes before the first draw.  The positions are in
+    ticks of the grid 1/D that the tree moves to when the ear is drawn."""
+
+    attach: tuple[int, int]            # (u, v), the ear runs from u to v
+    tree_ends: tuple[int, int]         # (F(u), F(v))
+    path_vertices: list[int]
+    good: int
+    D: int
+    grid: tuple[int, int, int]         # (p0, q0, step) of _anchor_grid
+    path_pos: dict[int, int]
+    cycle: Cycle
+    glue_positions: frozenset[int]     # ticks of the F(u)-F(v) tree path
+
+
+def _close_ear(
     state: EmbedState,
     path_vertices,
     path_lengths,
     attach: tuple[int, int],
-    rng: random.Random,
-) -> None:
-    """Attach one ear: close it into a cycle against the current tree
-    distance of the attach edge, pick anchors, flatten, and glue one of
-    the two flattenings (fair coin)."""
+) -> ClosedEar:
+    """Close one ear into a cycle whose chord is the current tree distance
+    of the attach edge, check its slack and chord, find its good endpoint
+    and anchor grid.  Leaves the state as it is."""
     u, v = attach
     path_vertices = list(path_vertices)
     path_lengths = [frac(w) for w in path_lengths]
@@ -254,18 +292,32 @@ def random_extension(
     if len_p == 0:
         raise ValueError("degenerate cycle of circumference zero")
     # The block's grid becomes 1/D, D = D1 * m, fine enough for every
-    # anchor candidate too; the tree's ticks grow by k.
+    # anchor candidate too; the tree's ticks will grow by k.
     m, grid = _anchor_grid(len_p + chord, chord)
-    k = tree.refine(D1 * m)
+    D = D1 * m
+    k = D // tree.D
     path_pos = {x: m * p for x, p in zip(path_vertices, accumulate([0, *ticks]))}
     circ = m * (len_p + chord)
-    cyc_pos = {x: p % circ for x, p in path_pos.items()}
-    cyc = Cycle(circ, cyc_pos)
-    dist_pos = cyc.dist_pos
-
+    cyc = Cycle(circ, {x: p % circ for x, p in path_pos.items()})
     # A flattened offset equal to a tree position on the F(u)-F(v) path
     # would glue an interior ear vertex onto an existing tree vertex.
-    glue_positions = {k * t for t in tree_pos}
+    glue_positions = frozenset(k * t for t in tree_pos)
+    return ClosedEar(
+        (u, v), (fu, fv), path_vertices, good, D, grid, path_pos, cyc, glue_positions
+    )
+
+
+def random_extension(state: EmbedState, ear: ClosedEar, rng: random.Random) -> None:
+    """Attach one closed ear: move the tree to the ear's grid, pick
+    anchors, flatten, and glue one of the two flattenings (fair coin).
+    The ear must have been closed on this tree, or on a copy of it."""
+    tree = state.tree
+    tree.refine(ear.D)
+    u, v = ear.attach
+    cyc, path_pos, path_vertices = ear.cycle, ear.path_pos, ear.path_vertices
+    cyc_pos = cyc.points
+    dist_pos = cyc.dist_pos
+    glue_positions = ear.glue_positions
     interior = path_vertices[1:-1]
     pu, pv = cyc_pos[u], cyc_pos[v]
 
@@ -280,47 +332,25 @@ def random_extension(
         return True
 
     p_pos, q_pos = anchor_points(
-        cyc, u, v, cyc_pos.values(), good, rng, grid,
+        cyc, u, v, cyc_pos.values(), ear.good, rng, ear.grid,
         path_pos=path_pos, extra_check=no_existing_collision,
     )
     branch = p_pos if rng.random() < 0.5 else q_pos
     flat = {x: dist_pos(branch, cyc_pos[x]) for x in path_vertices}
     order = sorted(path_vertices, key=lambda x: (flat[x], path_pos[x]))
     rank = {x: i for i, x in enumerate(order)}
+    fu, fv = ear.tree_ends
     ids = glue(tree, fu, fv, [flat[x] for x in order], rank[u], rank[v])
     for x in interior:
         state.mapping[x] = ids[rank[x]]
         state.embedded.add(x)
 
 
-def _embed_block(
-    g: MetricGraph,
-    build: OuterplanarBuild,
-    block: frozenset[int],
-    rng: random.Random,
-) -> tuple[MetricTree, dict[int, int]]:
-    """Embed one biconnected block (or bridge) of the slack graph, with
-    vertex set ``block``, from its ear build; tree ids are local and
-    relabelled by the caller.  Only ears draw from ``rng``."""
-    init_vs = build.initial_vertices
-    state = EmbedState(
-        tree=MetricTree.from_path(range(len(init_vs)), build.initial_lengths),
-        mapping={x: i for i, x in enumerate(init_vs)},
-        embedded=set(init_vs),
-        graph=g,
-        block=block,
-    )
-    for step in build.steps:
-        random_extension(
-            state, step.path_vertices, step.path_lengths, step.attach_edge, rng
-        )
-    return state.tree, state.mapping
-
-
 def embed_sampler(g: MetricGraph):
-    """Precompute the deterministic part of the embedding (slack transform
-    and its per-block ear builds) and return a seed -> TreeMap sampler;
-    use this when drawing many embeddings of the same graph.
+    """Precompute the deterministic part of the embedding (slack transform,
+    its per-block ear builds, and each block's first ear, closed on the
+    block's initial path) and return a seed -> TreeMap sampler; use this
+    when drawing many embeddings of the same graph.
 
     Each map's ``source`` is the slack graph h (lengths scaled by 1/160),
     on whose edges it is 1-Lipschitz and star-shaped.  As d_h <= d_g it
@@ -330,21 +360,45 @@ def embed_sampler(g: MetricGraph):
     # slack_transform reduces g and raises NotOuterplanar; it is the one
     # outerplanarity test of the build.
     h, builds = slack_transform(g, DEFAULT_CONFIG.slack_alpha)
-    blocks = [
-        (b, frozenset(b.initial_vertices).union(*[st.path_vertices for st in b.steps]))
-        for b in builds
-    ]
-    # A block without ears (a bridge, say) draws nothing: embed it once.
-    fixed = {i: _embed_block(h, b, block, None)
-             for i, (b, block) in enumerate(blocks) if not b.steps}
+    # Each block starts from its initial path, the same tree on every
+    # sample: its first ear is closed against it once, here.  A block
+    # without ears (a bridge, say) draws nothing and is embedded here.
+    starts = []
+    for b in builds:
+        init_vs = b.initial_vertices
+        state = EmbedState(
+            tree=MetricTree.from_path(range(len(init_vs)), b.initial_lengths),
+            mapping={x: i for i, x in enumerate(init_vs)},
+            embedded=set(init_vs),
+            graph=h,
+            block=frozenset(init_vs).union(*[st.path_vertices for st in b.steps]),
+        )
+        first = None
+        if b.steps:
+            st = b.steps[0]
+            first = _close_ear(state, st.path_vertices, st.path_lengths, st.attach_edge)
+        starts.append((state, first, b.steps[1:]))
+    draws = any(first is not None for _, first, _ in starts)
 
     def sample(seed: int) -> TreeMap:
-        rng = random.Random(f"embed:{seed}")
+        rng = random.Random(f"embed:{seed}") if draws else None
         final = MetricTree()
         mapping: dict[int, int] = {}
         next_global = 0
-        for i, (block_build, block) in enumerate(blocks):
-            bt, bmap = fixed.get(i) or _embed_block(h, block_build, block, rng)
+        for start, first, rest in starts:
+            state = start
+            if first is not None:
+                state = replace(
+                    start,
+                    tree=start.tree.copy(),
+                    mapping=dict(start.mapping),
+                    embedded=set(start.embedded),
+                )
+                random_extension(state, first, rng)
+                for st in rest:
+                    ear = _close_ear(state, st.path_vertices, st.path_lengths, st.attach_edge)
+                    random_extension(state, ear, rng)
+            bt, bmap = state.tree, state.mapping
             # Blocks meet the earlier ones in exactly one cut vertex.
             shared = [x for x in bmap if x in mapping]
             relabel: dict[int, int] = {}

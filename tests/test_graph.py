@@ -575,6 +575,40 @@ class TestSlackOnePassMatchesReference:
         assert calls[-1] is h
 
 
+    @pytest.mark.parametrize(
+        "g, alpha, rounds",
+        [
+            (slack_cycle(8), 160, 1),
+            (cycle_instance(3), 160, 2),
+            (random_outerplanar(6, 189)[0], 5, 3),
+        ],
+        ids=["slack-cycle", "triangle-loses-one-edge", "two-deleting-rounds"],
+    )
+    def test_one_distance_matrix(self, monkeypatch, g, alpha, rounds):
+        # Only the input is reduced: a deleting round keeps every length.
+        g = MetricGraph(g.n, g.edges)  # no shared matrix from earlier tests
+        calls = []
+        apd = graph.all_pairs_distances
+
+        def counted(h):
+            calls.append(h)
+            return apd(h)
+
+        monkeypatch.setattr(graph, "all_pairs_distances", counted)
+        h, _ = slack_transform(g, alpha)
+        assert calls == [g]
+        assert is_reduced(h)
+        assert (len(h.edges) < len(g.edges)) == (rounds > 1)
+
+    def test_empty_graph(self):
+        # The 0-vertex graph is outerplanar, and its transform has no
+        # blocks.
+        g = MetricGraph(0, ())
+        assert is_outerplanar(g)
+        h, builds = slack_transform(g, 160)
+        assert (h.n, h.edges, builds) == (0, (), [])
+
+
 class TestCycleGeometry:
     def test_make_cycle_circumference(self):
         c = make_cycle([0, 1], [Fraction(10)], Fraction(2))

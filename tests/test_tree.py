@@ -596,6 +596,23 @@ class TestIndexMatchesWalk:
             mutate(t, rng)
             assert_queries_match_walk(t, rng)
 
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=50, deadline=None)
+    def test_copies_are_independent(self, rng):
+        # A copy has the same grid and adjacency order and shares the
+        # index; a change to either tree leaves the other as it was.
+        t = random_forest(rng, rng.randrange(1, 13), parts=rng.choice([1, 2]))
+        v = t.vertices()[0]
+        t.dist(v, v)
+        c = t.copy()
+        assert (c.D, adj_lists(c)) == (t.D, adj_lists(t))
+        for changed, other in ((c, t), (t, c)):
+            kept = (other.D, adj_lists(other))
+            mutate(changed, rng)
+            assert (other.D, adj_lists(other)) == kept
+            assert_queries_match_walk(changed, rng)
+            assert_queries_match_walk(other, rng)
+
     def test_every_mutator_drops_the_index(self):
         t = MetricTree.from_path([0, 1, 2], [Fraction(1), Fraction(2)])
         steps = [

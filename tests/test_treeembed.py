@@ -33,6 +33,7 @@ from faceflow import treeembed
 from faceflow.tree import MetricTree, TreeMap
 from faceflow.treeembed import (
     EmbedState,
+    _close_ear,
     anchor_points,
     embed_outerplanar,
     embed_sampler,
@@ -554,14 +555,59 @@ def reference_embed_block(
     return tick_tree(state.tree), state.mapping
 
 
-def draws(g, seeds):
+def reference_embed_sampler(g: MetricGraph):
+    """The sampler that embedded every block per sample, through
+    ``reference_embed_block`` here, and built an rng for every sample.
+    Kept verbatim apart from the reference's names; it reads the slack
+    transform through ``treeembed`` so a patched one applies to both."""
+    if len(g.components()) != 1:
+        raise ValueError("embedding expects a connected graph")
+    h, builds = treeembed.slack_transform(g, treeembed.DEFAULT_CONFIG.slack_alpha)
+    blocks = [
+        (b, frozenset(b.initial_vertices).union(*[st.path_vertices for st in b.steps]))
+        for b in builds
+    ]
+    fixed = {i: reference_embed_block(h, b, block, None)
+             for i, (b, block) in enumerate(blocks) if not b.steps}
+
+    def sample(seed: int) -> TreeMap:
+        rng = random.Random(f"embed:{seed}")
+        final = MetricTree()
+        mapping: dict[int, int] = {}
+        next_global = 0
+        for i, (block_build, block) in enumerate(blocks):
+            bt, bmap = fixed.get(i) or reference_embed_block(h, block_build, block, rng)
+            shared = [x for x in bmap if x in mapping]
+            relabel: dict[int, int] = {}
+            if shared:
+                c = shared[0]
+                relabel[bmap[c]] = mapping[c]
+            for t_v in bt.vertices():
+                if t_v not in relabel:
+                    relabel[t_v] = next_global
+                    next_global += 1
+            final.graft(bt, relabel)
+            for x, t_v in bmap.items():
+                mapping[x] = relabel[t_v]
+        root_vertex = min(mapping)
+        return TreeMap(final, mapping, h, root=mapping[root_vertex])
+
+    return sample
+
+
+def draws(g, seeds, sampler=embed_sampler):
     """Root, mapping and tree adjacency, in their order, of the maps that
-    ``embed_sampler(g)`` draws at the given seeds."""
-    samp = embed_sampler(g)
+    ``sampler(g)`` draws at the given seeds."""
+    samp = sampler(g)
     return [
         (tm.root, list(tm.mapping.items()), adj_lists(tm.tree))
         for tm in map(samp, seeds)
     ]
+
+
+def extend(state, path_vertices, path_lengths, attach, rng):
+    """One ear step as the sampler takes it: close the ear, then draw."""
+    random_extension(state, _close_ear(state, path_vertices, path_lengths, attach), rng)
 
 
 def two_vertex_state():
@@ -583,9 +629,7 @@ class TestRandomExtension:
     @pytest.mark.parametrize("seed", range(20))
     def test_long_ear_both_outcomes_lipschitz(self, seed):
         state = two_vertex_state()
-        random_extension(
-            state, [0, 2, 1], [F(80), F(80)], (0, 1), random.Random(seed)
-        )
+        extend(state, [0, 2, 1], [F(80), F(80)], (0, 1), random.Random(seed))
         tm = TreeMap(state.tree, state.mapping, state.graph, root=0)
         assert tm.is_lipschitz()
         assert 2 in state.embedded
@@ -594,9 +638,7 @@ class TestRandomExtension:
     def test_existing_distances_unchanged(self, seed):
         state = two_vertex_state()
         before = state.tree.dist(0, 1)
-        random_extension(
-            state, [0, 2, 1], [F(80), F(80)], (0, 1), random.Random(seed)
-        )
+        extend(state, [0, 2, 1], [F(80), F(80)], (0, 1), random.Random(seed))
         tree = state.tree
         assert tree.dist(state.mapping[0], state.mapping[1]) == before
 
@@ -609,9 +651,7 @@ class TestRandomExtension:
             graph=g,
             block=frozenset({0, 1, 2}),
             )
-        random_extension(
-            state, [0, 2, 1], [F(1), F(1)], (0, 1), random.Random(4)
-        )
+        extend(state, [0, 2, 1], [F(1), F(1)], (0, 1), random.Random(4))
         tm = TreeMap(state.tree, state.mapping, g, root=0)
         assert tm.is_lipschitz()
         assert tm.tree.dist(state.mapping[0], state.mapping[1]) == 0
@@ -619,9 +659,10 @@ class TestRandomExtension:
 
 class TestRandomExtensionErrors:
     """Each check of the ear step raises the reference's error, message
-    included.  A case is the attach edge (0, 1)'s graph length, the tree
-    path lengths between F(0) and F(1) (none: one tree vertex), the ear
-    path and its lengths, and the error."""
+    included, when the ear is closed, before any draw.  A case is the
+    attach edge (0, 1)'s graph length, the tree path lengths between F(0)
+    and F(1) (none: one tree vertex), the ear path and its lengths, and
+    the error."""
 
     CASES = {
         "slack": (F(1), [F(1)], [0, 2, 1], [F(1), F(1)], SlackViolation),
@@ -648,8 +689,11 @@ class TestRandomExtensionErrors:
 
         with pytest.raises(error) as want:
             run(reference_random_extension, ReferenceTree.from_path(vs, tree_lens))
+        def close(state, path, ear_lens, attach, rng):
+            _close_ear(state, path, ear_lens, attach)
+
         with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
-            run(random_extension, MetricTree.from_path(vs, tree_lens))
+            run(close, MetricTree.from_path(vs, tree_lens))
 
 
 class TestEmbedOuterplanar:
@@ -681,6 +725,11 @@ class TestEmbedOuterplanar:
         g = MetricGraph(3, ((0, 1, F(1)),))
         with pytest.raises(ValueError):
             embed_outerplanar(g, 0)
+
+    def test_rejects_empty(self):
+        # The empty graph is outerplanar but has no component to embed.
+        with pytest.raises(ValueError, match="^embedding expects a connected graph$"):
+            embed_sampler(MetricGraph(0, ()))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_invariants_slack_cycle(self, seed):
@@ -898,9 +947,19 @@ class TestSamplerBuild:
         assert calls == [g.n + 1]
 
 
+def anchor_check_outcome(check, *args):
+    """None if the anchor check passes, else its error's message."""
+    try:
+        check(*args)
+    except InvariantViolation as e:
+        return str(e)
+    return None
+
+
 class TestEmbedReference:
-    """The tick-tree embedding draws exactly the maps of the Fraction-tree
-    reference: the same root, mapping and tree, down to adjacency order."""
+    """The sampler draws exactly the maps of the reference sampler, which
+    embeds every block per sample on the Fraction-tree reference: the
+    same root, mapping and tree, down to adjacency order."""
 
     GRAPHS = [
         *[(f"slack{n}", slack_cycle(n)) for n in (5, 6, 7, 8, 10, 12, 16)],
@@ -914,24 +973,62 @@ class TestEmbedReference:
             (5, 6, F(1)), (6, 7, F(1)), (5, 7, F(1, 128)),
         ]))),
     ]
+    SEEDS = range(200)
 
     @pytest.mark.parametrize("g", [g for _, g in GRAPHS], ids=[n for n, _ in GRAPHS])
-    def test_byte_identical_draws(self, g, monkeypatch):
-        seeds = range(40)
-        got = draws(g, seeds)
-        monkeypatch.setattr(treeembed, "_embed_block", reference_embed_block)
-        assert draws(g, seeds) == got
+    def test_byte_identical_draws(self, g):
+        assert draws(g, self.SEEDS) == draws(g, self.SEEDS, reference_embed_sampler)
+
+    @pytest.mark.parametrize("g", [g for _, g in GRAPHS], ids=[n for n, _ in GRAPHS])
+    def test_anchor_conditions_match_reference(self, g, monkeypatch):
+        # Every anchor pair the draws produce, and pairs moved off it
+        # along the cycle (both anchors, or q alone) or read from the
+        # other endpoint, pass or fail both checks alike, with the same
+        # message.
+        calls = []
+        check = treeembed._assert_anchor_conditions
+
+        def recording(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(treeembed, "_assert_anchor_conditions", recording)
+        draws(g, self.SEEDS)
+        ears = sum(len(b.steps) for b in slack_transform(g, DEFAULT_CONFIG.slack_alpha)[1])
+        assert len(calls) == ears * len(self.SEEDS)
+        seen = set()
+        for c, u, v, base, p, q, path_pos in calls:
+            circ = c.circumference
+            ref_c = Cycle(F(circ), c.points)
+            path_len = circ - c.dist(u, v)
+            for b in (base, u if base == v else v):
+                for shift in (0, 1, circ // 16, circ // 8, circ // 4, circ // 2):
+                    q_shifted = (q + shift) % circ
+                    for a1, a2 in (((p + shift) % circ, q_shifted), (p, q_shifted)):
+                        got = anchor_check_outcome(check, c, u, v, b, a1, a2, path_pos)
+                        want = anchor_check_outcome(
+                            reference_assert_anchor_conditions,
+                            ref_c, u, v, b, a1, a2, path_pos, path_len,
+                        )
+                        assert got == want
+                        seen.add(got)
+        # Every outcome of the check is reached: a pass and each message.
+        assert len(seen) == (5 if calls else 0)
 
 
 class TestOneAnchorGrid:
-    """The anchor grid is computed once per ear."""
+    """The anchor grid is computed once per ear closed: a block's first
+    ear once, when the sampler is built, and each later ear once per
+    sample."""
 
     @pytest.mark.parametrize(
-        "g,ears", [(slack_cycle(8), 1), (two_ear_block(), 2)], ids=["slack8", "two-ear"]
+        "g,ears,grids", [(slack_cycle(8), 1, 1), (two_ear_block(), 2, 1 + 3)],
+        ids=["slack8", "two-ear"],
     )
-    def test_anchor_grid_calls(self, g, ears, monkeypatch):
+    def test_anchor_grid_calls(self, g, ears, grids, monkeypatch):
         _, builds = slack_transform(reduce_lengths(g), DEFAULT_CONFIG.slack_alpha)
         assert sum(len(b.steps) for b in builds) == ears
+        assert [len(b.steps) for b in builds if b.steps] == [ears]
         anchor_grid = treeembed._anchor_grid
         calls = []
 
@@ -943,4 +1040,42 @@ class TestOneAnchorGrid:
         samp = embed_sampler(g)
         for seed in range(3):
             samp(seed)
-        assert len(calls) == 3 * ears
+        assert len(calls) == grids
+
+    def test_earless_graph_draws_nothing(self, monkeypatch):
+        # random_outerplanar(8, 0) collapses to a tree under the slack
+        # transform: its samples build no rng, and draw the reference's
+        # trees all the same.
+        g = random_outerplanar(8, 0)[0]
+        _, builds = slack_transform(g, DEFAULT_CONFIG.slack_alpha)
+        assert not any(b.steps for b in builds)
+        seeds = range(20)
+        want = draws(g, seeds, reference_embed_sampler)
+        samp = embed_sampler(g)
+        made = []
+        rng_class = random.Random
+
+        def counting(*args):
+            made.append(args)
+            return rng_class(*args)
+
+        monkeypatch.setattr(treeembed.random, "Random", counting)
+        got = [
+            (tm.root, list(tm.mapping.items()), adj_lists(tm.tree))
+            for tm in map(samp, seeds)
+        ]
+        assert made == []
+        assert got == want
+
+    def test_first_ear_error_at_build(self, monkeypatch):
+        # The unit triangle's build at alpha 1, unscaled: its one ear (2)
+        # is short of 160 times its attach edge (1).  The sampler raises
+        # when it is built; the reference raised on its first sample.
+        monkeypatch.setattr(
+            treeembed, "slack_transform", lambda g, alpha: slack_transform(g, 1)
+        )
+        g = cycle_instance(3)
+        with pytest.raises(SlackViolation) as want:
+            reference_embed_sampler(g)(0)
+        with pytest.raises(SlackViolation, match=f"^{re.escape(str(want.value))}$"):
+            embed_sampler(g)
