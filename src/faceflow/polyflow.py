@@ -198,13 +198,10 @@ def rho_hat(caps: PolymatroidCaps, v: int, ell_v: dict) -> Fraction:
 # -- cut capacity -------------------------------------------------------
 
 
-def nu(
-    s_edges,
-    caps: PolymatroidCaps,
-    limit: int = 20,
-) -> tuple[Fraction, dict[Edge, int]]:
+def nu(s_edges, caps: PolymatroidCaps) -> tuple[Fraction, dict[Edge, int]]:
     """Exact minimum of sum_v rho_v(g^-1(v)) over all assignments of each
-    cut edge to one of its endpoints.
+    cut edge to one of its endpoints, for at most
+    ``DEFAULT_CONFIG.nu_brute_limit`` cut edges (``TooLarge`` beyond).
 
     Depth-first over the assignments in the order of
     ``itertools.product((0, 1), ...)``, bit 0 sending an edge to its
@@ -215,6 +212,7 @@ def nu(
     the assignment are those of full enumeration, and among tied minima
     the lexicographically first assignment is returned."""
     edges = [norm_edge(*e) for e in s_edges]
+    limit = DEFAULT_CONFIG.nu_brute_limit
     if len(edges) > limit:
         raise TooLarge(f"{len(edges)} edges exceeds exact limit {limit}")
     if not edges:
@@ -326,7 +324,6 @@ def brute_sparsest_vertex_cut(
         raise TooLarge(f"n = {g.n} too large for 2^n enumeration")
     best = None
     best_s = None
-    found_separable = False
     # The empty set comes first: a disconnected demand pair gives 0.
     for mask in range(1 << g.n):
         s = frozenset(v for v in range(g.n) if mask >> v & 1)
@@ -337,12 +334,11 @@ def brute_sparsest_vertex_cut(
         )
         if denom == 0:
             continue
-        found_separable = True
         val = sum((frac(cap[v]) for v in s), Fraction(0)) / denom
         if best is None or val < best:
             best = val
             best_s = s
-    if not found_separable:
+    if best is None:
         raise NoSeparatedDemand("no vertex set separates any demand")
     return best_s, best
 

@@ -244,7 +244,7 @@ class CutMemo:
         and so which tied minimum is kept.  The assignment is shared:
         copy it before handing it out."""
         if key not in self._nu:
-            self._nu[key] = nu(cut, self.caps, limit=DEFAULT_CONFIG.nu_brute_limit)
+            self._nu[key] = nu(cut, self.caps)
         return self._nu[key]
 
 

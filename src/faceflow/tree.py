@@ -78,9 +78,10 @@ class MetricTree:
     ``path_union``, ``edge_cuts``) read a rooted index, built on the
     first of them (``_rooted_index``): the u-v path climbs from u and v to
     their lowest common ancestor, and d(u, v) is
-    tdep(u) + tdep(v) - 2 tdep(lca) ticks.  Every mutator (``add_vertex``,
-    ``add_ticks``, ``refine``, ``graft``, and ``glue``) drops the index;
-    code that edits ``adj`` directly must set ``_index`` to None."""
+    tdep(u) + tdep(v) - 2 tdep(lca) ticks.  ``refine`` keeps the index
+    with its tick depths scaled, as a new tuple; every other mutator
+    (``add_vertex``, ``add_ticks``, ``graft``, and ``glue``) drops it.
+    Code that edits ``adj`` directly must set ``_index`` to None."""
 
     def __init__(self, D: int = 1):
         self.adj: dict[int, dict[int, int]] = {}
@@ -117,14 +118,18 @@ class MetricTree:
 
     def refine(self, m: int) -> int:
         """Move to the grid 1/lcm(D, m), scaling every length in place;
-        return the factor by which tick counts grew."""
+        return the factor by which tick counts grew.  Only the tick depths
+        of the index change; they are scaled into a new list, since copies
+        share the index."""
         k = math.lcm(self.D, m) // self.D
         if k != 1:
             for nbrs in self.adj.values():
                 for y in nbrs:
                     nbrs[y] *= k
             self.D *= k
-            self._index = None
+            if self._index is not None:
+                at, order, par, dep, tdep, last = self._index
+                self._index = (at, order, par, dep, [t * k for t in tdep], last)
         return k
 
     def graft(self, other: "MetricTree", ids: dict[int, int]) -> None:
@@ -366,9 +371,6 @@ class TreeMap:
     mapping: dict[int, int]
     source: MetricGraph
     root: int = 0
-
-    def image(self, v: int) -> int:
-        return self.mapping[v]
 
     def with_source(self, g: MetricGraph) -> "TreeMap":
         """The same map with its checks read over the edges of ``g``, e.g.

@@ -6,10 +6,12 @@ its attach edge, two anchor points are chosen on the cycle, and the
 flattened cycle is glued onto the tree along one of the two anchors with
 probability 1/2 each.
 
-Each ear step is two calls: ``_close_ear`` does the deterministic part
-(the chord, the slack and chord checks, the good endpoint, the anchor grid
-and the cycle positions) and ``random_extension`` the draw (anchors, coin,
-flattening and glue).  A block's first ear always closes against the same
+A block's state (``EmbedState``) is its tree and the map of its embedded
+vertices into it.  Each ear step is two calls: ``_close_ear`` takes the
+ear's ``BuildStep`` and does the deterministic part (the chord, the slack
+and chord checks, the good endpoint, the anchor grid and the cycle
+positions) and ``random_extension`` the draw (anchors, coin, flattening
+and glue).  A block's first ear always closes against the same
 tree, its initial path, so ``embed_sampler`` closes it once, when it is
 built, and each sample starts that block from a copy of the initial tree;
 a first ear's ``SlackViolation`` or ``ChordTooLong`` is raised there.
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -41,9 +43,9 @@ from .errors import (
     SlackViolation,
 )
 from .graph import (
+    BuildStep,
     Cycle,
     MetricGraph,
-    frac,
     norm_edge,
     slack_transform,
 )
@@ -200,13 +202,12 @@ def _assert_anchor_conditions(c, u, v, base, p_pos, q_pos, path_pos):
 
 @dataclass
 class EmbedState:
-    """Partial embedding of one biconnected block."""
+    """Partial embedding of one biconnected block: its tree, and the map
+    of its embedded vertices into it."""
 
     tree: MetricTree
-    mapping: dict[int, int]            # graph vertex -> tree vertex
-    embedded: set[int]
+    mapping: dict[int, int]            # embedded graph vertex -> tree vertex
     graph: MetricGraph                 # full graph (neighbor structure)
-    block: frozenset[int]
 
 
 def _is_good(state: EmbedState, x: int, y: int) -> bool:
@@ -215,7 +216,7 @@ def _is_good(state: EmbedState, x: int, y: int) -> bool:
     fx = state.mapping[x]
     p_xy = set(state.tree.path(fx, state.mapping[y]))
     for w in state.graph.neighbors(x):
-        if w == y or w not in state.embedded or w not in state.block:
+        if w == y or w not in state.mapping:
             continue
         p_xw = set(state.tree.path(fx, state.mapping[w]))
         if not (p_xw <= p_xy or (p_xw & p_xy) == {fx}):
@@ -231,7 +232,7 @@ class ClosedEar:
 
     attach: tuple[int, int]            # (u, v), the ear runs from u to v
     tree_ends: tuple[int, int]         # (F(u), F(v))
-    path_vertices: list[int]
+    path_vertices: tuple[int, ...]
     good: int
     D: int
     grid: tuple[int, int, int]         # (p0, q0, step) of _anchor_grid
@@ -240,21 +241,13 @@ class ClosedEar:
     glue_positions: frozenset[int]     # ticks of the F(u)-F(v) tree path
 
 
-def _close_ear(
-    state: EmbedState,
-    path_vertices,
-    path_lengths,
-    attach: tuple[int, int],
-) -> ClosedEar:
+def _close_ear(state: EmbedState, step: BuildStep) -> ClosedEar:
     """Close one ear into a cycle whose chord is the current tree distance
     of the attach edge, check its slack and chord, find its good endpoint
-    and anchor grid.  Leaves the state as it is."""
-    u, v = attach
-    path_vertices = list(path_vertices)
-    path_lengths = [frac(w) for w in path_lengths]
-    if path_vertices[0] == v and path_vertices[-1] == u:
-        path_vertices.reverse()
-        path_lengths.reverse()
+    and anchor grid.  The ear's path runs from ``attach_edge[0]`` to
+    ``attach_edge[1]``.  Leaves the state as it is."""
+    u, v = step.attach_edge
+    path_vertices, path_lengths = step.path_vertices, step.path_lengths
     if path_vertices[0] != u or path_vertices[-1] != v:
         raise ValueError("ear endpoints do not match the attach edge")
     fu, fv = state.mapping[u], state.mapping[v]
@@ -343,7 +336,6 @@ def random_extension(state: EmbedState, ear: ClosedEar, rng: random.Random) -> N
     ids = glue(tree, fu, fv, [flat[x] for x in order], rank[u], rank[v])
     for x in interior:
         state.mapping[x] = ids[rank[x]]
-        state.embedded.add(x)
 
 
 def embed_sampler(g: MetricGraph):
@@ -369,14 +361,9 @@ def embed_sampler(g: MetricGraph):
         state = EmbedState(
             tree=MetricTree.from_path(range(len(init_vs)), b.initial_lengths),
             mapping={x: i for i, x in enumerate(init_vs)},
-            embedded=set(init_vs),
             graph=h,
-            block=frozenset(init_vs).union(*[st.path_vertices for st in b.steps]),
         )
-        first = None
-        if b.steps:
-            st = b.steps[0]
-            first = _close_ear(state, st.path_vertices, st.path_lengths, st.attach_edge)
+        first = _close_ear(state, b.steps[0]) if b.steps else None
         starts.append((state, first, b.steps[1:]))
     draws = any(first is not None for _, first, _ in starts)
 
@@ -388,16 +375,10 @@ def embed_sampler(g: MetricGraph):
         for start, first, rest in starts:
             state = start
             if first is not None:
-                state = replace(
-                    start,
-                    tree=start.tree.copy(),
-                    mapping=dict(start.mapping),
-                    embedded=set(start.embedded),
-                )
+                state = EmbedState(start.tree.copy(), dict(start.mapping), h)
                 random_extension(state, first, rng)
                 for st in rest:
-                    ear = _close_ear(state, st.path_vertices, st.path_lengths, st.attach_edge)
-                    random_extension(state, ear, rng)
+                    random_extension(state, _close_ear(state, st), rng)
             bt, bmap = state.tree, state.mapping
             # Blocks meet the earlier ones in exactly one cut vertex.
             shared = [x for x in bmap if x in mapping]

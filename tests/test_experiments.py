@@ -268,7 +268,7 @@ def reference_round_thin(g, tm, ell, caps, dem):
         if sep == 0:
             continue
         if len(cut) <= DEFAULT_CONFIG.nu_brute_limit:
-            val, assign = nu(cut, caps, limit=DEFAULT_CONFIG.nu_brute_limit)
+            val, assign = nu(cut, caps)
             exact = True
         else:
             # lambda-sweep heuristic: the rule changes only where

@@ -593,6 +593,13 @@ class TestNu:
         val, assign = nu([(0, 1), (0, 2)], caps)
         assert assignment_value(assign, caps) == val
 
+    def test_limit_is_the_config_limit(self):
+        # 16 edges of a star are solved; 17 exceed nu_brute_limit.
+        caps = unit_caps(18)
+        assert nu([(0, v) for v in range(1, 17)], caps)[0] == 1
+        with pytest.raises(TooLarge, match="^17 edges exceeds exact limit 16$"):
+            nu([(0, v) for v in range(1, 18)], caps)
+
 
 def separates(g, s_edges, u, v):
     """The demand a cut separates of one unit demand between u and v."""

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import slack_cycle
 from faceflow.errors import LengthMismatch
 from faceflow.graph import MetricGraph, frac
 from faceflow.thinround import _tree_edge_cuts
-from faceflow.tree import MetricTree, TreeMap, glue
+from faceflow import tree as tree_module
+from faceflow.tree import MetricTree, TreeMap, _rooted_index, glue
+from faceflow.treeembed import embed_sampler
 
 
 def build_random_tree(n, seed, den=2):
@@ -614,6 +617,8 @@ class TestIndexMatchesWalk:
             assert_queries_match_walk(other, rng)
 
     def test_every_mutator_drops_the_index(self):
+        # refine keeps the index with its tick depths scaled; the queries
+        # after it must match the walk all the same.
         t = MetricTree.from_path([0, 1, 2], [Fraction(1), Fraction(2)])
         steps = [
             lambda: t.add_vertex(7),
@@ -627,6 +632,52 @@ class TestIndexMatchesWalk:
             assert t.dist(0, 2) == 3
             step()
             assert_queries_match_walk(t, random.Random(0))
+
+
+class TestRefineKeepsIndex:
+    """``refine`` scales the tick depths of the rooted index into a new
+    tuple instead of dropping it, and leaves every copy's index alone."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_scaled_index_is_the_rebuilt_one(self, seed):
+        t = build_random_tree(9, seed)
+        t.dist(0, 8)
+        before = t._index
+        kept = [list(part) for part in before[1:]]
+        c = t.copy()
+        assert c.refine(6) == 3
+        assert c._index == _rooted_index(c.adj)
+        assert t._index is before and [list(part) for part in before[1:]] == kept
+        assert t._index == _rooted_index(t.adj)
+
+    def test_sample_builds_one_index_fewer(self, monkeypatch):
+        # One slack_cycle(12) sample with refine as it is and with a refine
+        # that drops the index: the same draw, one build fewer.
+        sample = embed_sampler(slack_cycle(12))
+        real_index, real_refine = tree_module._rooted_index, MetricTree.refine
+
+        def builds(seed):
+            calls = []
+
+            def counting(adj):
+                calls.append(1)
+                return real_index(adj)
+
+            monkeypatch.setattr(tree_module, "_rooted_index", counting)
+            tm = sample(seed)
+            monkeypatch.setattr(tree_module, "_rooted_index", real_index)
+            return len(calls), adj_lists(tm.tree), tm.mapping
+
+        def dropping(self, m):
+            k = real_refine(self, m)
+            self._index = None
+            return k
+
+        kept = builds(0)
+        monkeypatch.setattr(MetricTree, "refine", dropping)
+        dropped = builds(0)
+        assert kept[1:] == dropped[1:]
+        assert kept[0] == dropped[0] - 1
 
 
 class TestPathErrors:

@@ -19,6 +19,7 @@ from faceflow.errors import (
     SlackViolation,
 )
 from faceflow.graph import (
+    BuildStep,
     Cycle,
     MetricGraph,
     OuterplanarBuild,
@@ -78,13 +79,16 @@ def check_good_vertex_exists(
 
 
 class FakeRng:
-    """random.Random stand-in with scripted randrange values."""
+    """random.Random stand-in with scripted randrange values; ``draws``
+    counts the randrange calls."""
 
     def __init__(self, values, coin=0.0):
         self.values = list(values)
         self.coin = coin
+        self.draws = 0
 
     def randrange(self, n):
+        self.draws += 1
         return self.values.pop(0) if self.values else 0
 
     def random(self):
@@ -427,7 +431,8 @@ def reference_random_extension(
     """Attach one ear: close it into a cycle against the current tree
     distance of the attach edge, pick anchors, flatten, and glue one of
     the two flattenings (fair coin).  The version that grew a Fraction
-    ``MetricTree``, kept verbatim apart from the reference helpers' names."""
+    ``MetricTree``, kept verbatim apart from the reference helpers' names
+    and the ``embedded`` set, which the mapping's keys replaced."""
     DEFAULT_CONFIG = treeembed.DEFAULT_CONFIG
     u, v = attach
     path_vertices = list(path_vertices)
@@ -519,17 +524,15 @@ def reference_random_extension(
     state.tree = new_tree
     for x in interior:
         state.mapping[x] = map2[t2_id[x]]
-        state.embedded.add(x)
 
 
 def reference_embed_block(
     g: MetricGraph,
     build: OuterplanarBuild,
-    block: frozenset[int],
     rng: random.Random,
 ) -> tuple[MetricTree, dict[int, int]]:
-    """Embed one biconnected block (or bridge) of the slack graph, with
-    vertex set ``block``, from its ear build; tree ids are local and
+    """Embed one biconnected block (or bridge) of the slack graph from
+    its ear build; tree ids are local and
     relabelled by the caller.  Only ears draw from ``rng``.  The
     version on a Fraction tree throughout, put on ticks at the end for
     the caller's ``graft``."""
@@ -541,13 +544,7 @@ def reference_embed_block(
         mapping[x] = i
     for i, w in enumerate(build.initial_lengths):
         tree.add_edge(mapping[init_vs[i]], mapping[init_vs[i + 1]], w)
-    state = EmbedState(
-        tree=tree,
-        mapping=mapping,
-        embedded=set(init_vs),
-        graph=g,
-        block=block,
-    )
+    state = EmbedState(tree=tree, mapping=mapping, graph=g)
     for step in build.steps:
         reference_random_extension(
             state, step.path_vertices, step.path_lengths, step.attach_edge, rng
@@ -563,20 +560,16 @@ def reference_embed_sampler(g: MetricGraph):
     if len(g.components()) != 1:
         raise ValueError("embedding expects a connected graph")
     h, builds = treeembed.slack_transform(g, treeembed.DEFAULT_CONFIG.slack_alpha)
-    blocks = [
-        (b, frozenset(b.initial_vertices).union(*[st.path_vertices for st in b.steps]))
-        for b in builds
-    ]
-    fixed = {i: reference_embed_block(h, b, block, None)
-             for i, (b, block) in enumerate(blocks) if not b.steps}
+    fixed = {i: reference_embed_block(h, b, None)
+             for i, b in enumerate(builds) if not b.steps}
 
     def sample(seed: int) -> TreeMap:
         rng = random.Random(f"embed:{seed}")
         final = MetricTree()
         mapping: dict[int, int] = {}
         next_global = 0
-        for i, (block_build, block) in enumerate(blocks):
-            bt, bmap = fixed.get(i) or reference_embed_block(h, block_build, block, rng)
+        for i, block_build in enumerate(builds):
+            bt, bmap = fixed.get(i) or reference_embed_block(h, block_build, rng)
             shared = [x for x in bmap if x in mapping]
             relabel: dict[int, int] = {}
             if shared:
@@ -607,7 +600,8 @@ def draws(g, seeds, sampler=embed_sampler):
 
 def extend(state, path_vertices, path_lengths, attach, rng):
     """One ear step as the sampler takes it: close the ear, then draw."""
-    random_extension(state, _close_ear(state, path_vertices, path_lengths, attach), rng)
+    step = BuildStep(tuple(path_vertices), tuple(path_lengths), attach)
+    random_extension(state, _close_ear(state, step), rng)
 
 
 def two_vertex_state():
@@ -616,13 +610,7 @@ def two_vertex_state():
         3, ((0, 1, F(1)), (0, 2, F(80)), (1, 2, F(80)))
     )
     tree = MetricTree.from_path([0, 1], [F(1)])
-    return EmbedState(
-        tree=tree,
-        mapping={0: 0, 1: 1},
-        embedded={0, 1},
-        graph=g,
-        block=frozenset({0, 1, 2}),
-    )
+    return EmbedState(tree=tree, mapping={0: 0, 1: 1}, graph=g)
 
 
 class TestRandomExtension:
@@ -632,7 +620,7 @@ class TestRandomExtension:
         extend(state, [0, 2, 1], [F(80), F(80)], (0, 1), random.Random(seed))
         tm = TreeMap(state.tree, state.mapping, state.graph, root=0)
         assert tm.is_lipschitz()
-        assert 2 in state.embedded
+        assert 2 in state.mapping
 
     @pytest.mark.parametrize("seed", range(20))
     def test_existing_distances_unchanged(self, seed):
@@ -645,12 +633,8 @@ class TestRandomExtension:
     def test_zero_chord_degenerate(self):
         g = MetricGraph(3, ((0, 1, F(0)), (0, 2, F(1)), (1, 2, F(1))))
         state = EmbedState(
-            tree=MetricTree.from_path([0], []),
-            mapping={0: 0, 1: 0},
-            embedded={0, 1},
-            graph=g,
-            block=frozenset({0, 1, 2}),
-            )
+            tree=MetricTree.from_path([0], []), mapping={0: 0, 1: 0}, graph=g
+        )
         extend(state, [0, 2, 1], [F(1), F(1)], (0, 1), random.Random(4))
         tm = TreeMap(state.tree, state.mapping, g, root=0)
         assert tm.is_lipschitz()
@@ -681,19 +665,119 @@ class TestRandomExtensionErrors:
         vs = list(range(len(tree_lens) + 1))  # tree ids; F(1) = vs[-1]
 
         def run(step, tree):
-            state = EmbedState(
-                tree=tree, mapping={0: 0, 1: vs[-1]}, embedded={0, 1},
-                graph=g, block=frozenset({0, 1, 2}),
-            )
+            state = EmbedState(tree=tree, mapping={0: 0, 1: vs[-1]}, graph=g)
             step(state, path, ear_lens, (0, 1), random.Random(0))
 
         with pytest.raises(error) as want:
             run(reference_random_extension, ReferenceTree.from_path(vs, tree_lens))
         def close(state, path, ear_lens, attach, rng):
-            _close_ear(state, path, ear_lens, attach)
+            _close_ear(state, BuildStep(tuple(path), tuple(ear_lens), attach))
 
         with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
             run(close, MetricTree.from_path(vs, tree_lens))
+
+
+class TestEarStepBranches:
+    """The ear step's safety branches that the draws above never reach,
+    each on a hand-built input, against the reference."""
+
+    def test_equidistant_forbidden_points_resample(self, monkeypatch):
+        # The worked example's first candidate p = 313/1200 has two
+        # forbidden points at distance 1/100: the sampler draws again and
+        # returns the second draw's anchors.
+        monkeypatch.setattr(
+            treeembed, "DEFAULT_CONFIG",
+            dataclasses.replace(DEFAULT_CONFIG, anchor_grid=54),
+        )
+        c = make_cycle([0, 1], [F(160, 161)], F(1, 161))
+        rngs = []
+
+        def make_rng():
+            rngs.append(FakeRng([26, 10]))
+            return rngs[-1]
+
+        forbidden = {F(313, 1200) - F(1, 100), F(313, 1200) + F(1, 100)}
+        got = anchors_both(c, 0, 1, forbidden, 1, make_rng)
+        assert [r.draws for r in rngs] == [2, 2]
+        assert got == anchors_both(c, 0, 1, set(), 1, lambda: FakeRng([10]))
+        assert got != anchors_both(c, 0, 1, set(), 1, lambda: FakeRng([26]))
+
+    def test_glue_collision_resamples(self):
+        # Tree path F(1) - 2 - F(0) of two halves, ear 1 -> 2 -> 0 of
+        # length 320.  Draw 1000 puts anchor p at distance P from vertex 1,
+        # and ear vertex 2 sits at 2P + 1/2: flattened from p it lands 1/2
+        # past F(1), on tree vertex 2.  The collision check rejects it, and
+        # the second draw glues vertex 2 onto a new tree vertex.
+        alpha = DEFAULT_CONFIG.anchor_alpha
+        delta = F(1, 320)
+        eta = delta + (alpha - delta) * F(1001, DEFAULT_CONFIG.anchor_grid + 1)
+        x = 2 * (F(1, 4) + 3 * alpha / 2 - eta) * 321 + F(1, 2)
+        assert x == F(1354753613, 7864440)
+        step = BuildStep((1, 2, 0), (x, 320 - x), (1, 0))
+        g = MetricGraph(3, ((0, 1, F(1)), (1, 2, x), (0, 2, 320 - x)))
+
+        def run(extend_with, tree):
+            state = EmbedState(tree=tree, mapping={0: 0, 1: 1}, graph=g)
+            rng = FakeRng([1000, 7])
+            extend_with(state, *dataclasses.astuple(step), rng)
+            return adj_lists(state.tree), state.mapping, rng.draws
+
+        lens = [F(1, 2), F(1, 2)]
+        got = run(extend, MetricTree.from_path([1, 2, 0], lens))
+        want = run(reference_random_extension, ReferenceTree.from_path([1, 2, 0], lens))
+        assert got == want
+        assert got[1] == {0: 0, 1: 1, 2: 3} and got[2] == 2
+        # The first candidate alone passes the distance check.
+        state = EmbedState(MetricTree.from_path([1, 2, 0], lens), {0: 0, 1: 1}, g)
+        ear = _close_ear(state, step)
+        rng = FakeRng([1000])
+        anchor_points(
+            ear.cycle, 1, 0, ear.cycle.points.values(), ear.good, rng, ear.grid,
+            path_pos=ear.path_pos,
+        )
+        assert rng.draws == 1
+
+    @staticmethod
+    def branched_state(tree_cls, branches):
+        """Attach edge (0, 1) on the tree path 0 - 1 - 2 - 3 of quarters,
+        F(0) = 0 and F(1) = 3, with the ear 0 -> 4 -> 1 of length 320 not
+        yet embedded.  Each (x, w, t) in ``branches`` embeds x's neighbour
+        w at a new leaf 10 + w hung off tree vertex t."""
+        edges = [(0, 1, F(1)), (0, 4, F(160)), (1, 4, F(160))]
+        edges += [(x, w, F(1)) for x, w, _ in branches]
+        tree = tree_cls.from_path([0, 1, 2, 3], [F(1, 4), F(1, 2), F(1, 4)])
+        mapping = {0: 0, 1: 3}
+        for _, w, t in branches:
+            tree.add_edge(t, 10 + w, F(1, 4))
+            mapping[w] = 10 + w
+        return EmbedState(tree=tree, mapping=mapping, graph=MetricGraph(6, tuple(edges)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_good_endpoint_is_v_alone(self, seed):
+        # Vertex 0's neighbour 2 leaves the F(0)-F(1) path at tree vertex
+        # 1, so 0 is not good and 1, the larger endpoint, is.
+        step = BuildStep((0, 4, 1), (F(160), F(160)), (0, 1))
+        state = self.branched_state(MetricTree, [(0, 2, 1)])
+        assert not treeembed._is_good(state, 0, 1) and treeembed._is_good(state, 1, 0)
+        assert _close_ear(state, step).good == 1
+        ref = self.branched_state(ReferenceTree, [(0, 2, 1)])
+        extend(state, *dataclasses.astuple(step), random.Random(seed))
+        reference_random_extension(ref, *dataclasses.astuple(step), random.Random(seed))
+        assert (adj_lists(state.tree), state.mapping) == (adj_lists(ref.tree), ref.mapping)
+
+    def test_no_good_endpoint(self):
+        # Both endpoints have a neighbour that leaves the path at an
+        # interior tree vertex.
+        step = BuildStep((0, 4, 1), (F(160), F(160)), (0, 1))
+        branches = [(0, 2, 1), (1, 3, 2)]
+        message = "^no good endpoint for attach edge \\(0,1\\)$"
+        with pytest.raises(InvariantViolation, match=message):
+            reference_random_extension(
+                self.branched_state(ReferenceTree, branches),
+                *dataclasses.astuple(step), random.Random(0),
+            )
+        with pytest.raises(InvariantViolation, match=message):
+            _close_ear(self.branched_state(MetricTree, branches), step)
 
 
 class TestEmbedOuterplanar:
