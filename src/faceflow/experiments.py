@@ -122,9 +122,7 @@ def gap_experiment(
         length, ell, mcf = mcf_dual_vertex(g, caps.vertex_caps, dem, endpoint_factor=1)
     else:
         # Dual lengths come from the vertex-capacity proxy rho_v(all).
-        cap_dict = {
-            v: caps.rho(v, caps.incident(v, g)) for v in range(g.n)
-        }
+        cap_dict = {v: caps.rho(v, g.incident(v)) for v in range(g.n)}
         mcf = mcf_polymatroid_lp(g, caps, dem).epsilon
         length, ell, _ = mcf_dual_vertex(g, cap_dict, dem, endpoint_factor=1)
 

@@ -83,7 +83,7 @@ class MetricGraph:
         mutate."""
         return self._adj
 
-    def _view(self, name: str, build):
+    def _view(self, name: str | tuple, build):
         views = self._views
         if name not in views:
             views[name] = build(self)
@@ -107,6 +107,10 @@ class MetricGraph:
 
     def neighbors(self, v: int) -> list[int]:
         return [x for (x, _) in self._adj[v]]
+
+    def incident(self, v: int) -> list[tuple[int, int]]:
+        """The edges at v, normalised, in ``edges`` order."""
+        return [(v, x) if v < x else (x, v) for (x, _) in self._adj[v]]
 
     def to_nx(self) -> nx.Graph:
         g = nx.Graph()
@@ -478,13 +482,10 @@ def ear_decomposition(
     lengths = g.edge_lengths()
     m = len(g.edges)
     # Bare path: initial path only, zero steps.
-    deg = {v: 0 for v in range(g.n)}
-    for (u, v, _) in g.edges:
-        deg[u] += 1
-        deg[v] += 1
+    adj = g.adjacency()
+    deg = {v: len(adj[v]) for v in range(g.n)}
     present = [v for v in range(g.n) if deg[v] > 0]
     if m == len(present) - 1 and all(deg[v] <= 2 for v in present):
-        adj = g.adjacency()
         ends = [v for v in present if deg[v] == 1]
         if len(ends) == 2 and len(g.components()) == g.n - len(present) + 1:
             vs = [min(ends)]

@@ -65,9 +65,6 @@ class PolymatroidCaps:
             return Fraction(0)
         return self.tables[v][s]
 
-    def incident(self, v: int, g: MetricGraph) -> list[Edge]:
-        return [(a, b) for (a, b, _) in g.edges if v in (a, b)]
-
     def validate_tables(self) -> None:
         """Exhaustive monotonicity/submodularity check of every table."""
         if self.tables is None:
@@ -282,13 +279,14 @@ def _components(
     return [find(x) for x in range(g.n)]
 
 
-def _separated(root: list[int], dem: DemandMatrix) -> Fraction:
-    """Demand whose endpoints lie in different components."""
-    return sum((w for (u, v, w) in dem.items() if root[u] != root[v]), Fraction(0))
+def _separated(root: list[int], pairs) -> Fraction:
+    """Demand of the ``DemandMatrix.items()`` pairs split across components."""
+    return sum((w for (u, v, w) in pairs if root[u] != root[v]), Fraction(0))
 
 
 def separated_demand(g: MetricGraph, s_edges, dem: DemandMatrix) -> Fraction:
-    return _separated(_components(g, cut_edges={norm_edge(*e) for e in s_edges}), dem)
+    cut = {norm_edge(*e) for e in s_edges}
+    return _separated(_components(g, cut_edges=cut), dem.items())
 
 
 def sparsity(
@@ -322,6 +320,7 @@ def brute_sparsest_vertex_cut(
 ) -> tuple[frozenset, Fraction]:
     if g.n > DEFAULT_CONFIG.vertex_cut_max_n:
         raise TooLarge(f"n = {g.n} too large for 2^n enumeration")
+    pairs = dem.items()
     best = None
     best_s = None
     # The empty set comes first: a disconnected demand pair gives 0.
@@ -329,7 +328,7 @@ def brute_sparsest_vertex_cut(
         s = frozenset(v for v in range(g.n) if mask >> v & 1)
         root = _components(g, cut_vertices=s)
         denom = sum(
-            (w * _half_credit(s, root, u, v) for (u, v, w) in dem.items()),
+            (w * _half_credit(s, root, u, v) for (u, v, w) in pairs),
             Fraction(0),
         )
         if denom == 0:
@@ -370,9 +369,8 @@ def _vertex_cover_cut(
     """min over the empty set and the vertex sets C touching an edge of
     cap(C) / sep(edges at C); the first C (in mask order) with the
     smallest ratio wins."""
-    touched = 0
-    for (a, b, _) in g.edges:
-        touched |= 1 << a | 1 << b
+    touched = sum(1 << v for v in range(g.n) if g.incident(v))
+    pairs = dem.items()
     best = None
     best_c = None
     for mask in range(1 << g.n):
@@ -380,7 +378,7 @@ def _vertex_cover_cut(
         if mask and not mask & touched:
             continue
         c = frozenset(v for v in range(g.n) if mask >> v & 1)
-        sep = _separated(_components(g, cut_vertices=c), dem)
+        sep = _separated(_components(g, cut_vertices=c), pairs)
         if sep == 0:
             continue
         val = sum((cap.get(v, Fraction(0)) for v in c), Fraction(0)) / sep
@@ -389,10 +387,7 @@ def _vertex_cover_cut(
             best_c = c
     if best is None:
         raise NoSeparatedDemand("no edge set separates any demand")
-    cut = frozenset(
-        (a, b) for (a, b, _) in g.edges if a in best_c or b in best_c
-    )
-    return cut, best
+    return frozenset(e for v in best_c for e in g.incident(v)), best
 
 
 def _table_cut(
@@ -402,7 +397,7 @@ def _table_cut(
     into a list indexed by a bitmask of v's incident edges and scaled by
     the common denominator, so the assignment sums are integer sums."""
     edges = [(a, b) for (a, b, _) in g.edges]
-    incident = {v: caps.incident(v, g) for v in range(g.n)}
+    incident = {v: g.incident(v) for v in range(g.n)}
     values = {
         v: [
             caps.rho(v, [e for i, e in enumerate(inc) if m >> i & 1])
@@ -417,12 +412,13 @@ def _table_cut(
         (a, b, 1 << incident[a].index((a, b)), 1 << incident[b].index((a, b)))
         for (a, b) in edges
     ]
+    pairs = dem.items()
     best = None
     best_s = None
     for mask in range(1 << len(edges)):
         picked = [i for i in range(len(edges)) if mask >> i & 1]
         s = frozenset(edges[i] for i in picked)
-        sep = _separated(_components(g, cut_edges=s), dem)
+        sep = _separated(_components(g, cut_edges=s), pairs)
         if sep == 0:
             continue
         low = _min_assignment([ends[i] for i in picked], table)
@@ -470,49 +466,42 @@ class FlowSolution:
 def _mcf_lp_rows(g: MetricGraph, dem: DemandMatrix, cap_rows):
     """Concurrent-flow LP: per-commodity conservation rows, then one '<='
     row per (edge set, rhs) in ``cap_rows`` bounding the total flow, over
-    all commodities and both directions, on the arcs of those edges."""
-    commodities = [(u, v, w) for (u, v, w) in dem.items()]
-    arcs = []
-    for (u, v, _) in g.edges:
-        arcs.append((u, v))
-        arcs.append((v, u))
+    all commodities and both directions, on the arcs of those edges.
+
+    Edge i = (a, b) of ``g.edges`` carries arc 2i, a -> b, and arc 2i + 1,
+    b -> a; commodity c's flow on arc j is variable c * 2m + j, and
+    epsilon is the last.  Rows are read off ``g.incident``: a vertex other
+    than the source has a conservation row iff it has an edge or is the
+    sink.  Flow coefficients are the ints 0 and +-1; epsilon's is -d."""
+    commodities = dem.items()
+    arcs = [arc for (u, v, _) in g.edges for arc in ((u, v), (v, u))]
+    arc_of = {arcs[j]: j for j in range(0, len(arcs), 2)}
     n_arc = len(arcs)
-    k = len(commodities)
-    nvar = k * n_arc + 1          # flows then epsilon (last)
-    eps_i = nvar - 1
-
-    def fvar(ci, ai):
-        return ci * n_arc + ai
-
+    nvar = len(commodities) * n_arc + 1
+    incident = [g.incident(v) for v in range(g.n)]
     rows = []
     for ci, (s, t, d) in enumerate(commodities):
-        for v in range(g.n):
-            if v == s:
+        base = ci * n_arc
+        for v, inc in enumerate(incident):
+            if v == s or not (inc or v == t):
                 continue
-            coeffs = [Fraction(0)] * nvar
-            touched = False
-            for ai, (a, b) in enumerate(arcs):
-                if b == v:
-                    coeffs[fvar(ci, ai)] += 1
-                    touched = True
-                if a == v:
-                    coeffs[fvar(ci, ai)] -= 1
-                    touched = True
+            coeffs = [0] * nvar
+            for e in inc:
+                # Arc j enters v and its reverse j ^ 1 leaves it: arc 2i
+                # runs into e[1], and base is even.
+                j = base + arc_of[e] + (v == e[0])
+                coeffs[j], coeffs[j ^ 1] = 1, -1
             if v == t:
-                coeffs[eps_i] = -d
-                touched = True
-            if touched:
-                rows.append((coeffs, "=", Fraction(0)))
-    arc_edges = [norm_edge(a, b) for (a, b) in arcs]
+                coeffs[-1] = -d
+            rows.append((coeffs, "=", Fraction(0)))
     for edge_set, rhs in cap_rows:
-        coeffs = [Fraction(0)] * nvar
-        for ci in range(k):
-            for ai, e in enumerate(arc_edges):
-                if e in edge_set:
-                    coeffs[fvar(ci, ai)] += 1
+        coeffs = [0] * nvar
+        for e in edge_set:
+            for j in range(arc_of[e], nvar - 1, n_arc):
+                coeffs[j] = coeffs[j + 1] = 1
         rows.append((coeffs, "<=", rhs))
     objective = [Fraction(0)] * nvar
-    objective[eps_i] = Fraction(1)
+    objective[-1] = Fraction(1)
     return objective, rows, commodities, arcs
 
 
@@ -536,16 +525,14 @@ def _solve_mcf(g: MetricGraph, dem: DemandMatrix, cap_rows) -> tuple[FlowSolutio
 
 
 def _vertex_cap_rows(g: MetricGraph, cap, endpoint_factor: int):
-    """Capacity rows of the vertex form, keyed by vertex: one (incident
-    edges, endpoint_factor * cap(w)) per vertex w with an edge, in vertex
-    order."""
+    """Capacity rows of the vertex form, keyed by vertex: one
+    (``g.incident(w)``, endpoint_factor * cap(w)) per vertex w with an
+    edge, in vertex order."""
     cap = {v: frac(c) for v, c in dict(cap).items()}
-    rows = {}
-    for w in range(g.n):
-        incident = {(a, b) for (a, b, _) in g.edges if w in (a, b)}
-        if incident:
-            rows[w] = (incident, endpoint_factor * cap.get(w, Fraction(0)))
-    return rows
+    return {
+        w: (g.incident(w), endpoint_factor * cap.get(w, Fraction(0)))
+        for w in range(g.n) if g.incident(w)
+    }
 
 
 def mcf_vertex_lp(
@@ -583,7 +570,7 @@ def mcf_dual_vertex(
     length = {(u, v): t[u] + t[v] for (u, v, _) in g.edges}
     if _demand_distance(g, length, dem) < 1:
         raise InvariantViolation("demand-weighted dual distance below 1")
-    ell = {w: {e: t[w] for e in length if w in e} for w in range(g.n)}
+    ell = {w: {e: t[w] for e in g.incident(w)} for w in range(g.n)}
     return length, AdaptedLengths(ell, length), sol.epsilon
 
 
@@ -628,9 +615,9 @@ def mcf_polymatroid_lp(
 
     def cap_rows():
         for w in range(g.n):
-            inc = caps.incident(w, g)
+            inc = g.incident(w)
             for r in range(1, len(inc) + 1):
                 for sub in itertools.combinations(inc, r):
-                    yield set(sub), caps.rho(w, sub)
+                    yield sub, caps.rho(w, sub)
 
     return _solve_mcf(g, dem, cap_rows())[0]

@@ -38,7 +38,7 @@ class Retraction:
     def check(self, g: MetricGraph) -> None:
         """Assert the three structural invariants; raises on failure."""
         ticks, unit = g.ticks()
-        to_target = _target_ticks(ticks, self.target)
+        to_target = _target_ticks(g, self.target)
         for x in self.target:
             if self.mapping[x] != x:
                 raise InvariantViolation(f"target vertex {x} not fixed")
@@ -101,9 +101,9 @@ def _absorption_sampler(g: MetricGraph, s):
     for comp in comps:
         if not comp & s:
             raise EmptyTarget(f"component {sorted(comp)[:5]}... contains no target vertex")
-    ticks, unit = g.ticks()
+    _, unit = g.ticks()
     # d(x, S) in ticks, for the prescale's gaps.
-    to_target = _target_ticks(ticks, s)
+    to_target = _target_ticks(g, s)
 
     # Prescale so d(S, V \ S) > 1 (zero-distance complements keep scale 1).
     gaps = [to_target[x] for x in range(g.n) if x not in s and to_target[x] > 0]
@@ -150,9 +150,13 @@ def _absorption_sampler(g: MetricGraph, s):
     return sample
 
 
-def _target_ticks(ticks: list[list], s) -> list:
-    """min over t in s of ticks[x][t], for every x."""
-    return [min(row[t] for t in s) for row in ticks]
+def _target_ticks(g: MetricGraph, s: frozenset) -> list:
+    """d(x, s) for every x, in the ticks of ``g.ticks()``: min over t in s
+    of ticks[x][t].  Built once per graph and target and shared with g's
+    other views; do not mutate."""
+    return g._view(
+        ("target_ticks", s), lambda g: [min(row[t] for t in s) for row in g.ticks()[0]]
+    )
 
 
 @dataclass(frozen=True)

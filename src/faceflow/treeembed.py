@@ -292,8 +292,9 @@ def _close_ear(state: EmbedState, step: BuildStep) -> ClosedEar:
     path_pos = {x: m * p for x, p in zip(path_vertices, accumulate([0, *ticks]))}
     circ = m * (len_p + chord)
     cyc = Cycle(circ, {x: p % circ for x, p in path_pos.items()})
-    # A flattened offset equal to a tree position on the F(u)-F(v) path
-    # would glue an interior ear vertex onto an existing tree vertex.
+    # An interior ear vertex whose flattened distance from u (``glue``
+    # places it at |offset|, on either side) equals a tree position on the
+    # F(u)-F(v) path would be glued onto an existing tree vertex.
     glue_positions = frozenset(k * t for t in tree_pos)
     return ClosedEar(
         (u, v), (fu, fv), path_vertices, good, D, grid, path_pos, cyc, glue_positions
@@ -320,7 +321,7 @@ def random_extension(state: EmbedState, ear: ClosedEar, rng: random.Random) -> N
             lo, hi = sorted((fu_b, dist_pos(b, pv)))
             for x in interior:
                 fp = dist_pos(b, cyc_pos[x])
-                if lo <= fp <= hi and fp - fu_b in glue_positions:
+                if lo <= fp <= hi and abs(fp - fu_b) in glue_positions:
                     return False
         return True
 

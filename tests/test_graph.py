@@ -95,6 +95,24 @@ class TestMetricGraph:
         g = MetricGraph(2, ((0, 1, Fraction(0)),))
         assert all_pairs_distances(g)[0][1] == 0
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1]
+            ),
+            unique_by=lambda e: frozenset(e), max_size=20,
+        ),
+    )))
+    def test_incident_is_the_edge_scan(self, graph):
+        # Edges given in any order and orientation, isolated vertices
+        # included: incident(v) is the scan of the normalised edges.
+        n, pairs = graph
+        g = MetricGraph(n, tuple((u, v, Fraction(1)) for (u, v) in pairs))
+        for v in range(n):
+            assert g.incident(v) == [(a, b) for (a, b, _) in g.edges if v in (a, b)]
+
 
 class TestDistances:
     def test_path(self, path3):

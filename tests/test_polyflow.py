@@ -697,7 +697,7 @@ class TestBruteCuts:
         assert brute_sparsest_edge_cut(g, caps, dem) == (frozenset(), 0)
         # Each vertex has one edge: the table {} -> 0, {e} -> 1.
         tables = PolymatroidCaps(tables={
-            v: {frozenset(): F(0), frozenset(caps.incident(v, g)): F(1)}
+            v: {frozenset(): F(0), frozenset(g.incident(v)): F(1)}
             for v in range(4)
         })
         assert brute_sparsest_edge_cut(g, tables, dem) == (frozenset(), 0)

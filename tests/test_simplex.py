@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from unittest import mock
 
@@ -7,7 +8,21 @@ from hypothesis import strategies as st
 
 from faceflow import polyflow, simplex
 from faceflow.errors import Infeasible, IterationLimit, Unbounded
-from faceflow.polyflow import _mcf_lp_rows, _vertex_cap_rows, mcf_polymatroid_lp
+from faceflow.graph import MetricGraph, norm_edge
+from faceflow.instances import (
+    Instance,
+    grid_graph,
+    random_caps,
+    random_demands,
+    random_outerplanar,
+    random_planar_with_face,
+)
+from faceflow.polyflow import (
+    DemandMatrix,
+    _mcf_lp_rows,
+    _vertex_cap_rows,
+    mcf_polymatroid_lp,
+)
 from faceflow.simplex import (
     _BLAND_AFTER,
     _MAX_ITERS,
@@ -16,6 +31,7 @@ from faceflow.simplex import (
     check_solution,
     solve_lp,
 )
+from test_golden_cli import INSTANCES
 from test_polyflow import cut_instances
 
 
@@ -666,3 +682,181 @@ class TestCheckSolution:
     def test_rejects_negative(self):
         with pytest.raises(Infeasible):
             check_solution([F(1)], [([F(1)], "<=", F(1))], [F(-1)])
+
+
+def reference_mcf_lp_rows(g: MetricGraph, dem: DemandMatrix, cap_rows):
+    """The edge-scanning ``_mcf_lp_rows`` that the incidence build
+    replaced, kept verbatim: Fraction coefficients, and a scan of every
+    arc for each (commodity, vertex) pair and each capacity row."""
+    commodities = [(u, v, w) for (u, v, w) in dem.items()]
+    arcs = []
+    for (u, v, _) in g.edges:
+        arcs.append((u, v))
+        arcs.append((v, u))
+    n_arc = len(arcs)
+    k = len(commodities)
+    nvar = k * n_arc + 1          # flows then epsilon (last)
+    eps_i = nvar - 1
+
+    def fvar(ci, ai):
+        return ci * n_arc + ai
+
+    rows = []
+    for ci, (s, t, d) in enumerate(commodities):
+        for v in range(g.n):
+            if v == s:
+                continue
+            coeffs = [Fraction(0)] * nvar
+            touched = False
+            for ai, (a, b) in enumerate(arcs):
+                if b == v:
+                    coeffs[fvar(ci, ai)] += 1
+                    touched = True
+                if a == v:
+                    coeffs[fvar(ci, ai)] -= 1
+                    touched = True
+            if v == t:
+                coeffs[eps_i] = -d
+                touched = True
+            if touched:
+                rows.append((coeffs, "=", Fraction(0)))
+    arc_edges = [norm_edge(a, b) for (a, b) in arcs]
+    for edge_set, rhs in cap_rows:
+        coeffs = [Fraction(0)] * nvar
+        for ci in range(k):
+            for ai, e in enumerate(arc_edges):
+                if e in edge_set:
+                    coeffs[fvar(ci, ai)] += 1
+        rows.append((coeffs, "<=", rhs))
+    objective = [Fraction(0)] * nvar
+    objective[eps_i] = Fraction(1)
+    return objective, rows, commodities, arcs
+
+
+def reference_vertex_cap_rows(g: MetricGraph, cap, endpoint_factor: int):
+    """The edge-scanning ``_vertex_cap_rows``, kept verbatim."""
+    cap = {v: Fraction(c) for v, c in dict(cap).items()}
+    rows = {}
+    for w in range(g.n):
+        incident = {(a, b) for (a, b, _) in g.edges if w in (a, b)}
+        if incident:
+            rows[w] = (incident, endpoint_factor * cap.get(w, Fraction(0)))
+    return rows
+
+
+def reference_table_cap_rows(g: MetricGraph, caps):
+    """The table form's capacity rows as ``mcf_polymatroid_lp`` built them
+    from an edge scan: every nonempty subset of each vertex's edges."""
+    for w in range(g.n):
+        inc = [(a, b) for (a, b, _) in g.edges if w in (a, b)]
+        for r in range(1, len(inc) + 1):
+            for sub in itertools.combinations(inc, r):
+                yield set(sub), caps.rho(w, sub)
+
+
+def _planar(n: int, seed: int) -> Instance:
+    g, face = random_planar_with_face(n, seed)
+    return Instance(
+        g, face=face, vcaps=random_caps(n, seed),
+        demands=random_demands(face, seed, pairs=2),
+    )
+
+
+def _grid(rows: int, cols: int) -> Instance:
+    g, face = grid_graph(rows, cols)
+    n = rows * cols
+    return Instance(
+        g, face=face, vcaps=random_caps(n, rows * cols),
+        demands=DemandMatrix.from_pairs([(0, n - 1, F(1)), (cols - 1, n - cols, F(2))]),
+    )
+
+
+def _outer_tables(n: int, seed: int) -> Instance:
+    """random_outerplanar(n, seed) with the tables of the golden table6,
+    rho_v(A) = min(cap_v, cap_v / 2 * |A|)."""
+    g, face = random_outerplanar(n, seed)
+    caps = random_caps(n, seed)
+    tables = {
+        v: {
+            frozenset(sub): min(caps[v], caps[v] / 2 * len(sub))
+            for r in range(len(g.incident(v)) + 1)
+            for sub in itertools.combinations(g.incident(v), r)
+        }
+        for v in range(n)
+    }
+    return Instance(g, face=face, polymatroid=tables, demands=random_demands(face, seed))
+
+
+def _path_and_isolated(pairs) -> Instance:
+    """The path 0 - 1 - 2 and the isolated vertex 3."""
+    g = MetricGraph(4, ((0, 1, F(1)), (1, 2, F(2))))
+    return Instance(g, vcaps=(F(1), F(2), F(3), F(4)), demands=DemandMatrix.from_pairs(pairs))
+
+
+VERTEX_LPS = {
+    **{name: INSTANCES[name] for name in ("cycle6", "grid2x3", "outer6", "slack6", "split4")},
+    **{f"planar{n}-{s}": (lambda n=n, s=s: _planar(n, s)) for n in range(6, 13) for s in (0, 1)},
+    **{f"grid{r}x{c}": (lambda r=r, c=c: _grid(r, c)) for (r, c) in ((2, 2), (3, 3), (3, 4))},
+    "isolated-sink": lambda: _path_and_isolated([(0, 3, F(1)), (0, 2, F(1, 2))]),
+    "isolated-source": lambda: _path_and_isolated([(3, 1, F(2)), (2, 0, F(1))]),
+    "zero-weight-pairs": lambda: _path_and_isolated(
+        [(0, 2, F(0)), (1, 3, F(0)), (0, 1, F(3, 2))]
+    ),
+}
+
+TABLE_LPS = {
+    "table6": INSTANCES["table6"],
+    "outer7-2-tables": lambda: _outer_tables(7, 2),
+}
+
+
+class TestLPRowsMatchReference:
+    """The flow LP built from incidence equals the edge-scanning build it
+    replaced: the same objective, rows (entry by entry), commodities and
+    arcs, and the same solve.  Its flow coefficients are the ints 0 and
+    +-1."""
+
+    def assert_same_lp(self, got, want):
+        objective, rows, commodities, arcs = got
+        ref_objective, ref_rows, ref_commodities, ref_arcs = want
+        assert (objective, commodities, arcs) == (ref_objective, ref_commodities, ref_arcs)
+        assert len(rows) == len(ref_rows)
+        for (coeffs, rel, rhs), (ref_coeffs, ref_rel, ref_rhs) in zip(rows, ref_rows):
+            assert (rel, rhs) == (ref_rel, ref_rhs)
+            assert all(a == b for a, b in zip(coeffs, ref_coeffs, strict=True))
+            assert all(type(a) is int and a in (-1, 0, 1) for a in coeffs[:-1])
+        assert full_outcome(solve_lp, objective, rows, True) == full_outcome(
+            solve_lp, ref_objective, ref_rows, True
+        )
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    @pytest.mark.parametrize("name", sorted(VERTEX_LPS))
+    def test_vertex_form(self, name, factor):
+        inst = VERTEX_LPS[name]()
+        g, caps, dem = inst.graph, inst.caps(), inst.demand_matrix()
+        cap_rows = _vertex_cap_rows(g, caps.vertex_caps, factor)
+        ref_cap_rows = reference_vertex_cap_rows(g, caps.vertex_caps, factor)
+        assert {w: (set(es), rhs) for w, (es, rhs) in cap_rows.items()} == ref_cap_rows
+        self.assert_same_lp(
+            _mcf_lp_rows(g, dem, cap_rows.values()),
+            reference_mcf_lp_rows(g, dem, ref_cap_rows.values()),
+        )
+
+    @pytest.mark.parametrize("name", sorted(TABLE_LPS))
+    def test_table_form(self, name):
+        inst = TABLE_LPS[name]()
+        g, caps, dem = inst.graph, inst.caps(), inst.demand_matrix()
+        lps = []
+
+        def capture(objective, rows, maximize=True):
+            lps.append((objective, rows))
+            raise _Captured
+
+        with mock.patch.object(polyflow, "solve_lp", capture):
+            with pytest.raises(_Captured):
+                mcf_polymatroid_lp(g, caps, dem)
+        commodities, arcs = _mcf_lp_rows(g, dem, ())[2:]
+        self.assert_same_lp(
+            (*lps[0], commodities, arcs),
+            reference_mcf_lp_rows(g, dem, reference_table_cap_rows(g, caps)),
+        )

@@ -497,7 +497,7 @@ def reference_random_extension(
             lo, hi = sorted((flat.positions[u], flat.positions[v]))
             for x in interior:
                 fp = flat.positions[x]
-                if lo <= fp <= hi and (fp - flat.positions[u]) in glue_positions:
+                if lo <= fp <= hi and abs(fp - flat.positions[u]) in glue_positions:
                     return False
         return True
 
@@ -702,17 +702,24 @@ class TestEarStepBranches:
         assert got == anchors_both(c, 0, 1, set(), 1, lambda: FakeRng([10]))
         assert got != anchors_both(c, 0, 1, set(), 1, lambda: FakeRng([26]))
 
+    @staticmethod
+    def collision_length():
+        """2P + 1/2, P the distance from the ear's start of the anchor p
+        that draw 1000 picks on an ear of length 320 over an edge of 1."""
+        alpha = DEFAULT_CONFIG.anchor_alpha
+        delta = F(1, 320)
+        eta = delta + (alpha - delta) * F(1001, DEFAULT_CONFIG.anchor_grid + 1)
+        x = 2 * (F(1, 4) + 3 * alpha / 2 - eta) * 321 + F(1, 2)
+        assert x == F(1354753613, 7864440)
+        return x
+
     def test_glue_collision_resamples(self):
         # Tree path F(1) - 2 - F(0) of two halves, ear 1 -> 2 -> 0 of
         # length 320.  Draw 1000 puts anchor p at distance P from vertex 1,
         # and ear vertex 2 sits at 2P + 1/2: flattened from p it lands 1/2
         # past F(1), on tree vertex 2.  The collision check rejects it, and
         # the second draw glues vertex 2 onto a new tree vertex.
-        alpha = DEFAULT_CONFIG.anchor_alpha
-        delta = F(1, 320)
-        eta = delta + (alpha - delta) * F(1001, DEFAULT_CONFIG.anchor_grid + 1)
-        x = 2 * (F(1, 4) + 3 * alpha / 2 - eta) * 321 + F(1, 2)
-        assert x == F(1354753613, 7864440)
+        x = self.collision_length()
         step = BuildStep((1, 2, 0), (x, 320 - x), (1, 0))
         g = MetricGraph(3, ((0, 1, F(1)), (1, 2, x), (0, 2, 320 - x)))
 
@@ -736,6 +743,57 @@ class TestEarStepBranches:
             path_pos=ear.path_pos,
         )
         assert rng.draws == 1
+
+    def test_glue_collision_mirrored_resamples(self):
+        # The mirror image: tree path F(0) - 2 - F(1) of two halves, attach
+        # (0, 1) with u = 0 good, ear 0 -> 2 -> 1 with vertex 2 at
+        # 320 - (2P + 1/2).  Draw 1000 flattens vertex 2 to 1/2 short of
+        # F(0)'s offset, the larger one, and glue puts it at |1/2| along
+        # the tree path: on tree vertex 2.  The check tests the absolute
+        # offset, so it rejects the draw as it does the case above.
+        x = self.collision_length()
+        step = BuildStep((0, 2, 1), (320 - x, x), (0, 1))
+        g = MetricGraph(3, ((0, 1, F(1)), (0, 2, 320 - x), (1, 2, x)))
+        lens = [F(1, 2), F(1, 2)]
+
+        def run(extend_with, tree):
+            state = EmbedState(tree=tree, mapping={0: 0, 1: 1}, graph=g)
+            rng = FakeRng([1000, 7])
+            extend_with(state, *dataclasses.astuple(step), rng)
+            return adj_lists(state.tree), state.mapping, rng.draws
+
+        got = run(extend, MetricTree.from_path([0, 2, 1], lens))
+        want = run(reference_random_extension, ReferenceTree.from_path([0, 2, 1], lens))
+        assert got == want
+        assert got[1] == {0: 0, 1: 1, 2: 3} and got[2] == 2
+        # The one-sided test, fp - fu_b in place of its absolute value,
+        # accepts the first draw, whose anchor flattens vertex 2 onto
+        # the tree position of vertex 2.
+        state = EmbedState(MetricTree.from_path([0, 2, 1], lens), {0: 0, 1: 1}, g)
+        ear = _close_ear(state, step)
+        assert (ear.attach, ear.good) == ((0, 1), 0)
+        cyc = ear.cycle
+        pu, pv, p2 = (cyc.points[w] for w in (0, 1, 2))
+        offsets = []
+
+        def one_sided(p_pos, q_pos):
+            for b in (p_pos, q_pos):
+                fu_b = cyc.dist_pos(b, pu)
+                lo, hi = sorted((fu_b, cyc.dist_pos(b, pv)))
+                fp = cyc.dist_pos(b, p2)
+                offsets.append((lo <= fp <= hi, fp - fu_b))
+                if lo <= fp <= hi and fp - fu_b in ear.glue_positions:
+                    return False
+            return True
+
+        rng = FakeRng([1000])
+        anchor_points(
+            cyc, 0, 1, cyc.points.values(), ear.good, rng, ear.grid,
+            path_pos=ear.path_pos, extra_check=one_sided,
+        )
+        assert rng.draws == 1
+        half = ear.D // 2
+        assert (True, -half) in offsets and half in ear.glue_positions
 
     @staticmethod
     def branched_state(tree_cls, branches):
