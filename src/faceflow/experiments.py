@@ -145,9 +145,10 @@ def gap_experiment(
 
         def sample(s: int):
             fr = retract(s)
-            if fr.h not in embedders:
-                embedders[fr.h] = embed_sampler(fr.h)
-            return embedders[fr.h](s), fr.mapping
+            embed = embedders.get(fr.h)
+            if embed is None:
+                embed = embedders[fr.h] = embed_sampler(fr.h)
+            return embed(s), fr.mapping
 
         try:
             rep = multiscale_round(g2, ell2, caps, dem, sample, samples, seed)

@@ -115,6 +115,8 @@ def from_dict(d: dict) -> Instance:
     vcaps = None
     if "vcaps" in d:
         vcaps = tuple(Fraction(int(num), int(den)) for (num, den) in d["vcaps"])
+        if len(vcaps) != n:
+            raise ValueError(f"vcaps has {len(vcaps)} entries for {n} vertices")
     poly = None
     if "polymatroid" in d:
         poly = {}
@@ -132,12 +134,14 @@ def from_dict(d: dict) -> Instance:
             poly[int(v)] = t
     demands = None
     if "demands" in d:
-        demands = DemandMatrix.from_pairs(
-            [
-                (int(u), int(v), Fraction(int(num), int(den)))
-                for (u, v, num, den) in d["demands"]
-            ]
-        )
+        pairs = [
+            (int(u), int(v), Fraction(int(num), int(den)))
+            for (u, v, num, den) in d["demands"]
+        ]
+        for (u, v, _) in pairs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"demand ({u},{v}) out of range 0..{n - 1}")
+        demands = DemandMatrix.from_pairs(pairs)
     return Instance(g, face, rotation, vcaps, poly, demands)
 
 

@@ -527,8 +527,8 @@ def _solve_mcf(g: MetricGraph, dem: DemandMatrix, cap_rows) -> tuple[FlowSolutio
 def _vertex_cap_rows(g: MetricGraph, cap, endpoint_factor: int):
     """Capacity rows of the vertex form, keyed by vertex: one
     (``g.incident(w)``, endpoint_factor * cap(w)) per vertex w with an
-    edge, in vertex order."""
-    cap = {v: frac(c) for v, c in dict(cap).items()}
+    edge, in vertex order.  A negative capacity raises NegativeEntry."""
+    cap = PolymatroidCaps.from_vertex_caps(cap).vertex_caps
     return {
         w: (g.incident(w), endpoint_factor * cap.get(w, Fraction(0)))
         for w in range(g.n) if g.incident(w)

@@ -11,6 +11,7 @@ exact certificate against the rounding lemma's bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -29,10 +30,11 @@ from .polyflow import (
     AdaptedLengths,
     DemandMatrix,
     PolymatroidCaps,
+    _components,
+    _separated,
     assignment_value,
     nu,
     rho_hat,
-    separated_demand,
 )
 from .tree import MetricTree, TreeMap
 from .treeembed import is_star_shaped, is_thin
@@ -59,22 +61,10 @@ def thin_map(
             return tuple([rng.randrange(2) for _ in range(k)])
 
     tree = tm.tree
+    if not tree.is_tree():
+        raise ValueError("tree map must live on a connected tree")
     D = tree.D
     root = tm.root
-    # Children structure via BFS from the root.
-    parent = {root: None}
-    order = [root]
-    for v in order:
-        for u in tree.adj[v]:
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-    if len(parent) != len(tree.adj):
-        raise ValueError("tree map must live on a connected tree")
-    children: dict[int, list[int]] = {v: [] for v in parent}
-    for v, p in parent.items():
-        if p is not None:
-            children[p].append(v)
 
     # Fiber adjacency in terms of original tree vertices.
     fiber_nbrs: dict[int, set[int]] = {}
@@ -84,18 +74,15 @@ def thin_map(
             fiber_nbrs.setdefault(fa, set()).add(fb)
             fiber_nbrs.setdefault(fb, set()).add(fa)
 
-    counter = [0]
+    fresh = itertools.count().__next__
 
-    def fresh() -> int:
-        counter[0] += 1
-        return counter[0] - 1
-
-    # transform(x) -> (tree over new ids, phi: original subtree vertex -> new id);
-    # every length is a sum or difference of tick positions, so the new
-    # trees are on the input tree's grid.
-    def transform(x: int) -> tuple[MetricTree, dict[int, int]]:
+    # transform(x, parent) -> (tree over new ids, phi: original subtree
+    # vertex -> new id); every length is a sum or difference of tick
+    # positions, so the new trees are on the input tree's grid.
+    def transform(x: int, parent) -> tuple[MetricTree, dict[int, int]]:
         t_new = MetricTree(D)
-        if not children[x]:
+        children = [c for c in tree.adj[x] if c != parent]
+        if not children:
             r = fresh()
             t_new.add_vertex(r)
             return t_new, {x: r}
@@ -103,8 +90,8 @@ def thin_map(
         r_tilde = fresh()
         t_new.add_vertex(r_tilde)
         phi[x] = r_tilde
-        for c in children[x]:
-            sub_t, sub_phi = transform(c)
+        for c in children:
+            sub_t, sub_phi = transform(c, x)
             t_new.graft(sub_t, {v: v for v in sub_t.adj})
             t_new.add_ticks(r_tilde, sub_phi[c], tree.adj[x][c])
             phi.update(sub_phi)
@@ -165,7 +152,7 @@ def thin_map(
         phi2 = {orig: new_of[cur] for orig, cur in phi.items()}
         return result, phi2
 
-    final_tree, phi = transform(root)
+    final_tree, phi = transform(root, None)
     # transform holds itself through its closure cell: break that cycle now
     # rather than leave it, and all it reaches, to the next full collection.
     del transform
@@ -187,41 +174,6 @@ class CutCertificate:
     tree_edge: Optional[tuple[int, int]] = None
 
 
-def _tree_edge_cuts(g: MetricGraph, tm: TreeMap):
-    """For every tree edge a, in ``tree.edges()`` order, the edges of g
-    whose image path crosses a, in ``g.edges`` order."""
-    f = tm.mapping
-    cuts = tm.tree.edge_cuts([(f[u], f[v], (u, v)) for (u, v, _) in g.edges])
-    return [((a, b), w, cut) for (a, b, w, cut) in cuts]
-
-
-def _sweep_assignment(
-    tm: TreeMap,
-    tree_edge: tuple[int, int],
-    lam: Fraction,
-    cut_edges,
-    ell: AdaptedLengths,
-) -> dict[Edge, int]:
-    """Assignment rule: orient the tree edge (x, y); an edge whose path
-    traverses x before y goes to its near endpoint u when
-    d_T(f(u), x) + lam <= ell_u(e), else to the far endpoint."""
-    x, y = tree_edge
-    tree = tm.tree
-    assign = {}
-    for e in cut_edges:
-        a, b = e
-        fa, fb = tm.mapping[a], tm.mapping[b]
-        p = tree.path(fa, fb)
-        # Orient (u, v) so the path traverses the tree edge as (x, y).
-        ix = p.index(x)
-        iy = p.index(y)
-        u, v = (a, b) if ix < iy else (b, a)
-        du = tree.dist(tm.mapping[u], x)
-        lu = ell.ell.get(u, {}).get(e, Fraction(0))
-        assign[e] = u if du + lam <= lu else v
-    return assign
-
-
 class CutMemo:
     """The per-instance values of ``round_thin``'s cuts, computed once per
     distinct cut: its separated demand and, for cuts of at most
@@ -231,12 +183,13 @@ class CutMemo:
 
     def __init__(self, g: MetricGraph, caps: PolymatroidCaps, dem: DemandMatrix):
         self.g, self.caps, self.dem = g, caps, dem
+        self._pairs = dem.items()
         self._sep: dict[frozenset, Fraction] = {}
         self._nu: dict[frozenset, tuple[Fraction, dict[Edge, int]]] = {}
 
-    def separated(self, key: frozenset, cut) -> Fraction:
+    def separated(self, key: frozenset) -> Fraction:
         if key not in self._sep:
-            self._sep[key] = separated_demand(self.g, cut, self.dem)
+            self._sep[key] = _separated(_components(self.g, cut_edges=key), self._pairs)
         return self._sep[key]
 
     def exact_nu(self, key: frozenset, cut) -> tuple[Fraction, dict[Edge, int]]:
@@ -274,12 +227,12 @@ def round_thin(
         memo = CutMemo(g, caps, dem)
     elif (memo.g, memo.caps, memo.dem) != (g, caps, dem):
         raise ValueError("memo was built for another graph, caps or demands")
-    tree = tm.tree
+    tree, f = tm.tree, tm.mapping
     D = tree.D
     zero = Fraction(0)
     for (u, v, _) in g.edges:
         e = (u, v)
-        t = tree.tick_dist(tm.mapping[u], tm.mapping[v])
+        t = tree.tick_dist(f[u], f[v])
         lu = ell.ell.get(u, {}).get(e, zero)
         lv = ell.ell.get(v, {}).get(e, zero)
         # t / D > lu + lv, cross-multiplied.
@@ -290,40 +243,44 @@ def round_thin(
                 f" on edge {e}"
             )
     best: Optional[CutCertificate] = None
-    for (te, w, cut) in _tree_edge_cuts(g, tm):
+    ends = [(f[u], f[v], (u, v)) for (u, v, _) in g.edges]
+    for (a, b, w, cut) in tree.edge_cuts(ends):
         if not cut:
             continue
         key = frozenset(cut)
-        sep = memo.separated(key, cut)
+        sep = memo.separated(key)
         if sep == 0:
             continue
         if len(cut) <= DEFAULT_CONFIG.nu_brute_limit:
             val, assign = memo.exact_nu(key, cut)
             exact = True
         else:
-            # lambda-sweep heuristic: the rule changes only where
-            # d_T(f(u), x) + lambda hits ell_u(e).
-            x, y = te
-            breaks = {Fraction(0), w}
+            # lambda-sweep heuristic: orient each cut edge (u, v) so its
+            # path crosses the tree edge as (a, b); u keeps e while
+            # d_T(f(u), a) + lambda <= ell_u(e), i.e. lambda <= t, and the
+            # rule changes only where lambda hits such a t at either end.
+            rules = []
+            breaks = {zero, w}
             for e in cut:
-                for end in e:
-                    lu = ell.ell.get(end, {}).get(e, Fraction(0))
-                    lam = lu - tree.dist(tm.mapping[end], x)
-                    if 0 <= lam <= w:
-                        breaks.add(lam)
+                p = tree.path(f[e[0]], f[e[1]])
+                u, v = e if p.index(a) < p.index(b) else e[::-1]
+                tu, tv = (ell.ell.get(end, {}).get(e, zero) - tree.dist(f[end], a)
+                          for end in (u, v))
+                breaks.update(t for t in (tu, tv) if 0 <= t <= w)
+                rules.append((e, u, v, tu))
             pts = sorted(breaks)
             cands = set(pts)
             for i in range(len(pts) - 1):
                 cands.add((pts[i] + pts[i + 1]) / 2)
             val, assign, exact = None, None, False
             for lam in sorted(cands):
-                a_ = _sweep_assignment(tm, te, lam, cut, ell)
+                a_ = {e: u if lam <= t else v for (e, u, v, t) in rules}
                 v_ = assignment_value(a_, caps)
                 if val is None or v_ < val:
                     val, assign = v_, a_
         sparsity = val / sep
         if best is None or sparsity < best.sparsity:
-            best = CutCertificate(key, dict(assign), val, sep, sparsity, exact, te)
+            best = CutCertificate(key, dict(assign), val, sep, sparsity, exact, (a, b))
     if best is None:
         raise NoSeparatedDemand("no tree edge separates any demand")
     return best
@@ -365,14 +322,16 @@ def _int_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
 
 
 def _pow2_ceil(x: Fraction) -> Fraction:
+    """Least power of two >= x, or 0 for x <= 0.  With k the bit length
+    of the numerator less that of the denominator, 2^(k-1) < x < 2^(k+1),
+    so the answer is 2^k or, when x > 2^k, 2^(k+1)."""
     if x <= 0:
         return Fraction(0)
-    p = Fraction(1)
-    while p < x:
-        p *= 2
-    while p / 2 >= x:
-        p /= 2
-    return p
+    n, d = x.numerator, x.denominator
+    k = n.bit_length() - d.bit_length()
+    if n << max(-k, 0) > d << max(k, 0):
+        k += 1
+    return Fraction(2) ** k
 
 
 def dyadic_preprocess(g: MetricGraph, ell: AdaptedLengths) -> AdaptedLengths:

@@ -125,6 +125,48 @@ class TestValidate:
         assert main(["validate", p]) == 2
 
 
+class TestBadInstanceFiles:
+    """An instance file whose demands or capacities do not fit its graph
+    is refused when it is loaded, with one message for every command."""
+
+    COMMANDS = ["validate", "flow", "dual", "cut", "gap"]
+
+    @staticmethod
+    def _save(tmp_path, **kw):
+        p = os.path.join(tmp_path, "bad.json")
+        save_instance(Instance(cycle_instance(6), face=tuple(range(6)), **kw), p)
+        return p
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_demand_endpoint_out_of_range(self, tmp_path, cmd, capsys):
+        p = self._save(
+            tmp_path, vcaps=(F(1),) * 6,
+            demands=DemandMatrix.from_pairs([(0, 3, F(1)), (1, 6, F(1))]),
+        )
+        assert main([cmd, p]) == 2
+        assert capsys.readouterr() == ("", "error: demand (1,6) out of range 0..5\n")
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_vcaps_length_not_n(self, tmp_path, cmd, capsys):
+        p = self._save(
+            tmp_path, vcaps=(F(1),) * 5,
+            demands=DemandMatrix.from_pairs([(0, 3, F(1))]),
+        )
+        assert main([cmd, p]) == 2
+        assert capsys.readouterr() == ("", "error: vcaps has 5 entries for 6 vertices\n")
+
+    @pytest.mark.parametrize("cmd", ["flow", "dual", "cut", "gap"])
+    def test_negative_capacity(self, tmp_path, cmd, capsys):
+        p = self._save(
+            tmp_path, vcaps=(F(1), F(-1), F(1), F(1), F(1), F(1)),
+            demands=DemandMatrix.from_pairs([(0, 3, F(1))]),
+        )
+        assert main([cmd, p]) == 2
+        assert capsys.readouterr() == (
+            "", "error: NegativeEntry: negative capacity -1 at vertex 1\n"
+        )
+
+
 class TestPipelineCommands:
     def test_partition(self, c6_file, capsys):
         rc = main(["partition", c6_file, "--tau", "2", "--samples", "30"])

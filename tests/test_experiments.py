@@ -47,11 +47,12 @@ from faceflow.polyflow import (
 )
 from faceflow.thinround import (
     CutCertificate,
+    Edge,
     CutMemo,
-    _sweep_assignment,
     multiscale_round,
     round_thin,
 )
+from faceflow.tree import TreeMap
 from faceflow.treeembed import embed_sampler
 from test_golden_cli import INSTANCES
 from test_thinround import bound_at_half_the_sparsity
@@ -244,10 +245,39 @@ class TestPerSampleWork:
             assert counts[i, "planar_g"] == 0
 
 
+def _sweep_assignment(
+    tm: TreeMap,
+    tree_edge: tuple[int, int],
+    lam: Fraction,
+    cut_edges,
+    ell: AdaptedLengths,
+) -> dict[Edge, int]:
+    """Assignment rule: orient the tree edge (x, y); an edge whose path
+    traverses x before y goes to its near endpoint u when
+    d_T(f(u), x) + lam <= ell_u(e), else to the far endpoint."""
+    x, y = tree_edge
+    tree = tm.tree
+    assign = {}
+    for e in cut_edges:
+        a, b = e
+        fa, fb = tm.mapping[a], tm.mapping[b]
+        p = tree.path(fa, fb)
+        # Orient (u, v) so the path traverses the tree edge as (x, y).
+        ix = p.index(x)
+        iy = p.index(y)
+        u, v = (a, b) if ix < iy else (b, a)
+        du = tree.dist(tm.mapping[u], x)
+        lu = ell.ell.get(u, {}).get(e, Fraction(0))
+        assign[e] = u if du + lam <= lu else v
+    return assign
+
+
 def reference_round_thin(g, tm, ell, caps, dem):
     """``round_thin`` with no memo: nu and the separated demand computed
-    afresh for every tree edge of every call, and every tree path walked
-    as before the rooted index (``walk_tree``), in Fractions."""
+    afresh for every tree edge of every call, every tree path walked as
+    before the rooted index (``walk_tree``), in Fractions, and the sweep
+    rule re-derived for every lambda by the ``_sweep_assignment`` that
+    the per-cut rules replaced."""
     tm = dataclasses.replace(tm, tree=walk_tree(tm.tree))
     tree = tm.tree
     for (u, v, _) in g.edges:
@@ -321,21 +351,27 @@ def _planar12_2p2() -> Instance:
 
 
 def _count_cut_calls(monkeypatch) -> dict[str, list[frozenset]]:
-    """Record the cut of every ``nu`` and ``separated_demand`` call made
-    by ``thinround``."""
+    """Record the cut of every ``nu`` call made by ``thinround``, and of
+    every ``_components`` call, one per separated demand it computes."""
     calls: dict[str, list[frozenset]] = {"nu": [], "separated_demand": []}
 
-    def counting(name, fn, cut_arg):
+    def counting(name, fn, cut_of):
         def wrapper(*args, **kwargs):
-            calls[name].append(frozenset(norm_edge(*e) for e in args[cut_arg]))
+            cut = cut_of(*args, **kwargs)
+            calls[name].append(frozenset(norm_edge(*e) for e in cut))
             return fn(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(thinround, "nu", counting("nu", thinround.nu, 0))
     monkeypatch.setattr(
-        thinround, "separated_demand",
-        counting("separated_demand", thinround.separated_demand, 1),
+        thinround, "nu", counting("nu", thinround.nu, lambda cut, caps: cut)
+    )
+    monkeypatch.setattr(
+        thinround, "_components",
+        counting(
+            "separated_demand", thinround._components,
+            lambda g, cut_edges: cut_edges,
+        ),
     )
     return calls
 
@@ -449,20 +485,31 @@ class TestOneNuPerCut:
     def test_sweep_branch_matches_reference(self, monkeypatch):
         # With an exact-nu limit of 2 edges most cuts take the lambda sweep,
         # which depends on the map; only its separated demand is memoised.
+        # The sweep's cuts never give the best certificate here, so every
+        # candidate lambda's assignment, in order, is checked as well.
         small = dataclasses.replace(DEFAULT_CONFIG, nu_brute_limit=2)
         monkeypatch.setattr(thinround, "DEFAULT_CONFIG", small)
         monkeypatch.setitem(globals(), "DEFAULT_CONFIG", small)
-        sweeps = []
-        sweep = thinround._sweep_assignment
+        sweeps: dict[str, list] = {"got": [], "want": []}
 
-        def counting(*a):
-            sweeps.append(a)
-            return sweep(*a)
+        def recording(name, value):
+            def record(assign, caps):
+                sweeps[name].append(list(assign.items()))
+                return value(assign, caps)
 
-        monkeypatch.setattr(thinround, "_sweep_assignment", counting)
+            return record
+
+        monkeypatch.setattr(
+            thinround, "assignment_value",
+            recording("got", thinround.assignment_value),
+        )
+        monkeypatch.setitem(
+            globals(), "assignment_value", recording("want", assignment_value)
+        )
         pairs = _compare_with_reference(monkeypatch, thinround)
         gap_experiment(_grid3x4(), samples=20, seed=1)
-        assert sweeps and len(pairs) == 20
+        assert sweeps["got"] and len(pairs) == 20
+        assert sweeps["got"] == sweeps["want"]
         for i, (got, want) in enumerate(pairs):
             assert got == want, i
 

@@ -282,6 +282,19 @@ class TestThinMap:
         assert out.is_lipschitz()
         assert is_thin(out.with_source(g), 4)
 
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (0, 2)], [(0, 1)]],
+                             ids=["cycle", "disconnected"])
+    def test_rejects_a_non_tree(self, edges):
+        t = MetricTree()
+        for v in range(3):
+            t.add_vertex(v)
+        for (u, v) in edges:
+            t.add_edge(u, v, F(1))
+        g = MetricGraph(3, ((0, 1, F(1)),))
+        tm = TreeMap(t, {0: 0, 1: 1, 2: 2}, g)
+        with pytest.raises(ValueError, match="^tree map must live on a connected tree$"):
+            thin_map(tm, 0)
+
 
 def thin_both(tm, seed, choice_fn=None):
     """``thin_map`` and the reference, which gets the tree with the
@@ -576,6 +589,19 @@ class TestTickArithmeticMatchesFractions:
             round_thin(g, tm, ell, caps, dem)
 
 
+def reference_pow2_ceil(x: Fraction) -> Fraction:
+    """The doubling and halving ``_pow2_ceil`` that the bit-length one
+    replaced, kept verbatim."""
+    if x <= 0:
+        return Fraction(0)
+    p = Fraction(1)
+    while p < x:
+        p *= 2
+    while p / 2 >= x:
+        p /= 2
+    return p
+
+
 class TestDyadic:
     def test_pow2_ceil_values(self):
         assert _pow2_ceil(F(0)) == 0
@@ -584,6 +610,13 @@ class TestDyadic:
         assert _pow2_ceil(F(1, 3)) == F(1, 2)
         assert _pow2_ceil(F(5, 4)) == 2
         assert _pow2_ceil(F(1, 4)) == F(1, 4)
+
+    def test_pow2_ceil_matches_reference(self):
+        xs = [F(0), F(-1), F(-3, 2)]
+        xs += [F(n, d) for n in range(1, 301) for d in range(1, 301)]
+        for x in xs:
+            got = _pow2_ceil(x)
+            assert type(got) is Fraction and got == reference_pow2_ceil(x), x
 
     @pytest.mark.parametrize("seed", range(10))
     def test_preprocess_postconditions(self, seed):

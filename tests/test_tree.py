@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import slack_cycle
 from faceflow.errors import LengthMismatch
 from faceflow.graph import MetricGraph, frac
-from faceflow.thinround import _tree_edge_cuts
 from faceflow import tree as tree_module
 from faceflow.tree import MetricTree, TreeMap, _rooted_index, glue
 from faceflow.treeembed import embed_sampler
@@ -551,8 +550,9 @@ def assert_queries_match_walk(t: MetricTree, rng: random.Random) -> None:
     pairs = [(a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < 0.4]
     g = MetricGraph(k, tuple((a, b, Fraction(1)) for a, b in pairs))
     mapping = {x: rng.choice(vs) for x in range(k)}
-    got = _tree_edge_cuts(g, TreeMap(t, mapping, g))
-    assert got == walk_tree_edge_cuts(g, TreeMap(ref, mapping, g))
+    got = t.edge_cuts([(mapping[u], mapping[v], (u, v)) for (u, v, _) in g.edges])
+    want = walk_tree_edge_cuts(g, TreeMap(ref, mapping, g))
+    assert [((a, b), w, cut) for (a, b, w, cut) in got] == want
 
 
 def mutate(t: MetricTree, rng: random.Random) -> None:
