@@ -112,18 +112,8 @@ class DemandMatrix:
     def dem(self, u: int, v: int) -> Fraction:
         return self.pairs.get(norm_edge(u, v), Fraction(0))
 
-    def support(self) -> set[int]:
-        out: set[int] = set()
-        for (u, v), w in self.pairs.items():
-            if w > 0:
-                out |= {u, v}
-        return out
-
     def items(self):
         return [(u, v, w) for (u, v), w in sorted(self.pairs.items()) if w > 0]
-
-    def total(self) -> Fraction:
-        return sum((w for w in self.pairs.values()), Fraction(0))
 
 
 @dataclass(frozen=True)

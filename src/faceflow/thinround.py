@@ -1,8 +1,9 @@
 """Random thinning of star-shaped tree maps and cut rounding.
 
 thin_map converts a star-shaped 1-Lipschitz tree map into a random
-4-thin one by recursively rebuilding, at every internal tree vertex, the
-arms carrying graph edges onto two fresh vertical branches.  round_thin
+4-thin one by folding, bottom-up at every tree vertex, the arms carrying
+graph edges onto two vertical branches; a fold keeps every tick depth,
+so the tree is built once, at the end, from parents and depths.  round_thin
 turns a thin map plus adapted lengths into a sparse cut certificate, and
 multiscale_round runs the dyadic preprocessing + sample loop on top: the
 one loop gap_experiment and ``faceflow round`` share, which checks every
@@ -11,7 +12,6 @@ exact certificate against the rounding lemma's bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -63,8 +63,6 @@ def thin_map(
     tree = tm.tree
     if not tree.is_tree():
         raise ValueError("tree map must live on a connected tree")
-    D = tree.D
-    root = tm.root
 
     # Fiber adjacency in terms of original tree vertices.
     fiber_nbrs: dict[int, set[int]] = {}
@@ -74,90 +72,100 @@ def thin_map(
             fiber_nbrs.setdefault(fa, set()).add(fb)
             fiber_nbrs.setdefault(fb, set()).add(fa)
 
-    fresh = itertools.count().__next__
+    # New id i has parent par[i] and lies dep[i] ticks below the root; a
+    # fold keeps every depth, and a vertex it merges into a branch point
+    # moves there, its children following through ``find``.  ``seq`` lists
+    # the live ids: a subtree's root, then its children's subtrees; after
+    # a fold its root, branch 0, branch 1, then what hangs off them.  The
+    # tree lists its edges in this order, which decides round_thin's
+    # choice among equally sparse cuts.
+    par: list = []
+    dep: list[int] = []
+    moved: dict[int, int] = {}
+    first: dict[int, int] = {}  # input vertex -> its id, taken in preorder
+    seq: list[int] = []
 
-    # transform(x, parent) -> (tree over new ids, phi: original subtree
-    # vertex -> new id); every length is a sum or difference of tick
-    # positions, so the new trees are on the input tree's grid.
-    def transform(x: int, parent) -> tuple[MetricTree, dict[int, int]]:
-        t_new = MetricTree(D)
-        children = [c for c in tree.adj[x] if c != parent]
-        if not children:
-            r = fresh()
-            t_new.add_vertex(r)
-            return t_new, {x: r}
-        phi: dict[int, int] = {}
-        r_tilde = fresh()
-        t_new.add_vertex(r_tilde)
-        phi[x] = r_tilde
-        for c in children:
-            sub_t, sub_phi = transform(c, x)
-            t_new.graft(sub_t, {v: v for v in sub_t.adj})
-            t_new.add_ticks(r_tilde, sub_phi[c], tree.adj[x][c])
-            phi.update(sub_phi)
+    def new_id(p, d: int) -> int:
+        par.append(p)
+        dep.append(d)
+        return len(par) - 1
 
-        # Current images of tree vertices adjacent (through graph edges)
-        # to the fiber of x: only x maps to r_tilde, and phi's keys are
-        # x's subtree.
-        targets = {phi[y] for y in fiber_nbrs.get(x, ()) if y in phi}
+    def find(i: int) -> int:
+        while i in moved:
+            i = moved[i]
+        return i
+
+    stack = [(tm.root, None, 0)]
+    while stack:
+        x, p, d = stack.pop()
+        if x not in first:
+            first[x] = new_id(first.get(p), d)
+            seq.append(first[x])
+            stack.append((x, p, d))  # back once every child is done
+            kids = [(c, x, d + w) for c, w in tree.adj[x].items() if c != p]
+            stack.extend(reversed(kids))
+            continue
+        # Every id taken since x's is in x's subtree.
+        r = first[x]
+        targets = sorted({find(first[y]) for y in fiber_nbrs.get(x, ())
+                          if first.get(y, -1) > r})
         if not targets:
-            return t_new, phi
+            continue
 
-        # H: union of the paths from the root to the targets.
-        h_deg, h_edges = t_new.path_union(r_tilde, sorted(targets))
-        for v, dv in h_deg.items():
-            if v != r_tilde and dv > 2:
+        # H: the paths from r down to the targets, its vertices in the
+        # order path_union meets them; below[v] counts v's children on H.
+        below = {r: 0}
+        for t in targets:
+            path = []
+            while t not in below:
+                path.append(t)
+                t = find(par[t])
+            for v in reversed(path):
+                below[t] += 1  # v hangs from t on H
+                below[v], t = 0, v
+        for v, k in below.items():
+            if k > 1 and v != r:
                 raise NotStarShaped(
                     f"arm union branches at {v}, map is not star-shaped"
                 )
-        h_vertices = set(h_deg)
-        leaves = sorted(v for v, dv in h_deg.items() if dv == 1 and v != r_tilde)
-        arms = [t_new.path_ticks(r_tilde, leaf) for leaf in leaves]
-        bits = _choice_fn(x, len(arms))
+        leaves = sorted(v for v, k in below.items() if k == 0)
+        bits = _choice_fn(x, len(leaves))
 
-        # New tree: a root with two vertical branches; each arm lands on
-        # one branch isometrically; same-position points merge.
-        result = MetricTree(D)
-        r_new = fresh()
-        result.add_vertex(r_new)
-        pos_id: dict[tuple[int, int], int] = {}
-        new_of: dict[int, int] = {r_tilde: r_new}
-        branch_positions: dict[int, set[int]] = {0: set(), 1: set()}
-        for (arm, arm_pos), b in zip(arms, bits):
-            for v, d in zip(arm[1:], arm_pos[1:]):
-                key = (b, d)
-                if d == 0:
-                    new_of[v] = r_new
-                    continue
-                if key not in pos_id:
-                    pos_id[key] = fresh()
-                    branch_positions[b].add(d)
-                new_of[v] = pos_id[key]
-        for b in (0, 1):
-            prev = r_new
-            prev_pos = 0
-            for d in sorted(branch_positions[b]):
-                nid = pos_id[(b, d)]
-                result.add_ticks(prev, nid, d - prev_pos)
-                prev, prev_pos = nid, d
-        # Re-attach everything hanging off the arms.
-        for tv in t_new.adj:
-            if tv not in h_vertices and tv != r_tilde:
-                result.add_vertex(tv)
-                new_of[tv] = tv
-        for a, nbrs in t_new.adj.items():
-            for b, w in nbrs.items():
-                if a < b and (a, b) not in h_edges:
-                    result.add_ticks(new_of[a], new_of[b], w)
-        phi2 = {orig: new_of[cur] for orig, cur in phi.items()}
-        return result, phi2
+        # Fold: a root with two vertical branches; each arm lands on one
+        # branch at its own depths; same-depth points merge, and a point
+        # at r's depth is the new root.
+        r_new = new_id(par[r], dep[r])
+        point: dict[tuple[int, int], int] = {}
+        for leaf, b in zip(leaves, bits):
+            arm, v = [], leaf
+            while v != r:
+                arm.append(v)
+                v = find(par[v])
+            for v in reversed(arm):
+                key = (b, dep[v])
+                if dep[v] > dep[r] and key not in point:
+                    point[key] = new_id(None, dep[v])
+                moved[v] = point.get(key, r_new)
+        moved[r] = r_new
+        last = [r_new, r_new]
+        branches = sorted(point.items())
+        for (b, _), i in branches:
+            par[i] = last[b]
+            last[b] = i
+        at = seq.index(r)
+        seq[at:] = [r_new, *(i for _, i in branches),
+                    *(v for v in seq[at + 1:] if v not in below)]
 
-    final_tree, phi = transform(root, None)
-    # transform holds itself through its closure cell: break that cycle now
-    # rather than leave it, and all it reaches, to the next full collection.
-    del transform
-    mapping = {u: phi[tv] for u, tv in tm.mapping.items()}
-    return TreeMap(final_tree, mapping, tm.source, root=phi[root])
+    # Each vertex lists its parent, then its children in ``seq`` order.
+    adj: dict[int, dict[int, int]] = {i: {} for i in seq}
+    for i in seq:
+        if par[i] is not None:
+            p = find(par[i])
+            adj[i][p] = adj[p][i] = dep[i] - dep[p]
+    result = MetricTree(tree.D)
+    result.adj = adj
+    mapping = {u: find(first[tv]) for u, tv in tm.mapping.items()}
+    return TreeMap(result, mapping, tm.source, root=find(first[tm.root]))
 
 
 # -- rounding -----------------------------------------------------------
@@ -179,17 +187,18 @@ class CutMemo:
     distinct cut: its separated demand and, for cuts of at most
     ``nu_brute_limit`` edges, nu's exact (value, assignment).  Keys are
     frozensets of normalised cut edges.  g, caps and dem are fixed for
-    the memo's lifetime, so one memo serves every sample of a run."""
+    the memo's lifetime, so one memo serves every sample of a run, and
+    ``pairs`` lists dem's positive pairs once for all of them."""
 
     def __init__(self, g: MetricGraph, caps: PolymatroidCaps, dem: DemandMatrix):
         self.g, self.caps, self.dem = g, caps, dem
-        self._pairs = dem.items()
+        self.pairs = dem.items()
         self._sep: dict[frozenset, Fraction] = {}
         self._nu: dict[frozenset, tuple[Fraction, dict[Edge, int]]] = {}
 
     def separated(self, key: frozenset) -> Fraction:
         if key not in self._sep:
-            self._sep[key] = _separated(_components(self.g, cut_edges=key), self._pairs)
+            self._sep[key] = _separated(_components(self.g, cut_edges=key), self.pairs)
         return self._sep[key]
 
     def exact_nu(self, key: frozenset, cut) -> tuple[Fraction, dict[Edge, int]]:
@@ -287,10 +296,10 @@ def round_thin(
 
 
 def rounding_bound(
-    tm: TreeMap, ell: AdaptedLengths, caps: PolymatroidCaps, dem: DemandMatrix,
-    delta: int,
+    tm: TreeMap, ell: AdaptedLengths, caps: PolymatroidCaps, pairs, delta: int,
 ) -> Fraction:
-    """delta * sum_v rho_hat_v(ell_v) / sum dem * d_T(F(u), F(v)).
+    """delta * sum_v rho_hat_v(ell_v) / sum dem * d_T(F(u), F(v)), the
+    demands given as ``pairs``, the (u, v, w) of ``DemandMatrix.items()``.
 
     Both sums are taken on ints over the lcm of their terms'
     denominators, the demand sum over tick distances, and one Fraction
@@ -303,7 +312,7 @@ def rounding_bound(
     tree, f = tm.tree, tm.mapping
     d_num, d_den = _int_sum(
         [(w.numerator * tree.tick_dist(f[u], f[v]), w.denominator)
-         for (u, v, w) in dem.items()]
+         for (u, v, w) in pairs]
     )
     if d_num == 0:
         raise NoSeparatedDemand("demands have zero tree distance")
@@ -435,7 +444,7 @@ def multiscale_round(
             continue
         rounded += 1
         try:
-            bound = rounding_bound(thin, tl, caps, dem, DEFAULT_CONFIG.thinness)
+            bound = rounding_bound(thin, tl, caps, memo.pairs, DEFAULT_CONFIG.thinness)
         except NoSeparatedDemand:
             pass  # every demand at tree distance 0: no bound to check
         else:

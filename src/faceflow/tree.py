@@ -4,7 +4,8 @@ A ``MetricTree`` keeps every edge length as an int number of ticks 1/D
 over one denominator D for the whole tree; rational lengths go in and
 come out as exact ``Fraction``s.  The embedding grows each block's tree
 one ear at a time, glues each flattened ear onto it in place and hands
-the tree on as it is; distortion and thinning read the same ticks.  A
+the tree on as it is; distortion reads the same ticks, and thinning,
+whose folds keep every tick depth, builds its tree once from depths.  A
 tree's path and distance queries read a rooted index (parents, depths,
 preorder intervals), built on the first query after the tree last
 changed.

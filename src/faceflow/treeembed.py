@@ -34,7 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 from .config import DEFAULT_CONFIG
 from .errors import (
@@ -103,6 +103,13 @@ def _anchor_grid(circ: int, chord: int) -> tuple[int, tuple[int, int, int]]:
     return m, (p0, q0, step)
 
 
+def _equidistant_sums(forbidden, circ: int) -> set[int]:
+    """(s + t) mod circ over the pairs of distinct positions s, t of
+    ``forbidden``, all in [0, circ): a point a of the cycle is as far
+    from s as from t exactly when 2a = s + t (mod circ)."""
+    return {(s + t) % circ for s, t in combinations(set(forbidden), 2)}
+
+
 def anchor_points(
     c: Cycle,
     u: int,
@@ -116,9 +123,9 @@ def anchor_points(
 ) -> tuple[int, int]:
     """Pick two anchor positions on the cycle, (1/6, 1/16)-apart with
     respect to {u, v}, measured from the endpoint that is not the good
-    one.  Distances from each anchor to all forbidden positions are
-    pairwise distinct (zero-distance pairs exempt); ``extra_check`` can
-    reject a candidate pair to force a resample.
+    one.  Distances from each anchor to the distinct forbidden positions
+    are pairwise distinct, a lookup in ``_equidistant_sums``;
+    ``extra_check`` can reject a candidate pair to force a resample.
 
     Everything is in integer ticks: the cycle, ``forbidden``, ``path_pos``
     and ``grid``, the ``(p0, q0, step)`` of ``_anchor_grid`` for this cycle,
@@ -133,24 +140,14 @@ def anchor_points(
     # Anchors sit on the path arc, measured from the non-good endpoint.
     sign = 1 if path_pos[base] == 0 else -1
     base_pos = c.points[base]
-    forb = sorted(set(forbidden))
-    dist_pos = c.dist_pos
-
-    def distances_distinct(anchor: int) -> bool:
-        seen: dict[int, int] = {}
-        for s in forb:
-            d = dist_pos(anchor, s)
-            if d in seen and dist_pos(seen[d], s) != 0:
-                return False
-            seen.setdefault(d, s)
-        return True
+    sums = _equidistant_sums(forbidden, circ)
 
     n_grid = DEFAULT_CONFIG.anchor_grid
     for _ in range(_ETA_TRIES):
         k = rng.randrange(n_grid) + 1
         p_pos = (base_pos + sign * (p0 - k * step)) % circ
         q_pos = (base_pos + sign * (q0 - k * step)) % circ
-        if not (distances_distinct(p_pos) and distances_distinct(q_pos)):
+        if (2 * p_pos) % circ in sums or (2 * q_pos) % circ in sums:
             continue
         if extra_check is not None and not extra_check(p_pos, q_pos):
             continue

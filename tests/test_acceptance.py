@@ -319,7 +319,7 @@ def test_criterion_8_rounding_guarantee():
             continue
         count += 1
         if cert.sparsity > rounding_bound(
-            tm, ell, caps, dem, DEFAULT_CONFIG.thinness
+            tm, ell, caps, dem.items(), DEFAULT_CONFIG.thinness
         ):
             violations += 1
     ok = violations == 0 and count >= 40

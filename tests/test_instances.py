@@ -123,5 +123,6 @@ class TestGenerators:
     def test_random_demands_on_given_vertices(self, seed):
         verts = [0, 2, 4, 6]
         dem = random_demands(verts, seed)
-        assert dem.support() <= set(verts)
-        assert dem.total() > 0
+        items = dem.items()
+        assert {x for (u, v, _) in items for x in (u, v)} <= set(verts)
+        assert sum(w for (_, _, w) in items) > 0

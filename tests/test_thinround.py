@@ -5,6 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import embedded, slack_cycle, two_ear_block, two_slack_blocks
 from faceflow import thinround
@@ -33,10 +35,11 @@ from faceflow.thinround import (
     tilde_lengths,
 )
 from faceflow.experiments import gap_experiment
+from faceflow import tree as tree_module
 from faceflow.tree import MetricTree, TreeMap
 from faceflow.treeembed import embed_sampler, is_thin
 from test_golden_cli import INSTANCES
-from test_tree import ReferenceTree, adj_lists, reference_tree, walk_tree
+from test_tree import ReferenceTree, reference_tree, walk_tree
 
 F = Fraction
 
@@ -296,19 +299,90 @@ class TestThinMap:
             thin_map(tm, 0)
 
 
+def listed(t) -> tuple[list[int], list]:
+    """The vertices and the edges with their Fraction lengths, each in
+    the tree's order.  Their order matters: ``round_thin`` keeps the
+    first of equally sparse cuts in ``edges()`` order.  A vertex's
+    smaller neighbours may come in any order: only the rooted index
+    reads it, and no query's answer depends on it."""
+    return list(t.adj), t.edges()
+
+
 def thin_both(tm, seed, choice_fn=None):
     """``thin_map`` and the reference, which gets the tree with the
-    Fraction lengths of its ``edges()``: the same tree adjacency (lengths
-    compared as Fractions, in order), mapping and root, on tm's grid."""
+    Fraction lengths of its ``edges()``: the same vertices and edges,
+    each in the same order, the same mapping (in order) and root, on
+    tm's grid; and the fold keeps every depth."""
     got = thin_map(tm, seed, choice_fn)
     want = reference_thin_map(
         dataclasses.replace(tm, tree=reference_tree(tm.tree)), seed, choice_fn
     )
-    assert adj_lists(got.tree) == adj_lists(want.tree)
+    assert listed(got.tree) == listed(want.tree)
     assert list(got.mapping.items()) == list(want.mapping.items())
     assert got.root == want.root
     assert got.tree.D == tm.tree.D
+    assert_depths_kept(tm, seed, choice_fn)
     return got
+
+
+def assert_depths_kept(tm, seed, choice_fn=None):
+    """Each vertex v of tm's tree has its image as many ticks below the
+    new root as v lies below ``tm.root``.  The images are read through
+    probe keys -1 - v added to the mapping, which ``thin_map`` carries
+    through without reading them."""
+    probe = {-1 - v: v for v in tm.tree.adj}
+    out = thin_map(
+        dataclasses.replace(tm, mapping={**tm.mapping, **probe}), seed, choice_fn
+    )
+    for key, v in probe.items():
+        depth = out.tree.tick_dist(out.root, out.mapping[key])
+        assert depth == tm.tree.tick_dist(tm.root, v)
+
+
+@st.composite
+def tree_maps(draw, star_shaped=True):
+    """A random tree map with branch bits.
+
+    The tree: up to 9 vertices rooted at 0, lengths of 0 to 3 ticks on a
+    grid 1/D, its edges added in a random order (the children's order).
+    The fibres: tree vertex v holds graph vertex v, and up to 4 more
+    graph vertices land on random tree vertices.  The graph, when
+    ``star_shaped``: from each tree vertex x, at most one edge into each
+    child's subtree, to a vertex down a random path, so the arms at x
+    never branch; otherwise up to 16 edges between any graph vertices.
+    The branch bits: one per child of x, taken in order."""
+    n = draw(st.integers(1, 9))
+    parent = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    children = {v: [c for c in range(n) if parent[c] == v] for v in range(n)}
+    tree = MetricTree(draw(st.integers(1, 4)))
+    tree.add_vertex(0)
+    for v in draw(st.permutations(range(1, n))):
+        tree.add_ticks(parent[v], v, draw(st.integers(0, 3)))
+    extra = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    mapping = {**{v: v for v in range(n)}, **{n + i: t for i, t in enumerate(extra)}}
+    fibre = {v: [u for u, t in mapping.items() if t == v] for v in range(n)}
+    pairs = []
+    if star_shaped:
+        for x in range(n):
+            for z in children[x]:
+                if not draw(st.booleans()):
+                    continue
+                while children[z] and draw(st.booleans()):
+                    z = draw(st.sampled_from(children[z]))
+                ends = (draw(st.sampled_from(fibre[y])) for y in (x, z))
+                pairs.append(tuple(ends))
+    else:
+        ends = st.integers(0, len(mapping) - 1)
+        seen = set()
+        for a, b in draw(st.lists(st.tuples(ends, ends), max_size=16)):
+            if a != b and norm_edge(a, b) not in seen:
+                seen.add(norm_edge(a, b))
+                pairs.append((a, b))
+    edges = tuple((a, b, tree.dist(mapping[a], mapping[b])) for a, b in pairs)
+    bits = {x: draw(st.lists(st.integers(0, 1), min_size=len(c), max_size=len(c)))
+            for x, c in children.items()}
+    tm = TreeMap(tree, mapping, MetricGraph(len(mapping), edges), root=0)
+    return tm, lambda x, k: tuple(bits[x][:k])
 
 
 class TestThinReference:
@@ -332,6 +406,20 @@ class TestThinReference:
             reference_thin_map(dataclasses.replace(tm, tree=reference_tree(tm.tree)), 0)
         with pytest.raises(NotStarShaped, match=f"^{re.escape(str(want.value))}$"):
             thin_map(tm, 0)
+
+    def test_names_the_first_branch_on_the_sorted_targets(self):
+        # Two spiders hang off the root, and the root's edges reach all
+        # four legs; the arms branch at both spider centres, and the
+        # error names the one on the path to the smallest target id.
+        t = MetricTree()
+        for (u, v) in [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5), (4, 6)]:
+            t.add_edge(u, v, F(1))
+        g = MetricGraph(7, tuple((0, v, F(2)) for v in (2, 3, 5, 6)))
+        tm = TreeMap(t, {v: v for v in range(7)}, g)
+        with pytest.raises(NotStarShaped, match="^arm union branches at 1,"):
+            thin_map(tm, 0)
+        with pytest.raises(NotStarShaped, match="^arm union branches at 1,"):
+            reference_thin_map(dataclasses.replace(tm, tree=reference_tree(t)), 0)
 
     GRAPHS = [
         ("c6", cycle_instance(6)),
@@ -361,6 +449,63 @@ class TestThinReference:
         assert len(seen) == 20
 
 
+class TestFoldKeepsDepths:
+    """A fold lays each arm on a branch at its own depths, so every
+    vertex keeps its tick depth below the root: the fact that lets
+    ``thin_map`` work on one structure of parents and depths."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree_maps())
+    def test_random_maps(self, drawn):
+        tm, choice_fn = drawn
+        thin_both(tm, 0, choice_fn)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree_maps(star_shaped=False))
+    def test_same_outcome_on_any_map(self, drawn):
+        # A map that is not star-shaped fails with the reference's message.
+        tm, choice_fn = drawn
+        try:
+            reference_thin_map(
+                dataclasses.replace(tm, tree=reference_tree(tm.tree)), 0, choice_fn
+            )
+        except NotStarShaped as err:
+            with pytest.raises(NotStarShaped, match=f"^{re.escape(str(err))}$"):
+                thin_map(tm, 0, choice_fn)
+        else:
+            thin_both(tm, 0, choice_fn)
+
+    @pytest.mark.parametrize("name", ["spider", "random-tree", "two-ear", "slack8"])
+    def test_one_tree_and_no_index(self, monkeypatch, name):
+        # One MetricTree, built at the end; no graft, path union or
+        # rooted index on the way.
+        tm = {
+            "spider": lambda: spider(3)[1],
+            "random-tree": lambda: identity_tree_map(random_tree(9, 4)),
+            "two-ear": lambda: embed_sampler(two_ear_block())(3),
+            "slack8": lambda: embed_sampler(slack_cycle(8))(5),
+        }[name]()
+        calls = []
+
+        def counted(owner, attr):
+            fn = getattr(owner, attr)
+
+            def wrapped(*args, **kwargs):
+                calls.append(attr)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapped)
+
+        counted(MetricTree, "__init__")
+        counted(MetricTree, "graft")
+        counted(MetricTree, "path_union")
+        counted(tree_module, "_rooted_index")
+        out = thin_map(tm, 0)
+        assert calls == ["__init__"]
+        # At least one fold ran: it took ids past the input's vertices.
+        assert max(out.tree.adj) >= len(tm.tree.adj)
+
+
 class TestRoundThin:
     def single_edge_setup(self):
         g = MetricGraph(2, ((0, 1, F(1)),))
@@ -378,7 +523,7 @@ class TestRoundThin:
         assert cert.sparsity == 1
         assert cert.exact
         assert cert.edges == frozenset({(0, 1)})
-        assert cert.sparsity <= rounding_bound(tm, ell, caps, dem, 4)
+        assert cert.sparsity <= rounding_bound(tm, ell, caps, dem.items(), 4)
 
     def test_rejects_non_adapted(self):
         g, tm, _, caps, dem = self.single_edge_setup()
@@ -417,7 +562,7 @@ class TestRoundThin:
         dem = DemandMatrix.from_pairs(pairs)
         cert = round_thin(g, tm, ell, caps, dem)
         assert cert.exact
-        assert cert.sparsity <= rounding_bound(tm, ell, caps, dem, 4)
+        assert cert.sparsity <= rounding_bound(tm, ell, caps, dem.items(), 4)
 
 
 # -- the Fraction formulas that the tick arithmetic replaced, the references;
@@ -465,15 +610,14 @@ def reference_rho_hat(caps: PolymatroidCaps, v: int, ell_v: dict) -> Fraction:
 
 
 def reference_rounding_bound(
-    tm: TreeMap, ell: AdaptedLengths, caps: PolymatroidCaps, dem: DemandMatrix,
-    delta: int,
+    tm: TreeMap, ell: AdaptedLengths, caps: PolymatroidCaps, pairs, delta: int,
 ) -> Fraction:
     """delta * sum_v rho_hat_v(ell_v) / sum dem * d_T(F(u), F(v))."""
     numer = delta * sum(
         (reference_rho_hat(caps, v, ell.ell.get(v, {})) for v in ell.ell), Fraction(0)
     )
     denom = Fraction(0)
-    for (u, v, w) in dem.items():
+    for (u, v, w) in pairs:
         denom += w * tm.tree.dist(tm.mapping[u], tm.mapping[v])
     if denom == 0:
         raise NoSeparatedDemand("demands have zero tree distance")
@@ -504,15 +648,15 @@ def check_against_references(monkeypatch) -> list[str]:
         seen.append("tilde_lengths")
         return got
 
-    def checked_bound(tm, ell, caps, dem, delta):
+    def checked_bound(tm, ell, caps, pairs, delta):
         seen.append("rounding_bound")
         try:
-            want = reference_rounding_bound(walked(tm), ell, caps, dem, delta)
+            want = reference_rounding_bound(walked(tm), ell, caps, pairs, delta)
         except NoSeparatedDemand as err:
             with pytest.raises(NoSeparatedDemand, match=f"^{re.escape(str(err))}$"):
-                bound(tm, ell, caps, dem, delta)
+                bound(tm, ell, caps, pairs, delta)
             raise
-        got = bound(tm, ell, caps, dem, delta)
+        got = bound(tm, ell, caps, pairs, delta)
         assert type(got) is Fraction and got == want
         return got
 
@@ -571,9 +715,9 @@ class TestTickArithmeticMatchesFractions:
         caps = PolymatroidCaps.from_vertex_caps({v: F(1) for v in range(3)})
         dem = DemandMatrix.from_pairs([(1, 2, F(1))])
         with pytest.raises(NegativeEntry, match=r"^negative weight -1/2 at \(0, 1\)$"):
-            rounding_bound(tm, ell, caps, dem, 4)
+            rounding_bound(tm, ell, caps, dem.items(), 4)
         with pytest.raises(NegativeEntry, match=r"^negative weight -1/2 at \(0, 1\)$"):
-            reference_rounding_bound(tm, ell, caps, dem, 4)
+            reference_rounding_bound(tm, ell, caps, dem.items(), 4)
 
     def test_adaptedness_message(self):
         g = MetricGraph(2, ((0, 1, F(1)),))

@@ -271,6 +271,17 @@ class TestAnchorPoints:
             seen.append((p, q))
         assert len(set(seen)) > 1  # eta really is random
 
+    def test_either_anchor_equidistant_forces_resample(self):
+        # Two forbidden positions half a unit either side of the first
+        # draw's p, then of its q, reject that draw: the second is taken.
+        c = make_cycle([0, 1, 2], [F(80), F(80)], F(1))
+        first = anchors_both(c, 0, 2, set(), 2, lambda: FakeRng([0]))
+        second = anchors_both(c, 0, 2, set(), 2, lambda: FakeRng([1]))
+        assert first != second
+        for a in first:
+            forbidden = {(a + d) % c.circumference for d in (F(-1, 2), F(1, 2))}
+            assert anchors_both(c, 0, 2, forbidden, 2, lambda: FakeRng([0, 1])) == second
+
 
 class TestAnchorGrid:
     """The integer anchor grid gives the reference's Fractions, on the
@@ -358,6 +369,50 @@ class TestAnchorReference:
             extra_check=reject_three,
         )
         assert len(calls) == 8
+
+
+def reference_distances_distinct(c: Cycle, forbidden, anchor: int) -> bool:
+    """The loop that ``anchor_points`` ran per candidate before its
+    ``_equidistant_sums`` lookup, kept verbatim apart from its arguments:
+    the distances from ``anchor`` to the forbidden positions are pairwise
+    distinct, zero-distance pairs exempt."""
+    forb = sorted(set(forbidden))
+    dist_pos = c.dist_pos
+    seen: dict[int, int] = {}
+    for s in forb:
+        d = dist_pos(anchor, s)
+        if d in seen and dist_pos(seen[d], s) != 0:
+            return False
+        seen.setdefault(d, s)
+    return True
+
+
+class TestEquidistantSums:
+    """An anchor passes the sum lookup exactly when it passes the loop."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 200).flatmap(lambda circ: st.tuples(
+        st.just(circ),
+        st.lists(st.integers(0, circ - 1), max_size=9),
+        st.integers(0, circ - 1),
+    )))
+    def test_same_verdict_as_the_loop(self, drawn):
+        circ, forbidden, anchor = drawn
+        sums = treeembed._equidistant_sums(forbidden, circ)
+        want = reference_distances_distinct(Cycle(circ, {}), forbidden, anchor)
+        assert ((2 * anchor) % circ not in sums) == want
+
+    def test_every_anchor_on_small_cycles(self):
+        # Every anchor against every set of at most 4 positions, on
+        # cycles of 1 to 12 ticks.
+        for circ in range(1, 13):
+            c = Cycle(circ, {})
+            for k in range(5):
+                for forbidden in itertools.combinations(range(circ), k):
+                    sums = treeembed._equidistant_sums(forbidden, circ)
+                    for a in range(circ):
+                        want = reference_distances_distinct(c, forbidden, a)
+                        assert ((2 * a) % circ not in sums) == want
 
 
 class TestAnchorViolations:
