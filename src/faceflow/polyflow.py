@@ -245,28 +245,32 @@ def assignment_value(assign: dict[Edge, int], caps: PolymatroidCaps) -> Fraction
     return sum((caps.rho(v, es) for v, es in buckets.items()), Fraction(0))
 
 
-def _components(
-    g: MetricGraph, cut_edges=frozenset(), cut_vertices=frozenset()
-) -> list[int]:
-    """Union-find root of every vertex of g once the (normalised) edges in
-    ``cut_edges`` and every edge at a vertex of ``cut_vertices`` are
-    deleted.  Two vertices are connected iff their roots are equal; a
-    vertex of ``cut_vertices`` is left alone in its component."""
+def _components(g: MetricGraph, cut: int) -> list[int]:
+    """Union-find root of every vertex of g once the edges whose index
+    in ``g.edges`` is a set bit of ``cut`` are deleted.  Two vertices are
+    connected iff their roots are equal.  Each root is the least vertex
+    of its component, so parent[x] <= x throughout, and one ascending
+    pass turns the parents into roots."""
     parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for (a, b, _) in g.edges:
-        if a in cut_vertices or b in cut_vertices or (a, b) in cut_edges:
-            continue
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return [find(x) for x in range(g.n)]
+        if not cut & 1:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]  # path halving
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+        cut >>= 1
+    for x in range(g.n):
+        parent[x] = parent[parent[x]]
+    return parent
+
+
+def _edge_mask(g: MetricGraph, cut_edges) -> int:
+    """Bitmask over ``g.edges`` indices of the normalised ``cut_edges``."""
+    return sum(1 << i for i, (a, b, _) in enumerate(g.edges) if (a, b) in cut_edges)
 
 
 def _separated(root: list[int], pairs) -> Fraction:
@@ -276,7 +280,7 @@ def _separated(root: list[int], pairs) -> Fraction:
 
 def separated_demand(g: MetricGraph, s_edges, dem: DemandMatrix) -> Fraction:
     cut = {norm_edge(*e) for e in s_edges}
-    return _separated(_components(g, cut_edges=cut), dem.items())
+    return _separated(_components(g, _edge_mask(g, cut)), dem.items())
 
 
 def sparsity(
@@ -290,17 +294,51 @@ def sparsity(
 
 
 # -- sparsest cuts by enumeration --------------------------------------
+#
+# The oracles enumerate on ints: demands and capacities are scaled once
+# to ints over the lcm of their denominators, each candidate's separated
+# demand is an int sum over one ``_components`` call, and a candidate
+# low / sep beats the best so far iff low * best_sep < best_low * sep.
+# The best starts at (1, 0), above every ratio, and only a strictly
+# smaller ratio replaces it, so the first minimum in mask order wins.
+# One Fraction and one set are built, for the winner.
 
 
-def _half_credit(s_verts, root: list[int], u: int, v: int) -> Fraction:
-    inside = (u in s_verts) + (v in s_verts)
-    if inside == 1:
-        return Fraction(1, 2)
-    if inside == 2:
-        return Fraction(1)
-    # Both outside: full credit iff they sit in distinct components of
-    # the graph with S removed.
-    return Fraction(int(root[u] != root[v]))
+def _over_lcm(xs) -> tuple[list[int], int]:
+    """The rationals ``xs`` as ints over the lcm of their denominators:
+    (ints, lcm)."""
+    scale = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (scale // x.denominator) for x in xs], scale
+
+
+def _int_pairs(pairs) -> tuple[list[tuple[int, int, int]], int]:
+    """The ``DemandMatrix.items()`` pairs with int weights, and their scale."""
+    weights, scale = _over_lcm([w for (_, _, w) in pairs])
+    return [(u, v, w) for (u, v, _), w in zip(pairs, weights)], scale
+
+
+def _vertex_sets(cuts: list[int], caps: list[int]):
+    """Every set of k = len(cuts) vertices, as (mask, cut, cap) in
+    increasing mask order: cut ORs cuts[i] and cap sums caps[i] over the
+    set bits i of the mask.  Each (cut, cap) is read off a table of the
+    low half of the bits and one of the high half, about 2^(k/2) long
+    each, not one 2^k long."""
+    half = len(cuts) // 2
+
+    def table(bits):
+        out = [(0, 0)]
+        for i in bits:
+            out += [(c | cuts[i], s + caps[i]) for (c, s) in out]
+        return out
+
+    low = table(range(half))
+    for hi, (hi_cut, hi_cap) in enumerate(table(range(half, len(cuts)))):
+        for lo, (lo_cut, lo_cap) in enumerate(low):
+            yield hi << half | lo, hi_cut | lo_cut, hi_cap + lo_cap
+
+
+def _edges_of(g: MetricGraph, cut: int) -> frozenset:
+    return frozenset((a, b) for i, (a, b, _) in enumerate(g.edges) if cut >> i & 1)
 
 
 def brute_sparsest_vertex_cut(
@@ -308,28 +346,31 @@ def brute_sparsest_vertex_cut(
     cap: dict[int, Fraction],
     dem: DemandMatrix,
 ) -> tuple[frozenset, Fraction]:
+    """min over vertex sets S of cap(S) / sum_i dem_i * credit_i(S): a
+    demand pair with one endpoint in S counts half, with both in S whole,
+    and with neither whole iff g - S splits it.  With every weight
+    doubled the credits are ints; the first S in mask order with the
+    smallest ratio wins, and the empty set comes first (a disconnected
+    demand pair gives 0)."""
     if g.n > DEFAULT_CONFIG.vertex_cut_max_n:
         raise TooLarge(f"n = {g.n} too large for 2^n enumeration")
-    pairs = dem.items()
-    best = None
-    best_s = None
-    # The empty set comes first: a disconnected demand pair gives 0.
-    for mask in range(1 << g.n):
-        s = frozenset(v for v in range(g.n) if mask >> v & 1)
-        root = _components(g, cut_vertices=s)
-        denom = sum(
-            (w * _half_credit(s, root, u, v) for (u, v, w) in pairs),
-            Fraction(0),
-        )
-        if denom == 0:
-            continue
-        val = sum((frac(cap[v]) for v in s), Fraction(0)) / denom
-        if best is None or val < best:
-            best = val
-            best_s = s
-    if best is None:
+    pairs, dem_scale = _int_pairs(dem.items())
+    caps, cap_scale = _over_lcm([frac(cap[v]) for v in range(g.n)])
+    best_low, best_sep, best_mask = 1, 0, 0
+    incident = [_edge_mask(g, g.incident(v)) for v in range(g.n)]
+    for mask, cut, low in _vertex_sets(incident, caps):
+        root = _components(g, cut)
+        sep = 0
+        for (u, v, w) in pairs:
+            inside = (mask >> u & 1) + (mask >> v & 1)
+            if inside or root[u] != root[v]:
+                sep += w if inside == 1 else 2 * w
+        if sep and low * best_sep < best_low * sep:
+            best_low, best_sep, best_mask = low, sep, mask
+    if not best_sep:
         raise NoSeparatedDemand("no vertex set separates any demand")
-    return best_s, best
+    s = frozenset(v for v in range(g.n) if best_mask >> v & 1)
+    return s, Fraction(best_low * 2 * dem_scale, best_sep * cap_scale)
 
 
 def brute_sparsest_edge_cut(
@@ -343,9 +384,13 @@ def brute_sparsest_edge_cut(
     With vertex capacities, nu(S) is the cheapest vertex cover of S, and
     covering more edges only separates more demand, so the minimum is
     attained by the edges at some vertex set C (Chekuri-Kannan-Raja-
-    Viswanath, ITCS 2012): 2^n vertex sets instead of 2^|E| edge sets,
-    each with a 2^|S| assignment enumeration.  Polymatroid tables keep
-    the edge-set enumeration."""
+    Viswanath, ITCS 2012): 2^n vertex sets instead of 2^|E| edge sets.
+    Polymatroid tables keep the edge-set enumeration, each S with a
+    2^|S| assignment enumeration, but skip every S with an edge e whose
+    ends lie in one component of g - S: S - e separates the same demand,
+    costs no more (rho is monotone), and comes first in mask order, so
+    S is never the first minimum and the result is that of the full
+    enumeration."""
     if len(g.edges) > DEFAULT_CONFIG.edge_cut_max_edges:
         raise TooLarge(f"|E| = {len(g.edges)} too large for enumeration")
     if caps.is_vertex_form():
@@ -356,28 +401,23 @@ def brute_sparsest_edge_cut(
 def _vertex_cover_cut(
     g: MetricGraph, cap: dict[int, Fraction], dem: DemandMatrix
 ) -> tuple[frozenset, Fraction]:
-    """min over the empty set and the vertex sets C touching an edge of
-    cap(C) / sep(edges at C); the first C (in mask order) with the
-    smallest ratio wins."""
-    touched = sum(1 << v for v in range(g.n) if g.incident(v))
-    pairs = dem.items()
-    best = None
-    best_c = None
-    for mask in range(1 << g.n):
-        # Vertices without edges add capacity and no cut edge.
-        if mask and not mask & touched:
-            continue
-        c = frozenset(v for v in range(g.n) if mask >> v & 1)
-        sep = _separated(_components(g, cut_vertices=c), pairs)
-        if sep == 0:
-            continue
-        val = sum((cap.get(v, Fraction(0)) for v in c), Fraction(0)) / sep
-        if best is None or val < best:
-            best = val
-            best_c = c
-    if best is None:
+    """min over the vertex sets C of the vertices with an edge of
+    cap(C) / sep(edges at C); the first C in mask order with the
+    smallest ratio wins.  A vertex without edges adds capacity (>= 0)
+    and no cut edge, so no set holding one is ever the first minimum."""
+    incident = [_edge_mask(g, g.incident(v)) for v in range(g.n)]
+    touched = [v for v in range(g.n) if incident[v]]
+    pairs, dem_scale = _int_pairs(dem.items())
+    caps, cap_scale = _over_lcm([cap.get(v, Fraction(0)) for v in touched])
+    best_low, best_sep, best_cut = 1, 0, 0
+    for _, cut, low in _vertex_sets([incident[v] for v in touched], caps):
+        root = _components(g, cut)
+        sep = sum(w for (u, v, w) in pairs if root[u] != root[v])
+        if sep and low * best_sep < best_low * sep:
+            best_low, best_sep, best_cut = low, sep, cut
+    if not best_sep:
         raise NoSeparatedDemand("no edge set separates any demand")
-    return frozenset(e for v in best_c for e in g.incident(v)), best
+    return _edges_of(g, best_cut), Fraction(best_low * dem_scale, best_sep * cap_scale)
 
 
 def _table_cut(
@@ -385,8 +425,10 @@ def _table_cut(
 ) -> tuple[frozenset, Fraction]:
     """Edge-set enumeration for polymatroid tables.  Each rho_v is read
     into a list indexed by a bitmask of v's incident edges and scaled by
-    the common denominator, so the assignment sums are integer sums."""
-    edges = [(a, b) for (a, b, _) in g.edges]
+    the common denominator, so the assignment sums are integer sums.  An
+    edge set with an edge inside one component of g - S is skipped
+    before its assignments are enumerated (see
+    ``brute_sparsest_edge_cut``)."""
     incident = {v: g.incident(v) for v in range(g.n)}
     values = {
         v: [
@@ -400,25 +442,24 @@ def _table_cut(
     # Edge e = (a, b) as (a, b, its bit at a, its bit at b).
     ends = [
         (a, b, 1 << incident[a].index((a, b)), 1 << incident[b].index((a, b)))
-        for (a, b) in edges
+        for (a, b, _) in g.edges
     ]
-    pairs = dem.items()
-    best = None
-    best_s = None
-    for mask in range(1 << len(edges)):
-        picked = [i for i in range(len(edges)) if mask >> i & 1]
-        s = frozenset(edges[i] for i in picked)
-        sep = _separated(_components(g, cut_edges=s), pairs)
-        if sep == 0:
+    pairs, dem_scale = _int_pairs(dem.items())
+    best_low, best_sep, best_cut = 1, 0, 0
+    for cut in range(1 << len(ends)):
+        root = _components(g, cut)
+        sep = sum(w for (u, v, w) in pairs if root[u] != root[v])
+        if not sep:
             continue
-        low = _min_assignment([ends[i] for i in picked], table)
-        val = Fraction(low, scale) / sep
-        if best is None or val < best:
-            best = val
-            best_s = s
-    if best is None:
+        picked = [e for i, e in enumerate(ends) if cut >> i & 1]
+        if any(root[a] == root[b] for (a, b, _, _) in picked):
+            continue
+        low = _min_assignment(picked, table)
+        if low * best_sep < best_low * sep:
+            best_low, best_sep, best_cut = low, sep, cut
+    if not best_sep:
         raise NoSeparatedDemand("no edge set separates any demand")
-    return best_s, best
+    return _edges_of(g, best_cut), Fraction(best_low * dem_scale, best_sep * scale)
 
 
 def _min_assignment(ends, table) -> int:

@@ -31,6 +31,7 @@ from .polyflow import (
     DemandMatrix,
     PolymatroidCaps,
     _components,
+    _edge_mask,
     _separated,
     assignment_value,
     nu,
@@ -198,7 +199,8 @@ class CutMemo:
 
     def separated(self, key: frozenset) -> Fraction:
         if key not in self._sep:
-            self._sep[key] = _separated(_components(self.g, cut_edges=key), self.pairs)
+            root = _components(self.g, _edge_mask(self.g, key))
+            self._sep[key] = _separated(root, self.pairs)
         return self._sep[key]
 
     def exact_nu(self, key: frozenset, cut) -> tuple[Fraction, dict[Edge, int]]:

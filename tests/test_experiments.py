@@ -352,7 +352,8 @@ def _planar12_2p2() -> Instance:
 
 def _count_cut_calls(monkeypatch) -> dict[str, list[frozenset]]:
     """Record the cut of every ``nu`` call made by ``thinround``, and of
-    every ``_components`` call, one per separated demand it computes."""
+    every ``_components`` call (its edge-index bitmask read back as
+    edges), one per separated demand it computes."""
     calls: dict[str, list[frozenset]] = {"nu": [], "separated_demand": []}
 
     def counting(name, fn, cut_of):
@@ -370,7 +371,7 @@ def _count_cut_calls(monkeypatch) -> dict[str, list[frozenset]]:
         thinround, "_components",
         counting(
             "separated_demand", thinround._components,
-            lambda g, cut_edges: cut_edges,
+            lambda g, cut: [e[:2] for i, e in enumerate(g.edges) if cut >> i & 1],
         ),
     )
     return calls

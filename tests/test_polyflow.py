@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from dataclasses import replace
@@ -12,7 +13,13 @@ from conftest import random_reduced_graph
 from faceflow import polyflow
 from faceflow.errors import InvariantViolation, NegativeEntry, NoSeparatedDemand, TooLarge, ZeroDenominator
 from faceflow.graph import MetricGraph, frac, norm_edge
-from faceflow.instances import cycle_instance, random_caps, random_demands, random_tree
+from faceflow.instances import (
+    cycle_instance,
+    random_caps,
+    random_demands,
+    random_outerplanar,
+    random_tree,
+)
 from faceflow.polyflow import (
     AdaptedLengths,
     DemandMatrix,
@@ -165,6 +172,140 @@ def reference_vertex_cut(g, cap, dem):
     return best_s, best
 
 
+# The Fraction-per-mask oracles that the int core replaced, kept
+# unchanged apart from their helpers, which are copied here: each mask
+# builds a frozenset, a union-find over set lookups and Fraction sums.
+def fraction_components(g, cut_edges=frozenset(), cut_vertices=frozenset()):
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (a, b, _) in g.edges:
+        if a in cut_vertices or b in cut_vertices or (a, b) in cut_edges:
+            continue
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(x) for x in range(g.n)]
+
+
+def fraction_separated(root, pairs):
+    return sum((w for (u, v, w) in pairs if root[u] != root[v]), F(0))
+
+
+def fraction_half_credit(s_verts, root, u, v):
+    inside = (u in s_verts) + (v in s_verts)
+    if inside == 1:
+        return F(1, 2)
+    if inside == 2:
+        return F(1)
+    return F(int(root[u] != root[v]))
+
+
+def fraction_vertex_cut(g, cap, dem):
+    pairs = dem.items()
+    best = None
+    best_s = None
+    for mask in range(1 << g.n):
+        s = frozenset(v for v in range(g.n) if mask >> v & 1)
+        root = fraction_components(g, cut_vertices=s)
+        denom = sum(
+            (w * fraction_half_credit(s, root, u, v) for (u, v, w) in pairs),
+            F(0),
+        )
+        if denom == 0:
+            continue
+        val = sum((frac(cap[v]) for v in s), F(0)) / denom
+        if best is None or val < best:
+            best = val
+            best_s = s
+    if best is None:
+        raise NoSeparatedDemand("no vertex set separates any demand")
+    return best_s, best
+
+
+def fraction_vertex_cover_cut(g, cap, dem):
+    touched = sum(1 << v for v in range(g.n) if g.incident(v))
+    pairs = dem.items()
+    best = None
+    best_c = None
+    for mask in range(1 << g.n):
+        if mask and not mask & touched:
+            continue
+        c = frozenset(v for v in range(g.n) if mask >> v & 1)
+        sep = fraction_separated(fraction_components(g, cut_vertices=c), pairs)
+        if sep == 0:
+            continue
+        val = sum((cap.get(v, F(0)) for v in c), F(0)) / sep
+        if best is None or val < best:
+            best = val
+            best_c = c
+    if best is None:
+        raise NoSeparatedDemand("no edge set separates any demand")
+    return frozenset(e for v in best_c for e in g.incident(v)), best
+
+
+def fraction_table_cut(g, caps, dem):
+    """Every edge set S with positive separated demand reaches
+    ``polyflow._min_assignment``."""
+    edges = [(a, b) for (a, b, _) in g.edges]
+    incident = {v: g.incident(v) for v in range(g.n)}
+    values = {
+        v: [
+            caps.rho(v, [e for i, e in enumerate(inc) if m >> i & 1])
+            for m in range(1 << len(inc))
+        ]
+        for v, inc in incident.items()
+    }
+    scale = math.lcm(*(x.denominator for vals in values.values() for x in vals))
+    table = {v: [int(x * scale) for x in vals] for v, vals in values.items()}
+    ends = [
+        (a, b, 1 << incident[a].index((a, b)), 1 << incident[b].index((a, b)))
+        for (a, b) in edges
+    ]
+    pairs = dem.items()
+    best = None
+    best_s = None
+    for mask in range(1 << len(edges)):
+        picked = [i for i in range(len(edges)) if mask >> i & 1]
+        s = frozenset(edges[i] for i in picked)
+        sep = fraction_separated(fraction_components(g, cut_edges=s), pairs)
+        if sep == 0:
+            continue
+        low = polyflow._min_assignment([ends[i] for i in picked], table)
+        val = F(low, scale) / sep
+        if best is None or val < best:
+            best = val
+            best_s = s
+    if best is None:
+        raise NoSeparatedDemand("no edge set separates any demand")
+    return best_s, best
+
+
+def fraction_edge_cut(g, caps, dem):
+    if caps.is_vertex_form():
+        return fraction_vertex_cover_cut(g, caps.vertex_caps, dem)
+    return fraction_table_cut(g, caps, dem)
+
+
+def assert_same_outcome(oracle, reference, *args):
+    """``oracle`` returns the reference's (set, value), a Fraction, or
+    raises NoSeparatedDemand as it does."""
+    try:
+        want = reference(*args)
+    except NoSeparatedDemand:
+        with pytest.raises(NoSeparatedDemand):
+            oracle(*args)
+        return None
+    got = oracle(*args)
+    assert got == want
+    assert type(got[1]) is Fraction
+    return got
+
 def reference_dual_vertex(
     g: MetricGraph, cap, dem: DemandMatrix, endpoint_factor: int = 2
 ) -> tuple[dict[Edge, Fraction], AdaptedLengths, Fraction]:
@@ -315,6 +456,162 @@ class TestOracleCrossCheck:
             assert reference_edge_cut(g, caps, dem) == want
             assert brute_sparsest_edge_cut(g, caps, dem) == want
 
+
+@st.composite
+def int_core_instances(draw, tables=None):
+    """(g, caps, dem) for the int-core cross-check: 1-9 edges on the
+    first 2-6 vertices, then up to 2 vertices that no edge reaches; 1-3
+    demand pairs over all vertices with weights in {0, 1/2, 1, 3/2, 2,
+    3}, all of which may be 0, and then nothing is separated;
+    capacities with zeros, or tables of three kinds: budget-additive
+    min(c_v, w_v(A)), rank-like min(c_v, |A|), and flat (c_v on every
+    nonempty A), whose entries tie."""
+    core = draw(st.integers(2, 6))
+    n = core + draw(st.integers(0, 2))
+    edges = list(itertools.combinations(range(core), 2))
+    picked = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=9, unique=True))
+    g = MetricGraph(n, tuple((u, v, F(1)) for (u, v) in picked))
+    dem = DemandMatrix.from_pairs(
+        (u, v, w)
+        for ((u, v), w) in draw(st.lists(
+            st.tuples(
+                st.sampled_from(list(itertools.combinations(range(n), 2))),
+                st.builds(F, st.integers(0, 3), st.integers(1, 2)),
+            ),
+            min_size=1, max_size=3,
+        ))
+    )
+    if tables is None:
+        tables = draw(st.booleans())
+    if not tables:
+        return g, PolymatroidCaps.from_vertex_caps({v: draw(SMALL) for v in range(n)}), dem
+    out = {}
+    for v in range(n):
+        inc = g.incident(v)
+        c = draw(SMALL)
+        kind = draw(st.sampled_from(["budget", "rank", "flat"]))
+        w = {e: draw(SMALL) if kind == "budget" else F(1) for e in inc}
+        out[v] = {
+            frozenset(sub): (
+                c if kind == "flat" and sub else min(c, sum((w[e] for e in sub), F(0)))
+            )
+            for r in range(len(inc) + 1)
+            for sub in itertools.combinations(inc, r)
+        }
+    caps = PolymatroidCaps(tables=out)
+    caps.validate_tables()
+    return g, caps, dem
+
+
+class TestIntCoreMatchesFractionLoop:
+    """The int-core oracles return exactly the (set, value) of the
+    Fraction-per-mask enumerations they replaced, or raise as they do."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_core_instances())
+    def test_edge_cut(self, inst):
+        g, caps, dem = inst
+        assert_same_outcome(brute_sparsest_edge_cut, fraction_edge_cut, g, caps, dem)
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_core_instances(tables=False))
+    def test_vertex_cut(self, inst):
+        g, caps, dem = inst
+        assert_same_outcome(
+            brute_sparsest_vertex_cut, fraction_vertex_cut, g, caps.vertex_caps, dem
+        )
+
+    def test_nothing_separated_raises(self):
+        g = MetricGraph(3, ((0, 1, F(1)),))
+        dem = DemandMatrix.from_pairs([(0, 2, F(0))])
+        caps = PolymatroidCaps(tables={
+            v: {frozenset(): F(0), **{frozenset({e}): F(1) for e in g.incident(v)}}
+            for v in range(3)
+        })
+        for args in ((unit_caps(3),), (caps,)):
+            with pytest.raises(NoSeparatedDemand):
+                brute_sparsest_edge_cut(g, *args, dem)
+        with pytest.raises(NoSeparatedDemand):
+            brute_sparsest_vertex_cut(g, {v: F(1) for v in range(3)}, dem)
+
+
+def table_outerplanar(n, seed):
+    """Outerplanar instance with tables rho_v(A) = min(cap_v, cap_v / 2 *
+    |A|), as in the benchmark's gap corpus."""
+    g, face = random_outerplanar(n, seed)
+    cap = random_caps(n, seed)
+    tables = {
+        v: {
+            frozenset(sub): min(cap[v], cap[v] / 2 * len(sub))
+            for r in range(len(g.incident(v)) + 1)
+            for sub in itertools.combinations(g.incident(v), r)
+        }
+        for v in range(n)
+    }
+    return g, PolymatroidCaps(tables=tables), random_demands(face, seed)
+
+
+def record_assignments(monkeypatch) -> list[frozenset]:
+    """The edge set of every ``_min_assignment`` call."""
+    calls = []
+    inner = polyflow._min_assignment
+
+    def recording(ends, table):
+        calls.append(frozenset((a, b) for (a, b, _, _) in ends))
+        return inner(ends, table)
+
+    monkeypatch.setattr(polyflow, "_min_assignment", recording)
+    return calls
+
+
+class TestTableCutSkip:
+    """The table oracle enumerates no edge set with an edge inside one
+    component of g - S: dropping it keeps sep and cannot raise nu."""
+
+    def test_superset_cutting_inside_a_component_ties(self, monkeypatch):
+        # Triangle 0-1-2 with 3 hanging off 1, the pendant edge first.
+        # rho_1 is 1 on every nonempty set and the other vertices cost 5,
+        # so {1-3}, mask 1, is the first sparsest cut, at 1.  {0-1, 1-3}
+        # ties it: 0-1 joins 0 and 1, which 0-2-1 still connects, and
+        # both edges go to 1 at cost 1.
+        g = MetricGraph(4, ((1, 3, F(1)), (0, 1, F(1)), (0, 2, F(1)), (1, 2, F(1))))
+        dem = DemandMatrix.from_pairs([(0, 3, F(1))])
+        tables = {
+            v: {
+                frozenset(sub): (F(1) if v == 1 else F(5)) if sub else F(0)
+                for r in range(len(g.incident(v)) + 1)
+                for sub in itertools.combinations(g.incident(v), r)
+            }
+            for v in range(4)
+        }
+        caps = PolymatroidCaps(tables=tables)
+        caps.validate_tables()
+        first = frozenset({(1, 3)})
+        inside = frozenset({(0, 1), (1, 3)})
+        assert sparsity(g, inside, caps, dem) == sparsity(g, first, caps, dem) == 1
+        calls = record_assignments(monkeypatch)
+        assert brute_sparsest_edge_cut(g, caps, dem) == (first, 1)
+        assert first in calls and inside not in calls
+        assert frozenset({(1, 2), (1, 3)}) not in calls
+        # Cutting 1 off the triangle ties too, and is enumerated: each
+        # of its edges ends in two components.
+        assert frozenset({(0, 1), (1, 2)}) in calls
+        calls.clear()
+        assert fraction_table_cut(g, caps, dem) == (first, 1)
+        assert inside in calls
+
+    def test_table7_2_assignment_calls(self, monkeypatch):
+        """table7-2 of the gap corpus (10 edges): 199 edge sets reach the
+        assignment enumeration; the Fraction loop sends all 657 with
+        positive separated demand."""
+        g, caps, dem = table_outerplanar(7, 2)
+        caps.validate_tables()
+        calls = record_assignments(monkeypatch)
+        got = brute_sparsest_edge_cut(g, caps, dem)
+        assert len(calls) == 199
+        calls.clear()
+        assert fraction_table_cut(g, caps, dem) == got
+        assert len(calls) == 657
 
 class TestDualCrossCheck:
     """mcf_dual_vertex, read off the flow LP's own solve, against the
@@ -661,9 +958,10 @@ class TestBruteCuts:
         cap = {v: F(1) for v in range(3)}
         s, phi = brute_sparsest_vertex_cut(g, cap, dem)
         assert phi == 1 and s == frozenset({1})
-        s = frozenset({0})
-        root = polyflow._components(g, cut_vertices=s)
-        assert polyflow._half_credit(s, root, 0, 2) == F(1, 2)
+        # An endpoint in S earns half credit: {0} gives 1 / (1/2) = 2,
+        # below the middle vertex's 3 / 1.
+        cap[1] = F(3)
+        assert brute_sparsest_vertex_cut(g, cap, dem) == (frozenset({0}), 2)
 
     def test_single_edge_vertex_cut(self):
         g = single_edge()
