@@ -12,6 +12,7 @@ File format (JSON):
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -45,12 +46,19 @@ class Instance:
         return PlanarInstance(self.graph, self.face, self.rotation)
 
     def caps(self) -> PolymatroidCaps:
-        """The instance's capacities; tables are checked monotone and
-        submodular (``nu`` prunes only under monotone rho) and raise
-        ValueError otherwise."""
+        """The instance's capacities; ValueError unless every table is
+        monotone and submodular (the assignment searches of ``nu`` and the
+        table oracle prune only under monotone rho) and has a value at
+        every nonempty set of its vertex's edges."""
         if self.polymatroid is not None:
             caps = PolymatroidCaps(vertex_caps=None, tables=dict(self.polymatroid))
             caps.validate_tables()
+            for v in range(self.graph.n):
+                inc = self.graph.incident(v)
+                for r in range(1, len(inc) + 1):
+                    for sub in map(frozenset, itertools.combinations(inc, r)):
+                        if sub not in caps.tables.get(v, {}):
+                            raise ValueError(f"rho_{v} has no value at {sub}")
             return caps
         if self.vcaps is None:
             raise ValueError("instance has no capacities")

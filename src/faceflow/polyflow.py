@@ -190,50 +190,24 @@ def nu(s_edges, caps: PolymatroidCaps) -> tuple[Fraction, dict[Edge, int]]:
     cut edge to one of its endpoints, for at most
     ``DEFAULT_CONFIG.nu_brute_limit`` cut edges (``TooLarge`` beyond).
 
-    Depth-first over the assignments in the order of
-    ``itertools.product((0, 1), ...)``, bit 0 sending an edge to its
-    smaller endpoint, with each endpoint's rho_v updated as one edge joins
-    its bucket.  A partial assignment is cut off once its value is >= the
-    best complete one.  This is exact only for monotone rho (tables pass
-    ``validate_tables``): no completion is then smaller, so the value and
-    the assignment are those of full enumeration, and among tied minima
-    the lexicographically first assignment is returned."""
+    One ``_min_assignment`` search on the ``_int_tables`` of the cut's
+    own edges at each endpoint.  Exact only for monotone rho (tables pass
+    ``validate_tables``): the value and the assignment are those of full
+    enumeration, the first minimum in product order, bit 0 sending an
+    edge to its smaller endpoint."""
     edges = [norm_edge(*e) for e in s_edges]
     limit = DEFAULT_CONFIG.nu_brute_limit
     if len(edges) > limit:
         raise TooLarge(f"{len(edges)} edges exceeds exact limit {limit}")
     if not edges:
         return Fraction(0), {}
-    buckets: dict[int, frozenset] = {}
-    rhos: dict[int, Fraction] = {}
-    bits = [0] * len(edges)
-    best: Optional[Fraction] = None
-    best_bits: list[int] = []
-
-    def search(i: int, val: Fraction) -> None:
-        nonlocal best, best_bits
-        if best is not None and val >= best:
-            return
-        if i == len(edges):
-            # Not cut off, so strictly below every earlier leaf.
-            best, best_bits = val, list(bits)
-            return
-        e = edges[i]
-        for b in (0, 1):
-            v = e[b]
-            old_s = buckets.get(v, frozenset())
-            old_r = rhos.get(v, Fraction(0))
-            s = old_s | {e}
-            r = caps.rho(v, s)
-            buckets[v], rhos[v], bits[i] = s, r, b
-            search(i + 1, val + r - old_r)
-            buckets[v], rhos[v] = old_s, old_r
-
-    search(0, Fraction(0))
-    # search holds itself through its closure cell: break that cycle now
-    # rather than leave it, and all it reaches, to the next full collection.
-    del search
-    return best, {e: e[b] for e, b in zip(edges, best_bits)}
+    at: dict[int, list[Edge]] = {}  # v -> its cut edges, each once
+    for e in dict.fromkeys(edges):
+        for v in e:
+            at.setdefault(v, []).append(e)
+    ends, table, scale = _int_tables(caps, edges, at)
+    low, sides = _min_assignment(ends, table)
+    return Fraction(low, scale), {e: e[sides >> i & 1] for i, e in enumerate(edges)}
 
 
 def assignment_value(assign: dict[Edge, int], caps: PolymatroidCaps) -> Fraction:
@@ -385,8 +359,9 @@ def brute_sparsest_edge_cut(
     covering more edges only separates more demand, so the minimum is
     attained by the edges at some vertex set C (Chekuri-Kannan-Raja-
     Viswanath, ITCS 2012): 2^n vertex sets instead of 2^|E| edge sets.
-    Polymatroid tables keep the edge-set enumeration, each S with a
-    2^|S| assignment enumeration, but skip every S with an edge e whose
+    Polymatroid tables keep the edge-set enumeration, with nu(S) from
+    ``_min_assignment``, the search that ``nu`` runs, cut off at the
+    bound a new best must beat.  They skip every S with an edge e whose
     ends lie in one component of g - S: S - e separates the same demand,
     costs no more (rho is monotone), and comes first in mask order, so
     S is never the first minimum and the result is that of the full
@@ -423,27 +398,13 @@ def _vertex_cover_cut(
 def _table_cut(
     g: MetricGraph, caps: PolymatroidCaps, dem: DemandMatrix
 ) -> tuple[frozenset, Fraction]:
-    """Edge-set enumeration for polymatroid tables.  Each rho_v is read
-    into a list indexed by a bitmask of v's incident edges and scaled by
-    the common denominator, so the assignment sums are integer sums.  An
-    edge set with an edge inside one component of g - S is skipped
-    before its assignments are enumerated (see
-    ``brute_sparsest_edge_cut``)."""
+    """Edge-set enumeration for polymatroid tables.  An edge set with an
+    edge inside one component of g - S is skipped (see
+    ``brute_sparsest_edge_cut``); any other is searched with the bound
+    ceil(best_low * sep / best_sep), below which an int low must lie to
+    give a strictly smaller ratio, so the first minimum is unchanged."""
     incident = {v: g.incident(v) for v in range(g.n)}
-    values = {
-        v: [
-            caps.rho(v, [e for i, e in enumerate(inc) if m >> i & 1])
-            for m in range(1 << len(inc))
-        ]
-        for v, inc in incident.items()
-    }
-    scale = math.lcm(*(x.denominator for vals in values.values() for x in vals))
-    table = {v: [int(x * scale) for x in vals] for v, vals in values.items()}
-    # Edge e = (a, b) as (a, b, its bit at a, its bit at b).
-    ends = [
-        (a, b, 1 << incident[a].index((a, b)), 1 << incident[b].index((a, b)))
-        for (a, b, _) in g.edges
-    ]
+    ends, table, scale = _int_tables(caps, [(a, b) for (a, b, _) in g.edges], incident)
     pairs, dem_scale = _int_pairs(dem.items())
     best_low, best_sep, best_cut = 1, 0, 0
     for cut in range(1 << len(ends)):
@@ -454,33 +415,62 @@ def _table_cut(
         picked = [e for i, e in enumerate(ends) if cut >> i & 1]
         if any(root[a] == root[b] for (a, b, _, _) in picked):
             continue
-        low = _min_assignment(picked, table)
-        if low * best_sep < best_low * sep:
-            best_low, best_sep, best_cut = low, sep, cut
+        bound = -(-best_low * sep // best_sep) if best_sep else None
+        found = _min_assignment(picked, table, bound)
+        if found is not None:
+            best_low, best_sep, best_cut = found[0], sep, cut
     if not best_sep:
         raise NoSeparatedDemand("no edge set separates any demand")
     return _edges_of(g, best_cut), Fraction(best_low * dem_scale, best_sep * scale)
 
 
-def _min_assignment(ends, table) -> int:
-    """min over assignments of each edge (a, b, bit_a, bit_b) in ``ends``
-    to one endpoint of sum_v table[v][bits of the edges assigned to v].
-    A Gray code moves one edge to its other endpoint per step."""
-    held: dict[int, int] = {}
-    for (a, b, bit_a, _) in ends:
-        held[a] = held.get(a, 0) | bit_a
-        held.setdefault(b, 0)
-    total = sum(table[v][m] for v, m in held.items())
-    low = total
-    for step in range(1, 1 << len(ends)):
-        a, b, bit_a, bit_b = ends[(step & -step).bit_length() - 1]
-        ta, tb = table[a], table[b]
-        ha, hb = held[a], held[b]
-        held[a], held[b] = ha ^ bit_a, hb ^ bit_b
-        total += ta[ha ^ bit_a] + tb[hb ^ bit_b] - ta[ha] - tb[hb]
-        if total < low:
-            low = total
-    return low
+def _int_tables(caps: PolymatroidCaps, edges: list[Edge], incident: dict[int, list]):
+    """``_min_assignment``'s input: each edge (a, b) as (a, b, its bit in
+    incident[a], its bit in incident[b]), and each rho_v as a list
+    indexed by bitmasks over incident[v], in ints over one common scale:
+    (ends, table, scale).  In vertex form a table is 0 and then cap(v)
+    on every nonempty mask, with no rho call per mask."""
+    ends = [(a, b, 1 << incident[a].index((a, b)), 1 << incident[b].index((a, b)))
+            for (a, b) in edges]
+    if caps.vertex_caps is not None:
+        ints, scale = _over_lcm([caps.vertex_caps.get(v, Fraction(0)) for v in incident])
+        return ends, {v: [0] + [c] * ((1 << len(inc)) - 1)
+                      for (v, inc), c in zip(incident.items(), ints)}, scale
+    values = {v: [caps.rho(v, [e for i, e in enumerate(inc) if m >> i & 1])
+                  for m in range(1 << len(inc))] for v, inc in incident.items()}
+    scale = math.lcm(*(x.denominator for vals in values.values() for x in vals))
+    return ends, {v: [x.numerator * (scale // x.denominator) for x in vals]
+                  for v, vals in values.items()}, scale
+
+
+def _min_assignment(ends, table, bound=None) -> Optional[tuple[int, int]]:
+    """(low, sides) for the first minimum, in ``itertools.product`` order,
+    over the assignments of each edge (a, b, bit_a, bit_b) of ``ends`` to
+    one endpoint of sum_v table[v][bits of the edges at v], where bit i
+    of sides is 1 iff ends[i] goes to b; None if none is below ``bound``.
+    Depth-first, cutting off a partial sum that reaches the best so far
+    or ``bound``: exact for monotone tables, where no completion is less."""
+    held = dict.fromkeys(table, 0)
+    best = [math.inf if bound is None else bound, None]
+    if 0 < best[0]:  # 0, the empty assignment's sum, is every sum's floor
+        _extend(ends, table, held, 0, 0, 0, best)
+    return None if best[1] is None else (best[0], best[1])
+
+
+def _extend(ends, table, held, i, total, sides, best) -> None:
+    """Every completion below best[0] of an assignment of ends[:i] with
+    sum ``total`` and per-vertex masks ``held``; a complete one sets best."""
+    if i == len(ends):
+        best[0], best[1] = total, sides
+        return
+    a, b, bit_a, bit_b = ends[i]
+    for v, bit, side in ((a, bit_a, 0), (b, bit_b, 1 << i)):
+        t, h = table[v], held[v]
+        step = total + t[h | bit] - t[h]
+        if step < best[0]:
+            held[v] = h | bit
+            _extend(ends, table, held, i + 1, step, sides | side, best)
+            held[v] = h
 
 
 # -- concurrent flow LP -------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from faceflow.cli import main
+from faceflow.graph import MetricGraph
 from faceflow.instances import (
     Instance,
     cycle_instance,
@@ -165,6 +166,63 @@ class TestBadInstanceFiles:
         assert capsys.readouterr() == (
             "", "error: NegativeEntry: negative capacity -1 at vertex 1\n"
         )
+
+
+E01, E12 = (0, 1), (1, 2)
+PATH_TABLES = {
+    0: {frozenset(): F(0), frozenset({E01}): F(1)},
+    1: {
+        frozenset(): F(0), frozenset({E01}): F(1), frozenset({E12}): F(1),
+        frozenset({E01, E12}): F(1),
+    },
+    2: {frozenset(): F(0), frozenset({E12}): F(1)},
+}
+
+
+class TestIncompleteTables:
+    """A polymatroid table that misses a nonempty set of its vertex's
+    edges, or a vertex with edges and no table, is refused when the
+    capacities are read, not met later as a missing key.  Both name the
+    first such set of the first such vertex."""
+
+    # Read as 0, the missing {0-1} of vertex 1 is still monotone and
+    # submodular, so validate_tables alone lets it through.
+    NO_ENTRY = {
+        **PATH_TABLES,
+        1: {k: x for k, x in PATH_TABLES[1].items() if k != {E01}},
+    }
+    NO_TABLE = {0: PATH_TABLES[0], 1: PATH_TABLES[1]}
+    SHAPES = [
+        pytest.param(NO_ENTRY, "rho_1 has no value at frozenset({(0, 1)})", id="no-entry"),
+        pytest.param(NO_TABLE, "rho_2 has no value at frozenset({(1, 2)})", id="no-table"),
+    ]
+
+    @staticmethod
+    def _save(tmp_path, tables):
+        """Path 0-1-2 with one demand across it."""
+        g = MetricGraph(3, ((0, 1, F(1)), (1, 2, F(1))))
+        p = os.path.join(tmp_path, "path.json")
+        save_instance(Instance(
+            g, polymatroid=tables, demands=DemandMatrix.from_pairs([(0, 2, F(1))])
+        ), p)
+        return p
+
+    def test_complete_tables_pass(self, tmp_path, capsys):
+        p = self._save(tmp_path, PATH_TABLES)
+        assert main(["validate", p]) == 0
+        assert main(["cut", p]) == 0
+        assert "edge-sparsity: 1\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tables, message", SHAPES)
+    def test_validate_reports(self, tmp_path, tables, message, capsys):
+        assert main(["validate", self._save(tmp_path, tables)]) == 1
+        assert capsys.readouterr() == (f"violation: {message}\n", "")
+
+    @pytest.mark.parametrize("cmd", ["cut", "flow", "gap"])
+    @pytest.mark.parametrize("tables, message", SHAPES)
+    def test_commands_refuse(self, tmp_path, cmd, tables, message, capsys):
+        assert main([cmd, self._save(tmp_path, tables)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestPipelineCommands:

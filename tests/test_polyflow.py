@@ -249,9 +249,31 @@ def fraction_vertex_cover_cut(g, cap, dem):
     return frozenset(e for v in best_c for e in g.incident(v)), best
 
 
+def gray_min_assignment(ends, table):
+    """The replaced ``_min_assignment``: min over assignments of each
+    edge (a, b, bit_a, bit_b) in ``ends`` to one endpoint of sum_v
+    table[v][bits of the edges assigned to v], over the full 2^|ends|
+    Gray code, one edge moved to its other endpoint per step."""
+    held: dict[int, int] = {}
+    for (a, b, bit_a, _) in ends:
+        held[a] = held.get(a, 0) | bit_a
+        held.setdefault(b, 0)
+    total = sum(table[v][m] for v, m in held.items())
+    low = total
+    for step in range(1, 1 << len(ends)):
+        a, b, bit_a, bit_b = ends[(step & -step).bit_length() - 1]
+        ta, tb = table[a], table[b]
+        ha, hb = held[a], held[b]
+        held[a], held[b] = ha ^ bit_a, hb ^ bit_b
+        total += ta[ha ^ bit_a] + tb[hb ^ bit_b] - ta[ha] - tb[hb]
+        if total < low:
+            low = total
+    return low
+
+
 def fraction_table_cut(g, caps, dem):
     """Every edge set S with positive separated demand reaches
-    ``polyflow._min_assignment``."""
+    ``gray_min_assignment``."""
     edges = [(a, b) for (a, b, _) in g.edges]
     incident = {v: g.incident(v) for v in range(g.n)}
     values = {
@@ -276,7 +298,7 @@ def fraction_table_cut(g, caps, dem):
         sep = fraction_separated(fraction_components(g, cut_edges=s), pairs)
         if sep == 0:
             continue
-        low = polyflow._min_assignment([ends[i] for i in picked], table)
+        low = gray_min_assignment([ends[i] for i in picked], table)
         val = F(low, scale) / sep
         if best is None or val < best:
             best = val
@@ -552,15 +574,22 @@ def table_outerplanar(n, seed):
 
 
 def record_assignments(monkeypatch) -> list[frozenset]:
-    """The edge set of every ``_min_assignment`` call."""
+    """The edge set of every ``_min_assignment`` call, and of every
+    ``gray_min_assignment`` call that ``fraction_table_cut`` makes."""
     calls = []
     inner = polyflow._min_assignment
+    gray = gray_min_assignment
 
-    def recording(ends, table):
+    def recording(ends, table, bound=None):
         calls.append(frozenset((a, b) for (a, b, _, _) in ends))
-        return inner(ends, table)
+        return inner(ends, table, bound)
+
+    def gray_recording(ends, table):
+        calls.append(frozenset((a, b) for (a, b, _, _) in ends))
+        return gray(ends, table)
 
     monkeypatch.setattr(polyflow, "_min_assignment", recording)
+    monkeypatch.setitem(globals(), "gray_min_assignment", gray_recording)
     return calls
 
 
@@ -612,6 +641,44 @@ class TestTableCutSkip:
         calls.clear()
         assert fraction_table_cut(g, caps, dem) == got
         assert len(calls) == 657
+
+
+class TestTableCutBound:
+    """The table oracle searches each edge set below ceil(best_low * sep /
+    best_sep), the least int low that no longer gives a smaller ratio."""
+
+    def test_bound_rounds_up(self, monkeypatch):
+        # Path 0-2-1 with flat tables: rho_v is c_v on every nonempty set,
+        # c = 3, 3, 1.  {0-2} is first at 1/4.  {1-2} at 1/2 is searched
+        # below ceil(2/4) = 1 and gives None.  {0-2, 1-2} puts both edges
+        # at 2, low 1 over sep 6, below ceil(6/4) = 2: it wins at 1/6.  A
+        # floor would give the bound 1 and keep 1/4.
+        g = MetricGraph(3, ((0, 2, F(1)), (1, 2, F(1))))
+        dem = DemandMatrix.from_pairs([(0, 2, F(4)), (1, 2, F(2))])
+        cap = {0: F(3), 1: F(3), 2: F(1)}
+        caps = PolymatroidCaps(tables={
+            v: {
+                frozenset(sub): cap[v] if sub else F(0)
+                for r in range(len(g.incident(v)) + 1)
+                for sub in itertools.combinations(g.incident(v), r)
+            }
+            for v in range(3)
+        })
+        caps.validate_tables()
+        seen = []
+        inner = polyflow._min_assignment
+
+        def recording(ends, table, bound=None):
+            found = inner(ends, table, bound)
+            seen.append((len(ends), bound, found and found[0]))
+            return found
+
+        monkeypatch.setattr(polyflow, "_min_assignment", recording)
+        want = (frozenset({(0, 2), (1, 2)}), F(1, 6))
+        assert brute_sparsest_edge_cut(g, caps, dem) == want
+        assert seen == [(1, None, 1), (1, 1, None), (2, 2, 1)]
+        assert fraction_table_cut(g, caps, dem) == want
+
 
 class TestDualCrossCheck:
     """mcf_dual_vertex, read off the flow LP's own solve, against the
@@ -890,12 +957,96 @@ class TestNu:
         val, assign = nu([(0, 1), (0, 2)], caps)
         assert assignment_value(assign, caps) == val
 
+    def test_sixteen_edges_at_one_vertex(self, monkeypatch):
+        # A 16-edge star whose centre 16 has a 2^16-entry table.  Bit 0
+        # sends edge (i, 16) to leaf i.  The cheapest assignment sends the
+        # edges of the odd leaves (cap 1/3 each) to the centre, paying
+        # 7/3 once, below the 8/3 of all eight.  An even leaf costs 0, so
+        # its edge ties between its ends, and bit 0 sends it to the leaf.
+        # In vertex form no rho_v is read per mask: rho is never called.
+        cut = [(i, 16) for i in range(16)]
+        caps = PolymatroidCaps.from_vertex_caps(
+            {16: F(7, 3), **{i: F(i % 2, 3) for i in range(16)}}
+        )
+
+        def no_rho(*args):
+            raise AssertionError("rho read in vertex form")
+
+        monkeypatch.setattr(PolymatroidCaps, "rho", no_rho)
+        val, assign = nu(cut, caps)
+        assert type(val) is Fraction and val == F(7, 3)
+        assert assign == {(i, 16): i if i % 2 == 0 else 16 for i in range(16)}
+
     def test_limit_is_the_config_limit(self):
         # 16 edges of a star are solved; 17 exceed nu_brute_limit.
         caps = unit_caps(18)
         assert nu([(0, v) for v in range(1, 17)], caps)[0] == 1
         with pytest.raises(TooLarge, match="^17 edges exceeds exact limit 16$"):
             nu([(0, v) for v in range(1, 18)], caps)
+
+
+@st.composite
+def assignment_cases(draw):
+    """(ends, table) for ``_min_assignment``: 0-8 distinct edges (a, b)
+    with a < b over 2-5 vertices, each with its bit at a and at b, and a
+    monotone int table per vertex: table[m] is the largest table[m -
+    bit] plus a drawn step in 0..2, so entries tie, and a vertex whose
+    steps are all 0 has a zero row."""
+    n = draw(st.integers(2, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True))
+    count = [0] * n
+    ends = []
+    for (a, b) in edges:
+        ends.append((a, b, 1 << count[a], 1 << count[b]))
+        count[a] += 1
+        count[b] += 1
+    table = {}
+    for v in range(n):
+        zero = draw(st.booleans())
+        t = [0] * (1 << count[v])
+        for m in range(1, len(t)):
+            below = max(t[m & ~(1 << i)] for i in range(count[v]) if m >> i & 1)
+            t[m] = below + (0 if zero else draw(st.integers(0, 2)))
+        table[v] = t
+    return ends, table
+
+
+def product_min_assignment(ends, table):
+    """(low, sides) of the first minimum over every assignment in
+    ``itertools.product`` order; bit i of sides is 1 iff ends[i] goes
+    to its larger endpoint."""
+    best = None
+    for choice in itertools.product((0, 1), repeat=len(ends)):
+        held = dict.fromkeys(table, 0)
+        for (a, b, bit_a, bit_b), c in zip(ends, choice):
+            if c:
+                held[b] |= bit_b
+            else:
+                held[a] |= bit_a
+        low = sum(table[v][m] for v, m in held.items())
+        if best is None or low < best[0]:
+            best = (low, sum(c << i for i, c in enumerate(choice)))
+    return best
+
+
+class TestMinAssignment:
+    """The pruned search returns the first minimum of full enumeration,
+    and nothing when no assignment is below the bound."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(assignment_cases(), st.integers(1, 3))
+    def test_matches_product_enumeration(self, case, above):
+        ends, table = case
+        want = product_min_assignment(ends, table)
+        assert polyflow._min_assignment(ends, table) == want
+        assert polyflow._min_assignment(ends, table, want[0] + above) == want
+        assert polyflow._min_assignment(ends, table, want[0]) is None
+
+    def test_no_edges(self):
+        assert polyflow._min_assignment([], {}) == (0, 0)
+        assert polyflow._min_assignment([], {}, 1) == (0, 0)
+        assert polyflow._min_assignment([], {}, 0) is None
 
 
 def separates(g, s_edges, u, v):
