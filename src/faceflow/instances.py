@@ -12,7 +12,6 @@ File format (JSON):
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -53,12 +52,11 @@ class Instance:
         if self.polymatroid is not None:
             caps = PolymatroidCaps(vertex_caps=None, tables=dict(self.polymatroid))
             caps.validate_tables()
+            # Complete on its own edges, a table is complete on v's if it has each.
             for v in range(self.graph.n):
-                inc = self.graph.incident(v)
-                for r in range(1, len(inc) + 1):
-                    for sub in map(frozenset, itertools.combinations(inc, r)):
-                        if sub not in caps.tables.get(v, {}):
-                            raise ValueError(f"rho_{v} has no value at {sub}")
+                for sub in (frozenset({e}) for e in self.graph.incident(v)):
+                    if sub not in caps.tables.get(v, {}):
+                        raise ValueError(f"rho_{v} has no value at {sub}")
             return caps
         if self.vcaps is None:
             raise ValueError("instance has no capacities")

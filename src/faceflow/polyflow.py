@@ -63,30 +63,31 @@ class PolymatroidCaps:
         s = frozenset(norm_edge(*e) for e in edges)
         if not s:
             return Fraction(0)
-        return self.tables[v][s]
+        try:
+            return self.tables[v][s]
+        except KeyError:
+            raise ValueError(f"rho_{v} has no value at {s}") from None
 
     def validate_tables(self) -> None:
-        """Exhaustive monotonicity/submodularity check of every table."""
+        """Exhaustive check that every table has a value at each nonempty
+        subset of its own ground set and is monotone and submodular."""
         if self.tables is None:
             return
         for v, table in self.tables.items():
-            ground = frozenset().union(*table) if table else frozenset()
-            subsets = [
-                frozenset(c)
-                for r in range(len(ground) + 1)
-                for c in itertools.combinations(sorted(ground), r)
-            ]
+            ground = sorted(frozenset().union(*table))
+            subsets = [frozenset(c) for r in range(len(ground) + 1)
+                       for c in itertools.combinations(ground, r)]
             if table.get(frozenset(), Fraction(0)) != 0:
                 raise ValueError(f"rho_{v}(empty) != 0")
+            for s in subsets[1:]:
+                if s not in table:
+                    raise ValueError(f"rho_{v} has no value at {s}")
+            f = {**table, frozenset(): Fraction(0)}
             for a in subsets:
                 for b in subsets:
-                    fa = table.get(a, Fraction(0))
-                    fb = table.get(b, Fraction(0))
-                    if a <= b and fa > fb:
+                    if a <= b and f[a] > f[b]:
                         raise ValueError(f"rho_{v} not monotone at {a} <= {b}")
-                    fi = table.get(a & b, Fraction(0))
-                    fu = table.get(a | b, Fraction(0))
-                    if fa + fb < fi + fu:
+                    if f[a] + f[b] < f[a & b] + f[a | b]:
                         raise ValueError(f"rho_{v} not submodular at {a}, {b}")
 
 

@@ -37,7 +37,7 @@ from .polyflow import (
     nu,
     rho_hat,
 )
-from .tree import MetricTree, TreeMap
+from .tree import MetricTree, TreeMap, union_below
 from .treeembed import is_star_shaped, is_thin
 
 Edge = tuple[int, int]
@@ -113,17 +113,9 @@ def thin_map(
         if not targets:
             continue
 
-        # H: the paths from r down to the targets, its vertices in the
-        # order path_union meets them; below[v] counts v's children on H.
-        below = {r: 0}
-        for t in targets:
-            path = []
-            while t not in below:
-                path.append(t)
-                t = find(par[t])
-            for v in reversed(path):
-                below[t] += 1  # v hangs from t on H
-                below[v], t = 0, v
+        # H, the paths from r to the targets: below[v] counts v's children
+        # on H, in the order the climb meets them (the error names the first).
+        below = union_below(lambda v: find(par[v]), r, targets)
         for v, k in below.items():
             if k > 1 and v != r:
                 raise NotStarShaped(

@@ -66,6 +66,22 @@ def _number(at: dict[int, int], x: int) -> int:
         raise ValueError(f"{x} is not a vertex of the tree") from None
 
 
+def union_below(up, root: int, targets) -> dict[int, int]:
+    """Each vertex of the union of the paths from ``root`` to the targets,
+    in the order met (``root`` first), to its number of children on the
+    union: each target climbs through ``up`` until it meets the union."""
+    below = {root: 0}
+    for t in targets:
+        path = []
+        while t not in below:
+            path.append(t)
+            t = up(t)
+        for v in reversed(path):
+            below[t] += 1  # v hangs from t
+            below[v], t = 0, v
+    return below
+
+
 class MetricTree:
     """Tree with integer vertex ids and rational edge lengths.
 
@@ -76,13 +92,13 @@ class MetricTree:
     ``dist`` return the exact ``Fraction`` values.
 
     The path queries (``path``, ``path_ticks``, ``tick_dist``, ``dist``,
-    ``path_union``, ``edge_cuts``) read a rooted index, built on the
-    first of them (``_rooted_index``): the u-v path climbs from u and v to
-    their lowest common ancestor, and d(u, v) is
-    tdep(u) + tdep(v) - 2 tdep(lca) ticks.  ``refine`` keeps the index
-    with its tick depths scaled, as a new tuple; every other mutator
-    (``add_vertex``, ``add_ticks``, ``graft``, and ``glue``) drops it.
-    Code that edits ``adj`` directly must set ``_index`` to None."""
+    ``arm_union``, ``edge_cuts``) read a rooted index, built on the first
+    of them (``_rooted_index``): a u-v path climbs from u and v to their
+    lowest common ancestor, d(u, v) is tdep(u) + tdep(v) - 2 tdep(lca)
+    ticks, and a centre's arms climb until they meet.  ``refine`` keeps
+    the index with its tick depths scaled, as a new tuple; every other
+    mutator (``add_vertex``, ``add_ticks``, ``graft``, ``glue``) drops
+    it.  Code that edits ``adj`` directly must set ``_index`` to None."""
 
     def __init__(self, D: int = 1):
         self.adj: dict[int, dict[int, int]] = {}
@@ -268,22 +284,24 @@ class MetricTree:
             out.append((a, b, w, cut))
         return out
 
-    def path_union(
-        self, center: int, targets
-    ) -> tuple[dict[int, int], set[tuple[int, int]]]:
-        """Vertex degrees and edge set of the union of the paths from
-        ``center`` to each target; a vertex off the union has no entry."""
-        deg: dict[int, int] = {}
-        edges: set[tuple[int, int]] = set()
-        for a in targets:
-            p = self.path(center, a)
-            for i in range(len(p) - 1):
-                e = (min(p[i], p[i + 1]), max(p[i], p[i + 1]))
-                if e not in edges:
-                    edges.add(e)
-                    deg[p[i]] = deg.get(p[i], 0) + 1
-                    deg[p[i + 1]] = deg.get(p[i + 1], 0) + 1
-        return deg, edges
+    def arm_union(self, center: int, targets) -> dict[int, int]:
+        """``union_below`` of the paths from ``center`` to each target, on
+        vertex ids.  A target climbs the index's parents, except that an
+        ancestor of ``center`` steps down ``center``'s own chain."""
+        at, order, par, _, _, last = self._rooted()
+        c = top = _number(at, center)
+        down: dict[int, int] = {}
+        while par[top] >= 0:
+            down[par[top]] = top
+            top = par[top]
+        nums = []
+        for t in targets:
+            j = _number(at, t)
+            if not top <= j <= last[top]:
+                raise ValueError(f"{center} and {t} are in different components")
+            nums.append(j)
+        below = union_below(lambda j: down.get(j, par[j]), c, nums)
+        return {order[j]: k for j, k in below.items()}
 
     @staticmethod
     def from_path(vertex_ids, lengths) -> "MetricTree":

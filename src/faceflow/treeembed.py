@@ -410,24 +410,14 @@ def embed_outerplanar(g: MetricGraph, seed: int) -> TreeMap:
 # -- predicates ---------------------------------------------------------
 
 
-def star_center_arms(tm: TreeMap, t: int, fiber) -> list[int]:
-    targets = set()
-    for x in fiber:
-        for w in tm.source.neighbors(x):
-            if tm.mapping[w] != t:
-                targets.add(tm.mapping[w])
-    return sorted(targets)
-
-
 def is_star_shaped(tm: TreeMap) -> bool:
-    """True iff around every image vertex the union of realized-edge
-    paths is a subdivided star centered there."""
-    fibers = tm.fibers()
-    for t, fib in fibers.items():
-        deg, _ = tm.tree.path_union(t, star_center_arms(tm, t, fib))
-        for v, dv in deg.items():
-            if v != t and dv > 2:
-                return False
+    """True iff around every image vertex t the union of realized-edge
+    paths is a subdivided star: no vertex but t has two children on it."""
+    f, nbrs = tm.mapping, tm.source.neighbors
+    for t, fib in tm.fibers().items():
+        below = tm.tree.arm_union(t, {f[w] for x in fib for w in nbrs(x)})
+        if any(k > 1 and v != t for v, k in below.items()):
+            return False
     return True
 
 
@@ -436,8 +426,8 @@ def thin_number(tm: TreeMap, u: int) -> int:
     paths to the images of u's neighbors (= leaves of that union other
     than F(u))."""
     fu = tm.mapping[u]
-    deg, _ = tm.tree.path_union(fu, (tm.mapping[w] for w in tm.source.neighbors(u)))
-    return sum(1 for v, dv in deg.items() if dv == 1 and v != fu)
+    below = tm.tree.arm_union(fu, [tm.mapping[w] for w in tm.source.neighbors(u)])
+    return sum(1 for v, k in below.items() if k == 0 and v != fu)
 
 
 def is_thin(tm: TreeMap, delta: int) -> bool:

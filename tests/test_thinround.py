@@ -449,6 +449,41 @@ class TestThinReference:
         assert len(seen) == 20
 
 
+def crossed_map(seed):
+    """The identity map of ``random_tree(9, seed)`` with three more graph
+    vertices on random tree vertices and 8 random graph edges, rooted at
+    a random vertex: its arm unions often branch, also on folded trees."""
+    rng = random.Random(f"crossed:{seed}")
+    tm = identity_tree_map(random_tree(9, seed))
+    mapping = {**tm.mapping, **{9 + i: rng.randrange(9) for i in range(3)}}
+    pairs = sorted({norm_edge(*rng.sample(range(12), 2)) for _ in range(8)})
+    g = MetricGraph(12, tuple((a, b, tm.tree.dist(mapping[a], mapping[b])) for a, b in pairs))
+    return TreeMap(tm.tree, mapping, g, root=rng.randrange(9))
+
+
+class TestNotStarShapedMessages:
+    """The vertex a ``NotStarShaped`` error names, as the parent of the
+    one arm-union climb named it: the first vertex with two children on
+    H, in the order the paths to the sorted targets meet them.  Ids past
+    8 are vertices that an earlier fold made."""
+
+    @pytest.mark.parametrize("seed, at", [
+        (3, 12), (9, 14), (23, 9), (26, 3), (28, 3), (30, 14), (32, 3),
+        (34, 9), (36, 1), (39, 3),
+    ])
+    def test_crossed_maps(self, seed, at):
+        tm = crossed_map(seed)
+        message = f"^arm union branches at {at}, map is not star-shaped$"
+        with pytest.raises(NotStarShaped, match=message):
+            thin_map(tm, seed)
+        with pytest.raises(NotStarShaped, match=message):
+            reference_thin_map(dataclasses.replace(tm, tree=reference_tree(tm.tree)), seed)
+
+    def test_triangle_on_spider(self):
+        with pytest.raises(NotStarShaped, match="^arm union branches at 1, map is not star-shaped$"):
+            thin_map(triangle_on_spider()[1], 0)
+
+
 class TestFoldKeepsDepths:
     """A fold lays each arm on a branch at its own depths, so every
     vertex keeps its tick depth below the root: the fact that lets
@@ -477,7 +512,7 @@ class TestFoldKeepsDepths:
 
     @pytest.mark.parametrize("name", ["spider", "random-tree", "two-ear", "slack8"])
     def test_one_tree_and_no_index(self, monkeypatch, name):
-        # One MetricTree, built at the end; no graft, path union or
+        # One MetricTree, built at the end; no graft, arm union or
         # rooted index on the way.
         tm = {
             "spider": lambda: spider(3)[1],
@@ -498,7 +533,7 @@ class TestFoldKeepsDepths:
 
         counted(MetricTree, "__init__")
         counted(MetricTree, "graft")
-        counted(MetricTree, "path_union")
+        counted(MetricTree, "arm_union")
         counted(tree_module, "_rooted_index")
         out = thin_map(tm, 0)
         assert calls == ["__init__"]

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -97,6 +98,14 @@ def walk_tree(t: MetricTree) -> WalkTree:
     out = WalkTree(t.D)
     out.adj = {v: dict(nbrs) for v, nbrs in t.adj.items()}
     return out
+
+
+def walk_arm_union(ref: WalkTree, center: int, targets) -> dict[int, int]:
+    """``ref.path_union``'s degrees as ``arm_union``'s child counts: each
+    vertex of the union but the centre has one edge to its parent, and
+    the centre comes first even when no path leaves it."""
+    deg, _ = ref.path_union(center, targets)
+    return {center: 0, **{v: d - (v != center) for v, d in deg.items()}}
 
 
 def walk_tree_edge_cuts(g: MetricGraph, tm: TreeMap):
@@ -540,10 +549,8 @@ def assert_queries_match_walk(t: MetricTree, rng: random.Random) -> None:
     for comp in components(t):
         for center in comp:
             targets = rng.sample(comp, rng.randrange(len(comp) + 1))
-            deg, edges = t.path_union(center, targets)
-            want_deg, want_edges = ref.path_union(center, targets)
-            assert list(deg.items()) == list(want_deg.items())
-            assert edges == want_edges
+            got = t.arm_union(center, targets)
+            assert list(got.items()) == list(walk_arm_union(ref, center, targets).items())
     if not t.is_tree():
         return
     k = rng.randrange(2, 9)
@@ -699,7 +706,49 @@ class TestPathErrors:
         with pytest.raises(ValueError, match=f"^{u} and {v} are in different components$"):
             getattr(t, query)(u, v)
 
-    def test_path_union_missing_target(self):
+    def test_arm_union_missing_target(self):
         t = MetricTree.from_path([0, 1], [1])
-        with pytest.raises(ValueError):
-            t.path_union(0, [1, 5])
+        with pytest.raises(ValueError, match="^5 is not a vertex of the tree$"):
+            t.arm_union(0, [1, 5])
+        with pytest.raises(ValueError, match="^5 is not a vertex of the tree$"):
+            t.arm_union(5, [])
+
+
+class TestArmUnion:
+    """``arm_union`` counts each vertex's children on the union of the
+    paths from a centre, in the order the paths meet them, as the union
+    of walked paths does: on forests with zero-length edges, with
+    repeated targets, targets above the centre or equal to it, and
+    targets in another component, which raise as the walk does."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_walk(self, rng):
+        t = random_forest(rng, rng.randrange(1, 14), parts=rng.choice([1, 1, 2, 3]))
+        ref = walk_tree(t)
+        vs = t.vertices()
+        center = rng.choice(vs)
+        # Some of the centre's chain up to the index's root (its tree's
+        # first vertex), then vertices of its tree or of any.
+        comp = next(c for c in components(t) if center in c)
+        above = walk_path(t.adj, center, comp[0]) if rng.random() < 0.5 else []
+        pool = comp if rng.random() < 0.7 else vs
+        targets = rng.sample(above, rng.randrange(len(above) + 1))
+        targets += rng.choices(pool, k=rng.randrange(8))
+        rng.shuffle(targets)
+        try:
+            want = walk_arm_union(ref, center, targets)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                t.arm_union(center, targets)
+            return
+        assert list(t.arm_union(center, targets).items()) == list(want.items())
+        assert list(t.arm_union(center, iter(targets)).items()) == list(want.items())
+
+    def test_branch_above_the_centre(self):
+        # Path 0-1-2-3 rooted at 0 with 4 hanging off 1: from centre 2,
+        # the targets 0 and 4 are both reached through 1, which branches.
+        t = MetricTree.from_path([0, 1, 2, 3], [1, 1, 1])
+        t.add_edge(1, 4, 1)
+        assert t.arm_union(2, [0, 3, 4, 2]) == {2: 2, 1: 2, 0: 0, 3: 0, 4: 0}
+        assert list(t.arm_union(2, [0, 3, 4, 2])) == [2, 1, 0, 3, 4]

@@ -43,7 +43,15 @@ from faceflow.treeembed import (
     random_extension,
     thin_number,
 )
-from test_tree import ReferenceTree, adj_lists, reference_glue, tick_tree
+from test_thinround import tree_maps
+from test_tree import (
+    ReferenceTree,
+    adj_lists,
+    random_forest,
+    reference_glue,
+    tick_tree,
+    walk_tree,
+)
 
 F = Fraction
 
@@ -1016,6 +1024,95 @@ class TestEmbedOuterplanar:
             ratio = sums[(u, v)] / n_samples / d[u][v]
             worst = ratio if worst is None or ratio < worst else worst
         assert worst >= F(1, 960)
+
+
+# -- the predicates before ``arm_union``, the references: kept verbatim
+# apart from their names and the walked ``path_union`` of ``WalkTree`` --
+
+
+def reference_star_center_arms(tm: TreeMap, t: int, fiber) -> list[int]:
+    targets = set()
+    for x in fiber:
+        for w in tm.source.neighbors(x):
+            if tm.mapping[w] != t:
+                targets.add(tm.mapping[w])
+    return sorted(targets)
+
+
+def reference_is_star_shaped(tm: TreeMap) -> bool:
+    """True iff around every image vertex the union of realized-edge
+    paths is a subdivided star centered there."""
+    fibers = tm.fibers()
+    for t, fib in fibers.items():
+        deg, _ = walk_tree(tm.tree).path_union(t, reference_star_center_arms(tm, t, fib))
+        for v, dv in deg.items():
+            if v != t and dv > 2:
+                return False
+    return True
+
+
+def reference_thin_number(tm: TreeMap, u: int) -> int:
+    """Minimum number of simple paths from F(u) covering the union of
+    paths to the images of u's neighbors (= leaves of that union other
+    than F(u))."""
+    fu = tm.mapping[u]
+    deg, _ = walk_tree(tm.tree).path_union(
+        fu, (tm.mapping[w] for w in tm.source.neighbors(u))
+    )
+    return sum(1 for v, dv in deg.items() if dv == 1 and v != fu)
+
+
+@st.composite
+def forest_maps(draw):
+    """A map into a random forest (zero-length edges, scattered ids, the
+    index rooted at each tree's first vertex) of up to 12 graph vertices
+    with up to 14 random edges: fibres of several vertices, and arms
+    that go up from a centre, branch or end in another tree.  One drawn
+    seed fixes it all, so the draws are spread evenly, not small."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    t = random_forest(rng, rng.randrange(1, 11), parts=rng.choice([1, 1, 1, 2, 3]))
+    k = rng.randrange(2, 13)
+    mapping = {x: rng.choice(t.vertices()) for x in range(k)}
+    pairs = {norm_edge(*rng.sample(range(k), 2)) for _ in range(rng.randrange(15))}
+    g = MetricGraph(k, tuple((a, b, F(1)) for a, b in sorted(pairs)))
+    return TreeMap(t, mapping, g, root=mapping[0])
+
+
+def outcome(check, *args):
+    """The value of ``check(*args)``, or the ValueError it raises."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+class TestChecksMatchWalk:
+    """``is_star_shaped`` and ``thin_number`` on ``arm_union`` against the
+    parent's on the walked path union: tree maps that are star-shaped or
+    not, with fibres of several vertices, and maps into forests, where an
+    arm into another tree raises as the walk does."""
+
+    MAPS = st.one_of(
+        tree_maps().map(lambda d: d[0]),
+        tree_maps(star_shaped=False).map(lambda d: d[0]),
+        forest_maps(),
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(MAPS)
+    def test_same_answers(self, tm):
+        got = outcome(is_star_shaped, tm)
+        want = outcome(reference_is_star_shaped, tm)
+        if isinstance(want, tuple):
+            # Both name a target in another tree, not always the same one.
+            assert isinstance(got, tuple)
+        else:
+            assert got == want
+        for u in tm.mapping:
+            assert outcome(thin_number, tm, u) == outcome(reference_thin_number, tm, u)
+        assert outcome(is_thin, tm, 2) == outcome(
+            lambda: all(reference_thin_number(tm, u) <= 2 for u in tm.mapping)
+        )
 
 
 class TestStarShaped:
