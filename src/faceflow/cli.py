@@ -263,11 +263,15 @@ def cmd_distortion(args) -> int:
     lines = []
     for (u, v), (mean, lcb) in sorted(rep.table.items()):
         lines.append(f"pair: {u} {v} mean={mean:.4f} lcb={lcb:.4f}")
-    lines.append(f"min-mean: {rep.min_mean:.4f}")
-    lines.append(f"min-lcb: {rep.min_lcb:.4f}")
+    if rep.min_lcb is None:
+        # No pair at a positive finite distance: nothing to bound.
+        lines += ["min-mean: none", "min-lcb: none"]
+    else:
+        lines.append(f"min-mean: {rep.min_mean:.4f}")
+        lines.append(f"min-lcb: {rep.min_lcb:.4f}")
     _emit(lines, args.out)
     bound = 1.0 / DEFAULT_CONFIG.embed_contraction
-    return 0 if rep.min_lcb >= bound - 1e-12 else 1
+    return 0 if rep.min_lcb is None or rep.min_lcb >= bound - 1e-12 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

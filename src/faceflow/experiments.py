@@ -286,8 +286,9 @@ class DistortionReport:
     samples: int
     # (u, v) -> (mean ratio, one-sided lower confidence bound)
     table: dict[tuple[int, int], tuple[float, float]]
-    min_mean: float
-    min_lcb: float
+    # None when the table is empty: no pair at a distance in (0, inf).
+    min_mean: Optional[float]
+    min_lcb: Optional[float]
 
 
 _Z99 = 2.3263478740408408
@@ -315,17 +316,26 @@ def distortion_experiment(
     ]
     sums = [0.0] * len(pairs)
     sqs = [0.0] * len(pairs)
+    # The pairs' ends in the order the pairs meet them; a sample's tree
+    # distances among their images are one tick_matrix.
+    ends = list(dict.fromkeys(x for p in pairs for x in p))
+    place = {x: a for a, x in enumerate(ends)}
     # d_G(u, v) = num / den; a tree distance is t / D in ticks, so the
     # ratio is the one correctly rounded int division (t * den) / (D * num),
     # bit-identical to float() of the exact Fraction ratio.
-    nd = [(u, v, *dmat[u][v].as_integer_ratio()) for (u, v) in pairs]
+    nd = [(place[u], place[v], *dmat[u][v].as_integer_ratio()) for (u, v) in pairs]
     for i in range(samples):
         tm = embed_fn(seed * 65_537 + i)
         f = tm.mapping
         tree = tm.tree
+        xs = [f[x] for x in ends]
+        ticks = tree.tick_matrix(xs)
         D = tree.D
-        for k, (u, v, num, den) in enumerate(nd):
-            r = tree.tick_dist(f[u], f[v]) * den / (D * num)
+        for k, (a, b, num, den) in enumerate(nd):
+            t = ticks[a][b]
+            if t is None:
+                tree.tick_dist(xs[a], xs[b])  # raises: two components
+            r = t * den / (D * num)
             sums[k] += r
             sqs[k] += r * r
     table = {}
@@ -334,6 +344,6 @@ def distortion_experiment(
         var = max(0.0, sqs[k] / samples - mean * mean)
         se = math.sqrt(var / samples)
         table[p] = (mean, mean - _Z99 * se)
-    min_mean = min(m for (m, _) in table.values()) if table else 0.0
-    min_lcb = min(l for (_, l) in table.values()) if table else 0.0
+    min_mean = min(m for (m, _) in table.values()) if table else None
+    min_lcb = min(l for (_, l) in table.values()) if table else None
     return DistortionReport(samples, table, min_mean, min_lcb)

@@ -8,7 +8,8 @@ the tree on as it is; distortion reads the same ticks, and thinning,
 whose folds keep every tick depth, builds its tree once from depths.  A
 tree's path and distance queries read a rooted index (parents, depths,
 preorder intervals), built on the first query after the tree last
-changed.
+changed; ``tick_matrix`` reads the distances among a whole vertex list
+off the same index at once.
 """
 
 from __future__ import annotations
@@ -95,10 +96,12 @@ class MetricTree:
     ``arm_union``, ``edge_cuts``) read a rooted index, built on the first
     of them (``_rooted_index``): a u-v path climbs from u and v to their
     lowest common ancestor, d(u, v) is tdep(u) + tdep(v) - 2 tdep(lca)
-    ticks, and a centre's arms climb until they meet.  ``refine`` keeps
-    the index with its tick depths scaled, as a new tuple; every other
-    mutator (``add_vertex``, ``add_ticks``, ``graft``, ``glue``) drops
-    it.  Code that edits ``adj`` directly must set ``_index`` to None."""
+    ticks, a centre's arms climb until they meet, and ``tick_matrix``
+    reads every distance among k vertices off k - 1 climbs.  ``refine``
+    keeps the index with its tick depths scaled, as a new tuple; every
+    other mutator (``add_vertex``, ``add_ticks``, ``graft``, ``glue``)
+    drops it.  Code that edits ``adj`` directly must set ``_index`` to
+    None."""
 
     def __init__(self, D: int = 1):
         self.adj: dict[int, dict[int, int]] = {}
@@ -268,6 +271,43 @@ class MetricTree:
 
     def dist(self, u: int, v: int) -> Fraction:
         return Fraction(self.tick_dist(u, v), self.D)
+
+    def tick_matrix(self, xs) -> list[list]:
+        """``tick_dist(x, y)`` for all x, y of ``xs``, as rows and columns in
+        ``xs`` order; None where x and y lie in different components.
+
+        Sorted by preorder number, each consecutive pair a <= b climbs
+        once, from a until the subtree reaches b, to its lca.  The lca of
+        any two is the shallowest of the consecutive lcas between them,
+        and tick depths never fall going down, so tdep(lca) is a running
+        minimum.  In a forest, a climb past a root reaches -1, where
+        ``last[-1]``, the largest number, stops it; the pairs across it
+        stay None."""
+        at, _, par, _, tdep, last = self._rooted()
+        nums = [_number(at, x) for x in xs]
+        order = sorted(range(len(nums)), key=nums.__getitem__)
+        s = [nums[i] for i in order]
+        meet = []
+        for a, b in zip(s, s[1:]):
+            while last[a] < b:
+                a = par[a]
+            meet.append(tdep[a] if a >= 0 else None)
+        ds = [tdep[i] for i in s]
+        k = len(s)
+        out = [[None] * k for _ in s]
+        for p, i in enumerate(order):
+            row = out[i]
+            tp = low = ds[p]
+            row[i] = 0
+            for q in range(p + 1, k):
+                m = meet[q - 1]
+                if m is None:
+                    break
+                if m < low:
+                    low = m
+                j = order[q]
+                row[j] = out[j][i] = tp + ds[q] - 2 * low
+        return out
 
     def edge_cuts(self, ends) -> list[tuple[int, int, Fraction, list]]:
         """Each edge (a, b, w) of ``edges()``, in that order, with the keys

@@ -16,7 +16,8 @@ tree, its initial path, so ``embed_sampler`` closes it once, when it is
 built, and each sample starts that block from a copy of the initial tree;
 a first ear's ``SlackViolation`` or ``ChordTooLong`` is raised there.
 Later ears are closed per sample, on the tree the earlier draws made.  A
-graph whose blocks have no ears draws nothing.
+graph whose blocks have no ears draws nothing: its map is built once, and
+each sample is a copy.
 
 Each block's tree grows on integer ticks (``tree.MetricTree``): every
 tree length, ear cycle position, anchor candidate and flattened offset is
@@ -114,7 +115,7 @@ def anchor_points(
     c: Cycle,
     u: int,
     v: int,
-    forbidden,
+    sums,
     good_end: int,
     rng: random.Random,
     grid: tuple[int, int, int],
@@ -124,10 +125,11 @@ def anchor_points(
     """Pick two anchor positions on the cycle, (1/6, 1/16)-apart with
     respect to {u, v}, measured from the endpoint that is not the good
     one.  Distances from each anchor to the distinct forbidden positions
-    are pairwise distinct, a lookup in ``_equidistant_sums``;
-    ``extra_check`` can reject a candidate pair to force a resample.
+    are pairwise distinct, a lookup in ``sums``, their
+    ``_equidistant_sums``; ``extra_check`` can reject a candidate pair to
+    force a resample.
 
-    Everything is in integer ticks: the cycle, ``forbidden``, ``path_pos``
+    Everything is in integer ticks: the cycle, ``sums``, ``path_pos``
     and ``grid``, the ``(p0, q0, step)`` of ``_anchor_grid`` for this cycle,
     whose unit must make them whole.  The anchors are returned in ticks
     too, so each comparison of the search is an int comparison.
@@ -140,7 +142,6 @@ def anchor_points(
     # Anchors sit on the path arc, measured from the non-good endpoint.
     sign = 1 if path_pos[base] == 0 else -1
     base_pos = c.points[base]
-    sums = _equidistant_sums(forbidden, circ)
 
     n_grid = DEFAULT_CONFIG.anchor_grid
     for _ in range(_ETA_TRIES):
@@ -236,6 +237,7 @@ class ClosedEar:
     path_pos: dict[int, int]
     cycle: Cycle
     glue_positions: frozenset[int]     # ticks of the F(u)-F(v) tree path
+    sums: set[int]                     # _equidistant_sums of the cycle's points
 
 
 def _close_ear(state: EmbedState, step: BuildStep) -> ClosedEar:
@@ -294,7 +296,8 @@ def _close_ear(state: EmbedState, step: BuildStep) -> ClosedEar:
     # F(u)-F(v) path would be glued onto an existing tree vertex.
     glue_positions = frozenset(k * t for t in tree_pos)
     return ClosedEar(
-        (u, v), (fu, fv), path_vertices, good, D, grid, path_pos, cyc, glue_positions
+        (u, v), (fu, fv), path_vertices, good, D, grid, path_pos, cyc, glue_positions,
+        _equidistant_sums(cyc.points.values(), circ),
     )
 
 
@@ -323,7 +326,7 @@ def random_extension(state: EmbedState, ear: ClosedEar, rng: random.Random) -> N
         return True
 
     p_pos, q_pos = anchor_points(
-        cyc, u, v, cyc_pos.values(), ear.good, rng, ear.grid,
+        cyc, u, v, ear.sums, ear.good, rng, ear.grid,
         path_pos=path_pos, extra_check=no_existing_collision,
     )
     branch = p_pos if rng.random() < 0.5 else q_pos
@@ -344,7 +347,11 @@ def embed_sampler(g: MetricGraph):
 
     Each map's ``source`` is the slack graph h (lengths scaled by 1/160),
     on whose edges it is 1-Lipschitz and star-shaped.  As d_h <= d_g it
-    is 1-Lipschitz on g too, but not star-shaped on the deleted edges."""
+    is 1-Lipschitz on g too, but not star-shaped on the deleted edges.
+
+    When no block draws, the map is built once, with its rooted index,
+    and each seed gets a copy: the copies share the index until changed,
+    and are independent of each other."""
     if len(g.components()) != 1:
         raise ValueError("embedding expects a connected graph")
     # slack_transform reduces g and raises NotOuterplanar; it is the one
@@ -365,8 +372,7 @@ def embed_sampler(g: MetricGraph):
         starts.append((state, first, b.steps[1:]))
     draws = any(first is not None for _, first, _ in starts)
 
-    def sample(seed: int) -> TreeMap:
-        rng = random.Random(f"embed:{seed}") if draws else None
+    def build(rng) -> TreeMap:
         final = MetricTree()
         mapping: dict[int, int] = {}
         next_global = 0
@@ -394,7 +400,11 @@ def embed_sampler(g: MetricGraph):
         root_vertex = min(mapping)
         return TreeMap(final, mapping, h, root=mapping[root_vertex])
 
-    return sample
+    if draws:
+        return lambda seed: build(random.Random(f"embed:{seed}"))
+    fixed = build(None)
+    fixed.tree._rooted()  # built once; every copy shares it
+    return lambda seed: TreeMap(fixed.tree.copy(), dict(fixed.mapping), h, fixed.root)
 
 
 def embed_outerplanar(g: MetricGraph, seed: int) -> TreeMap:

@@ -343,6 +343,17 @@ class TestExperimentsCommands:
         assert rc == 0
         assert "min-lcb:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "g", [MetricGraph(1, ()), MetricGraph(2, ((0, 1, F(0)),))],
+        ids=["one-vertex", "zero-edge"],
+    )
+    def test_distortion_without_pairs(self, g, tmp_path, capsys):
+        # No pair at a positive finite distance: no bound, and no violation.
+        p = os.path.join(tmp_path, "g.json")
+        save_instance(Instance(g, face=tuple(range(g.n)), vcaps=(F(1),) * g.n), p)
+        assert main(["distortion", p, "--samples", "5"]) == 0
+        assert capsys.readouterr().out == "min-mean: none\nmin-lcb: none\n"
+
     @pytest.mark.parametrize("args", [
         ["distortion", "--samples", "0"],
         ["distortion", "--samples", "-1"],

@@ -52,7 +52,7 @@ from faceflow.thinround import (
     multiscale_round,
     round_thin,
 )
-from faceflow.tree import TreeMap
+from faceflow.tree import MetricTree, TreeMap
 from faceflow.treeembed import embed_sampler
 from test_golden_cli import INSTANCES
 from test_thinround import bound_at_half_the_sparsity
@@ -638,6 +638,57 @@ class TestDistortion:
 
         rep = distortion_experiment(g, samples=10, seed=0, embed_fn=fn)
         assert rep.min_mean == pytest.approx(0.5)
+
+    def test_no_measured_pair(self):
+        for g in (MetricGraph(1, ()), MetricGraph(2, ((0, 1, F(0)),))):
+            rep = distortion_experiment(g, 3, 0)
+            assert (rep.table, rep.min_mean, rep.min_lcb) == ({}, None, None)
+
+    def test_one_tick_matrix_per_sample(self, monkeypatch):
+        # No per-pair distance query: one tick_matrix per sample.
+        reads = Counter()
+        for name in ("tick_matrix", "tick_dist"):
+            fn = getattr(MetricTree, name)
+
+            def counted(self, *args, _fn=fn, _name=name):
+                reads[_name] += 1
+                return _fn(self, *args)
+
+            monkeypatch.setattr(MetricTree, name, counted)
+        distortion_experiment(slack_cycle(8), 7, 0)
+        assert reads == {"tick_matrix": 7}
+
+
+class TestDistortionOnForests:
+    """A map into a forest: a measured pair whose images lie in two trees
+    raises ``tick_dist``'s ValueError; a pair at distance 0 or inf is not
+    measured and never raises."""
+
+    def test_measured_pair_across_trees_raises(self):
+        g = MetricGraph(3, ((0, 1, F(1)), (1, 2, F(1))))
+
+        def fn(seed):
+            t = MetricTree.from_path([5, 6], [F(1)])
+            t.add_vertex(7)
+            return TreeMap(t, {0: 5, 1: 6, 2: 7}, g, root=5)
+
+        with pytest.raises(ValueError, match="^5 and 7 are in different components$"):
+            distortion_experiment(g, 3, 0, embed_fn=fn)
+
+    def test_unmeasured_pairs_across_trees(self):
+        # Two components of g in two trees, and a 0-length edge whose ends
+        # are two vertices of one tree.
+        g = MetricGraph(5, ((0, 1, F(1)), (1, 4, F(0)), (2, 3, F(2))))
+
+        def fn(seed):
+            t = MetricTree.from_path([0, 1, 4], [F(seed + 1, 3), F(1, 5)])
+            t.add_edge(2, 3, F(1, 2))
+            return TreeMap(t, {v: v for v in range(5)}, g, root=0)
+
+        got = distortion_experiment(g, 4, 1, embed_fn=fn)
+        want = reference_distortion(g, 4, 1, embed_fn=fn)
+        assert list(got.table) == [(0, 1), (0, 4), (2, 3)]
+        assert got == want
 
 
 def reference_distortion(g, samples, seed, embed_fn=None):

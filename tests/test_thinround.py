@@ -349,10 +349,20 @@ def tree_maps(draw, star_shaped=True):
     graph vertices land on random tree vertices.  The graph, when
     ``star_shaped``: from each tree vertex x, at most one edge into each
     child's subtree, to a vertex down a random path, so the arms at x
-    never branch; otherwise up to 16 edges between any graph vertices.
-    The branch bits: one per child of x, taken in order."""
-    n = draw(st.integers(1, 9))
-    parent = [None] + [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    never branch; otherwise 8 to 16 draws of an edge between any two
+    graph vertices, repeats and loops dropped.
+    The branch bits: one per child of x, taken in order.
+
+    Without ``star_shaped``, a seeded rng picks the tree's shape and the
+    edges, spread evenly as in ``forest_maps``: about half of those maps
+    are not star-shaped."""
+    rng = None if star_shaped else random.Random(draw(st.integers(0, 2**32)))
+
+    def pick(lo: int, hi: int) -> int:
+        return draw(st.integers(lo, hi)) if rng is None else rng.randint(lo, hi)
+
+    n = pick(1, 9)
+    parent = [None] + [pick(0, v - 1) for v in range(1, n)]
     children = {v: [c for c in range(n) if parent[c] == v] for v in range(n)}
     tree = MetricTree(draw(st.integers(1, 4)))
     tree.add_vertex(0)
@@ -372,9 +382,9 @@ def tree_maps(draw, star_shaped=True):
                 ends = (draw(st.sampled_from(fibre[y])) for y in (x, z))
                 pairs.append(tuple(ends))
     else:
-        ends = st.integers(0, len(mapping) - 1)
         seen = set()
-        for a, b in draw(st.lists(st.tuples(ends, ends), max_size=16)):
+        for _ in range(rng.randint(8, 16)):
+            a, b = rng.randrange(len(mapping)), rng.randrange(len(mapping))
             if a != b and norm_edge(a, b) not in seen:
                 seen.add(norm_edge(a, b))
                 pairs.append((a, b))

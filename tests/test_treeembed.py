@@ -29,9 +29,10 @@ from faceflow.graph import (
     reduce_lengths,
     slack_transform,
 )
-from faceflow.instances import cycle_instance, random_outerplanar
+from faceflow.instances import cycle_instance, random_outerplanar, random_tree
+from faceflow import tree as tree_module
 from faceflow import treeembed
-from faceflow.tree import MetricTree, TreeMap
+from faceflow.tree import MetricTree, TreeMap, glue
 from faceflow.treeembed import (
     EmbedState,
     _close_ear,
@@ -47,6 +48,7 @@ from test_thinround import tree_maps
 from test_tree import (
     ReferenceTree,
     adj_lists,
+    mutate,
     random_forest,
     reference_glue,
     tick_tree,
@@ -213,9 +215,10 @@ def fraction_anchor_points(
     circ = tick(c.circumference)
     points = {x: tick(pos) for x, pos in c.points.items()}
     m, grid = treeembed._anchor_grid(circ, Cycle(circ, points).dist(u, v))
+    sums = treeembed._equidistant_sums([m * tick(x) for x in forbidden], m * circ)
     p, q = anchor_points(
         Cycle(m * circ, {x: m * pos for x, pos in points.items()}),
-        u, v, [m * tick(x) for x in forbidden], good_end, rng, grid,
+        u, v, sums, good_end, rng, grid,
         path_pos={x: m * tick(pos) for x, pos in path_pos.items()},
         extra_check=extra_check,
     )
@@ -802,7 +805,7 @@ class TestEarStepBranches:
         ear = _close_ear(state, step)
         rng = FakeRng([1000])
         anchor_points(
-            ear.cycle, 1, 0, ear.cycle.points.values(), ear.good, rng, ear.grid,
+            ear.cycle, 1, 0, ear.sums, ear.good, rng, ear.grid,
             path_pos=ear.path_pos,
         )
         assert rng.draws == 1
@@ -851,7 +854,7 @@ class TestEarStepBranches:
 
         rng = FakeRng([1000])
         anchor_points(
-            cyc, 0, 1, cyc.points.values(), ear.good, rng, ear.grid,
+            cyc, 0, 1, ear.sums, ear.good, rng, ear.grid,
             path_pos=ear.path_pos, extra_check=one_sided,
         )
         assert rng.draws == 1
@@ -1115,6 +1118,50 @@ class TestChecksMatchWalk:
         )
 
 
+def assert_matrix_is_tick_dist(t: MetricTree, xs) -> None:
+    """Each entry of ``t.tick_matrix(xs)`` is ``tick_dist``'s, or None
+    where ``tick_dist`` raises that the ends are in different
+    components."""
+    got = t.tick_matrix(xs)
+    want = [[outcome(t.tick_dist, x, y) for y in xs] for x in xs]
+    apart = [[d if d is not None else ("ValueError", f"{x} and {y} are in different components")
+              for y, d in zip(xs, row)] for x, row in zip(xs, got)]
+    assert apart == want
+
+
+class TestTickMatrix:
+    """``tick_matrix`` against ``tick_dist``, entry by entry: on tree maps
+    and forest maps (0-tick edges, scattered ids, up to three trees) with
+    the map's images, repeats included, and more tree vertices, in a
+    random order; and on forests after each mutator, through a kept or a
+    rebuilt index."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(TestChecksMatchWalk.MAPS, st.randoms(use_true_random=False))
+    def test_every_entry_is_tick_dist(self, tm, rng):
+        t = tm.tree
+        xs = [*tm.mapping.values(), *rng.choices(t.vertices(), k=rng.randrange(4))]
+        rng.shuffle(xs)
+        assert_matrix_is_tick_dist(t, xs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_after_mutators(self, rng):
+        t = random_forest(rng, rng.randrange(1, 13), parts=rng.choice([1, 1, 2, 3]))
+        for _ in range(4):
+            assert_matrix_is_tick_dist(t, rng.choices(t.vertices(), k=rng.randrange(9)))
+            mutate(t, rng)
+
+    @pytest.mark.parametrize("xs", [[9], [0, 9], [9, 0, 1], [1, 0, 9, 9]])
+    def test_missing_vertex(self, xs):
+        t = MetricTree.from_path([0, 1], [1])
+        with pytest.raises(ValueError, match="^9 is not a vertex of the tree$"):
+            t.tick_matrix(xs)
+
+    def test_no_vertices(self):
+        assert MetricTree.from_path([0, 1], [1]).tick_matrix([]) == []
+
+
 class TestStarShaped:
     def test_identity_path(self):
         g = MetricGraph(3, ((0, 1, F(1)), (1, 2, F(1))))
@@ -1373,3 +1420,106 @@ class TestOneAnchorGrid:
             reference_embed_sampler(g)(0)
         with pytest.raises(SlackViolation, match=f"^{re.escape(str(want.value))}$"):
             embed_sampler(g)
+
+
+def count_calls(monkeypatch, owner, attr) -> list:
+    """Patch ``owner.attr`` to record each call's arguments in the list
+    returned."""
+    fn = getattr(owner, attr)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, attr, counting)
+    return calls
+
+
+class TestFixedSampler:
+    """A graph whose blocks draw nothing has one map, built with its index
+    when the sampler is: each seed gets a copy equal to a fresh build,
+    and the copies are independent of each other."""
+
+    GRAPHS = [
+        ("path4", MetricGraph(4, tuple((i, i + 1, F(1)) for i in range(3)))),
+        ("tree8-3", random_tree(8, 3)),
+        *[(f"outer8-{s}", random_outerplanar(8, s)[0]) for s in range(3)],
+    ]
+    IDS = [name for name, _ in GRAPHS]
+
+    @staticmethod
+    def as_built(tm: TreeMap):
+        return tm.tree.D, tm.tree.edges(), adj_lists(tm.tree), list(tm.mapping.items()), tm.root
+
+    @pytest.mark.parametrize("g", [g for _, g in GRAPHS], ids=IDS)
+    def test_each_seed_is_a_fresh_build(self, g, monkeypatch):
+        _, builds = slack_transform(g, DEFAULT_CONFIG.slack_alpha)
+        assert not any(b.steps for b in builds)
+        want = list(map(reference_embed_sampler(g), range(10)))
+        samp = embed_sampler(g)
+        built = count_calls(monkeypatch, MetricTree, "graft")
+        built += count_calls(monkeypatch, tree_module, "_rooted_index")
+        got = list(map(samp, range(10)))
+        assert built == []
+        for tm, ref in zip(got, want):
+            assert self.as_built(tm) == self.as_built(ref)
+            assert tm.source == ref.source
+
+    @pytest.mark.parametrize("g", [g for _, g in GRAPHS], ids=IDS)
+    def test_edits_leave_the_next_sample(self, g):
+        ref = reference_embed_sampler(g)
+        samp = embed_sampler(g)
+        for seed in range(3):
+            tm = samp(seed)
+            assert self.as_built(tm) == self.as_built(ref(seed))
+            # The shared index answers as a rebuilt one, then each edit
+            # drops it from this copy alone.
+            t = tm.tree
+            vs = t.vertices()
+            assert_matrix_is_tick_dist(t, vs)
+            fresh = max(vs) + 1
+            t.add_ticks(tm.root, fresh, 3)
+            u, v = vs[0], vs[-1]
+            d = t.tick_dist(u, v)
+            glue(t, u, v, [0, d, d + 2], 0, 1)
+            tm.mapping[0] = fresh
+            assert_matrix_is_tick_dist(t, t.vertices())
+
+
+class TestEarSums:
+    """A closed ear carries the ``_equidistant_sums`` of its cycle's
+    points, built when it is closed: a block's first ear once per
+    sampler, so the samples of a one-ear block never rebuild them."""
+
+    @pytest.mark.parametrize(
+        "g", [slack_cycle(8), two_ear_block(), two_slack_blocks()],
+        ids=["slack8", "two-ear", "two-slack-blocks"],
+    )
+    def test_sums_of_the_cycle(self, g, monkeypatch):
+        closed = []
+        close = treeembed._close_ear
+
+        def recording(state, step):
+            closed.append(close(state, step))
+            return closed[-1]
+
+        monkeypatch.setattr(treeembed, "_close_ear", recording)
+        samp = embed_sampler(g)
+        for seed in range(3):
+            samp(seed)
+        assert closed
+        for ear in closed:
+            circ = ear.cycle.circumference
+            assert ear.sums == treeembed._equidistant_sums(ear.cycle.points.values(), circ)
+
+    @pytest.mark.parametrize(
+        "g,builds", [(slack_cycle(8), 1), (two_ear_block(), 1 + 3)],
+        ids=["slack8", "two-ear"],
+    )
+    def test_one_build_per_closed_ear(self, g, builds, monkeypatch):
+        calls = count_calls(monkeypatch, treeembed, "_equidistant_sums")
+        samp = embed_sampler(g)
+        for seed in range(3):
+            samp(seed)
+        assert len(calls) == builds
