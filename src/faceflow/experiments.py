@@ -112,6 +112,8 @@ def gap_experiment(
     loop, which checks, thins, rounds and bounds it.  A failed check
     raises, so each check's tally is ``samples``; ``rounded`` counts the
     samples that separated some demand and is left out when none did."""
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     t0 = time.monotonic()
     g = inst.graph
     caps = inst.caps()

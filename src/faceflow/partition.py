@@ -34,16 +34,6 @@ class Partition:
         return out
 
 
-def weak_diameter(dmat, block) -> Fraction:
-    best = Fraction(0)
-    vs = sorted(block)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            if dmat[u][v] > best:
-                best = dmat[u][v]
-    return best
-
-
 def sample_padded_partition(
     g: MetricGraph,
     tau,

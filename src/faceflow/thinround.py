@@ -31,7 +31,6 @@ from .polyflow import (
     DemandMatrix,
     PolymatroidCaps,
     _components,
-    _edge_mask,
     _separated,
     assignment_value,
     nu,
@@ -75,16 +74,11 @@ def thin_map(
 
     # New id i has parent par[i] and lies dep[i] ticks below the root; a
     # fold keeps every depth, and a vertex it merges into a branch point
-    # moves there, its children following through ``find``.  ``seq`` lists
-    # the live ids: a subtree's root, then its children's subtrees; after
-    # a fold its root, branch 0, branch 1, then what hangs off them.  The
-    # tree lists its edges in this order, which decides round_thin's
-    # choice among equally sparse cuts.
+    # moves there, its children following through ``find``.
     par: list = []
     dep: list[int] = []
     moved: dict[int, int] = {}
     first: dict[int, int] = {}  # input vertex -> its id, taken in preorder
-    seq: list[int] = []
 
     def new_id(p, d: int) -> int:
         par.append(p)
@@ -101,7 +95,6 @@ def thin_map(
         x, p, d = stack.pop()
         if x not in first:
             first[x] = new_id(first.get(p), d)
-            seq.append(first[x])
             stack.append((x, p, d))  # back once every child is done
             kids = [(c, x, d + w) for c, w in tree.adj[x].items() if c != p]
             stack.extend(reversed(kids))
@@ -141,17 +134,13 @@ def thin_map(
                 moved[v] = point.get(key, r_new)
         moved[r] = r_new
         last = [r_new, r_new]
-        branches = sorted(point.items())
-        for (b, _), i in branches:
+        for (b, _), i in sorted(point.items()):
             par[i] = last[b]
             last[b] = i
-        at = seq.index(r)
-        seq[at:] = [r_new, *(i for _, i in branches),
-                    *(v for v in seq[at + 1:] if v not in below)]
 
-    # Each vertex lists its parent, then its children in ``seq`` order.
-    adj: dict[int, dict[int, int]] = {i: {} for i in seq}
-    for i in seq:
+    # The tree on the live ids, in id order.
+    adj: dict[int, dict[int, int]] = {i: {} for i in range(len(par)) if i not in moved}
+    for i in adj:
         if par[i] is not None:
             p = find(par[i])
             adj[i][p] = adj[p][i] = dep[i] - dep[p]
@@ -166,6 +155,9 @@ def thin_map(
 
 @dataclass
 class CutCertificate:
+    """From ``round_thin``: the cut of ``tree_edge``, the least of the thin
+    tree's cuts in (sparsity, edge mask over ``g.edges``, tree edge)."""
+
     edges: frozenset
     assignment: dict[Edge, int]
     nu_value: Fraction
@@ -179,29 +171,29 @@ class CutMemo:
     """The per-instance values of ``round_thin``'s cuts, computed once per
     distinct cut: its separated demand and, for cuts of at most
     ``nu_brute_limit`` edges, nu's exact (value, assignment).  Keys are
-    frozensets of normalised cut edges.  g, caps and dem are fixed for
-    the memo's lifetime, so one memo serves every sample of a run, and
-    ``pairs`` lists dem's positive pairs once for all of them."""
+    edge masks, bit i for ``g.edges[i]``, as ``_components`` reads them.
+    g, caps and dem are fixed for the memo's lifetime, so one memo serves
+    every sample of a run, and ``pairs`` lists dem's positive pairs once
+    for all of them."""
 
     def __init__(self, g: MetricGraph, caps: PolymatroidCaps, dem: DemandMatrix):
         self.g, self.caps, self.dem = g, caps, dem
         self.pairs = dem.items()
-        self._sep: dict[frozenset, Fraction] = {}
-        self._nu: dict[frozenset, tuple[Fraction, dict[Edge, int]]] = {}
+        self._sep: dict[int, Fraction] = {}
+        self._nu: dict[int, tuple[Fraction, dict[Edge, int]]] = {}
 
-    def separated(self, key: frozenset) -> Fraction:
-        if key not in self._sep:
-            root = _components(self.g, _edge_mask(self.g, key))
-            self._sep[key] = _separated(root, self.pairs)
-        return self._sep[key]
+    def separated(self, mask: int) -> Fraction:
+        if mask not in self._sep:
+            self._sep[mask] = _separated(_components(self.g, mask), self.pairs)
+        return self._sep[mask]
 
-    def exact_nu(self, key: frozenset, cut) -> tuple[Fraction, dict[Edge, int]]:
-        """nu of ``cut``; the first call for a key fixes the edge order,
-        and so which tied minimum is kept.  The assignment is shared:
-        copy it before handing it out."""
-        if key not in self._nu:
-            self._nu[key] = nu(cut, self.caps)
-        return self._nu[key]
+    def exact_nu(self, mask: int) -> tuple[Fraction, dict[Edge, int]]:
+        """nu of the edges of ``mask``, listed in ``g.edges`` order.  The
+        assignment is shared: copy it before handing it out."""
+        if mask not in self._nu:
+            cut = [e[:2] for i, e in enumerate(self.g.edges) if mask >> i & 1]
+            self._nu[mask] = nu(cut, self.caps)
+        return self._nu[mask]
 
 
 def round_thin(
@@ -212,7 +204,9 @@ def round_thin(
     dem: DemandMatrix,
     memo: Optional[CutMemo] = None,
 ) -> CutCertificate:
-    """Best cut among the tree-edge cuts S(a) of a thin map.
+    """Best cut among the tree-edge cuts S(a) of a thin map: the least in
+    (sparsity, edge mask over ``g.edges``, tree edge (a, b)), whatever
+    order the tree was built in; ties go by mask as in the edge-cut oracle.
 
     The cuts range over the edges of ``g``, not of ``tm.source``.
     Requires tree-adaptedness d_T(F(u),F(v)) <= ell_u(e) + ell_v(e); for
@@ -245,19 +239,20 @@ def round_thin(
                 f"tree distance {Fraction(t, D)} exceeds ell_u + ell_v = {lu + lv}"
                 f" on edge {e}"
             )
-    best: Optional[CutCertificate] = None
-    ends = [(f[u], f[v], (u, v)) for (u, v, _) in g.edges]
-    for (a, b, w, cut) in tree.edge_cuts(ends):
-        if not cut:
+    best = None
+    ends = [(f[u], f[v], i) for i, (u, v, _) in enumerate(g.edges)]
+    for (a, b, w, idx) in tree.edge_cuts(ends):
+        if not idx:
             continue
-        key = frozenset(cut)
-        sep = memo.separated(key)
+        mask = sum([1 << i for i in idx])
+        sep = memo.separated(mask)
         if sep == 0:
             continue
-        if len(cut) <= DEFAULT_CONFIG.nu_brute_limit:
-            val, assign = memo.exact_nu(key, cut)
+        if len(idx) <= DEFAULT_CONFIG.nu_brute_limit:
+            val, assign = memo.exact_nu(mask)
             exact = True
         else:
+            cut = [g.edges[i][:2] for i in idx]
             # lambda-sweep heuristic: orient each cut edge (u, v) so its
             # path crosses the tree edge as (a, b); u keeps e while
             # d_T(f(u), a) + lambda <= ell_u(e), i.e. lambda <= t, and the
@@ -281,12 +276,14 @@ def round_thin(
                 v_ = assignment_value(a_, caps)
                 if val is None or v_ < val:
                     val, assign = v_, a_
-        sparsity = val / sep
-        if best is None or sparsity < best.sparsity:
-            best = CutCertificate(key, dict(assign), val, sep, sparsity, exact, (a, b))
+        rank = (val / sep, mask, (a, b))
+        if best is None or rank < best[0]:
+            best = (rank, idx, assign, val, sep, exact)
     if best is None:
         raise NoSeparatedDemand("no tree edge separates any demand")
-    return best
+    (sparsity, _, te), idx, assign, val, sep, exact = best
+    cut = frozenset(g.edges[i][:2] for i in idx)
+    return CutCertificate(cut, dict(assign), val, sep, sparsity, exact, te)
 
 
 def rounding_bound(
@@ -412,6 +409,8 @@ def multiscale_round(
     with pull, check 4-thinness on g, build the tilde lengths, round, and
     check each exact certificate against ``rounding_bound``; keep the
     sparsest.  One ``CutMemo`` serves all samples."""
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     ell.check_adapted()
     ell2 = dyadic_preprocess(g, ell)
     memo = CutMemo(g, caps, dem)

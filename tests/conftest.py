@@ -61,6 +61,17 @@ def two_slack_blocks() -> MetricGraph:
     )
 
 
+def weak_diameter(dmat, block) -> Fraction:
+    """Largest distance in ``dmat`` between two vertices of ``block``."""
+    best = Fraction(0)
+    vs = sorted(block)
+    for i, u in enumerate(vs):
+        for v in vs[i + 1:]:
+            if dmat[u][v] > best:
+                best = dmat[u][v]
+    return best
+
+
 # -- Fraction cycle geometry, the reference for the tick cycle -----------
 
 

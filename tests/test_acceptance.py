@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import flatten, make_cycle, slack_cycle
+from conftest import flatten, make_cycle, slack_cycle, weak_diameter
 from faceflow.config import DEFAULT_CONFIG
 from faceflow.experiments import (
     distortion_experiment,
@@ -30,7 +30,7 @@ from faceflow.instances import (
     random_outerplanar,
     random_tree,
 )
-from faceflow.partition import sample_padded_partition, weak_diameter
+from faceflow.partition import sample_padded_partition
 from faceflow.polyflow import (
     AdaptedLengths,
     DemandMatrix,

@@ -179,6 +179,7 @@ PATH_TABLES = {
 }
 
 
+@pytest.mark.gate
 class TestIncompleteTables:
     """A polymatroid table that misses a nonempty set of its vertex's
     edges, or a vertex with edges and no table, is refused when the
@@ -365,6 +366,13 @@ class TestExperimentsCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: samples must be >= 1")
+
+    @pytest.mark.parametrize("cmd, samples", [("gap", "-3"), ("round", "-2")])
+    def test_negative_samples_rejected(self, c6_file, cmd, samples, capsys):
+        assert main([cmd, c6_file, "--samples", samples]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: samples must be >= 0, got {samples}\n"
 
     def test_out_file(self, c6_file, tmp_path):
         op = os.path.join(tmp_path, "flow.txt")

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from typing import Optional
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import embedded, slack_cycle, two_slack_blocks
 from faceflow import experiments, graph, polyflow, thinround
@@ -39,6 +41,7 @@ from faceflow.instances import (
 from faceflow.polyflow import (
     AdaptedLengths,
     DemandMatrix,
+    _edge_mask,
     assignment_value,
     brute_sparsest_vertex_cut,
     mcf_vertex_lp,
@@ -51,11 +54,13 @@ from faceflow.thinround import (
     CutMemo,
     multiscale_round,
     round_thin,
+    thin_map,
+    tilde_lengths,
 )
 from faceflow.tree import MetricTree, TreeMap
 from faceflow.treeembed import embed_sampler
 from test_golden_cli import INSTANCES
-from test_thinround import bound_at_half_the_sparsity
+from test_thinround import bound_at_half_the_sparsity, table_caps, tree_maps
 from test_tree import walk_tree, walk_tree_edge_cuts
 
 F = Fraction
@@ -182,6 +187,12 @@ class TestGapExperiment:
         assert rep.best_certificate is None
         assert rep.phi_brute is not None and rep.best_sparsity == rep.phi_brute
 
+    @pytest.mark.parametrize("name", ["cycle6", "split4"])
+    def test_negative_samples_rejected(self, name):
+        # Not tallied as checks that ran, with a face or without one.
+        with pytest.raises(ValueError, match=r"^samples must be >= 0, got -3$"):
+            gap_experiment(INSTANCES[name](), samples=-3, seed=0)
+
     @pytest.mark.parametrize("name", ["cycle6", "table6"])
     def test_certificate_above_the_bound_raises(self, monkeypatch, name):
         bound_at_half_the_sparsity(monkeypatch)
@@ -272,12 +283,14 @@ def _sweep_assignment(
     return assign
 
 
-def reference_round_thin(g, tm, ell, caps, dem):
-    """``round_thin`` with no memo: nu and the separated demand computed
-    afresh for every tree edge of every call, every tree path walked as
-    before the rooted index (``walk_tree``), in Fractions, and the sweep
-    rule re-derived for every lambda by the ``_sweep_assignment`` that
-    the per-cut rules replaced."""
+def reference_cuts(g, tm, ell, caps, dem) -> list[tuple[CutCertificate, int]]:
+    """Every certificate ``round_thin`` weighs, with its edge mask over
+    ``g.edges``, in the tree's ``edges()`` order, computed with no memo:
+    nu and the separated demand afresh for every tree edge of every
+    call, every tree path walked as before the rooted index
+    (``walk_tree``), in Fractions, and the sweep rule re-derived for
+    every lambda by the ``_sweep_assignment`` that the per-cut rules
+    replaced."""
     tm = dataclasses.replace(tm, tree=walk_tree(tm.tree))
     tree = tm.tree
     for (u, v, _) in g.edges:
@@ -290,7 +303,7 @@ def reference_round_thin(g, tm, ell, caps, dem):
             raise HypothesisViolated(
                 f"tree distance {lhs} exceeds ell_u + ell_v = {rhs} on edge {e}"
             )
-    best: Optional[CutCertificate] = None
+    out = []
     for (te, w, cut) in walk_tree_edge_cuts(g, tm):
         if not cut:
             continue
@@ -326,11 +339,31 @@ def reference_round_thin(g, tm, ell, caps, dem):
             frozenset(norm_edge(*e) for e in cut), assign, val, sep, val / sep,
             exact, te,
         )
-        if best is None or cert.sparsity < best.sparsity:
-            best = cert
-    if best is None:
+        mask = sum(1 << i for i, (u, v, _) in enumerate(g.edges) if (u, v) in cut)
+        out.append((cert, mask))
+    if not out:
         raise NoSeparatedDemand("no tree edge separates any demand")
-    return best
+    return out
+
+
+def reference_round_thin(g, tm, ell, caps, dem) -> CutCertificate:
+    """The least of ``reference_cuts`` in (sparsity, mask, tree edge)."""
+    cert, _ = min(
+        reference_cuts(g, tm, ell, caps, dem),
+        key=lambda cm: (cm[0].sparsity, cm[1], cm[0].tree_edge),
+    )
+    return cert
+
+
+def first_in_edges_round_thin(g, tm, ell, caps, dem) -> tuple[CutCertificate, list[int]]:
+    """The rule ``round_thin`` kept before it ranked ties by edge mask:
+    the first of the sparsest ``reference_cuts`` in the tree's
+    ``edges()`` order, which is the order the tree was built in.
+    Returned with the masks of every cut tied with it."""
+    cuts = reference_cuts(g, tm, ell, caps, dem)
+    low = min(cert.sparsity for cert, _ in cuts)
+    tied = [(cert, mask) for cert, mask in cuts if cert.sparsity == low]
+    return tied[0][0], [mask for _, mask in tied]
 
 
 def _grid3x4() -> Instance:
@@ -445,6 +478,7 @@ class TestOneMatrixPerGraph:
         assert calls[0] == 1
 
 
+@pytest.mark.gate
 class TestOneNuPerCut:
     """Caps and demands are fixed within a run, so each distinct cut's nu
     and separated demand are computed once, and every certificate is the
@@ -542,6 +576,103 @@ class TestOneNuPerCut:
         other = DemandMatrix.from_pairs([(0, 11, F(1))])
         with pytest.raises(ValueError):
             round_thin(g, tm, ell, caps, dem, CutMemo(g, caps, other))
+
+
+def shuffled(tm: TreeMap, seed: int) -> TreeMap:
+    """tm on a copy of its tree with the same vertices, edges and ticks,
+    its adjacency dicts (the outer one and each vertex's) rebuilt in a
+    shuffled insertion order and no index, so that ``edges()`` lists
+    another order and the next query roots the index elsewhere."""
+    rng = random.Random(seed)
+    t = MetricTree(tm.tree.D)
+    vs = list(tm.tree.adj)
+    rng.shuffle(vs)
+    for v in vs:
+        nbrs = list(tm.tree.adj[v].items())
+        rng.shuffle(nbrs)
+        t.adj[v] = dict(nbrs)
+    t._index = None
+    return dataclasses.replace(tm, tree=t)
+
+
+@st.composite
+def thin_roundings(draw):
+    """(g, tm, ell, caps, dem): a thinned map of g with its tilde lengths
+    from even splits, small caps (vertex or table form) and 1 to 4 unit
+    or double demands, so that equally sparse cuts are common.  g is
+    ``random_outerplanar(6..9, s)`` or a slack cycle, thinned from its
+    random embedding, or the graph of a ``tree_maps`` draw, thinned with
+    its branch bits."""
+    kind = draw(st.sampled_from(["outer", "slack", "tree"]))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "tree":
+        tm, choice_fn = draw(tree_maps())
+        g = tm.source
+        thin = thin_map(tm, seed, choice_fn)
+    else:
+        if kind == "outer":
+            g = random_outerplanar(draw(st.integers(6, 9)), draw(st.integers(0, 50)))[0]
+        else:
+            g = slack_cycle(draw(st.integers(6, 12)))
+        thin = thin_map(embed_sampler(g)(seed), seed).with_source(g)
+    ell = tilde_lengths(g, thin, AdaptedLengths.split_evenly(g))
+    if draw(st.booleans()):
+        caps = table_caps(g, seed)
+    else:
+        caps = polyflow.PolymatroidCaps.from_vertex_caps(
+            {v: F(draw(st.integers(1, 2))) for v in range(g.n)}
+        )
+    vertex = st.integers(0, g.n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 2)), min_size=1, max_size=4))
+    dem = DemandMatrix.from_pairs([(u, v, F(w)) for u, v, w in pairs if u != v] or [(0, 1, F(1))])
+    return g, thin, ell, caps, dem
+
+
+@pytest.mark.gate
+class TestCutTieRule:
+    """``round_thin`` keeps the least cut in (sparsity, edge mask, tree
+    edge), so its certificate does not depend on the order in which the
+    thinned tree was built; the rule it replaced kept the first sparsest
+    cut in ``edges()`` order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(thin_roundings(), st.integers(0, 2**32))
+    def test_shuffled_adjacency_same_certificate(self, drawn, order):
+        g, tm, ell, caps, dem = drawn
+        try:
+            want = round_thin(g, tm, ell, caps, dem)
+        except NoSeparatedDemand:
+            with pytest.raises(NoSeparatedDemand):
+                round_thin(g, shuffled(tm, order), ell, caps, dem)
+            return
+        for k in range(3):
+            assert round_thin(g, shuffled(tm, order + k), ell, caps, dem) == want
+
+        # Against the replaced rule: the same sparsity, and the least mask
+        # among its tied cuts.
+        old, tied = first_in_edges_round_thin(g, tm, ell, caps, dem)
+        assert want.sparsity == old.sparsity
+        assert _edge_mask(g, want.edges) == min(tied)
+        assert want == reference_round_thin(g, tm, ell, caps, dem)
+
+    def test_replaced_rule_moves_with_the_order(self):
+        # A thinned slack 6-cycle under unit caps with tied sparsest cuts:
+        # the first of them in edges() order changes with the insertion
+        # order, while round_thin keeps the least mask.
+        g = slack_cycle(6)
+        caps = polyflow.PolymatroidCaps.from_vertex_caps({v: F(1) for v in range(g.n)})
+        dem = DemandMatrix.from_pairs([(0, 3, F(1)), (1, 4, F(1))])
+        tm = thin_map(embed_sampler(g)(0), 0).with_source(g)
+        ell = tilde_lengths(g, tm, AdaptedLengths.split_evenly(g))
+        want = round_thin(g, tm, ell, caps, dem)
+        firsts = set()
+        for k in range(20):
+            t = shuffled(tm, k)
+            assert round_thin(g, t, ell, caps, dem) == want
+            old, tied = first_in_edges_round_thin(g, t, ell, caps, dem)
+            assert _edge_mask(g, want.edges) == min(tied)
+            firsts.add(old.edges)
+        assert len(firsts) > 1
 
 
 class TestOneFlowSolve:
@@ -659,6 +790,7 @@ class TestDistortion:
         assert reads == {"tick_matrix": 7}
 
 
+@pytest.mark.gate
 class TestDistortionOnForests:
     """A map into a forest: a measured pair whose images lie in two trees
     raises ``tick_dist``'s ValueError; a pair at distance 0 or inf is not
@@ -741,6 +873,7 @@ def reference_dist_from(tree, u):
     return dist
 
 
+@pytest.mark.gate
 class TestDistortionReference:
     """Tick distances and one int division per ratio give every float of
     the reference bit for bit."""

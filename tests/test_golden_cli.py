@@ -31,6 +31,8 @@ from faceflow.instances import (
 )
 from faceflow.polyflow import DemandMatrix
 
+pytestmark = pytest.mark.gate
+
 F = Fraction
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SAMPLES = "4"

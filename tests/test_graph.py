@@ -95,6 +95,7 @@ class TestMetricGraph:
         g = MetricGraph(2, ((0, 1, Fraction(0)),))
         assert all_pairs_distances(g)[0][1] == 0
 
+    @pytest.mark.gate
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
         st.just(n),
@@ -517,6 +518,7 @@ def _outcome(transform, g, alpha):
     )
 
 
+@pytest.mark.gate
 class TestSlackOnePassMatchesReference:
     """One block pass per round, on the scaled graph, returns exactly what
     the transform that rebuilt the blocks after its loop returned."""

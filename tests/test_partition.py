@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import weak_diameter
 from faceflow import partition, retraction
 from faceflow.config import DEFAULT_CONFIG
 from faceflow.errors import NonPositiveScale
@@ -21,7 +22,6 @@ from faceflow.partition import (
     PaddingReport,
     estimate_padding,
     sample_padded_partition,
-    weak_diameter,
 )
 from faceflow.retraction import sample_retraction
 

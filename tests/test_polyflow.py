@@ -552,6 +552,7 @@ def flat_table_instance(seed):
     return g, caps, dem
 
 
+@pytest.mark.gate
 class TestIntCoreMatchesFractionLoop:
     """The int-core oracles return exactly the (set, value) of the
     Fraction-per-mask enumerations they replaced, or raise as they do."""
@@ -628,6 +629,7 @@ def record_assignments(monkeypatch) -> list[frozenset]:
     return calls
 
 
+@pytest.mark.gate
 class TestTableCutSkip:
     """The table oracle enumerates no edge set with an edge inside one
     component of g - S: dropping it keeps sep and cannot raise nu."""
@@ -678,6 +680,7 @@ class TestTableCutSkip:
         assert len(calls) == 657
 
 
+@pytest.mark.gate
 class TestTableCutBound:
     """The table oracle searches each edge set below ceil(best_low * sep /
     best_sep), the least int low that no longer gives a smaller ratio."""
@@ -881,6 +884,7 @@ GAPPED = {
 NO_VALUE_AT_01 = re.escape("rho_1 has no value at frozenset({(0, 1)})")
 
 
+@pytest.mark.gate
 class TestIncompleteTable:
     """A table built directly, not through ``Instance.caps``, with no value
     at some set: ``validate_tables`` and ``rho`` refuse it with the
@@ -1030,6 +1034,7 @@ class TestNu:
         val, assign = nu([(0, 1), (0, 2)], caps)
         assert assignment_value(assign, caps) == val
 
+    @pytest.mark.gate
     def test_sixteen_edges_at_one_vertex(self, monkeypatch):
         # A 16-edge star whose centre 16 has a 2^16-entry table.  Bit 0
         # sends edge (i, 16) to leaf i.  The cheapest assignment sends the
@@ -1103,6 +1108,7 @@ def product_min_assignment(ends, table):
     return best
 
 
+@pytest.mark.gate
 class TestMinAssignment:
     """The pruned search returns the first minimum of full enumeration,
     and nothing when no assignment is below the bound."""

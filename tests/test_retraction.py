@@ -471,6 +471,7 @@ def _dropped_edges(seed: int):
     return h, {rng.choice(sorted(c)) for c in connected_components(h)}
 
 
+@pytest.mark.gate
 class TestOnePassMatchesReference:
     """Absorbing each component of G[T \\ A] that touches A in one pass
     draws the retractions of the loop it replaced, which split each

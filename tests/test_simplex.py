@@ -603,6 +603,7 @@ class _Captured(Exception):
 PIVOT_BUDGET = 2000
 
 
+@pytest.mark.gate
 class TestIntegerMatchesFraction:
     """solve_lp keeps each row as ints over one positive denominator but
     takes the same pivots as the Fraction solver it replaced, so optima,
@@ -810,6 +811,7 @@ TABLE_LPS = {
 }
 
 
+@pytest.mark.gate
 class TestLPRowsMatchReference:
     """The flow LP built from incidence equals the edge-scanning build it
     replaced: the same objective, rows (entry by entry), commodities and

@@ -285,6 +285,7 @@ class TestThinMap:
         assert out.is_lipschitz()
         assert is_thin(out.with_source(g), 4)
 
+    @pytest.mark.gate
     @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (0, 2)], [(0, 1)]],
                              ids=["cycle", "disconnected"])
     def test_rejects_a_non_tree(self, edges):
@@ -300,19 +301,18 @@ class TestThinMap:
 
 
 def listed(t) -> tuple[list[int], list]:
-    """The vertices and the edges with their Fraction lengths, each in
-    the tree's order.  Their order matters: ``round_thin`` keeps the
-    first of equally sparse cuts in ``edges()`` order.  A vertex's
-    smaller neighbours may come in any order: only the rooted index
-    reads it, and no query's answer depends on it."""
-    return list(t.adj), t.edges()
+    """The vertices and the edges with their Fraction lengths, each
+    sorted.  Their order does not matter: ``round_thin`` ranks equally
+    sparse cuts by edge mask, and no query's answer depends on the
+    order of a vertex's neighbours."""
+    return sorted(t.adj), sorted(t.edges())
 
 
 def thin_both(tm, seed, choice_fn=None):
     """``thin_map`` and the reference, which gets the tree with the
     Fraction lengths of its ``edges()``: the same vertices and edges,
-    each in the same order, the same mapping (in order) and root, on
-    tm's grid; and the fold keeps every depth."""
+    the same mapping (in order) and root, on tm's grid; and the fold
+    keeps every depth."""
     got = thin_map(tm, seed, choice_fn)
     want = reference_thin_map(
         dataclasses.replace(tm, tree=reference_tree(tm.tree)), seed, choice_fn
@@ -395,6 +395,7 @@ def tree_maps(draw, star_shaped=True):
     return tm, lambda x, k: tuple(bits[x][:k])
 
 
+@pytest.mark.gate
 class TestThinReference:
     """The tick ``thin_map`` against the parent's Fraction one."""
 
@@ -471,6 +472,7 @@ def crossed_map(seed):
     return TreeMap(tm.tree, mapping, g, root=rng.randrange(9))
 
 
+@pytest.mark.gate
 class TestNotStarShapedMessages:
     """The vertex a ``NotStarShaped`` error names, as the parent of the
     one arm-union climb named it: the first vertex with two children on
@@ -494,6 +496,7 @@ class TestNotStarShapedMessages:
             thin_map(triangle_on_spider()[1], 0)
 
 
+@pytest.mark.gate
 class TestFoldKeepsDepths:
     """A fold lays each arm on a branch at its own depths, so every
     vertex keeps its tick depth below the root: the fact that lets
@@ -800,6 +803,7 @@ class TestDyadic:
         assert _pow2_ceil(F(5, 4)) == 2
         assert _pow2_ceil(F(1, 4)) == F(1, 4)
 
+    @pytest.mark.gate
     def test_pow2_ceil_matches_reference(self):
         xs = [F(0), F(-1), F(-3, 2)]
         xs += [F(n, d) for n in range(1, 301) for d in range(1, 301)]
@@ -865,6 +869,14 @@ class TestMultiscale:
         )
         assert rep.best.sparsity == 1
         assert all(r <= 1.0 + 1e-12 for r in rep.sample_ratios)
+
+    def test_negative_samples_rejected(self):
+        g = MetricGraph(2, ((0, 1, F(1)),))
+        ell = AdaptedLengths.split_evenly(g)
+        caps = PolymatroidCaps.from_vertex_caps({0: F(1), 1: F(1)})
+        dem = DemandMatrix.from_pairs([(0, 1, F(1))])
+        with pytest.raises(ValueError, match=r"^samples must be >= 0, got -1$"):
+            multiscale_round(g, ell, caps, dem, embedded(g), samples=-1, seed=0)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_tree_ratios_bounded(self, seed):

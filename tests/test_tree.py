@@ -592,6 +592,7 @@ def mutate(t: MetricTree, rng: random.Random) -> None:
         glue(t, u, v, stretch + after, 0, len(stretch) - 1)
 
 
+@pytest.mark.gate
 class TestIndexMatchesWalk:
     """The rooted index answers every path query as the depth-first walk
     it replaced did, also after a mutator has changed the tree since the
@@ -641,6 +642,7 @@ class TestIndexMatchesWalk:
             assert_queries_match_walk(t, random.Random(0))
 
 
+@pytest.mark.gate
 class TestRefineKeepsIndex:
     """``refine`` scales the tick depths of the rooted index into a new
     tuple instead of dropping it, and leaves every copy's index alone."""
@@ -714,6 +716,7 @@ class TestPathErrors:
             t.arm_union(5, [])
 
 
+@pytest.mark.gate
 class TestArmUnion:
     """``arm_union`` counts each vertex's children on the union of the
     paths from a centre, in the order the paths meet them, as the union

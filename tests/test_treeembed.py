@@ -282,6 +282,7 @@ class TestAnchorPoints:
             seen.append((p, q))
         assert len(set(seen)) > 1  # eta really is random
 
+    @pytest.mark.gate
     def test_either_anchor_equidistant_forces_resample(self):
         # Two forbidden positions half a unit either side of the first
         # draw's p, then of its q, reject that draw: the second is taken.
@@ -398,6 +399,7 @@ def reference_distances_distinct(c: Cycle, forbidden, anchor: int) -> bool:
     return True
 
 
+@pytest.mark.gate
 class TestEquidistantSums:
     """An anchor passes the sum lookup exactly when it passes the loop."""
 
@@ -743,6 +745,7 @@ class TestRandomExtensionErrors:
             run(close, MetricTree.from_path(vs, tree_lens))
 
 
+@pytest.mark.gate
 class TestEarStepBranches:
     """The ear step's safety branches that the draws above never reach,
     each on a hand-built input, against the reference."""
@@ -1089,6 +1092,7 @@ def outcome(check, *args):
         return ("ValueError", str(err))
 
 
+@pytest.mark.gate
 class TestChecksMatchWalk:
     """``is_star_shaped`` and ``thin_number`` on ``arm_union`` against the
     parent's on the walked path union: tree maps that are star-shaped or
@@ -1129,6 +1133,7 @@ def assert_matrix_is_tick_dist(t: MetricTree, xs) -> None:
     assert apart == want
 
 
+@pytest.mark.gate
 class TestTickMatrix:
     """``tick_matrix`` against ``tick_dist``, entry by entry: on tree maps
     and forest maps (0-tick edges, scattered ids, up to three trees) with
@@ -1297,6 +1302,7 @@ def anchor_check_outcome(check, *args):
     return None
 
 
+@pytest.mark.gate
 class TestEmbedReference:
     """The sampler draws exactly the maps of the reference sampler, which
     embeds every block per sample on the Fraction-tree reference: the
@@ -1436,6 +1442,7 @@ def count_calls(monkeypatch, owner, attr) -> list:
     return calls
 
 
+@pytest.mark.gate
 class TestFixedSampler:
     """A graph whose blocks draw nothing has one map, built with its index
     when the sampler is: each seed gets a copy equal to a fresh build,
@@ -1487,6 +1494,7 @@ class TestFixedSampler:
             assert_matrix_is_tick_dist(t, t.vertices())
 
 
+@pytest.mark.gate
 class TestEarSums:
     """A closed ear carries the ``_equidistant_sums`` of its cycle's
     points, built when it is closed: a block's first ear once per
