@@ -5,7 +5,15 @@ biconnectivity, outerplanar structure (ear builds), the slack transform,
 and the integer-tick cycle that the tree embedding closes each ear into.
 
 All graph lengths are ``fractions.Fraction``; infinity is represented by
-``math.inf`` in distance matrices.
+``math.inf`` in distance matrices.  Shortest paths run on ints over one
+denominator, the lcm of the edge lengths' denominators, and a graph's
+Fraction and tick matrices are both read off its one int matrix.
+
+Outerplanarity and outer cycles do not use networkx: one lowpoint search
+finds the blocks, and degree-2 elimination finds each block's outer cycle
+or proves it is not outerplanar.  General planarity (``is_planar`` and
+``PlanarInstance.validate``) and ``biconnected_components``, whose block
+order the ear builds follow, still use networkx.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Optional, Sequence
 
 import networkx as nx
@@ -45,9 +54,10 @@ class MetricGraph:
 
     No loops, no parallel edges.  Zero-length edges are permitted.
     Every edge is stored as (u, v, length) with u < v.  The adjacency
-    lists are built once, with the graph; the distance matrix, its tick
-    form and the connected components are built on first use and then
-    shared.  None of these views takes part in equality or hashing.
+    lists are built once, with the graph; the int distance matrix, the
+    Fraction and tick matrices read off it, and the connected components
+    are built on first use and then shared.  None of these views takes
+    part in equality or hashing.
     """
 
     n: int
@@ -93,6 +103,11 @@ class MetricGraph:
         """Shared distance matrix, ``all_pairs_distances``; do not mutate."""
         return self._view("distances", all_pairs_distances)
 
+    def int_distances(self) -> tuple[list[list], int]:
+        """Shared int distance matrix (T, M), ``int_distances``; do not
+        mutate."""
+        return self._view("int_distances", int_distances)
+
     def ticks(self) -> tuple[list[list], int]:
         """Shared tick matrix (ticks, L), ``distance_ticks``; do not mutate."""
         return self._view("ticks", distance_ticks)
@@ -132,49 +147,66 @@ class MetricGraph:
 # -- shortest paths -----------------------------------------------------
 
 
-def dijkstra(adj, source) -> dict[int, Fraction]:
-    """Exact-rational Dijkstra.  Returns finite distances only."""
-    import heapq
+def int_adjacency(n: int, edges) -> tuple[list[list[tuple[int, int]]], int]:
+    """Edges (u, v, length) over vertices 0..n-1 as int adjacency lists:
+    (adj, M), where M is the lcm of the lengths' denominators and adj[v]
+    lists (neighbour, length * M)."""
+    M = math.lcm(*(w.denominator for (_, _, w) in edges))
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v, w) in edges:
+        t = w.numerator * (M // w.denominator)
+        adj[u].append((v, t))
+        adj[v].append((u, t))
+    return adj, M
 
-    dist = {source: Fraction(0)}
-    heap = [(Fraction(0), source)]
-    done = set()
+
+def int_dijkstra(adj: list[list[tuple[int, int]]], source: int) -> list:
+    """Dijkstra on ``int_adjacency`` lists: every vertex's distance from
+    ``source``, math.inf if it is unreachable."""
+    dist = [INF] * len(adj)
+    dist[source] = 0
+    heap = [(0, source)]
     while heap:
-        d, v = heapq.heappop(heap)
-        if v in done:
+        d, v = heappop(heap)
+        if d > dist[v]:
             continue
-        done.add(v)
         for (u, w) in adj[v]:
             nd = d + w
-            if u not in dist or nd < dist[u]:
+            if nd < dist[u]:
                 dist[u] = nd
-                heapq.heappush(heap, (nd, u))
+                heappush(heap, (nd, u))
     return dist
+
+
+def int_distances(g: MetricGraph) -> tuple[list[list], int]:
+    """Shortest-path distances on ints: (T, M), where M is the lcm of the
+    edge lengths' denominators and T[s][t] is the s-t distance times M,
+    math.inf across components.  Builds a fresh pair: read a graph's
+    shared one through ``g.int_distances()``."""
+    adj, M = int_adjacency(g.n, g.edges)
+    return [int_dijkstra(adj, s) for s in range(g.n)], M
 
 
 def all_pairs_distances(g: MetricGraph) -> list[list]:
     """Shortest-path distance matrix; math.inf across components.  Builds
-    a fresh matrix: read a graph's shared one through ``g.distances()``."""
-    adj = g.adjacency()
-    mat = []
-    for s in range(g.n):
-        dist = dijkstra(adj, s)
-        mat.append([dist.get(t, INF) for t in range(g.n)])
-    return mat
+    a fresh matrix, from the shared ``g.int_distances()``: read a graph's
+    shared one through ``g.distances()``."""
+    T, M = g.int_distances()
+    return [[t if t is INF else Fraction(t, M) for t in row] for row in T]
 
 
 def distance_ticks(g: MetricGraph) -> tuple[list[list], int]:
     """``g.distances()`` as ints over one denominator L, the lcm of the
     finite distances' denominators: entry t stands for t / L, and
     ``math.inf`` entries stay ``math.inf``.  Returns (ticks, L); read a
-    graph's shared pair through ``g.ticks()``."""
-    dmat = g.distances()
-    L = math.lcm(*(d.denominator for row in dmat for d in row if d is not INF))
-    ticks = [
-        [d if d is INF else d.numerator * (L // d.denominator) for d in row]
-        for row in dmat
-    ]
-    return ticks, L
+    graph's shared pair through ``g.ticks()``.
+
+    Read off (T, M) = ``g.int_distances()``: the lcm of the reduced
+    denominators M / gcd(t, M) is M / c, for c the gcd of M and every
+    finite t, so (ticks, L) = (T // c, M // c)."""
+    T, M = g.int_distances()
+    c = math.gcd(M, *(t for row in T for t in row if t is not INF))
+    return [[t if t is INF else t // c for t in row] for row in T], M // c
 
 
 def reduce_lengths(g: MetricGraph) -> MetricGraph:
@@ -191,13 +223,8 @@ def is_reduced(g: MetricGraph) -> bool:
 
 def diameter(g: MetricGraph) -> Fraction:
     """Largest finite pairwise distance."""
-    d = g.distances()
-    best = Fraction(0)
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if d[i][j] is not INF and d[i][j] > best:
-                best = d[i][j]
-    return best
+    ticks, L = g.ticks()
+    return Fraction(max((t for row in ticks for t in row if t is not INF), default=0), L)
 
 
 def connected_components(g: MetricGraph, verts=None) -> list[set[int]]:
@@ -240,11 +267,57 @@ def biconnected_components(g: MetricGraph) -> list[set[int]]:
     return blocks
 
 
+def _blocks(adj, n: int) -> list[list[int]]:
+    """Blocks with an edge of the graph on vertices 0..n-1 with adjacency
+    ``adj`` (vertex -> [(neighbour, length)]), as vertex lists, by one
+    iterative lowpoint depth-first search (Hopcroft-Tarjan) from each
+    component's least vertex.  Each block lists first the vertex at which
+    the search entered it, and comes after every block below it."""
+    disc = [-1] * n
+    low = [0] * n
+    blocks = []
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        visited = [root]  # vertices not yet assigned to a block
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, it = stack[-1]
+            for (u, _) in it:
+                if disc[u] < 0:
+                    disc[u] = low[u] = clock
+                    clock += 1
+                    visited.append(u)
+                    stack.append((u, iter(adj[u])))
+                    break
+                # The edge back to v's parent lowers low[v] to the
+                # parent's number at most, which the test below allows.
+                if disc[u] < low[v]:
+                    low[v] = disc[u]
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                elif low[v] >= disc[p]:
+                    # p separates v's subtree from the rest: one block.
+                    block = [p]
+                    while block[-1] != v:
+                        block.append(visited.pop())
+                    blocks.append(block)
+    return blocks
+
+
 def is_biconnected(g: MetricGraph) -> bool:
     if g.n < 3:
         return g.n == 2 and len(g.edges) == 1
-    gx = g.to_nx()
-    return nx.is_connected(gx) and not list(nx.articulation_points(gx))
+    blocks = _blocks(g.adjacency(), g.n)
+    return len(blocks) == 1 and len(blocks[0]) == g.n
 
 
 def induced_subgraph(g: MetricGraph, verts: set[int]) -> tuple[MetricGraph, dict[int, int]]:
@@ -267,29 +340,90 @@ def is_planar(g: MetricGraph) -> bool:
     return ok
 
 
-def _apex_planarity(g: MetricGraph, verts) -> tuple[bool, nx.PlanarEmbedding]:
-    """Planarity test of g plus an apex (vertex g.n) joined to ``verts``.
+def _outer_cycle(adj, block: list[int]) -> Optional[list[int]]:
+    """Outer cycle of a block with at least 3 vertices (adjacency ``adj``
+    of a graph containing it), starting at ``block[0]``, or None if the
+    block is not outerplanar.
 
-    The apex fits iff ``verts`` all lie on one face of some embedding of
-    g, and then the apex's rotation lists them in that face's order."""
-    gx = g.to_nx()
-    gx.add_edges_from((g.n, v) for v in verts)
-    return nx.check_planarity(gx)
+    Degree-2 elimination (Mitchell 1979; Wiegers 1986): in a biconnected
+    outerplanar graph a vertex of degree 2 lies on the outer cycle between
+    its two neighbours, and removing it and joining them leaves one whose
+    outer cycle skips it.  Vertices are removed down to a triangle, which
+    a biconnected graph stays, and put back in reverse order, each
+    between its two neighbours, which must then be adjacent on the cycle.
+    That check is the proof: each vertex put back meets only its two
+    cycle neighbours, so every edge stays a cycle edge or a chord that
+    crosses none, and the block is outerplanar with this outer cycle, the
+    only Hamiltonian cycle an outerplanar block has.  A block that runs
+    out of vertices of degree 2 is not outerplanar either."""
+    inside = set(block)
+    nbr = {v: {u for (u, _) in adj[v] if u in inside} for v in block}
+    queue = [v for v in block if len(nbr[v]) == 2]
+    removed = []
+    while len(nbr) > 3:
+        if not queue:
+            return None
+        v = queue.pop()
+        if v not in nbr or len(nbr[v]) != 2:
+            continue
+        a, b = nbr.pop(v)
+        nbr[a].remove(v)
+        nbr[b].remove(v)
+        if b in nbr[a]:
+            queue += [x for x in (a, b) if len(nbr[x]) == 2]
+        else:
+            nbr[a].add(b)
+            nbr[b].add(a)
+        removed.append((v, a, b))
+    x, y, z = nbr
+    succ = {x: y, y: z, z: x}
+    for (v, a, b) in reversed(removed):
+        if succ[a] != b:
+            a, b = b, a
+            if succ[a] != b:
+                return None
+        succ[a] = v
+        succ[v] = b
+    cyc = [block[0]]
+    while len(cyc) < len(block):
+        cyc.append(succ[cyc[-1]])
+    return cyc
 
 
 def _outer_ring(g: MetricGraph) -> Optional[list[int]]:
-    """Rotation of an apex joined to every vertex of g, or None if g is
-    not outerplanar.  Every subgraph of g keeps that embedding, so the
-    ring restricted to one of its blocks is the block's outer cycle."""
-    if not g.n:
-        return []  # the apex alone has no rotation to read
-    ok, emb = _apex_planarity(g, range(g.n))
-    return list(emb.neighbors_cw_order(g.n)) if ok else None
+    """Cyclic vertex order whose restriction to each block of g is the
+    block's outer cycle, or None if g is not outerplanar.  A biconnected
+    subgraph of g lies in one block and keeps its cycle order, so the
+    ring restricted to it is its outer cycle too.
+
+    Each block's cycle (its two ends, for a bridge) is spliced in after
+    the vertex at which the block search entered it.  Blocks go in from
+    the top of the search down, so the rest of a block is new to the
+    ring when it goes in."""
+    adj = g.adjacency()
+    succ = list(range(g.n))
+    for b in reversed(_blocks(adj, g.n)):
+        if len(b) >= 3:
+            b = _outer_cycle(adj, b)
+            if b is None:
+                return None
+        succ[b[-1]] = succ[b[0]]
+        for (u, v) in zip(b, b[1:]):
+            succ[u] = v
+    ring: list[int] = []
+    placed = [False] * g.n
+    for s in range(g.n):
+        v = s
+        while not placed[v]:
+            placed[v] = True
+            ring.append(v)
+            v = succ[v]
+    return ring
 
 
 def _block_cycle(ring: list[int], idx: dict[int, int]) -> list[int]:
     """Outer cycle of a biconnected block (vertex -> local id ``idx``)
-    read off the apex ring of a graph containing it: local ids, starting
+    read off the outer ring of a graph containing it: local ids, starting
     at 0 and continuing to the smaller of its two cycle neighbours."""
     cyc = [idx[v] for v in ring if v in idx]
     i = cyc.index(0)
@@ -300,24 +434,24 @@ def _block_cycle(ring: list[int], idx: dict[int, int]) -> list[int]:
 
 
 def is_outerplanar(g: MetricGraph) -> bool:
-    """A graph is outerplanar iff adding an apex adjacent to every vertex
-    keeps it planar."""
+    """A graph is outerplanar iff each of its blocks is: see
+    ``_outer_ring``."""
     return _outer_ring(g) is not None
 
 
 def find_outer_cycle(g: MetricGraph) -> list[int]:
     """Hamiltonian cycle of a biconnected outerplanar graph (its unique
     outer face), starting at vertex 0 and continuing to the smaller of
-    its two cycle neighbours.  Read off the rotation of an apex joined
-    to every vertex."""
+    its two cycle neighbours.  Found by degree-2 elimination, see
+    ``_outer_cycle``."""
     if not is_biconnected(g):
         raise NotBiconnected("outer cycle defined for biconnected graphs")
     if g.n == 2:
         raise NotOuterplanar("no outer cycle on a single edge")
-    ring = _outer_ring(g)
-    if ring is None:
+    cyc = _outer_cycle(g.adjacency(), list(range(g.n)))
+    if cyc is None:
         raise NotOuterplanar("no Hamiltonian cycle: graph is not biconnected outerplanar")
-    return _block_cycle(ring, {v: v for v in range(g.n)})
+    return _block_cycle(cyc, {v: v for v in range(g.n)})
 
 
 # -- instances ----------------------------------------------------------
@@ -357,7 +491,9 @@ class PlanarInstance:
         # The face cycle bounds a face of some embedding iff an apex
         # joined to all face vertices keeps the graph planar.  The apex
         # graph contains g, so g itself is tested only to name a failure.
-        if not _apex_planarity(g, self.face)[0]:
+        apex = g.to_nx()
+        apex.add_edges_from((g.n, v) for v in self.face)
+        if not nx.check_planarity(apex)[0]:
             if not is_planar(g):
                 problems.append("graph is not planar")
             else:
@@ -543,7 +679,7 @@ def ear_decomposition(
 
 
 def _block_builds(g: MetricGraph, ring: list[int]) -> list[OuterplanarBuild]:
-    """Ear builds of the blocks of g, a subgraph of the graph whose apex
+    """Ear builds of the blocks of g, a subgraph of the graph whose outer
     ring is ``ring``, in original vertex ids.  Each block after the first
     meets the earlier ones in exactly one cut vertex."""
     blocks = [b for b in biconnected_components(g) if len(b) >= 2]
@@ -600,7 +736,7 @@ def slack_transform(
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     # Outerplanarity is tested once: every graph below is a subgraph of
-    # g, so the apex ring of g gives every block's outer cycle.
+    # g, so the outer ring of g gives every block's outer cycle.
     ring = _outer_ring(g)
     if ring is None:
         raise NotOuterplanar("slack transform needs an outerplanar graph")

@@ -21,7 +21,7 @@ from .errors import (
     TooLarge,
     ZeroDenominator,
 )
-from .graph import MetricGraph, dijkstra, frac, norm_edge
+from .graph import MetricGraph, frac, int_adjacency, int_dijkstra, norm_edge
 from .simplex import check_solution, solve_lp
 
 Edge = tuple[int, int]
@@ -598,12 +598,19 @@ def mcf_dual_vertex(
 
 def _demand_distance(g: MetricGraph, length: dict[Edge, Fraction], dem: DemandMatrix):
     """sum over demand pairs of dem * shortest-path distance under
-    ``length``; math.inf when a pair is disconnected."""
-    adj = g.with_edges((u, v, length[u, v]) for (u, v, _) in g.edges).adjacency()
-    return sum(
-        (w * dijkstra(adj, u).get(v, math.inf) for (u, v, w) in dem.items()),
-        Fraction(0),
-    )
+    ``length``; math.inf when a pair is disconnected.  One int Dijkstra
+    per demand source, over the lengths scaled to ints."""
+    adj, M = int_adjacency(g.n, [(u, v, length[u, v]) for (u, v, _) in g.edges])
+    rows: dict[int, list] = {}
+    total = Fraction(0)
+    for (u, v, w) in dem.items():
+        if u not in rows:
+            rows[u] = int_dijkstra(adj, u)
+        t = rows[u][v]
+        if t == math.inf:
+            return math.inf
+        total += w * t
+    return total / M
 
 
 def dual_objective(

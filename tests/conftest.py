@@ -1,3 +1,4 @@
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,6 +116,25 @@ def flatten(c: Cycle, p) -> FlatPath:
         length=Fraction(c.circumference, 2),
         positions={v: c.dist_pos(p, pos) for v, pos in c.points.items()},
     )
+
+
+def reference_dijkstra(adj, source) -> dict[int, Fraction]:
+    """Exact-rational Dijkstra over ``MetricGraph.adjacency()`` lists: the
+    reference for the int Dijkstra.  Returns finite distances only."""
+    dist = {source: Fraction(0)}
+    heap = [(Fraction(0), source)]
+    done = set()
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        for (u, w) in adj[v]:
+            nd = d + w
+            if u not in dist or nd < dist[u]:
+                dist[u] = nd
+                heapq.heappush(heap, (nd, u))
+    return dist
 
 
 def random_reduced_graph(n: int, seed: int, p: float = 0.5) -> MetricGraph:

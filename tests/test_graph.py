@@ -2,11 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flatten, make_cycle, random_reduced_graph, slack_cycle
+from conftest import flatten, make_cycle, random_reduced_graph, reference_dijkstra, slack_cycle
 from faceflow import graph
 from faceflow.errors import ChordTooLong, FaceflowError, NotBiconnected, NotOuterplanar
 from faceflow.graph import (
@@ -26,6 +27,8 @@ from faceflow.graph import (
     find_outer_cycle,
     frac,
     induced_subgraph,
+    int_distances,
+    is_biconnected,
     is_outerplanar,
     is_planar,
     is_reduced,
@@ -150,9 +153,54 @@ class TestDistances:
                     assert Fraction(ticks[i][j], L) == d[i][j]
 
 
+@st.composite
+def rational_graphs(draw):
+    """Graphs of 0 to 9 vertices, isolated vertices and several components
+    included, with lengths of several denominators, zero among them."""
+    n = draw(st.integers(0, 9))
+    pairs = [] if n < 2 else draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]
+        ),
+        unique_by=lambda e: frozenset(e), max_size=14,
+    ))
+    lengths = st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 3, 4, 6, 7, 9, 12]))
+    return MetricGraph(n, tuple((u, v, draw(lengths)) for (u, v) in pairs))
+
+
+@pytest.mark.gate
+class TestIntDistancesMatchReference:
+    """Distances, ticks and the diameter, read off one int Dijkstra per
+    source, equal what the Fraction Dijkstra gives."""
+
+    @staticmethod
+    def check(g: MetricGraph):
+        adj = g.adjacency()
+        rows = [reference_dijkstra(adj, s) for s in range(g.n)]
+        ref = [[row.get(t, math.inf) for t in range(g.n)] for row in rows]
+        assert g.distances() == ref
+        finite = [d for row in ref for d in row if d != math.inf]
+        ticks, L = g.ticks()
+        assert L == math.lcm(*(d.denominator for d in finite))
+        assert all(t == math.inf or type(t) is int for row in ticks for t in row)
+        assert [[t if t == math.inf else Fraction(t, L) for t in row] for row in ticks] == ref
+        assert diameter(g) == max(finite, default=Fraction(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_graphs())
+    def test_random_graphs(self, g):
+        self.check(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_no_edges(self, n):
+        g = MetricGraph(n, ())
+        self.check(g)
+        assert g.ticks() == ([[0 if i == j else math.inf for j in range(n)] for i in range(n)], 1)
+
+
 class TestViews:
-    """Distances, ticks and components are built once per graph and
-    shared; they play no part in equality or hashing."""
+    """Int distances, distances, ticks and components are built once per
+    graph and shared; they play no part in equality or hashing."""
 
     GRAPHS = {
         "two-components": MetricGraph(6, (
@@ -168,6 +216,7 @@ class TestViews:
         g = self.GRAPHS[name]
         fresh = MetricGraph(g.n, g.edges)
         for view, build in (
+            ("int_distances", int_distances),
             ("distances", all_pairs_distances),
             ("ticks", distance_ticks),
             ("components", connected_components),
@@ -288,6 +337,122 @@ class TestPlanarity:
         )
 
 
+def _permuted(g: MetricGraph, rnd: random.Random) -> MetricGraph:
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    return g.with_edges((perm[u], perm[v], w) for (u, v, w) in g.edges)
+
+
+def _glued(pieces, seed: int) -> MetricGraph:
+    """The pieces joined into one graph: each later piece shares one vertex
+    with the graph so far, or hangs from it by a bridge."""
+    rng = random.Random(f"glued:{seed}")
+    n, edges = pieces[0].n, list(pieces[0].edges)
+    for p in pieces[1:]:
+        at, share = rng.randrange(n), rng.randrange(p.n)
+        if rng.random() < 0.3:
+            edges.append((at, n + share, Fraction(1)))
+            share = None
+        ids, k = {}, n
+        for v in range(p.n):
+            if v == share:
+                ids[v] = at
+            else:
+                ids[v], k = k, k + 1
+        edges += [(ids[u], ids[v], w) for (u, v, w) in p.edges]
+        n = k
+    return _permuted(MetricGraph(n, tuple(edges)), rng)
+
+
+def _subdivided(g: MetricGraph, times: int, seed: int) -> MetricGraph:
+    """g with ``times`` random edges replaced by paths of two edges."""
+    rng = random.Random(f"subdivide:{seed}")
+    n, edges = g.n, list(g.edges)
+    for _ in range(times):
+        u, v, w = edges.pop(rng.randrange(len(edges)))
+        edges += [(u, n, w), (n, v, w)]
+        n += 1
+    return MetricGraph(n, tuple(edges))
+
+
+def _complete(n: int) -> MetricGraph:
+    return MetricGraph(n, tuple((u, v, 1) for u in range(n) for v in range(u + 1, n)))
+
+
+K23 = MetricGraph(5, tuple((u, v, 1) for u in (0, 1) for v in (2, 3, 4)))
+
+
+def _outerplanar_pieces(seed: int) -> list[MetricGraph]:
+    rng = random.Random(f"pieces:{seed}")
+    pieces = []
+    for _ in range(rng.randrange(1, 5)):
+        n = rng.randrange(1, 8)
+        if n <= 2:
+            pieces.append(MetricGraph(n, ((0, 1, Fraction(1, 2)),) if n == 2 else ()))
+        else:
+            pieces.append(random_outerplanar(n, rng.randrange(10**6))[0])
+    return pieces
+
+
+def check_ring_against_reference(g: MetricGraph, sub=None):
+    """The ring, the verdicts and every block's outer cycle equal the
+    networkx reference's; so do the cycles of the blocks of ``sub``, a
+    subgraph of g, read off g's ring."""
+    ring, ref = _outer_ring(g), reference_outer_ring(g)
+    assert is_outerplanar(g) == (ref is not None)
+    assert (ring is None) == (ref is None)
+    biconnected = is_biconnected(g)
+    assert biconnected == reference_is_biconnected(g)
+    if ref is None:
+        if biconnected:
+            with pytest.raises(NotOuterplanar):
+                find_outer_cycle(g)
+        return
+    assert sorted(ring) == list(range(g.n))
+    for h in (g, sub or g):
+        for b in biconnected_components(h):
+            if len(b) >= 3:
+                idx = {v: i for i, v in enumerate(sorted(b))}
+                assert _block_cycle(ring, idx) == _block_cycle(ref, idx)
+    if biconnected and g.n >= 3:
+        assert find_outer_cycle(g) == _block_cycle(ref, {v: v for v in range(g.n)})
+
+
+@pytest.mark.gate
+class TestOuterRingMatchesReference:
+    """Degree-2 elimination per block gives the verdicts and the outer
+    cycles that networkx's planar embedding of g plus an apex gives."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_random_outerplanar(self, n):
+        for seed in range(12):
+            rnd = random.Random(f"ring:{n}:{seed}")
+            g = _permuted(random_outerplanar(n, seed)[0], rnd)
+            kept = [e for e in g.edges if rnd.random() < 0.7]
+            check_ring_against_reference(g, g.with_edges(kept))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_blocks_sharing_cut_vertices(self, seed):
+        check_ring_against_reference(_glued(_outerplanar_pieces(seed), seed))
+
+    @pytest.mark.parametrize("base", [_complete(4), K23], ids=["K4", "K23"])
+    @pytest.mark.parametrize("times", [0, 1, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_not_outerplanar(self, base, times, seed):
+        bad = _subdivided(base, times, seed)
+        for g in (bad, _glued([bad] + _outerplanar_pieces(seed), seed)):
+            assert not is_outerplanar(g)
+            check_ring_against_reference(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_graphs())
+    def test_random_graphs(self, g):
+        check_ring_against_reference(g)
+
+    def test_empty_graph_ring(self):
+        assert _outer_ring(MetricGraph(0, ())) == []
+
+
 class TestEarDecomposition:
     def test_path_no_steps(self, path3):
         build = ear_decomposition(path3)
@@ -367,6 +532,28 @@ class TestSlackTransform:
                 assert step.length >= 160 * lengths[e]
 
 
+# -- reference: the outer ring read off networkx's planar embedding --------
+
+
+def reference_outer_ring(g: MetricGraph):
+    """Rotation of an apex joined to every vertex of g, or None if g is
+    not outerplanar.  Every subgraph of g keeps that embedding, so the
+    ring restricted to one of its blocks is the block's outer cycle."""
+    if not g.n:
+        return []  # the apex alone has no rotation to read
+    gx = g.to_nx()
+    gx.add_edges_from((g.n, v) for v in range(g.n))
+    ok, emb = nx.check_planarity(gx)
+    return list(emb.neighbors_cw_order(g.n)) if ok else None
+
+
+def reference_is_biconnected(g: MetricGraph) -> bool:
+    if g.n < 3:
+        return g.n == 2 and len(g.edges) == 1
+    gx = g.to_nx()
+    return nx.is_connected(gx) and not list(nx.articulation_points(gx))
+
+
 # -- reference: the slack transform with a rebuild after its loop --------
 
 
@@ -438,13 +625,14 @@ def reference_slack_transform(
     """The slack transform that ran its rounds at scale 1, in networkx's
     block order, and then rebuilt the blocks of the scaled result.  Kept
     as it was (with its block helpers above), except that
-    ``biconnected_components`` no longer returns the cut vertices."""
+    ``biconnected_components`` no longer returns the cut vertices and
+    that the ring is networkx's, ``reference_outer_ring``."""
     alpha = frac(alpha)
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     # Outerplanarity is tested once: every graph below is a subgraph of
     # g, so the apex ring of g gives every block's outer cycle.
-    ring = _outer_ring(g)
+    ring = reference_outer_ring(g)
     if ring is None:
         raise NotOuterplanar("slack transform needs an outerplanar graph")
     current = reduce_lengths(g)
@@ -465,10 +653,6 @@ def reference_slack_transform(
         current = reduce_lengths(current)
     h = current.scaled(Fraction(1) / alpha)
     return h, reference_block_builds(h, ring)
-
-
-def _complete(n: int) -> MetricGraph:
-    return MetricGraph(n, tuple((u, v, 1) for u in range(n) for v in range(u + 1, n)))
 
 
 def _bridged_outerplanar(seed: int) -> MetricGraph:

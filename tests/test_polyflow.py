@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_reduced_graph
+from conftest import random_reduced_graph, reference_dijkstra
 from faceflow import polyflow
 from faceflow.errors import InvariantViolation, NegativeEntry, NoSeparatedDemand, TooLarge, ZeroDenominator
 from faceflow.graph import MetricGraph, frac, norm_edge
@@ -1355,6 +1355,39 @@ class TestDual:
         assert_feasible_flow(g, cap, sol, 1)
         val = dual_objective(g, AdaptedLengths.split_evenly(g), caps, dem)
         assert val >= sol.epsilon
+
+
+@st.composite
+def demand_inputs(draw):
+    """A graph of 2 to 8 vertices, possibly disconnected, with lengths of
+    several denominators (zero among them) and positive demands."""
+    n = draw(st.integers(2, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, unique_by=frozenset, max_size=12))
+    g = MetricGraph(n, tuple((u, v, 1) for (u, v) in edges))
+    fracs = st.builds(F, st.integers(0, 9), st.sampled_from([1, 2, 3, 5, 6, 8]))
+    length = {(u, v): draw(fracs) for (u, v, _) in g.edges}
+    dem = DemandMatrix.from_pairs(
+        (u, v, draw(fracs.filter(lambda w: w > 0)))
+        for (u, v) in draw(st.lists(pairs, unique_by=frozenset, min_size=1, max_size=5))
+    )
+    return g, length, dem
+
+
+@pytest.mark.gate
+class TestDemandDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(demand_inputs())
+    def test_matches_fraction_dijkstra(self, inputs):
+        g, length, dem = inputs
+        adj = g.with_edges((u, v, length[u, v]) for (u, v, _) in g.edges).adjacency()
+        want = sum(
+            (w * reference_dijkstra(adj, u).get(v, math.inf) for (u, v, w) in dem.items()),
+            F(0),
+        )
+        got = polyflow._demand_distance(g, length, dem)
+        assert got == want
+        assert type(got) is type(want)
 
 
 class TestPolymatroidLP:

@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from faceflow import retraction
@@ -327,6 +328,27 @@ class TestQuotientChecksOncePerGraph:
         hs = {draw(seed).h for seed in range(20)}
         assert 1 < len(hs) < 20
         assert calls == {"outerplanar": len(hs), "check": 20}
+
+    def test_no_planarity_test_per_new_quotient(self, monkeypatch):
+        # Validation is the one general planarity test; each new quotient
+        # is checked by degree-2 elimination alone.
+        draw = retraction_sampler(PlanarInstance(wheel_with_tail(5, 10), tuple(range(5))))
+        planarity, outerplanar = [], []
+        check, real_outerplanar = nx.check_planarity, retraction.is_outerplanar
+
+        def counting(*args, **kwargs):
+            planarity.append(args[0])
+            return check(*args, **kwargs)
+
+        def counting_outerplanar(h):
+            outerplanar.append(h)
+            return real_outerplanar(h)
+
+        monkeypatch.setattr(nx, "check_planarity", counting)
+        monkeypatch.setattr(retraction, "is_outerplanar", counting_outerplanar)
+        hs = {draw(seed).h for seed in range(20)}
+        assert len(outerplanar) == len(hs) > 1
+        assert planarity == []
 
     def test_failing_graph_raises_every_time(self, monkeypatch):
         monkeypatch.setattr(retraction, "is_outerplanar", lambda h: False)

@@ -1278,9 +1278,10 @@ class TestSamplerBuild:
     @pytest.mark.parametrize(
         "g", [slack_cycle(8), random_outerplanar(8, 0)[0]], ids=["slack8", "outer8-0"]
     )
-    def test_one_planarity_test_per_build(self, g, monkeypatch):
-        # The slack transform and every block's ear build reuse the one
-        # apex embedding of g.
+    def test_no_planarity_test_per_build(self, g, monkeypatch):
+        # The slack transform finds every block's outer cycle by degree-2
+        # elimination, and every block's ear build reuses it: networkx's
+        # general planarity test never runs.
         calls = []
         check = nx.check_planarity
 
@@ -1290,7 +1291,7 @@ class TestSamplerBuild:
 
         monkeypatch.setattr(nx, "check_planarity", counting)
         embed_sampler(g)
-        assert calls == [g.n + 1]
+        assert calls == []
 
 
 def anchor_check_outcome(check, *args):
